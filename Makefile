@@ -3,8 +3,8 @@
 GO ?= go
 
 .PHONY: all build vet lint test race fuzz bench tables figures ablations \
-	ec-bench hotpath-bench examples obs-test obs-smoke scrub-smoke \
-	failover-smoke trace-smoke overload-smoke cache-smoke clean
+	ec-bench hotpath-bench bench-ladder examples obs-test obs-smoke \
+	scrub-smoke failover-smoke trace-smoke overload-smoke cache-smoke clean
 
 all: build vet test obs-test
 
@@ -86,8 +86,11 @@ cache-smoke:
 	sh scripts/cache-smoke.sh
 
 # Short fuzz pass over the wire codecs, the at-rest integrity
-# envelope, the erasure codec, and the lint annotation parsers
-# (CI smoke; go native fuzzing).
+# envelope, the erasure codec, the lint annotation parsers, and the
+# agent's write-burst state machine against its model (CI smoke; go
+# native fuzzing). The burst target observes real service times, so its
+# coverage is not a pure function of the input: without a cap the
+# engine spends its default 60 s minimising each interesting input.
 fuzz:
 	$(GO) test ./internal/wire/ -run XXX -fuzz FuzzUnmarshal -fuzztime 20s
 	$(GO) test ./internal/wire/ -run XXX -fuzz FuzzControlPayloads -fuzztime 20s
@@ -96,6 +99,7 @@ fuzz:
 	$(GO) test ./internal/lint/ -run XXX -fuzz FuzzParseDirective -fuzztime 10s
 	$(GO) test ./internal/lint/ -run XXX -fuzz FuzzParseGuard -fuzztime 10s
 	$(GO) test ./internal/lint/ -run XXX -fuzz FuzzParseAllow -fuzztime 10s
+	$(GO) test ./internal/agent/ -run XXX -fuzz FuzzWriteBurstSequence -fuzztime 20s -fuzzminimizetime 10x
 
 # One benchmark per paper table/figure plus micro-benchmarks.
 bench:
@@ -120,6 +124,18 @@ ec-bench:
 # path, tracing off vs on (writes BENCH_hotpath.json).
 hotpath-bench:
 	$(GO) run ./cmd/swift-bench -table hotpath
+
+# The real-CPU benchmark ladder (BENCHMARK.json): its own tests under the
+# race detector, then every workload once, untraced. The run exits
+# non-zero if any operation failed or read back wrong, and leaves the
+# JSON document in .bench_build/ladder.json (compare two of them with
+# `go -C benchmark run . -compare a.json b.json`). Timing
+# is advisory on a shared machine — the machine-independent gates are the
+# AllocsPerRun tests in internal/agent and internal/transport, which run
+# in tier-1.
+bench-ladder:
+	$(GO) -C benchmark test -race ./...
+	bash benchmark/run.sh --seconds 24 --trace 0 -out .bench_build/ladder.json
 
 edf:
 	$(GO) run ./cmd/swift-sim -figure edf

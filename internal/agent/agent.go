@@ -45,16 +45,21 @@ type Config struct {
 	// operation while streaming a read (default 8192). It controls how
 	// disk and network time interleave.
 	ReadChunk int
-	// ResendCheck is how often incomplete write bursts are examined
-	// (default 25ms).
+	// ResendCheck is how often incomplete (open) write bursts are
+	// examined for stalls (default 25ms). It is also the session's
+	// read-deadline tick, so the examination happens with or without
+	// traffic.
 	ResendCheck time.Duration
-	// ResendAfter is how long a write burst may make no progress before
-	// the agent requests the missing packets (default 50ms).
+	// ResendAfter is how long an announced write burst may make no
+	// progress before the agent requests the missing packets, and the
+	// minimum spacing of those requests (default 50ms).
 	ResendAfter time.Duration
 	// SessionIdle tears down a session with no traffic (default 60s).
 	SessionIdle time.Duration
 	// DoneTTL keeps completed write-burst state around so duplicate
-	// announcements can be re-acknowledged (default 2s).
+	// announcements can be re-acknowledged (default 2s). It is also how
+	// long data for a burst that is never announced is held before the
+	// orphan is dropped.
 	DoneTTL time.Duration
 	// SyncWrites applies every write burst synchronously even without
 	// the per-burst flag.
@@ -64,10 +69,12 @@ type Config struct {
 	// descriptors.
 	MaxSessions int
 	// MaxBurstBytes bounds one announced write burst (default 8 MiB).
-	// Bursts are buffered in memory until complete and applied to the
-	// store in one piece, so a partially received burst never leaves
-	// a torn range on disk; announcements beyond the bound are
-	// rejected.
+	// Bursts are buffered in memory (in a buffer the session recycles
+	// from burst to burst) until complete and applied to the store in
+	// one piece, so a partially received burst never leaves a torn
+	// range on disk; announcements beyond the bound are rejected. It
+	// also bounds the data stashed for a burst whose announcement has
+	// not arrived yet.
 	MaxBurstBytes int64
 	// Logf receives diagnostic messages (default: none).
 	Logf func(format string, args ...any)
@@ -388,13 +395,7 @@ func (a *Agent) handleOpen(pkt *wire.Packet, from string) {
 	}
 	a.nextH++
 	h := a.nextH
-	s := &session{
-		agent:  a,
-		handle: h,
-		obj:    obj,
-		conn:   conn,
-		writes: make(map[uint32]*writeState),
-	}
+	s := newSession(a, h, obj, conn)
 	a.sessions[h] = s
 	live := len(a.sessions)
 	a.mu.Unlock()
@@ -517,17 +518,26 @@ func (a *Agent) dropSession(s *session) {
 	a.tel.sessions.Set(int64(live))
 }
 
-// writeState tracks one announced write burst. Arriving data packets
-// are buffered in data (sized at announce time) and applied to the
-// store in one WriteAt once every expected byte is present, so the
-// store never sees a torn burst — which also lets a checksumming store
-// treat unit-aligned bursts as whole-block overwrites.
+// writeState tracks one write burst from first sight (announcement or
+// overtaking data) to DoneTTL after its acknowledgement. Arriving data
+// packets are buffered in data (taken from the session's free list at
+// announce time) and applied to the store in one WriteAt once every
+// expected byte is present, so the store never sees a torn burst — which
+// also lets a checksumming store treat unit-aligned bursts as
+// whole-block overwrites. Until it completes a burst is in the session's
+// open set; afterwards it waits on the done queue to re-acknowledge
+// duplicate announcements.
 type writeState struct {
+	reqID     uint32
 	announced bool
 	off       int64
 	length    int64
 	flags     uint16
-	data      []byte
+	// data is the burst buffer, owned by this burst from announce until
+	// apply or abandon and then handed back to session.burstFree. It is
+	// recycled without clearing: all-or-nothing apply means only bytes
+	// this burst's own packets wrote ever reach the store.
+	data []byte
 	// early holds data packets that overtook the announcement
 	// (datagrams reorder); they are replayed into data once the
 	// announcement sizes the buffer.
@@ -539,6 +549,7 @@ type writeState struct {
 	prompted   time.Time // last time a resend was requested
 	done       bool
 	doneAt     time.Time
+	openIdx    int // position in session.open while the burst is open
 	from       string
 	// sp is the agent-side service span joined from the announcement's
 	// trace context (data packets travel untraced). It spans announce →
@@ -560,6 +571,14 @@ type earlyData struct {
 	b   []byte
 }
 
+// Burst-buffer free list bounds: enough buffers for the bursts a client
+// keeps in flight (core's WriteWindow defaults to 2), and no buffer so
+// large that an idle session pins real memory.
+const (
+	burstFreeMax      = 4
+	burstFreeMaxBytes = 1 << 20
+)
+
 // session is the secondary thread of control serving one open file.
 type session struct {
 	agent  *Agent
@@ -567,8 +586,23 @@ type session struct {
 	obj    store.Object
 	conn   transport.PacketConn
 
-	writes   map[uint32]*writeState
-	lastSeen time.Time
+	// writes indexes every burst the session remembers by ReqID: the
+	// open ones and those completed within DoneTTL. The per-packet path
+	// only looks bursts up in it; the periodic work walks open and done.
+	writes map[uint32]*writeState
+	// open holds the bursts not yet completed — normally no more than
+	// the client's write window — and is all the stall sweep walks.
+	open []*writeState
+	// done queues completed bursts in completion order, which is doneAt
+	// order because one goroutine serves the session; done[:doneHead]
+	// has been reaped.
+	done     []*writeState
+	doneHead int
+	// lastSweep is when the open set was last examined.
+	lastSweep time.Time
+	// burstFree recycles burst buffers between announcements.
+	burstFree [][]byte
+	lastSeen  time.Time
 
 	// sendBuf is the marshal scratch for the session's data path. The
 	// session is served by a single goroutine, so the buffer is reused
@@ -578,6 +612,16 @@ type session struct {
 	// goroutine fills one while the transmitter drains the other, so a
 	// burst of any length touches exactly two buffers.
 	readFree chan []byte
+}
+
+func newSession(a *Agent, handle uint64, obj store.Object, conn transport.PacketConn) *session {
+	return &session{
+		agent:  a,
+		handle: handle,
+		obj:    obj,
+		conn:   conn,
+		writes: make(map[uint32]*writeState),
+	}
 }
 
 // send marshals into the session's scratch buffer and transmits on the
@@ -603,11 +647,15 @@ func (s *session) run() {
 	cfg := &s.agent.cfg
 	buf := make([]byte, wire.MaxPacket)
 	var pkt wire.Packet
-	s.lastSeen = time.Now()
+	now := time.Now()
+	s.lastSeen = now
 	for {
-		s.conn.SetReadDeadline(time.Now().Add(cfg.ResendCheck))
+		// One clock reading per datagram serves the deadline, the
+		// handlers and the burst bookkeeping. After a long read burst it
+		// is stale, which only makes the next tick come early.
+		s.conn.SetReadDeadline(now.Add(cfg.ResendCheck))
 		n, from, err := s.conn.ReadFrom(buf)
-		now := time.Now()
+		now = time.Now()
 		switch {
 		case err == nil:
 			s.lastSeen = now
@@ -616,7 +664,7 @@ func (s *session) run() {
 				cfg.Logf("agent %s session %d: bad packet: %v", s.agent.host.Name(), s.handle, uerr)
 				continue
 			}
-			if s.dispatch(&pkt, from) {
+			if s.dispatch(&pkt, from, now) {
 				s.agent.dropSession(s)
 				return
 			}
@@ -633,19 +681,22 @@ func (s *session) run() {
 			s.agent.dropSession(s)
 			return
 		}
-		s.checkWrites(time.Now())
+		s.checkWrites(now)
 	}
 }
 
-// dispatch handles one packet; it returns true when the session should end.
-func (s *session) dispatch(pkt *wire.Packet, from string) (closed bool) {
+// dispatch handles one packet that arrived at now; it returns true when
+// the session should end.
+//
+//swift:hotpath
+func (s *session) dispatch(pkt *wire.Packet, from string, now time.Time) (closed bool) {
 	switch pkt.Type {
 	case wire.TRead:
 		s.serveRead(pkt, from)
 	case wire.TWrite:
-		s.handleWriteAnnounce(pkt, from)
+		s.handleWriteAnnounce(pkt, from, now)
 	case wire.TData:
-		s.handleData(pkt, from)
+		s.handleData(pkt, from, now)
 	case wire.TSync:
 		sp := s.agent.joinSpan(pkt.Trace, "agent_sync")
 		err := s.agent.syncTimed(s.obj.Sync)
@@ -655,9 +706,7 @@ func (s *session) dispatch(pkt *wire.Packet, from string) (closed bool) {
 			s.agent.sendError(s.conn, from, pkt, err)
 			return false
 		}
-		s.agent.send(s.conn, from, &wire.Packet{
-			Header: wire.Header{Type: wire.TSyncReply, ReqID: pkt.ReqID, Handle: s.handle},
-		})
+		s.reply(from, wire.TSyncReply, pkt.ReqID)
 	case wire.TTrunc:
 		sp := s.agent.joinSpan(pkt.Trace, "agent_trunc")
 		err := s.obj.Truncate(pkt.Offset)
@@ -667,18 +716,20 @@ func (s *session) dispatch(pkt *wire.Packet, from string) (closed bool) {
 			s.agent.sendError(s.conn, from, pkt, err)
 			return false
 		}
-		s.agent.send(s.conn, from, &wire.Packet{
-			Header: wire.Header{Type: wire.TTruncReply, ReqID: pkt.ReqID, Handle: s.handle},
-		})
+		s.reply(from, wire.TTruncReply, pkt.ReqID)
 	case wire.TClose:
-		s.agent.send(s.conn, from, &wire.Packet{
-			Header: wire.Header{Type: wire.TCloseReply, ReqID: pkt.ReqID, Handle: s.handle},
-		})
+		s.reply(from, wire.TCloseReply, pkt.ReqID)
 		return true
 	default:
-		s.agent.cfg.Logf("agent %s session %d: unexpected %v", s.agent.host.Name(), s.handle, pkt.Type)
+		s.agent.cfg.Logf("agent %s session %d: unexpected %v", s.agent.host.Name(), s.handle, pkt.Type) //lint:allow hotalloc unexpected packet types are the cold path
 	}
 	return false
+}
+
+// reply answers a request with a header-only packet of type t.
+func (s *session) reply(from string, t wire.Type, reqID uint32) {
+	p := wire.Packet{Header: wire.Header{Type: t, ReqID: reqID, Handle: s.handle}}
+	s.send(from, &p)
 }
 
 // serveRead streams [Offset, Offset+Length) to the client as data packets.
@@ -812,27 +863,84 @@ func (s *session) serveRead(pkt *wire.Packet, from string) {
 
 func isEOF(err error) bool { return errors.Is(err, io.EOF) }
 
+// openWrite starts tracking a burst first seen at now.
+func (s *session) openWrite(reqID uint32, now time.Time) *writeState {
+	w := &writeState{reqID: reqID, first: now, progress: now, openIdx: len(s.open)} //lint:allow hotalloc one state record per write burst
+	s.writes[reqID] = w
+	s.open = append(s.open, w)
+	return w
+}
+
+// closeWrite takes w out of the open set and hands its buffer back to
+// the free list. The caller decides what becomes of the writes entry:
+// completed bursts keep theirs until reaped, dropped ones lose it.
+func (s *session) closeWrite(w *writeState) {
+	last := len(s.open) - 1
+	moved := s.open[last]
+	s.open[w.openIdx] = moved
+	moved.openIdx = w.openIdx
+	s.open[last] = nil
+	s.open = s.open[:last]
+	s.releaseBurst(w.data)
+	w.data = nil
+}
+
+// dropWrite forgets an open burst that will never complete (refused,
+// failed to apply, orphaned, or cut off by the session ending), so a
+// retry under the same ReqID starts clean.
+func (s *session) dropWrite(w *writeState, err error) {
+	w.finishSpan(err)
+	s.closeWrite(w)
+	delete(s.writes, w.reqID)
+}
+
+// acquireBurst returns an n-byte burst buffer, recycled when the free
+// list has one large enough. The contents are whatever the previous
+// burst left there.
+//
+//swift:pool acquire
+func (s *session) acquireBurst(n int64) []byte {
+	if k := len(s.burstFree) - 1; k >= 0 {
+		b := s.burstFree[k]
+		s.burstFree[k] = nil
+		s.burstFree = s.burstFree[:k]
+		if int64(cap(b)) >= n {
+			return b[:n]
+		}
+		// Too small: let it go, so the list converges on buffers that
+		// fit the bursts this client actually sends.
+	}
+	return make([]byte, n) //lint:allow hotalloc a burst buffer is allocated only until the free list holds one that fits
+}
+
+// releaseBurst hands a burst buffer back for the next announcement.
+//
+//swift:pool release
+func (s *session) releaseBurst(b []byte) {
+	if cap(b) == 0 || cap(b) > burstFreeMaxBytes || len(s.burstFree) >= burstFreeMax {
+		return
+	}
+	s.burstFree = append(s.burstFree, b)
+}
+
 // handleWriteAnnounce records the expected range of a write burst.
-func (s *session) handleWriteAnnounce(pkt *wire.Packet, from string) {
+func (s *session) handleWriteAnnounce(pkt *wire.Packet, from string, now time.Time) {
 	w := s.writes[pkt.ReqID]
 	if w == nil {
-		now := time.Now()
-		w = &writeState{first: now, progress: now}
-		s.writes[pkt.ReqID] = w
+		w = s.openWrite(pkt.ReqID, now)
 	}
 	if w.done {
 		// Duplicate announcement after completion: re-acknowledge.
-		s.ackWrite(pkt.ReqID, w, from)
+		s.ackWrite(w, from)
 		return
 	}
 	if w.sp == nil {
 		w.sp = s.agent.joinSpan(pkt.Trace, "agent_write_serve")
-		w.sp.Annotate("[%d:%d)", pkt.Offset, pkt.Offset+int64(pkt.Length))
+		w.sp.Annotate("[%d:%d)", pkt.Offset, pkt.Offset+int64(pkt.Length)) //lint:allow hotalloc one span note per burst, not per packet
 	}
 	if int64(pkt.Length) > s.agent.cfg.MaxBurstBytes {
-		err := fmt.Errorf("write burst of %d bytes exceeds limit %d", pkt.Length, s.agent.cfg.MaxBurstBytes)
-		w.finishSpan(err)
-		delete(s.writes, pkt.ReqID)
+		err := fmt.Errorf("write burst of %d bytes exceeds limit %d", pkt.Length, s.agent.cfg.MaxBurstBytes) //lint:allow hotalloc oversize announcements are refused on the cold path
+		s.dropWrite(w, err)
 		s.agent.sendError(s.conn, from, pkt, err)
 		return
 	}
@@ -842,22 +950,23 @@ func (s *session) handleWriteAnnounce(pkt *wire.Packet, from string) {
 	w.flags = pkt.Flags
 	w.from = from
 	if int64(len(w.data)) != w.length {
-		w.data = make([]byte, w.length)
+		s.releaseBurst(w.data)
+		w.data = s.acquireBurst(w.length)
 		w.received.Reset()
 	}
 	// Replay data packets that overtook this announcement.
 	for _, e := range w.early {
-		s.bufferData(w, e.off, e.b)
+		s.bufferData(w, e.off, e.b, now)
 	}
 	w.early, w.earlyBytes = nil, 0
-	s.completeIfReady(pkt.ReqID, w, from)
+	s.completeIfReady(w, from, now)
 }
 
 // bufferData copies one data payload into its burst buffer, rejecting
 // ranges outside the announced burst.
 //
 //swift:hotpath
-func (s *session) bufferData(w *writeState, off int64, payload []byte) bool {
+func (s *session) bufferData(w *writeState, off int64, payload []byte, now time.Time) bool {
 	rel := off - w.off
 	if rel < 0 || rel+int64(len(payload)) > w.length {
 		s.agent.tel.badPackets.Inc()
@@ -869,7 +978,7 @@ func (s *session) bufferData(w *writeState, off int64, payload []byte) bool {
 	s.agent.tel.dataPackets.Inc()
 	s.agent.tel.writeBytes.Add(int64(len(payload)))
 	w.received.Add(off, int64(len(payload)))
-	w.progress = time.Now()
+	w.progress = now
 	return true
 }
 
@@ -879,15 +988,13 @@ func (s *session) bufferData(w *writeState, off int64, payload []byte) bool {
 // early stash overflow, the resend machinery recovers the payload.
 //
 //swift:hotpath
-func (s *session) handleData(pkt *wire.Packet, from string) {
+func (s *session) handleData(pkt *wire.Packet, from string, now time.Time) {
 	if len(pkt.Payload) == 0 {
 		return
 	}
 	w := s.writes[pkt.ReqID]
 	if w == nil {
-		now := time.Now()
-		w = &writeState{first: now, progress: now} //lint:allow hotalloc one state record per write burst
-		s.writes[pkt.ReqID] = w
+		w = s.openWrite(pkt.ReqID, now)
 	}
 	if w.done {
 		return
@@ -901,110 +1008,156 @@ func (s *session) handleData(pkt *wire.Packet, from string) {
 		copy(b, pkt.Payload)
 		w.early = append(w.early, earlyData{off: pkt.Offset, b: b}) //lint:allow hotalloc overtaking-data stash, bounded by MaxBurstBytes
 		w.earlyBytes += int64(len(b))
-		w.progress = time.Now()
+		w.progress = now
 		return
 	}
-	if !s.bufferData(w, pkt.Offset, pkt.Payload) {
+	if !s.bufferData(w, pkt.Offset, pkt.Payload, now) {
 		return
 	}
 	w.from = from
-	s.completeIfReady(pkt.ReqID, w, from)
+	s.completeIfReady(w, from, now)
 }
 
 // completeIfReady applies and acknowledges the burst once every
 // expected byte arrived. Apply failures (a full store, or a corrupt
 // neighbouring block the merge would have to trust) are reported to
 // the client and the burst state discarded so a retry starts clean.
-func (s *session) completeIfReady(reqID uint32, w *writeState, from string) {
+func (s *session) completeIfReady(w *writeState, from string, now time.Time) {
 	if !w.announced || w.done || !w.received.Contains(w.off, w.length) {
 		return
 	}
+	// now is when the completing packet arrived; the store's share of
+	// the burst's service time is measured on top of it.
+	applyStart := time.Now()
 	if w.length > 0 {
 		if _, err := s.obj.WriteAt(w.data, w.off); err != nil {
-			w.finishSpan(err)
-			delete(s.writes, reqID)
+			s.dropWrite(w, err)
 			s.agent.sendError(s.conn, from, &wire.Packet{ //lint:allow hotalloc apply-failure reply is the cold path
-				Header: wire.Header{Type: wire.TWrite, ReqID: reqID, Handle: s.handle},
+				Header: wire.Header{Type: wire.TWrite, ReqID: w.reqID, Handle: s.handle},
 			}, err)
 			return
 		}
 	}
-	w.data = nil
+	s.closeWrite(w)
 	if s.agent.cfg.SyncWrites || w.flags&wire.FSyncWrite != 0 {
 		if err := s.agent.syncTimed(s.obj.Sync); err != nil {
 			s.agent.cfg.Logf("agent %s: sync: %v", s.agent.host.Name(), err) //lint:allow hotalloc cold sync-failure log
 		}
 	}
 	w.done = true
-	w.doneAt = time.Now()
+	w.doneAt = now
+	s.done = append(s.done, w)
 	w.finishSpan(nil)
 	s.agent.tel.writeBursts.Inc()
-	if !w.first.IsZero() {
-		s.agent.tel.writeLat.Observe(w.doneAt.Sub(w.first))
-	}
-	s.ackWrite(reqID, w, from)
+	s.agent.tel.writeLat.Observe(now.Sub(w.first) + time.Since(applyStart))
+	s.ackWrite(w, from)
 }
 
-func (s *session) ackWrite(reqID uint32, w *writeState, from string) {
-	s.send(from, &wire.Packet{ //lint:allow hotalloc one ack packet per write burst
-		Header: wire.Header{
-			Type: wire.TWriteAck, ReqID: reqID, Handle: s.handle,
-			Offset: w.off, Length: uint32(w.length),
-		},
-	})
+func (s *session) ackWrite(w *writeState, from string) {
+	p := wire.Packet{Header: wire.Header{
+		Type: wire.TWriteAck, ReqID: w.reqID, Handle: s.handle,
+		Offset: w.off, Length: uint32(w.length),
+	}}
+	s.send(from, &p)
 }
 
-// abandonWrites closes the service spans of bursts still incomplete
-// when the session ends, so the tracer's trace can flush instead of
+// abandonWrites drops the bursts still open when the session ends,
+// closing their service spans so the tracer's trace can flush instead of
 // waiting for the stale-trace eviction timer.
 func (s *session) abandonWrites() {
-	for _, w := range s.writes {
-		if w.sp != nil {
-			w.finishSpan(errors.New("session closed with burst incomplete"))
+	for len(s.open) > 0 {
+		s.dropWrite(s.open[len(s.open)-1], errors.New("session closed with burst incomplete"))
+	}
+}
+
+// checkWrites is the burst bookkeeping that runs after every datagram
+// and on every read-deadline tick. Its cost does not depend on how many
+// bursts completed recently: the done queue is reaped from its head, and
+// the open set is swept at most once per ResendCheck.
+func (s *session) checkWrites(now time.Time) {
+	s.reapDone(now)
+	if len(s.open) > 0 && now.Sub(s.lastSweep) >= s.agent.cfg.ResendCheck {
+		s.lastSweep = now
+		s.sweepOpen(now)
+	}
+}
+
+// reapDone forgets the bursts that completed more than DoneTTL ago:
+// they are the head of the done queue, so each is visited once, when it
+// expires — amortised O(1) per call.
+//
+//swift:hotpath
+func (s *session) reapDone(now time.Time) {
+	ttl := s.agent.cfg.DoneTTL
+	for s.doneHead < len(s.done) {
+		w := s.done[s.doneHead]
+		if now.Sub(w.doneAt) <= ttl {
+			break
+		}
+		if s.writes[w.reqID] == w {
+			delete(s.writes, w.reqID)
+		}
+		s.done[s.doneHead] = nil
+		s.doneHead++
+	}
+	if s.doneHead > len(s.done)/2 {
+		// Slide the live tail down so the queue's memory stays
+		// proportional to the bursts inside DoneTTL.
+		n := copy(s.done, s.done[s.doneHead:])
+		clear(s.done[n:])
+		s.done = s.done[:n]
+		s.doneHead = 0
+	}
+}
+
+// sweepOpen examines the open bursts: data that was never announced is
+// dropped after DoneTTL without progress, and an announced burst that
+// stalled for ResendAfter is prompted for what it still misses.
+func (s *session) sweepOpen(now time.Time) {
+	for i := 0; i < len(s.open); {
+		w := s.open[i]
+		s.sweepBurst(w, now)
+		if i < len(s.open) && s.open[i] == w {
+			i++ // still open; otherwise the last burst was swapped into i
 		}
 	}
 }
 
-// checkWrites requests resends for stalled bursts and garbage-collects
-// completed ones.
-func (s *session) checkWrites(now time.Time) {
+func (s *session) sweepBurst(w *writeState, now time.Time) {
 	cfg := &s.agent.cfg
-	for reqID, w := range s.writes {
-		if w.done {
-			if now.Sub(w.doneAt) > cfg.DoneTTL {
-				delete(s.writes, reqID)
-			}
-			continue
+	idle := now.Sub(w.progress)
+	if !w.announced {
+		if idle > cfg.DoneTTL {
+			s.agent.tel.orphanBursts.Inc()
+			s.agent.traceEvent("orphan_burst", "session %d req %d: %d bytes never announced, dropped after %v",
+				s.handle, w.reqID, w.earlyBytes, idle)
+			s.dropWrite(w, errors.New("burst data never announced"))
 		}
-		if !w.announced || w.from == "" {
-			continue
-		}
-		idle := now.Sub(w.progress)
-		sincePrompt := now.Sub(w.prompted)
-		if idle < cfg.ResendAfter || sincePrompt < cfg.ResendAfter {
-			continue
-		}
-		missing := w.received.Missing(w.off, w.length)
-		if len(missing) == 0 {
-			s.completeIfReady(reqID, w, w.from)
-			continue
-		}
-		ranges := make([]wire.Range, 0, len(missing))
-		for _, m := range missing {
-			ranges = append(ranges, wire.Range{Off: m.Off, Len: m.Len})
-		}
-		w.prompted = now
-		s.agent.tel.resendReqs.Inc()
-		w.sp.MarkRetry()
-		w.sp.Annotate("resend prompt: %d missing ranges after %v stall", len(ranges), idle)
-		s.agent.traceEvent("resend_prompt", "session %d req %d: %d missing ranges after %v stall",
-			s.handle, reqID, len(ranges), idle)
-		s.agent.send(s.conn, w.from, &wire.Packet{
-			Header: wire.Header{
-				Type: wire.TResend, ReqID: reqID, Handle: s.handle,
-				Offset: w.off, Length: uint32(w.length),
-			},
-			Payload: wire.AppendResend(nil, ranges),
-		})
+		return
 	}
+	if idle < cfg.ResendAfter || now.Sub(w.prompted) < cfg.ResendAfter {
+		return
+	}
+	missing := w.received.Missing(w.off, w.length)
+	if len(missing) == 0 {
+		s.completeIfReady(w, w.from, now)
+		return
+	}
+	ranges := make([]wire.Range, 0, len(missing))
+	for _, m := range missing {
+		ranges = append(ranges, wire.Range{Off: m.Off, Len: m.Len})
+	}
+	w.prompted = now
+	s.agent.tel.resendReqs.Inc()
+	w.sp.MarkRetry()
+	w.sp.Annotate("resend prompt: %d missing ranges after %v stall", len(ranges), idle)
+	s.agent.traceEvent("resend_prompt", "session %d req %d: %d missing ranges after %v stall",
+		s.handle, w.reqID, len(ranges), idle)
+	s.agent.send(s.conn, w.from, &wire.Packet{
+		Header: wire.Header{
+			Type: wire.TResend, ReqID: w.reqID, Handle: s.handle,
+			Offset: w.off, Length: uint32(w.length),
+		},
+		Payload: wire.AppendResend(nil, ranges),
+	})
 }

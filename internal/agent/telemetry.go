@@ -29,6 +29,7 @@ type telemetry struct {
 	idleReaps    *obs.Counter   // sessions torn down by the idle timer
 	corruptErrs  *obs.Counter   // at-rest corruption detected by the store
 	earlyData    *obs.Counter   // data packets dropped for lack of an announce
+	orphanBursts *obs.Counter   // never-announced bursts dropped after DoneTTL
 	shedDeadline *obs.Counter   // reads shed: propagated deadline already spent
 	shedQueue    *obs.Counter   // reads shed: service queue over admission quota
 	pushbacks    *obs.Counter   // explicit pushback replies sent
@@ -58,6 +59,7 @@ func newAgentTelemetry(reg *obs.Registry) *telemetry {
 		idleReaps:    reg.Counter("swift_agent_idle_reaps_total", "Sessions torn down by the idle timer.", nil),
 		corruptErrs:  reg.Counter("swift_agent_corruptions_total", "At-rest corruption errors surfaced by the store.", nil),
 		earlyData:    reg.Counter("swift_agent_early_data_total", "Write data packets dropped for lack of an announce.", nil),
+		orphanBursts: reg.Counter("swift_agent_orphan_bursts_total", "Write bursts dropped because their data was never announced.", nil),
 		shedDeadline: reg.Counter("swift_agent_shed_deadline_total", "Read requests shed because their propagated deadline was already spent.", nil),
 		shedQueue:    reg.Counter("swift_agent_shed_queue_total", "Read requests shed by the bounded service queue.", nil),
 		pushbacks:    reg.Counter("swift_agent_pushbacks_total", "Explicit pushback replies sent to clients.", nil),

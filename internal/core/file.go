@@ -1091,15 +1091,7 @@ func (f *File) gather(agent int, localOff int64, payload []byte, src []byte, bas
 		}
 		out := payload[filled : filled+int(take)]
 		if g, ok := l.GlobalOf(agent, o); ok {
-			si := g - base
-			for i := range out {
-				j := si + int64(i)
-				if j >= 0 && j < int64(len(src)) {
-					out[i] = src[j]
-				} else {
-					out[i] = 0
-				}
-			}
+			copyWindow(out, src, g-base)
 		} else {
 			row := o / l.Unit
 			var pb []byte
@@ -1108,17 +1100,25 @@ func (f *File) gather(agent int, localOff int64, payload []byte, src []byte, bas
 					pb = bufs[p]
 				}
 			}
-			for i := range out {
-				j := in + int64(i)
-				if pb != nil && j < int64(len(pb)) {
-					out[i] = pb[j]
-				} else {
-					out[i] = 0
-				}
-			}
+			copyWindow(out, pb, in)
 		}
 		filled += int(take)
 	}
+}
+
+// copyWindow sets out to src[at:at+len(out)], reading zeros wherever
+// that window falls outside src (at may be negative or past the end).
+func copyWindow(out, src []byte, at int64) {
+	n := 0
+	if at < 0 {
+		n = int(min(-at, int64(len(out))))
+		clear(out[:n])
+		at = 0
+	}
+	if at < int64(len(src)) {
+		n += copy(out[n:], src[at:])
+	}
+	clear(out[n:])
 }
 
 // Sync asks every live agent to commit the file to stable storage.

@@ -127,3 +127,42 @@ func TestPlaceGlobalClipsToBuffer(t *testing.T) {
 		}
 	}
 }
+
+// TestCopyWindow pins gather's window copy against the byte loop it
+// replaced: out[i] = src[at+i] where that index exists, zero elsewhere,
+// and stale bytes in out never survive.
+func TestCopyWindow(t *testing.T) {
+	src := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	cases := []struct {
+		name string
+		src  []byte
+		at   int64
+		n    int
+	}{
+		{"inside", src, 2, 4},
+		{"whole", src, 0, 8},
+		{"window entirely before", src, -10, 4},
+		{"window ends where src begins", src, -4, 4},
+		{"straddles the start", src, -3, 6},
+		{"straddles the end", src, 5, 6},
+		{"straddles both ends", src, -2, 12},
+		{"starts at the end", src, 8, 3},
+		{"past the end", src, 20, 3},
+		{"nil source", nil, 0, 5},
+		{"nil source, negative", nil, -2, 5},
+		{"empty out", src, 3, 0},
+	}
+	for _, tc := range cases {
+		want := make([]byte, tc.n)
+		for i := range want {
+			if j := tc.at + int64(i); j >= 0 && j < int64(len(tc.src)) {
+				want[i] = tc.src[j]
+			}
+		}
+		got := bytes.Repeat([]byte{0xEE}, tc.n)
+		copyWindow(got, tc.src, tc.at)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: copyWindow(at=%d, n=%d) = %v, want %v", tc.name, tc.at, tc.n, got, want)
+		}
+	}
+}

@@ -33,7 +33,35 @@ type Net struct {
 
 	mu    sync.Mutex
 	hosts map[string]*Host
+
+	// frames recycles datagram buffers: WriteTo copies the caller's
+	// bytes into one, ReadFrom copies them out and hands it back.
+	frames sync.Pool
 }
+
+// frame is one datagram in flight. The pool holds *frame rather than
+// []byte so that returning one does not itself allocate.
+type frame struct{ b []byte }
+
+// acquireFrame returns a frame holding a copy of p. Exactly one holder
+// owns it from here on — the queue it sits in, then the ReadFrom that
+// dequeues it — until releaseFrame.
+//
+//swift:pool acquire
+func (n *Net) acquireFrame(p []byte) *frame {
+	f, _ := n.frames.Get().(*frame)
+	if f == nil {
+		f = new(frame) //lint:allow hotalloc the pool is empty only until the first frames have been read and returned
+	}
+	f.b = append(f.b[:0], p...) //lint:allow hotalloc grows only until the frame has carried a datagram this large
+	return f
+}
+
+// releaseFrame hands a frame back once its bytes have been copied out
+// (or the datagram was dropped).
+//
+//swift:pool release
+func (n *Net) releaseFrame(f *frame) { n.frames.Put(f) }
 
 // New creates a network whose modeled time runs scale× faster than real
 // time (scale >= 1; 1 means real time).
@@ -337,7 +365,7 @@ type Host struct {
 }
 
 type inPacket struct {
-	payload []byte
+	frame   *frame
 	from    string
 	port    string
 	arrival time.Duration
@@ -433,7 +461,7 @@ func (h *Host) receiveLoop() {
 			}
 			h.net.Sleep(200 * time.Microsecond)
 		}
-		cost := h.cfg.RecvCPU + time.Duration(len(pkt.payload))*h.cfg.RecvPerByte
+		cost := h.cfg.RecvCPU + time.Duration(len(pkt.frame.b))*h.cfg.RecvPerByte
 		if cost > 0 {
 			start := h.net.Now()
 			if start < cpuUntil {
@@ -446,11 +474,13 @@ func (h *Host) receiveLoop() {
 		c := h.ports[pkt.port]
 		h.mu.Unlock()
 		if c == nil {
+			h.net.releaseFrame(pkt.frame)
 			continue // no listener: silently dropped, like UDP
 		}
 		select {
 		case c.queue <- pkt:
 		default:
+			h.net.releaseFrame(pkt.frame)
 			h.mu.Lock()
 			h.drops++
 			h.mu.Unlock()
@@ -500,6 +530,7 @@ func (h *Host) Listen(port string) (transport.PacketConn, error) {
 	c := &conn{
 		host:  h,
 		port:  port,
+		addr:  transport.JoinAddr(h.name, port),
 		queue: make(chan inPacket, h.cfg.PortQueue),
 		done:  make(chan struct{}),
 	}
@@ -571,6 +602,7 @@ func (h *Host) send(p []byte, dstHost *Host, dstPort, from string) error {
 		lost = true // partitioned: the frame never reaches the far side
 	}
 	if !lost && seg.linkLoss != nil {
+		//lint:allow hotalloc the per-link key is built only while a link fault is injected
 		if lp, ok := seg.linkLoss[h.name+">"+dstHost.name]; ok && seg.rng.Float64() < lp {
 			lost = true
 		}
@@ -600,16 +632,16 @@ func (h *Host) send(p []byte, dstHost *Host, dstPort, from string) error {
 	if dstClosed {
 		return nil // like sending to a powered-off machine
 	}
-	payload := append([]byte(nil), p...)
+	f := h.net.acquireFrame(p)
 	if corruptAt >= 0 {
-		payload[corruptAt] ^= corruptMask
+		f.b[corruptAt] ^= corruptMask
 	}
 	pkt := inPacket{
-		payload: payload,
 		from:    from,
 		port:    dstPort,
 		arrival: txEnd + seg.cfg.Latency + extraLat,
 	}
+	pkt.frame = f // the queued packet owns the frame from here
 	if reordered {
 		// Hold the frame back so later traffic overtakes it, then
 		// inject it with its (past) arrival time.
@@ -619,6 +651,7 @@ func (h *Host) send(p []byte, dstHost *Host, dstPort, from string) error {
 		}
 		late := pkt
 		late.arrival += delay
+		//lint:allow hotalloc reordering is an injected fault: one goroutine per held-back frame
 		go func() {
 			h.net.sleepUntil(late.arrival)
 			deliver(dstHost, late)
@@ -635,6 +668,7 @@ func deliver(dst *Host, pkt inPacket) {
 	select {
 	case dst.ingress <- pkt:
 	default:
+		dst.net.releaseFrame(pkt.frame)
 		dst.mu.Lock()
 		dst.drops++
 		dst.mu.Unlock()
@@ -645,16 +679,25 @@ func deliver(dst *Host, pkt inPacket) {
 type conn struct {
 	host  *Host
 	port  string
+	addr  string // "host:port", fixed at Listen
 	queue chan inPacket
 
 	mu       sync.Mutex
 	deadline time.Time
 	closed   bool
 	done     chan struct{}
+	// timer is the read-deadline timer parked between blocking reads. A
+	// reader takes it (leaving nil) and puts it back stopped and drained,
+	// so concurrent readers never share one.
+	timer *time.Timer
 }
 
-func (c *conn) LocalAddr() string { return transport.JoinAddr(c.host.name, c.port) }
+func (c *conn) LocalAddr() string { return c.addr }
 
+// WriteTo copies p into a pooled frame and queues it for the destination;
+// the caller may reuse p as soon as it returns.
+//
+//swift:hotpath
 func (c *conn) WriteTo(p []byte, addr string) error {
 	c.mu.Lock()
 	closed := c.closed
@@ -664,7 +707,7 @@ func (c *conn) WriteTo(p []byte, addr string) error {
 	}
 	dhost, dport, ok := transport.SplitAddr(addr)
 	if !ok {
-		return fmt.Errorf("memnet: bad address %q", addr)
+		return fmt.Errorf("memnet: bad address %q", addr) //lint:allow hotalloc malformed destination addresses are the cold path
 	}
 	c.host.net.mu.Lock()
 	dst := c.host.net.hosts[dhost]
@@ -672,9 +715,18 @@ func (c *conn) WriteTo(p []byte, addr string) error {
 	if dst == nil {
 		return transport.ErrNoRoute
 	}
-	return c.host.send(p, dst, dport, c.LocalAddr())
+	return c.host.send(p, dst, dport, c.addr)
 }
 
+// receive copies a dequeued frame into the caller's buffer and hands the
+// frame back to the pool before returning.
+func (c *conn) receive(p []byte, pkt inPacket) (int, string, error) {
+	n := copy(p, pkt.frame.b)
+	c.host.net.releaseFrame(pkt.frame)
+	return n, pkt.from, nil
+}
+
+//swift:hotpath
 func (c *conn) ReadFrom(p []byte) (int, string, error) {
 	c.mu.Lock()
 	deadline := c.deadline
@@ -684,33 +736,66 @@ func (c *conn) ReadFrom(p []byte) (int, string, error) {
 		return 0, "", transport.ErrClosed
 	}
 
+	// A queued frame is served without touching the clock or a timer —
+	// also when the deadline has passed, like the socket API.
+	select {
+	case pkt := <-c.queue:
+		return c.receive(p, pkt)
+	default:
+	}
+
 	var timeout <-chan time.Time
 	if !deadline.IsZero() {
 		//lint:allow clockcheck SetReadDeadline takes a wall-clock time.Time by the transport.PacketConn contract
 		d := time.Until(deadline)
 		if d <= 0 {
-			// Still drain a ready packet, like the socket API.
-			select {
-			case pkt := <-c.queue:
-				return copy(p, pkt.payload), pkt.from, nil
-			default:
-				return 0, "", transport.ErrTimeout
-			}
+			return 0, "", transport.ErrTimeout
 		}
-		//lint:allow clockcheck the read-deadline timer measures real waiting, mirroring the socket API
-		t := time.NewTimer(d)
-		defer t.Stop()
+		t := c.takeTimer(d)
+		defer c.parkTimer(t)
 		timeout = t.C
 	}
 
 	select {
 	case pkt := <-c.queue:
-		return copy(p, pkt.payload), pkt.from, nil
+		return c.receive(p, pkt)
 	case <-timeout:
 		return 0, "", transport.ErrTimeout
 	case <-c.done:
 		return 0, "", transport.ErrClosed
 	}
+}
+
+// takeTimer returns a timer that fires after d: the parked one when this
+// reader is the only one blocked on the conn, a new one otherwise.
+func (c *conn) takeTimer(d time.Duration) *time.Timer {
+	c.mu.Lock()
+	t := c.timer
+	c.timer = nil
+	c.mu.Unlock()
+	if t == nil {
+		//lint:allow clockcheck the read-deadline timer measures real waiting, mirroring the socket API
+		return time.NewTimer(d)
+	}
+	t.Reset(d)
+	return t
+}
+
+// parkTimer stops t and leaves its channel empty (go.mod says go 1.22:
+// a stopped timer can still hold its tick), then parks it for the next
+// blocking read.
+func (c *conn) parkTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	c.mu.Lock()
+	if c.timer == nil {
+		c.timer = t
+	}
+	c.mu.Unlock()
 }
 
 func (c *conn) SetReadDeadline(t time.Time) error {

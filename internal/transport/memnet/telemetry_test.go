@@ -11,7 +11,10 @@ import (
 // TestContentionDeferrals: two hosts transmitting concurrently on a slow
 // bus must serialize, and the loser's wait must be counted as a deferral.
 func TestContentionDeferrals(t *testing.T) {
-	n := New(1000)
+	// Real time: each sender holds the bus for 64 ms, so the other is
+	// certain to be scheduled meanwhile. At scale 1000 that window was
+	// 64 µs and the test failed about one run in a hundred.
+	n := New(1)
 	// 1 Mbit/s: a 1000-byte frame occupies the bus ~8ms modeled.
 	seg := n.NewSegment("bus", SegmentConfig{BandwidthBps: 1e6, FrameOverhead: 46})
 	a := n.MustHost("a", HostConfig{}, seg)

@@ -7,6 +7,8 @@ package udpnet
 import (
 	"fmt"
 	"net"
+	"net/netip"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -71,20 +73,87 @@ func (h *Host) Listen(port string) (transport.PacketConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("udpnet: listen %s:%s: %w", h.ip, port, err)
 	}
-	return &conn{host: h, pc: pc}, nil
+	uc := pc.(*net.UDPConn) // what ListenPacket("udp", …) returns
+	return &conn{
+		host: h,
+		uc:   uc,
+		addr: uc.LocalAddr().String(),
+		dst:  make(map[string]netip.AddrPort),
+		src:  make(map[netip.AddrPort]string),
+	}, nil
 }
 
+// maxPeers bounds each of a conn's address caches; a cache that fills is
+// emptied and rebuilt from the peers still talking.
+const maxPeers = 64
+
+// conn keeps the transport's string addresses at its edge and speaks
+// netip.AddrPort to the socket, so that neither direction resolves,
+// formats or allocates per datagram once a peer has been seen.
 type conn struct {
 	host *Host
-	pc   net.PacketConn
+	uc   *net.UDPConn
+	addr string // LocalAddr, fixed at Listen
+
+	mu  sync.Mutex
+	dst map[string]netip.AddrPort // guarded by mu; WriteTo address → resolved peer
+	src map[netip.AddrPort]string // guarded by mu; socket source → ReadFrom address
 }
 
-func (c *conn) WriteTo(p []byte, addr string) error {
+// unmap turns an IPv4-mapped IPv6 address back into plain IPv4.
+func unmap(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
+// resolve maps a "host:port" destination to the socket's address form,
+// resolving it the first time the peer is written to.
+func (c *conn) resolve(addr string) (netip.AddrPort, error) {
+	c.mu.Lock()
+	ap, ok := c.dst[addr]
+	c.mu.Unlock()
+	if ok {
+		return ap, nil
+	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
-		return fmt.Errorf("udpnet: resolve %q: %w", addr, err)
+		return netip.AddrPort{}, fmt.Errorf("udpnet: resolve %q: %w", addr, err) //lint:allow hotalloc unresolvable destinations are the cold path
 	}
-	_, err = c.pc.WriteTo(p, ua)
+	// ResolveUDPAddr yields IPv4 in 16-byte form; an IPv4 socket only
+	// takes the unmapped address.
+	ap = unmap(ua.AddrPort())
+	c.mu.Lock()
+	if len(c.dst) >= maxPeers {
+		clear(c.dst)
+	}
+	c.dst[addr] = ap
+	c.mu.Unlock()
+	return ap, nil
+}
+
+// sourceString renders a datagram's source exactly as net.UDPAddr's
+// String does (IPv4-mapped addresses print as IPv4), formatting it the
+// first time the peer is heard from.
+func (c *conn) sourceString(ap netip.AddrPort) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	from, ok := c.src[ap]
+	if !ok {
+		from = unmap(ap).String()
+		if len(c.src) >= maxPeers {
+			clear(c.src)
+		}
+		c.src[ap] = from
+	}
+	return from
+}
+
+//swift:hotpath
+func (c *conn) WriteTo(p []byte, addr string) error {
+	ap, err := c.resolve(addr)
+	if err != nil {
+		return err
+	}
+	_, err = c.uc.WriteToUDPAddrPort(p, ap)
 	if err == nil {
 		c.host.pktsOut.Add(1)
 		c.host.bytesOut.Add(int64(len(p)))
@@ -92,8 +161,9 @@ func (c *conn) WriteTo(p []byte, addr string) error {
 	return err
 }
 
+//swift:hotpath
 func (c *conn) ReadFrom(p []byte) (int, string, error) {
-	n, from, err := c.pc.ReadFrom(p)
+	n, ap, err := c.uc.ReadFromUDPAddrPort(p)
 	if err != nil {
 		if te, ok := err.(net.Error); ok && te.Timeout() {
 			return n, "", transport.ErrTimeout
@@ -102,11 +172,11 @@ func (c *conn) ReadFrom(p []byte) (int, string, error) {
 	}
 	c.host.pktsIn.Add(1)
 	c.host.bytesIn.Add(int64(n))
-	return n, from.String(), nil
+	return n, c.sourceString(ap), nil
 }
 
-func (c *conn) SetReadDeadline(t time.Time) error { return c.pc.SetReadDeadline(t) }
+func (c *conn) SetReadDeadline(t time.Time) error { return c.uc.SetReadDeadline(t) }
 
-func (c *conn) LocalAddr() string { return c.pc.LocalAddr().String() }
+func (c *conn) LocalAddr() string { return c.addr }
 
-func (c *conn) Close() error { return c.pc.Close() }
+func (c *conn) Close() error { return c.uc.Close() }

@@ -1,6 +1,8 @@
 package udpnet
 
 import (
+	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -76,4 +78,83 @@ func TestDuplicateFixedPortFails(t *testing.T) {
 	if _, err := h.Listen(port); err == nil {
 		t.Fatal("duplicate bind succeeded")
 	}
+}
+
+// TestSourceStringMatchesUDPAddr pins the string ReadFrom reports for a
+// datagram's source to what net.UDPAddr.String printed before sources
+// were cached as netip.AddrPort — in particular an IPv4-mapped IPv6
+// source (what a dual-stack socket sees from an IPv4 peer) prints as
+// IPv4.
+func TestSourceStringMatchesUDPAddr(t *testing.T) {
+	c := &conn{src: make(map[netip.AddrPort]string)}
+	for _, s := range []string{
+		"127.0.0.1:7070",
+		"[::ffff:10.1.2.3]:40001",
+		"[::1]:7070",
+		"[2001:db8::1]:65535",
+		"[fe80::1%eth0]:9",
+	} {
+		ap := netip.MustParseAddrPort(s)
+		want := net.UDPAddrFromAddrPort(ap).String()
+		if got := c.sourceString(ap); got != want {
+			t.Errorf("source %s reported as %q, net.UDPAddr prints %q", s, got, want)
+		}
+		if got := c.sourceString(ap); got != want {
+			t.Errorf("cached source %s reported as %q, want %q", s, got, want)
+		}
+	}
+}
+
+// TestPeerCachesBounded: more peers than maxPeers empty the caches
+// instead of growing them.
+func TestPeerCachesBounded(t *testing.T) {
+	h := NewHost("127.0.0.1")
+	pc, err := h.Listen("0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	c := pc.(*conn)
+	for port := 1; port <= 3*maxPeers; port++ {
+		ap := netip.AddrPortFrom(netip.MustParseAddr("127.0.0.1"), uint16(port))
+		c.sourceString(ap)
+		if _, err := c.resolve(ap.String()); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.src) > maxPeers || len(c.dst) > maxPeers {
+			t.Fatalf("after %d peers the caches hold %d sources and %d destinations, want <= %d", port, len(c.src), len(c.dst), maxPeers)
+		}
+	}
+}
+
+// TestDatagramAllocs pins the transport rung: to a peer already seen, a
+// loopback WriteTo+ReadFrom pair neither resolves nor formats an address.
+func TestDatagramAllocs(t *testing.T) {
+	h := NewHost("127.0.0.1")
+	a, err := h.Listen("0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := h.Listen("0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	payload := make([]byte, 1400)
+	in := make([]byte, 2048)
+	to := b.LocalAddr()
+	b.SetReadDeadline(time.Now().Add(10 * time.Second))
+	allocs := testing.AllocsPerRun(500, func() {
+		if err := a.WriteTo(payload, to); err != nil {
+			t.Fatal(err)
+		}
+		if n, from, err := b.ReadFrom(in); err != nil || n != len(payload) || from != a.LocalAddr() {
+			t.Fatalf("read %d bytes from %q: %v", n, from, err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("%v allocations per WriteTo+ReadFrom pair, want <= 1", allocs)
+	}
+	t.Logf("%v allocations per WriteTo+ReadFrom pair", allocs)
 }
