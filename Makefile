@@ -87,10 +87,12 @@ cache-smoke:
 
 # Short fuzz pass over the wire codecs, the at-rest integrity
 # envelope, the erasure codec, the lint annotation parsers, and the
-# agent's write-burst state machine against its model (CI smoke; go
-# native fuzzing). The burst target observes real service times, so its
-# coverage is not a pure function of the input: without a cap the
-# engine spends its default 60 s minimising each interesting input.
+# agent's write-burst state machine and the cache object against their
+# models (CI smoke; go native fuzzing). The burst target observes real
+# service times and the cache target recycles buffers through a
+# sync.Pool, so their coverage is not a pure function of the input:
+# without a cap the engine spends its default 60 s minimising each
+# interesting input.
 fuzz:
 	$(GO) test ./internal/wire/ -run XXX -fuzz FuzzUnmarshal -fuzztime 20s
 	$(GO) test ./internal/wire/ -run XXX -fuzz FuzzControlPayloads -fuzztime 20s
@@ -100,6 +102,7 @@ fuzz:
 	$(GO) test ./internal/lint/ -run XXX -fuzz FuzzParseGuard -fuzztime 10s
 	$(GO) test ./internal/lint/ -run XXX -fuzz FuzzParseAllow -fuzztime 10s
 	$(GO) test ./internal/agent/ -run XXX -fuzz FuzzWriteBurstSequence -fuzztime 20s -fuzzminimizetime 10x
+	$(GO) test ./internal/cache/ -run XXX -fuzz FuzzCacheObjectModel -fuzztime 20s -fuzzminimizetime 10x
 
 # One benchmark per paper table/figure plus micro-benchmarks.
 bench:

@@ -705,9 +705,10 @@ func printStats(s swift.Stats, prev swift.MetricsSnapshot, interval time.Duratio
 		ov.Pushbacks, ov.Hedges, ov.HedgeWins, ov.BudgetDenials,
 		ov.BreakerTrips, 100*ov.BudgetFill)
 	if cs := s.Cache; cs.Capacity > 0 {
-		fmt.Printf("cache: %.1f/%.1f MB (%.1f dirty)  hit_rate=%.1f%% (%d/%d)  readahead=%d/%d used  flushes=%d (errs %d, stalls %d)  evictions=%d  invalidations=%d\n",
+		fmt.Printf("cache: %.1f/%.1f MB (%.1f dirty)  hit_rate=%.1f%% (%d/%d)  fill=%.2f B/read B (%.1f MB)  readahead=%d/%d used  flushes=%d (errs %d, stalls %d)  evictions=%d  invalidations=%d\n",
 			float64(cs.Bytes)/1e6, float64(cs.Capacity)/1e6, float64(cs.Dirty)/1e6,
 			100*cs.HitRate(), cs.Hits, cs.Hits+cs.Misses,
+			cs.FillPerReadByte(), float64(cs.FillBytes)/1e6,
 			cs.ReadAheadUsed, cs.ReadAheadIssued,
 			cs.Flushes, cs.FlushErrors, cs.Stalls, cs.Evictions, cs.Invalidations)
 	}

@@ -29,16 +29,26 @@ import (
 	"swift/internal/obs"
 )
 
+// AtomSize is the granule of cache validity: a resident block tracks
+// which of its AtomSize-byte atoms hold the object's image, so a small
+// random read fetches the atoms it asked for instead of a whole block.
+// It equals the at-rest checksum block (integrity.DefaultBlockSize), the
+// smallest unit an enveloped agent store reads anyway.
+const AtomSize = 4096
+
 // Config sizes one client's cache.
 type Config struct {
 	// Capacity bounds resident bytes, clean plus dirty (floored at one
 	// block).
 	Capacity int64
-	// BlockSize is the caching granularity (default 64 KiB). Fetches and
-	// flushes may span several blocks; residency is tracked per block.
+	// BlockSize is the residency and eviction granularity (default
+	// 64 KiB): a multiple of AtomSize, at most 64 atoms. Capacity is
+	// accounted per block however few of its atoms are valid — a sparse
+	// block costs a full slot, the price of pooled fixed-size buffers.
 	BlockSize int64
 	// ReadAhead is the per-stream prefetch window in bytes (0 disables
-	// stream detection and prefetch suggestions).
+	// prefetch suggestions; the stream detector still runs, because a
+	// demand fetch widens to whole blocks only for a sequential stream).
 	ReadAhead int64
 	// Streams caps concurrently prefetching sequential streams
 	// (default 2). The limit is enforced by the caller's prefetch
@@ -52,6 +62,9 @@ type Config struct {
 func (c *Config) fill() {
 	if c.BlockSize <= 0 {
 		c.BlockSize = 64 * 1024
+	}
+	if c.BlockSize%AtomSize != 0 || c.BlockSize > 64*AtomSize {
+		panic("cache: BlockSize must be a multiple of AtomSize, at most 64 atoms")
 	}
 	if c.Capacity < c.BlockSize {
 		c.Capacity = c.BlockSize
@@ -90,6 +103,8 @@ type Cache struct {
 	hits          atomic.Int64
 	misses        atomic.Int64
 	evictions     atomic.Int64
+	fillBytes     atomic.Int64
+	readBytes     atomic.Int64
 	raIssued      atomic.Int64
 	raUsed        atomic.Int64
 	raWasted      atomic.Int64
@@ -106,8 +121,10 @@ type Stats struct {
 	Dirty    int64 // resident dirty (unflushed) bytes
 
 	Hits      int64 // block touches served from cache
-	Misses    int64 // blocks fetched on demand
+	Misses    int64 // demand fills, one per block touched
 	Evictions int64 // blocks evicted to make room
+	FillBytes int64 // bytes fetched into the cache, demand + read-ahead
+	ReadBytes int64 // bytes readers were served through the cache, hit or miss
 
 	ReadAheadIssued int64 // blocks inserted by prefetch
 	ReadAheadUsed   int64 // prefetched blocks later served
@@ -126,6 +143,17 @@ func (s Stats) HitRate() float64 {
 		return 0
 	}
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
+}
+
+// FillPerReadByte is the fill amplification: bytes fetched into the cache
+// per byte readers were served, 0 when idle. Below 1 the cache is saving
+// traffic; a whole-block fill under small random reads drove it far
+// above.
+func (s Stats) FillPerReadByte() float64 {
+	if s.ReadBytes == 0 {
+		return 0
+	}
+	return float64(s.FillBytes) / float64(s.ReadBytes)
 }
 
 // New builds a cache and, when reg is non-nil, registers its metrics.
@@ -168,6 +196,8 @@ func (c *Cache) Stats() Stats {
 		Hits:            c.hits.Load(),
 		Misses:          c.misses.Load(),
 		Evictions:       c.evictions.Load(),
+		FillBytes:       c.fillBytes.Load(),
+		ReadBytes:       c.readBytes.Load(),
 		ReadAheadIssued: c.raIssued.Load(),
 		ReadAheadUsed:   c.raUsed.Load(),
 		ReadAheadWasted: c.raWasted.Load(),
@@ -197,8 +227,10 @@ func (c *Cache) register(reg *obs.Registry) {
 		v          *atomic.Int64
 	}{
 		{"swift_cache_hits_total", "Block touches served from cache.", &c.hits},
-		{"swift_cache_misses_total", "Blocks fetched from agents on demand.", &c.misses},
+		{"swift_cache_misses_total", "Demand fills from agents, one per block touched.", &c.misses},
 		{"swift_cache_evictions_total", "Blocks evicted to make room.", &c.evictions},
+		{"swift_cache_fill_bytes_total", "Bytes fetched from agents into the cache, demand plus read-ahead.", &c.fillBytes},
+		{"swift_cache_read_bytes_total", "Bytes served to readers through the cache, hit or miss.", &c.readBytes},
 		{"swift_cache_readahead_issued_total", "Blocks inserted by asynchronous read-ahead.", &c.raIssued},
 		{"swift_cache_readahead_used_total", "Prefetched blocks later served to a reader.", &c.raUsed},
 		{"swift_cache_readahead_wasted_total", "Prefetched blocks dropped before any reader touched them.", &c.raWasted},

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"swift/internal/integrity"
 )
 
 const bs = 4096 // test block size
@@ -12,6 +14,15 @@ func testCache(t *testing.T, capBlocks int, cfg Config) *Cache {
 	t.Helper()
 	cfg.BlockSize = bs
 	cfg.Capacity = int64(capBlocks) * bs
+	return New(cfg, nil)
+}
+
+// abs is the block size of the multi-atom tests: four atoms a block.
+const abs = 4 * AtomSize
+
+func atomCache(capBlocks int, cfg Config) *Cache {
+	cfg.BlockSize = abs
+	cfg.Capacity = int64(capBlocks) * abs
 	return New(cfg, nil)
 }
 
@@ -193,31 +204,58 @@ func TestWritePartialBlockTracksDirtySpan(t *testing.T) {
 	}
 }
 
+// TestMissingBacking pins the dirty-span invariant at atom granularity:
+// a write needs backing for exactly the invalid atoms its dirty span will
+// touch that hold on-disk bytes the write does not cover — never for the
+// whole block — and the span Write leaves behind lies in valid atoms.
 func TestMissingBacking(t *testing.T) {
-	c := testCache(t, 8, Config{WriteBehindMax: 4 * bs})
+	c := atomCache(8, Config{WriteBehindMax: 4 * abs})
 	o := c.Open("obj")
 	defer o.Close()
-	const size = 3 * bs
+	const size = 3 * abs
+	want := func(what string, off, n, woff, wlen int64) {
+		t.Helper()
+		boff, blen, ok := o.MissingBacking(off, n, size)
+		if ok != (wlen > 0) || boff != woff || blen != wlen {
+			t.Fatalf("%s: MissingBacking(%d,%d) = (%d, %d, %v), want (%d, %d)", what, off, n, boff, blen, ok, woff, wlen)
+		}
+	}
 
-	// Partial write into an unbacked block of a sized object: backing
-	// needed.
-	boff, blen, ok := o.MissingBacking(10, 20, size)
-	if !ok || boff != 0 || blen != bs {
-		t.Fatalf("MissingBacking = (%d, %d, %v), want (0, %d, true)", boff, blen, ok, bs)
+	// Partial write inside one atom of an unbacked block: that atom only.
+	want("partial atom", AtomSize+10, 20, AtomSize, AtomSize)
+	// Both edges partial, the atom between fully covered: leading edge
+	// first; once it is in, the trailing edge.
+	want("two edges", 10, 2*AtomSize, 0, AtomSize)
+	o.Insert(0, fill(0, AtomSize), false)
+	want("trailing edge", 10, 2*AtomSize, 2*AtomSize, AtomSize)
+	// Atom-aligned and whole-block writes: no backing.
+	want("whole atom", abs+AtomSize, AtomSize, 0, 0)
+	want("whole block", abs, abs, 0, 0)
+	// A write from exactly EOF onwards has no on-disk bytes to preserve;
+	// one ending short of EOF inside the last atom does.
+	want("append at EOF", size, abs, 0, 0)
+	want("tail atom", size-AtomSize, 100, size-AtomSize, AtomSize)
+	// Valid atoms need no backing.
+	want("valid atom", 10, 20, 0, 0)
+
+	// The hull: a second write to a dirty block widens its one dirty span
+	// over the gap, so every invalid atom in the gap needs backing too.
+	o.Write(10, fill(10, 20))
+	want("gap atoms", 3*AtomSize, AtomSize, AtomSize, 2*AtomSize)
+	o.Insert(AtomSize, fill(AtomSize, 2*AtomSize), false)
+	want("gap backed", 3*AtomSize, AtomSize, 0, 0)
+	o.Write(3*AtomSize, fill(3*AtomSize, AtomSize))
+	off, p, ok := o.NextFlush()
+	if !ok || off != 10 || len(p) != abs-10 {
+		t.Fatalf("NextFlush = (%d, %d, %v), want (10, %d, true)", off, len(p), ok, abs-10)
 	}
-	// Whole-block write: no backing.
-	if _, _, ok := o.MissingBacking(bs, bs, size); ok {
-		t.Fatal("whole-block write wants backing")
+	if !o.Contains(off, int64(len(p))) {
+		t.Fatal("dirty span reaches into an invalid atom")
 	}
-	// Write extending past EOF from exactly EOF: no backing.
-	if _, _, ok := o.MissingBacking(size, bs, size); ok {
-		t.Fatal("append at EOF wants backing")
+	if !bytes.Equal(p, fill(10, abs-10)) {
+		t.Fatal("dirty span holds bytes that are not the object's image")
 	}
-	// Once resident, no backing either.
-	o.Insert(0, fill(0, bs), false)
-	if _, _, ok := o.MissingBacking(10, 20, size); ok {
-		t.Fatal("resident block wants backing")
-	}
+	o.FlushDone(off)
 }
 
 func TestBudgetWaitBackpressure(t *testing.T) {
@@ -423,5 +461,129 @@ func TestHitRate(t *testing.T) {
 	s.Hits, s.Misses = 3, 1
 	if got := s.HitRate(); got != 0.75 {
 		t.Fatalf("HitRate = %v, want 0.75", got)
+	}
+}
+
+// TestAtomGranularFill pins the per-atom validity rules: a partial Insert
+// makes only its atoms servable, ReadCached stops at the first invalid
+// atom, Missing sizes the fetch, a valid atom is never overwritten, and
+// fills are counted in bytes and as one miss per block touched.
+func TestAtomGranularFill(t *testing.T) {
+	if AtomSize != integrity.DefaultBlockSize {
+		t.Fatalf("AtomSize = %d, the at-rest checksum block is %d", AtomSize, integrity.DefaultBlockSize)
+	}
+	c := atomCache(4, Config{})
+	o := c.Open("obj")
+	defer o.Close()
+
+	o.Insert(AtomSize, fill(AtomSize, AtomSize), false)
+	if s := c.Stats(); s.Misses != 1 || s.FillBytes != AtomSize || s.Bytes != abs {
+		t.Fatalf("after one atom: misses=%d fill=%d resident=%d, want 1/%d/%d", s.Misses, s.FillBytes, s.Bytes, AtomSize, abs)
+	}
+	dst := make([]byte, abs)
+	if n := o.ReadCached(dst, 0); n != 0 {
+		t.Fatalf("ReadCached served %d bytes from an invalid atom", n)
+	}
+	if n := o.ReadCached(dst, AtomSize+5); n != AtomSize-5 || !bytes.Equal(dst[:n], fill(AtomSize+5, n)) {
+		t.Fatalf("ReadCached from the valid atom served %d, want %d exact bytes", n, AtomSize-5)
+	}
+	// Atoms 0 and 2.. are missing; the leading run ends at valid atom 1.
+	if lo, run, hi := o.Missing(100, abs+50); lo != 0 || run != AtomSize || hi != abs+AtomSize {
+		t.Fatalf("Missing = (%d, %d, %d), want (0, %d, %d)", lo, run, hi, AtomSize, abs+AtomSize)
+	}
+	if o.Contains(0, 1) || !o.Contains(AtomSize, AtomSize) {
+		t.Fatal("Contains disagrees with the atom mask")
+	}
+
+	// A fetch of the whole block fills around the valid atom, which keeps
+	// its (possibly newer) bytes.
+	o.Write(AtomSize, []byte("newer"))
+	o.Insert(0, make([]byte, abs), false)
+	want := make([]byte, abs)
+	copy(want[AtomSize:], fill(AtomSize, AtomSize))
+	copy(want[AtomSize:], "newer")
+	if n := o.ReadCached(dst, 0); n != abs || !bytes.Equal(dst, want) {
+		t.Fatalf("after the covering fetch: served %d of %d, or the valid atom was overwritten", n, abs)
+	}
+	if s := c.Stats(); s.Misses != 2 || s.FillBytes != abs {
+		t.Fatalf("misses=%d fill=%d, want 2/%d", s.Misses, s.FillBytes, abs)
+	}
+	off, _, _ := o.NextFlush()
+	o.FlushDone(off)
+
+	// A fetch clamped at end-of-object zero-fills the rest of its atom
+	// and leaves the atoms past it invalid.
+	o.Insert(abs, fill(abs, 100), false)
+	if n := o.ReadCached(dst, abs); n != AtomSize || !bytes.Equal(dst[:100], fill(abs, 100)) || !bytes.Equal(dst[100:n], make([]byte, n-100)) {
+		t.Fatalf("tail atom served %d bytes, want %d zero-filled past 100", n, AtomSize)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Insert accepted an offset that is not atom-aligned")
+		}
+	}()
+	o.Insert(100, fill(100, AtomSize), false)
+}
+
+// TestDemandFillIsAReference pins the promotion rule for blocks that fill
+// one random read at a time: each demand fill into a resident block
+// counts as a 2Q reference, so a hot block reaches the protected segment
+// while it fills and survives a scan; a block filled once does not.
+func TestDemandFillIsAReference(t *testing.T) {
+	c := atomCache(4, Config{})
+	o := c.Open("obj")
+	defer o.Close()
+
+	for a := int64(0); a < 3; a++ { // three separate misses on block 0
+		o.Insert(a*AtomSize, fill(a*AtomSize, AtomSize), false)
+	}
+	o.Insert(abs, fill(abs, AtomSize), false) // block 1: one miss
+	before := c.Stats().Evictions
+	for i := int64(2); i < 6; i++ { // a four-block scan through four slots
+		o.Insert(i*abs, fill(i*abs, abs), false)
+	}
+	if !o.Contains(0, 3*AtomSize) {
+		t.Fatal("scan evicted the block that three demand fills had referenced")
+	}
+	if o.Contains(abs, AtomSize) {
+		t.Fatal("scan left the once-filled block resident")
+	}
+	// A sparse block costs a whole slot: every whole-block insert into
+	// the full cache evicted exactly one block.
+	if got := c.Stats().Evictions - before; got != 2 {
+		t.Fatalf("evictions = %d, want 2", got)
+	}
+	if got := c.Stats().Bytes; got != 4*abs {
+		t.Fatalf("resident = %d, want %d", got, 4*abs)
+	}
+}
+
+// TestRefreshKeepsResidentBlocks pins the write-through rule: resident
+// blocks take the written bytes — whole atoms become valid, valid atoms
+// covered in part are patched, invalid ones stay invalid — and nothing is
+// created, dropped, counted as a miss or cancelled.
+func TestRefreshKeepsResidentBlocks(t *testing.T) {
+	c := atomCache(4, Config{ReadAhead: abs})
+	o := c.Open("obj")
+	defer o.Close()
+
+	o.Insert(0, fill(0, 3*AtomSize), false) // atom 3 invalid; block 1 absent
+	gen := o.StreamGen()
+	patch := bytes.Repeat([]byte{0xAB}, 2*AtomSize+100)
+	o.Refresh(AtomSize+50, patch) // atom 1 in part, 2 whole, 3 in part, into block 1
+	want := fill(0, 3*AtomSize)
+	copy(want[AtomSize+50:], patch)
+	dst := make([]byte, abs)
+	if n := o.ReadCached(dst, 0); n != 3*AtomSize || !bytes.Equal(dst[:n], want) {
+		t.Fatalf("after refresh served %d bytes, want %d holding the patch", n, 3*AtomSize)
+	}
+	// A refresh validates an atom that was not, when it covers it whole.
+	o.Refresh(3*AtomSize, fill(3*AtomSize, AtomSize))
+	if !o.Contains(0, abs) {
+		t.Fatal("whole-atom refresh did not validate its atom")
+	}
+	if s := c.Stats(); s.Bytes != abs || s.Misses != 1 || o.StreamGen() != gen {
+		t.Fatalf("refresh created a block, counted a miss or reset the stream: resident=%d misses=%d", s.Bytes, s.Misses)
 	}
 }

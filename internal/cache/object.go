@@ -1,5 +1,7 @@
 package cache
 
+import "math/bits"
+
 // Object is the cache view of one named object. It is refcounted by
 // Cache.Open/Object.Close; the last Close drops the object's clean
 // blocks (dirty blocks must be flushed by the file layer first).
@@ -39,16 +41,20 @@ type Object struct {
 	seenGen uint64
 }
 
-// block is one resident cache block. buf always holds a fully valid
-// BlockSize-byte image of the object at [idx*BlockSize, (idx+1)*BlockSize)
-// — the file layer backfills partially-written blocks before absorbing a
-// write, and fetches are block-aligned with any beyond-EOF remainder
-// zero-filled (absent bytes read as zeros through the stripe layer, so
-// the images agree).
+// block is one resident cache block: a BlockSize buffer over the object
+// at [idx*BlockSize, (idx+1)*BlockSize) plus a mask of which AtomSize
+// atoms of it hold the object's image. Only valid atoms are ever served
+// or flushed; the rest of buf is whatever the pool handed out. A valid
+// atom that straddles or lies past end-of-object is zero-filled there
+// (absent bytes read as zeros through the stripe layer, so the images
+// agree). Invariant: every byte of a dirty span [dLo,dHi) lies in a
+// valid atom — the file layer backs a write's partially covered atoms
+// first (MissingBacking), so a flush never hands out unfetched bytes.
 type block struct {
-	obj *Object
-	idx int64
-	buf []byte
+	obj   *Object
+	idx   int64
+	buf   []byte
+	valid uint64 // bit a set: atom a of buf is valid
 
 	prev, next *block
 	list       *lruList // probation, protected, or nil while dirty (pinned)
@@ -144,10 +150,15 @@ func (o *Object) AdoptGen(gen uint64) {
 	}
 }
 
+// atomMask has the bits of atoms [lo, hi) set (none when hi <= lo).
+func atomMask(lo, hi int) uint64 {
+	return (uint64(1)<<uint(hi) - 1) &^ (uint64(1)<<uint(lo) - 1)
+}
+
 // ReadCached copies cached bytes for the prefix of [off, off+len(dst))
 // into dst and returns how many leading bytes it served. It stops at the
-// first non-resident block; the caller fetches from there and calls
-// Insert. Every block served counts as a hit; a leading miss counts
+// first byte not in a valid atom; the caller fetches from there and calls
+// Insert. Every block served from counts as a hit; a leading miss counts
 // nothing (Insert accounts demand misses per block).
 //
 //swift:hotpath
@@ -163,77 +174,135 @@ func (o *Object) ReadCached(dst []byte, off int64) int {
 			break
 		}
 		in := int(pos % bs)
-		n := copy(dst[served:], b.buf[in:])
-		served += n
+		a := in / AtomSize
+		end := (a + bits.TrailingZeros64(^(b.valid >> uint(a)))) * AtomSize
+		if end <= in {
+			break
+		}
+		served += copy(dst[served:], b.buf[in:end])
 		c.touchLocked(b)
 		c.hits.Add(1)
+		if end < len(b.buf) {
+			break // an invalid atom follows
+		}
 	}
 	c.mu.Unlock()
 	return served
 }
 
-// Contains reports whether every byte of [off, off+n) is resident — the
-// prefetch worker's re-check before fetching, and a test hook.
-func (o *Object) Contains(off, n int64) bool {
-	c := o.c
-	bs := c.cfg.BlockSize
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for idx := off / bs; idx*bs < off+n; idx++ {
-		if o.blocks[idx] == nil {
-			return false
-		}
-	}
-	return true
+// validLocked reports whether the atom holding offset off is valid; c.mu
+// held.
+func (o *Object) validLocked(off int64) bool {
+	bs := o.c.cfg.BlockSize
+	b := o.blocks[off/bs]
+	return b != nil && b.valid>>uint(off%bs/AtomSize)&1 != 0
 }
 
-// Insert copies fetched bytes into cache blocks. off must be
-// block-aligned; a short tail (a fetch clamped at end-of-object) has its
-// final block zero-filled, which matches what the stripe layer reads for
-// absent bytes. Already-resident blocks are left untouched — they are at
-// least as fresh as the fetch (a racing write invalidates or dirties
-// them under the file lock). prefetched marks the blocks for read-ahead
-// accounting; demand inserts count one miss per block.
+// Missing sizes the fetch for a demand read of [off, off+n) that
+// ReadCached could not start. All three results are atom-aligned: lo is
+// off rounded down, [lo, hi) covers every invalid atom of the range, and
+// run (lo <= run <= hi) ends the leading run of invalid atoms — the
+// caller may serve itself from the fetch up to run, but must come back
+// through ReadCached from there: the valid atom at run may be dirty, and
+// so newer than anything the agents hold.
+func (o *Object) Missing(off, n int64) (lo, run, hi int64) {
+	o.c.mu.Lock()
+	defer o.c.mu.Unlock()
+	lo = off - off%AtomSize
+	run, hi = lo, lo
+	for a := lo; a < off+n; a += AtomSize {
+		if o.validLocked(a) {
+			continue
+		}
+		if run == a { // every atom so far was invalid
+			run = a + AtomSize
+		}
+		hi = a + AtomSize
+	}
+	return lo, run, hi
+}
+
+// Contains reports whether every byte of [off, off+n) is in a valid atom
+// — the prefetch worker's re-check before fetching, and a test hook.
+func (o *Object) Contains(off, n int64) bool {
+	lo, _, hi := o.Missing(off, n)
+	return lo == hi
+}
+
+// Insert copies fetched bytes into the cache. off must be atom-aligned;
+// a short tail (a fetch clamped at end-of-object) has the rest of its
+// final atom zero-filled, which matches what the stripe layer reads for
+// absent bytes. Valid atoms are never overwritten — they are at least as
+// fresh as the fetch (a racing write refreshes or dirties them under the
+// file lock). A demand insert counts one miss per block it fills, and
+// filling a block that is already resident is a reference (hot blocks
+// are promoted while they fill); prefetched marks new blocks for
+// read-ahead accounting.
 func (o *Object) Insert(off int64, p []byte, prefetched bool) {
 	c := o.c
 	bs := c.cfg.BlockSize
-	if off%bs != 0 {
-		panic("cache: Insert offset not block-aligned")
+	if off%AtomSize != 0 {
+		panic("cache: Insert offset not atom-aligned")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for in := 0; in < len(p); in += int(bs) {
-		idx := (off + int64(in)) / bs
-		if o.blocks[idx] != nil {
+	for in := 0; in < len(p); {
+		pos := off + int64(in)
+		first := int(pos%bs) / AtomSize
+		span := min(len(p)-in, int(bs)-first*AtomSize)
+		src := p[in : in+span]
+		in += span
+		last := first + (span+AtomSize-1)/AtomSize
+		fill := atomMask(first, last)
+		b := o.blocks[pos/bs]
+		if b != nil {
+			fill &^= b.valid
+		}
+		if fill == 0 {
 			continue
 		}
-		c.ensureRoomLocked(bs)
-		if c.probBytes+c.protBytes+c.dirty+bs > c.cfg.Capacity {
-			return // wedged: capacity full of pinned dirty blocks
+		if b == nil {
+			c.ensureRoomLocked(bs)
+			if c.probBytes+c.protBytes+c.dirty+bs > c.cfg.Capacity {
+				return // wedged: capacity full of pinned dirty blocks
+			}
+			b = &block{obj: o, idx: pos / bs, buf: c.acquireBuf(), prefetched: prefetched}
+			o.blocks[b.idx] = b
+			o.bytes += bs
+			c.probation.pushFront(b)
+			b.list = &c.probation
+			c.probBytes += bs
+			if prefetched {
+				c.raIssued.Add(1)
+			}
+		} else if !prefetched {
+			c.touchLocked(b)
 		}
-		b := &block{obj: o, idx: idx, buf: c.acquireBuf(), prefetched: prefetched}
-		n := copy(b.buf, p[in:])
-		for i := n; i < len(b.buf); i++ {
-			b.buf[i] = 0
-		}
-		o.blocks[idx] = b
-		o.bytes += bs
-		c.probation.pushFront(b)
-		b.list = &c.probation
-		c.probBytes += bs
-		if prefetched {
-			c.raIssued.Add(1)
-		} else {
+		if !prefetched {
 			c.misses.Add(1)
 		}
+		filled := 0
+		for a := first; a < last; a++ {
+			if fill>>uint(a)&1 == 0 {
+				continue
+			}
+			atom := b.buf[a*AtomSize : (a+1)*AtomSize]
+			n := copy(atom, src[(a-first)*AtomSize:])
+			clear(atom[n:])
+			filled += n
+		}
+		b.valid |= fill
+		c.fillBytes.Add(int64(filled))
 	}
 }
 
-// MissingBacking returns the first block-aligned range of [off, off+n)
-// that must be fetched and Inserted before Write can absorb the span:
-// a non-resident block that would be left partially valid because the
-// object has bytes on disk (below size) outside the written span. The
-// caller loops: fetch, Insert, ask again.
+// MissingBacking returns the first atom-aligned range that must be
+// fetched and Inserted before Write can absorb [off, off+n) into an
+// object with size bytes on disk. Write leaves every atom valid that the
+// block's dirty span — widened over the gap to an earlier span — touches,
+// so backing is needed for each invalid atom in that hull holding on-disk
+// bytes the write does not itself cover. The caller loops: fetch, Insert,
+// ask again.
 func (o *Object) MissingBacking(off, n, size int64) (boff, blen int64, ok bool) {
 	c := o.c
 	bs := c.cfg.BlockSize
@@ -241,28 +310,30 @@ func (o *Object) MissingBacking(off, n, size int64) (boff, blen int64, ok bool) 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for idx := off / bs; idx*bs < wEnd; idx++ {
-		if o.blocks[idx] != nil {
-			continue
+		lo, hi := max(off, idx*bs), min(wEnd, (idx+1)*bs)
+		if b := o.blocks[idx]; b != nil && b.dirty {
+			lo, hi = min(lo, idx*bs+int64(b.dLo)), max(hi, idx*bs+int64(b.dHi))
 		}
-		lo, hi := idx*bs, (idx+1)*bs
-		if hi > size {
-			hi = size
-		}
-		// Backing is needed exactly when the object has valid on-disk
-		// bytes in this block outside the written span.
-		if hi > lo && (lo < off || hi > wEnd) {
-			return idx * bs, bs, true
+		for a := lo - lo%AtomSize; a < hi; a += AtomSize {
+			onDisk := min(a+AtomSize, size)
+			if !o.validLocked(a) && a < onDisk && (a < off || onDisk > wEnd) {
+				if blen == 0 {
+					boff = a
+				}
+				blen += AtomSize
+			} else if blen > 0 {
+				return boff, blen, true
+			}
 		}
 	}
-	return 0, 0, false
+	return boff, blen, blen > 0
 }
 
-// Write absorbs p at off into dirty blocks (write-behind). Blocks whose
-// on-disk bytes the write does not fully cover must already be resident
-// (see MissingBacking), so a block the write creates here has no valid
-// on-disk bytes outside the written span and its zero-filled remainder
-// is the correct image. Dirty blocks are pinned out of the eviction
-// lists until FlushDone.
+// Write absorbs p at off into dirty blocks (write-behind). Atoms holding
+// on-disk bytes the write does not cover must already be valid (see
+// MissingBacking), so an invalid atom the dirty span comes to touch has
+// no image outside the written bytes and zeros complete it. Dirty blocks
+// are pinned out of the eviction lists until FlushDone.
 func (o *Object) Write(off int64, p []byte) {
 	c := o.c
 	bs := c.cfg.BlockSize
@@ -275,18 +346,18 @@ func (o *Object) Write(off int64, p []byte) {
 		if b == nil {
 			c.ensureRoomLocked(bs)
 			b = &block{obj: o, idx: idx, buf: c.acquireBuf()}
-			for i := range b.buf {
-				b.buf[i] = 0
-			}
 			o.blocks[idx] = b
 			o.bytes += bs
 		}
 		lo := int(pos % bs)
-		n := copy(b.buf[lo:], p[in:])
-		hi := lo + n
-		if !b.dirty {
+		hi := min(lo+len(p)-in, int(bs))
+		dLo, dHi := lo, hi
+		if b.dirty {
+			// One span per block: widen over the gap. Its atoms are valid
+			// or about to be, so the flush rewrites the object's own image.
+			dLo, dHi = min(lo, b.dLo), max(hi, b.dHi)
+		} else {
 			b.dirty = true
-			b.dLo, b.dHi = lo, hi
 			if b.list != nil { // pin: out of the eviction lists
 				if b.list == &c.probation {
 					c.probBytes -= bs
@@ -298,28 +369,51 @@ func (o *Object) Write(off int64, p []byte) {
 			}
 			c.dirty += bs
 			o.dirtyBytes += bs
-		} else {
-			// The block is fully valid, so widening the span over a gap
-			// rewrites bytes that equal the on-disk image — harmless.
-			if lo < b.dLo {
-				b.dLo = lo
-			}
-			if hi > b.dHi {
-				b.dHi = hi
+		}
+		for a := dLo / AtomSize; a*AtomSize < dHi; a++ {
+			if b.valid>>uint(a)&1 == 0 {
+				clear(b.buf[a*AtomSize : (a+1)*AtomSize])
 			}
 		}
-		in += n
+		b.valid |= atomMask(dLo/AtomSize, (dHi+AtomSize-1)/AtomSize)
+		b.dLo, b.dHi = dLo, dHi
+		in += copy(b.buf[lo:hi], p[in:])
+	}
+}
+
+// Refresh folds a completed write-through of p at off into the blocks
+// already resident, so the hot set survives a write phase. The bytes
+// land in every resident block they overlap: an atom the write covers
+// whole becomes valid, a valid atom it covers in part stays valid (its
+// image was the agents', and now both hold the patch), an invalid one
+// stays invalid. Nothing is created or dropped, and the stream detector
+// is left alone.
+func (o *Object) Refresh(off int64, p []byte) {
+	c := o.c
+	bs := c.cfg.BlockSize
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for in := 0; in < len(p); {
+		pos := off + int64(in)
+		lo := int(pos % bs)
+		hi := min(lo+len(p)-in, int(bs))
+		if b := o.blocks[pos/bs]; b != nil {
+			copy(b.buf[lo:hi], p[in:])
+			b.valid |= atomMask((lo+AtomSize-1)/AtomSize, hi/AtomSize)
+		}
+		in += hi - lo
 	}
 }
 
 // SequentialAt reports whether a read starting at off continues the
 // object's current sequential stream — the file layer widens a demand
-// fetch to the read-ahead window exactly then.
+// fetch from the atoms asked for to whole blocks and the read-ahead
+// window exactly then.
 func (o *Object) SequentialAt(off int64) bool {
 	c := o.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.cfg.ReadAhead > 0 && off == o.streamNext
+	return off == o.streamNext
 }
 
 // NextFlush returns the lowest-offset dirty extent as (off, view into
@@ -398,8 +492,9 @@ func (o *Object) DirtyBytes() int64 {
 	return o.dirtyBytes
 }
 
-// Invalidate drops every block overlapping [off, off+n): the
-// write-through path after a successful write, and the truncate path.
+// Invalidate drops every block overlapping [off, off+n): the truncate
+// path, and a write-through that failed part-way (some agents may have
+// applied their bursts, so the cached image can no longer be trusted).
 // Dirty blocks in range are dropped too — callers flush first when the
 // dirty data must survive.
 func (o *Object) Invalidate(off, n int64) {
@@ -481,19 +576,18 @@ func (o *Object) StreamGen() uint64 {
 	return o.gen
 }
 
-// NoteRead feeds the stream detector after serving [off, off+n) of an
-// object currently size bytes long, and returns the read-ahead window
+// NoteRead feeds the stream detector (and the ReadBytes count) after
+// serving [off, off+n) of an object currently size bytes long, and
+// returns the read-ahead window
 // the caller should prefetch asynchronously (plen == 0: none). A window
 // is suggested once per stream position, block-aligned, clamped to the
 // object size, and only after a full block of sequential progress.
 func (o *Object) NoteRead(off, n, size int64) (poff, plen int64, gen uint64) {
 	c := o.c
 	bs := c.cfg.BlockSize
+	c.readBytes.Add(n)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cfg.ReadAhead <= 0 {
-		return 0, 0, 0
-	}
 	if off != o.streamNext {
 		o.resetStreamLocked()
 		o.run = n
@@ -501,7 +595,7 @@ func (o *Object) NoteRead(off, n, size int64) (poff, plen int64, gen uint64) {
 		o.run += n
 	}
 	o.streamNext = off + n
-	if o.run < bs {
+	if c.cfg.ReadAhead <= 0 || o.run < bs {
 		return 0, 0, o.gen
 	}
 	start := o.streamNext

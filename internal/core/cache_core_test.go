@@ -12,7 +12,7 @@ import (
 
 // dialCacheClient dials an extra client against the cluster's agent set,
 // so cache tests can run a writer and a cached reader side by side.
-func dialCacheClient(t *testing.T, c *cluster, name string, mut func(*Config)) *Client {
+func dialCacheClient(t testing.TB, c *cluster, name string, mut func(*Config)) *Client {
 	t.Helper()
 	addrs := make([]string, len(c.agents))
 	for i, a := range c.agents {

@@ -41,7 +41,7 @@ type clusterOpts struct {
 	integrityBS int64
 }
 
-func newCluster(t *testing.T, o clusterOpts) *cluster {
+func newCluster(t testing.TB, o clusterOpts) *cluster {
 	t.Helper()
 	if o.agents == 0 {
 		o.agents = 3

@@ -144,12 +144,12 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // readServe satisfies a clamped read through the block cache when it is
-// on, falling back to a direct striped read otherwise. Resident bytes
-// copy straight out; a miss fetches a block-aligned window (widened to
-// the read-ahead window when the read continues a sequential stream),
-// serves the caller from the fetch scratch, and inserts the blocks.
-// Afterwards the stream detector may suggest the next window for the
-// background prefetch workers.
+// on, falling back to a direct striped read otherwise. Valid bytes copy
+// straight out; a miss fetches what fetchWindow picks, inserts it, and
+// serves the caller from the fetch scratch only up to the next valid
+// atom — that atom may be dirty and newer than the agents' copy, so the
+// loop goes back to the cache for it. Afterwards the stream detector may
+// suggest the next window for the background prefetch workers.
 func (f *File) readServe(dst []byte, off int64, sp *obs.Span) error {
 	if f.cobj == nil {
 		return f.readRange(dst, off, true, sp)
@@ -161,13 +161,13 @@ func (f *File) readServe(dst []byte, off int64, sp *obs.Span) error {
 			filled += int64(m)
 			continue
 		}
-		fo, flen := f.fetchWindow(pos, n-filled)
+		fo, flen, serve := f.fetchWindow(pos, n-filled)
 		buf := f.growFetch(flen)
 		if err := f.readRange(buf, fo, true, sp); err != nil {
 			return err
 		}
 		f.cobj.Insert(fo, buf, false)
-		filled += int64(copy(dst[filled:], buf[pos-fo:]))
+		filled += int64(copy(dst[filled:filled+serve], buf[pos-fo:]))
 	}
 	if poff, plen, gen := f.cobj.NoteRead(off, n, f.size); plen > 0 {
 		f.c.suggestPrefetch(f, poff, plen, gen)
@@ -175,27 +175,23 @@ func (f *File) readServe(dst []byte, off int64, sp *obs.Span) error {
 	return nil
 }
 
-// fetchWindow picks the block-aligned fetch covering a demand miss at
-// pos needing need more bytes: at least the spanning blocks, widened to
-// the read-ahead window when pos continues a sequential stream (the
-// first reads of a stream ride this before async prefetch is primed).
-func (f *File) fetchWindow(pos, need int64) (off, n int64) {
-	bs := f.c.cache.BlockSize()
-	off = pos - pos%bs
-	end := pos + need
-	if r := end % bs; r != 0 {
-		end += bs - r
+// fetchWindow picks the fetch [off, off+n) for a demand miss at pos
+// needing need more bytes, and how many of those the fetch itself may
+// serve. A random read fetches the atom-aligned cover of what it is
+// missing and no more; a read that continues a sequential stream widens
+// to whole blocks and the read-ahead window (the first reads of a stream
+// ride this before async prefetch is primed).
+func (f *File) fetchWindow(pos, need int64) (off, n, serve int64) {
+	off, run, end := f.cobj.Missing(pos, need)
+	serve = min(need, run-pos)
+	if f.cobj.SequentialAt(pos) {
+		bs := f.c.cache.BlockSize()
+		base := pos - pos%bs
+		end = max(base+f.c.cache.ReadAhead(), (pos+need+bs-1)/bs*bs)
 	}
-	if ra := f.c.cache.ReadAhead(); ra > 0 && off+ra > end && f.cobj.SequentialAt(pos) {
-		end = off + ra
-	}
-	if end > f.size {
-		end = f.size
-	}
-	if end < pos+need {
-		end = pos + need // defensive: the read is already size-clamped
-	}
-	return off, end - off
+	// The read is already size-clamped, so this never cuts into need.
+	end = min(end, f.size)
+	return off, end - off, serve
 }
 
 // growFetch sizes the demand-fetch scratch buffer.
@@ -681,12 +677,15 @@ func (f *File) writeAtLocked(p []byte, off int64, start time.Time, sp *obs.Span)
 		}
 	} else {
 		if err := f.writeRange(p, off, true, sp); err != nil {
+			if f.cobj != nil {
+				// Some agents may have applied their bursts.
+				f.cobj.Invalidate(off, int64(len(p)))
+			}
 			sp.SetError(err)
 			return 0, err
 		}
 		if f.cobj != nil {
-			// Write-through: cached blocks in range went stale.
-			f.cobj.Invalidate(off, int64(len(p)))
+			f.cobj.Refresh(off, p)
 		}
 		f.c.noteWritten(f.name)
 	}
@@ -697,26 +696,36 @@ func (f *File) writeAtLocked(p []byte, off int64, start time.Time, sp *obs.Span)
 	return len(p), nil
 }
 
-// absorbWrite lands a write in dirty cache blocks (write-behind). A
-// block the write covers only partially must first be backed by its
-// on-disk bytes so the cached image stays fully valid; then the bytes
-// absorb, the flusher is kicked, and — while the cache is over its
-// dirty budget — the writer flushes its own file inline so a saturated
-// cache degrades to write-through instead of wedging.
+// absorbWrite lands a write in dirty cache blocks (write-behind). An
+// atom the write covers only partially must first be backed by its
+// on-disk bytes so the dirty span never holds unfetched bytes. The write
+// absorbs one cache block at a time — back, then pin dirty — because
+// backing both edge blocks first lets the second fetch evict the first
+// (one clean slot left, or a probation list holding nothing else) and
+// the loop never converges. Then the flusher is kicked, and — while the
+// cache is over its dirty budget — the writer flushes its own file inline
+// so a saturated cache degrades to write-through instead of wedging.
 func (f *File) absorbWrite(p []byte, off int64, sp *obs.Span) error {
-	n := int64(len(p))
-	for {
-		bo, blen, ok := f.cobj.MissingBacking(off, n, f.size)
-		if !ok {
-			break
+	bs := f.c.cache.BlockSize()
+	for len(p) > 0 {
+		n := min(int64(len(p)), bs-off%bs)
+		for {
+			bo, blen, ok := f.cobj.MissingBacking(off, n, f.size)
+			if !ok {
+				break
+			}
+			buf := f.growFetch(blen)
+			if err := f.readRange(buf, bo, true, sp); err != nil {
+				return err
+			}
+			f.cobj.Insert(bo, buf, false)
 		}
-		buf := f.growFetch(blen)
-		if err := f.readRange(buf, bo, true, sp); err != nil {
-			return err
-		}
-		f.cobj.Insert(bo, buf, false)
+		f.cobj.Write(off, p[:n])
+		// A later block's backing fetch may still fail the write; the
+		// blocks absorbed so far flush regardless, so the size covers them.
+		f.size = max(f.size, off+n)
+		off, p = off+n, p[n:]
 	}
-	f.cobj.Write(off, p)
 	for f.c.cache.OverBudget() && f.cobj.DirtyBytes() > 0 {
 		if !f.flushOneLocked(sp) {
 			if err := f.cobj.TakeFlushErr(); err != nil {
