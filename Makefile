@@ -134,11 +134,17 @@ hotpath-bench:
 # JSON document in .bench_build/ladder.json (compare two of them with
 # `go -C benchmark run . -compare a.json b.json`). Timing
 # is advisory on a shared machine — the machine-independent gates are the
-# AllocsPerRun tests in internal/agent and internal/transport, which run
-# in tier-1.
+# count-based tests in internal/agent, internal/transport,
+# internal/integrity and internal/core, which run in tier-1. The last
+# line printed is how far the deployment shape (stream-udp) sits below
+# the engine (stream-mem).
 bench-ladder:
 	$(GO) -C benchmark test -race ./...
 	bash benchmark/run.sh --seconds 24 --trace 0 -out .bench_build/ladder.json
+	@awk -F'[:,]' '/"name":/ { gsub(/[" ]/, "", $$2); w = $$2 } \
+		/"read_mbps":/ { getline; mbps[w] = $$2 + 0 } \
+		END { if (mbps["stream-mem"] > 0) printf "deployment gap: stream-udp read %.0f MB/s / stream-mem read %.0f MB/s = %.2f (ROADMAP item 3 target >= 0.6)\n", \
+			mbps["stream-udp"], mbps["stream-mem"], mbps["stream-udp"] / mbps["stream-mem"] }' .bench_build/ladder.json
 
 edf:
 	$(GO) run ./cmd/swift-sim -figure edf

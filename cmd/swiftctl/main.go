@@ -717,8 +717,8 @@ func printStats(s swift.Stats, prev swift.MetricsSnapshot, interval time.Duratio
 	printHist("write", s.WriteLat)
 	printHist("probe", s.ProbeLat)
 	for i, as := range s.Agents {
-		fmt.Printf("agent %d %-22s %-8v brk=%-9v rb=%-6d rto=%-4d wb=%-6d wto=%-4d pb=%-4d hg=%-4d rp50=%-10v wp50=%v\n",
-			i, as.Addr, as.State, as.Breaker, as.ReadBursts, as.ReadTimeouts,
+		fmt.Printf("agent %d %-22s %-8v brk=%-9v pkt=%-5d rb=%-6d rto=%-4d wb=%-6d wto=%-4d pb=%-4d hg=%-4d rp50=%-10v wp50=%v\n",
+			i, as.Addr, as.State, as.Breaker, as.PacketBytes, as.ReadBursts, as.ReadTimeouts,
 			as.WriteBursts, as.WriteTimeouts, as.Pushbacks, as.Hedges,
 			as.ReadBurstLat.P50.Round(time.Microsecond),
 			as.WriteBurstLat.P50.Round(time.Microsecond))

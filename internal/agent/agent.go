@@ -386,6 +386,18 @@ func (a *Agent) handleOpen(pkt *wire.Packet, from string) {
 		fail(err)
 		return
 	}
+	// The session's data packets are as large as both ends' media carry
+	// and buffer: the client's half arrived in the request, this end's is
+	// what the session conn reports. A client that sent no limits gets
+	// the base packet and a reply without the field, byte for byte the
+	// original protocol's.
+	var reply wire.OpenReply
+	packet := wire.MaxPacket
+	if req.MaxPacket >= wire.JumboPacket {
+		m := transport.MediumOf(conn)
+		packet = wire.SessionPacket(m.MaxDatagram, m.RecvBuffer, int64(req.Window))
+		reply.Packet = uint32(packet)
+	}
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
@@ -395,21 +407,22 @@ func (a *Agent) handleOpen(pkt *wire.Packet, from string) {
 	}
 	a.nextH++
 	h := a.nextH
-	s := newSession(a, h, obj, conn)
+	s := newSession(a, h, obj, conn, wire.DataPayload(packet))
 	a.sessions[h] = s
 	live := len(a.sessions)
 	a.mu.Unlock()
 	a.tel.opens.Inc()
 	a.tel.sessions.Set(int64(live))
-	a.traceEvent("open", "%s: session %d opened (%d live)", req.Name, h, live)
-	sp.Annotate("%s: session %d (%d live)", req.Name, h, live)
+	a.traceEvent("open", "%s: session %d opened, %d-byte packets (%d live)", req.Name, h, packet, live)
+	sp.Annotate("%s: session %d, %d-byte packets (%d live)", req.Name, h, packet, live)
 	a.wg.Add(1)
 	go s.run()
 
-	_, port, _ := transport.SplitAddr(conn.LocalAddr())
+	_, reply.Port, _ = transport.SplitAddr(conn.LocalAddr())
+	reply.Size = size
 	a.send(a.ctl, from, &wire.Packet{
 		Header:  wire.Header{Type: wire.TOpenReply, ReqID: pkt.ReqID, Handle: h},
-		Payload: wire.AppendOpenReply(nil, &wire.OpenReply{Port: port, Size: size}),
+		Payload: wire.AppendOpenReply(nil, &reply),
 	})
 }
 
@@ -585,6 +598,10 @@ type session struct {
 	handle uint64
 	obj    store.Object
 	conn   transport.PacketConn
+	// payload is the data bytes one datagram of this session carries,
+	// agreed with the client at open (wire.MaxPayload or
+	// wire.JumboPayload); it sizes the receive buffer and read replies.
+	payload int
 
 	// writes indexes every burst the session remembers by ReqID: the
 	// open ones and those completed within DoneTTL. The per-packet path
@@ -614,13 +631,14 @@ type session struct {
 	readFree chan []byte
 }
 
-func newSession(a *Agent, handle uint64, obj store.Object, conn transport.PacketConn) *session {
+func newSession(a *Agent, handle uint64, obj store.Object, conn transport.PacketConn, payload int) *session {
 	return &session{
-		agent:  a,
-		handle: handle,
-		obj:    obj,
-		conn:   conn,
-		writes: make(map[uint32]*writeState),
+		agent:   a,
+		handle:  handle,
+		obj:     obj,
+		conn:    conn,
+		payload: payload,
+		writes:  make(map[uint32]*writeState),
 	}
 }
 
@@ -645,7 +663,7 @@ func (s *session) run() {
 	defer s.abandonWrites()
 
 	cfg := &s.agent.cfg
-	buf := make([]byte, wire.MaxPacket)
+	buf := make([]byte, wire.HeaderSize+s.payload+wire.TrailerSize)
 	var pkt wire.Packet
 	now := time.Now()
 	s.lastSeen = now
@@ -834,10 +852,7 @@ func (s *session) serveRead(pkt *wire.Packet, from string) {
 		}
 		if !expired {
 			for sent := int64(0); sent < int64(len(c.data)); {
-				p := int64(len(c.data)) - sent
-				if p > wire.MaxPayload {
-					p = wire.MaxPayload
-				}
+				p := min(int64(len(c.data))-sent, int64(s.payload))
 				dp.Offset = c.off + sent
 				dp.Length = uint32(p)
 				dp.Flags = 0

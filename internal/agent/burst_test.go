@@ -86,7 +86,7 @@ func newBurstRig(t testing.TB, cfg Config) *burstRig {
 	}
 	a := &Agent{host: offlineHost{}, cfg: cfg, sessions: make(map[uint64]*session), tel: newAgentTelemetry(nil)}
 	r := &burstRig{t: t, conn: &sinkConn{}, obj: &failingObject{Object: obj}, now: time.Unix(1_000_000, 0)}
-	r.s = newSession(a, 7, r.obj, r.conn)
+	r.s = newSession(a, 7, r.obj, r.conn, wire.MaxPayload)
 	return r
 }
 

@@ -15,6 +15,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,7 +59,10 @@ type Config struct {
 	// simultaneous agent failures. Setting ParityShards implies Parity.
 	ParityShards int
 	// RequestBytes is the largest read or write burst requested from
-	// one agent at a time (default 57344 = 42 full packets).
+	// one agent at a time. Zero, the default, means 42 full data packets
+	// of whatever size the session with that agent agreed at open: 57288
+	// bytes of 1364-byte payloads, or 344064 of 8 KiB ones, which is a
+	// whole number of 4 KiB blocks so a striping unit is one burst.
 	RequestBytes int64
 	// WriteWindow is the number of write bursts kept in flight per
 	// agent (default 2).
@@ -164,9 +168,6 @@ func (c *Config) fill() error {
 	}
 	if c.Unit == 0 {
 		c.Unit = 32 * 1024
-	}
-	if c.RequestBytes == 0 {
-		c.RequestBytes = 42 * wire.MaxPayload
 	}
 	if c.WriteWindow == 0 {
 		c.WriteWindow = 2
@@ -576,8 +577,26 @@ type agentSession struct {
 	dataAddr string // agent private address for this file
 	handle   uint64
 	fragSize int64
+	// reqBytes is the burst size for this session: Config.RequestBytes,
+	// or 42 packets of the agreed payload.
+	reqBytes int64
 	buf      []byte // receive buffer, owned by the session's worker
 	sendBuf  []byte // marshal buffer, owned by the session's worker
+	// payload is the gather scratch for one outgoing data packet; its
+	// length is the data payload the session agreed at open.
+	payload []byte
+}
+
+// burstPackets is the default burst, in full data packets.
+const burstPackets = 42
+
+// requestBytes is the burst size of a session whose data packets carry
+// payload bytes each.
+func (c *Config) requestBytes(payload int) int64 {
+	if c.RequestBytes != 0 {
+		return c.RequestBytes
+	}
+	return burstPackets * int64(payload)
 }
 
 func (s *agentSession) close() {
@@ -601,11 +620,21 @@ func (c *Client) openSession(idx int, addr, name string, flags OpenFlags, tctx o
 	if flags.Truncate {
 		f |= wire.FTrunc
 	}
+	// Offer large data packets when this end's medium carries them and
+	// its receive buffer holds the window the agent may have in flight
+	// towards it; the agent answers with what both ends can do. An end
+	// that cannot sends the name alone, as every client always has.
+	offer := wire.OpenRequest{Name: name}
+	m := transport.MediumOf(conn)
+	window := int64(c.cfg.WriteWindow) * c.cfg.requestBytes(wire.JumboPayload)
+	if window <= math.MaxUint32 && wire.SessionPacket(m.MaxDatagram, m.RecvBuffer, window) == wire.JumboPacket {
+		offer.MaxPacket, offer.Window = wire.JumboPacket, uint32(window)
+	}
 	reqID := c.nextReq()
 	req := &wire.Packet{
 		Header:  wire.Header{Type: wire.TOpen, ReqID: reqID, Flags: f},
 		Trace:   tctx,
-		Payload: wire.AppendOpenRequest(nil, &wire.OpenRequest{Name: name}),
+		Payload: wire.AppendOpenRequest(nil, &offer),
 	}
 	reply, err := c.rpc(conn, addr, req, reqID)
 	if err != nil {
@@ -616,21 +645,31 @@ func (c *Client) openSession(idx int, addr, name string, flags OpenFlags, tctx o
 		conn.Close()
 		return nil, fmt.Errorf("core: unexpected %v to open", reply.Type)
 	}
-	or, err := wire.ParseOpenReply(reply.Payload)
+	rep, err := wire.ParseOpenReply(reply.Payload)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
+	// Only an agreement to what was offered counts; a reply without the
+	// field (an agent from before it existed) is the base packet.
+	packet := wire.MaxPacket
+	if offer.MaxPacket != 0 && rep.Packet == wire.JumboPacket {
+		packet = wire.JumboPacket
+	}
+	payload := wire.DataPayload(packet)
+	c.tel.agent(idx).packetBytes.Set(int64(packet))
 	ahost, _, _ := transport.SplitAddr(addr)
 	return &agentSession{
 		idx:      idx,
 		conn:     conn,
 		ctlAddr:  addr,
-		dataAddr: transport.JoinAddr(ahost, or.Port),
+		dataAddr: transport.JoinAddr(ahost, rep.Port),
 		handle:   reply.Handle,
-		fragSize: or.Size,
-		buf:      make([]byte, wire.MaxPacket),
-		sendBuf:  make([]byte, 0, wire.MaxPacket),
+		fragSize: rep.Size,
+		reqBytes: c.cfg.requestBytes(payload),
+		buf:      make([]byte, packet),
+		sendBuf:  make([]byte, 0, packet),
+		payload:  make([]byte, payload),
 	}, nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"swift/internal/agent"
 	"swift/internal/integrity"
 	"swift/internal/store"
+	"swift/internal/transport"
 	"swift/internal/transport/memnet"
 )
 
@@ -39,6 +40,19 @@ type clusterOpts struct {
 	// the given block size. c.stores keeps the raw inner Mems, so tests
 	// can corrupt bytes beneath the envelope.
 	integrityBS int64
+
+	// mtu is the segment's MTU (0 = memnet's default 1500, which keeps
+	// every session at the base packet); reorder its ReorderRate.
+	mtu     int
+	reorder float64
+	// agentQueue is the agents' memnet PortQueue (0 = default).
+	agentQueue int
+	// maxBurst is the agents' MaxBurstBytes (0 = default).
+	maxBurst int64
+	// retryTimeout overrides the client's 30 ms RetryTimeout.
+	retryTimeout time.Duration
+	// clientHost, when set, wraps the client's host (to tap its conns).
+	clientHost func(transport.Host) transport.Host
 }
 
 func newCluster(t testing.TB, o clusterOpts) *cluster {
@@ -54,20 +68,23 @@ func newCluster(t testing.TB, o clusterOpts) *cluster {
 		BandwidthBps:  1e10, // effectively instant: tests exercise logic, not timing
 		FrameOverhead: 46,
 		LossRate:      o.loss,
+		ReorderRate:   o.reorder,
+		MTU:           o.mtu,
 		Seed:          7,
 	})
 	c := &cluster{net: n, seg: seg}
 	addrs := make([]string, o.agents)
 	for i := 0; i < o.agents; i++ {
-		h := n.MustHost(agentName(i), memnet.HostConfig{}, seg)
+		h := n.MustHost(agentName(i), memnet.HostConfig{PortQueue: o.agentQueue}, seg)
 		st := store.NewMem()
 		var as store.Store = st
 		if o.integrityBS > 0 {
 			as = integrity.NewStore(st, o.integrityBS)
 		}
 		a, err := agent.New(h, as, agent.Config{
-			ResendCheck: 5 * time.Millisecond,
-			ResendAfter: 10 * time.Millisecond,
+			ResendCheck:   5 * time.Millisecond,
+			ResendAfter:   10 * time.Millisecond,
+			MaxBurstBytes: o.maxBurst,
 		})
 		if err != nil {
 			t.Fatalf("agent %d: %v", i, err)
@@ -77,7 +94,13 @@ func newCluster(t testing.TB, o clusterOpts) *cluster {
 		c.hosts = append(c.hosts, h)
 		addrs[i] = a.Addr()
 	}
-	ch := n.MustHost("client", memnet.HostConfig{}, seg)
+	var ch transport.Host = n.MustHost("client", memnet.HostConfig{}, seg)
+	if o.clientHost != nil {
+		ch = o.clientHost(ch)
+	}
+	if o.retryTimeout == 0 {
+		o.retryTimeout = 30 * time.Millisecond
+	}
 	cl, err := Dial(Config{
 		Host:         ch,
 		Agents:       addrs,
@@ -87,7 +110,7 @@ func newCluster(t testing.TB, o clusterOpts) *cluster {
 		SyncWrites:   o.syncW,
 		WriteWindow:  o.window,
 		RequestBytes: o.reqBytes,
-		RetryTimeout: 30 * time.Millisecond,
+		RetryTimeout: o.retryTimeout,
 		MaxRetries:   100,
 	})
 	if err != nil {

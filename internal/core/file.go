@@ -398,7 +398,7 @@ func (f *File) readRangeOnce(dst []byte, off int64, sp *obs.Span) (failedAgent i
 // offset base).
 func (f *File) agentRead(s *agentSession, e extent.Extent, dst []byte, base int64, sp *obs.Span) error {
 	for lo := e.Off; lo < e.End(); {
-		n := f.c.cfg.RequestBytes
+		n := s.reqBytes
 		if lo+n > e.End() {
 			n = e.End() - lo
 		}
@@ -886,11 +886,10 @@ type wburst struct {
 // agent ... either acknowledges receipt of all packets or sends requests
 // for packets lost").
 func (f *File) agentWrite(s *agentSession, es []extent.Extent, src []byte, base int64, pbufs map[int64][][]byte, sp *obs.Span) error {
-	cfg := &f.c.cfg
 	var bursts []span
 	for _, e := range es {
 		for lo := e.Off; lo < e.End(); {
-			n := cfg.RequestBytes
+			n := s.reqBytes
 			if lo+n > e.End() {
 				n = e.End() - lo
 			}
@@ -915,7 +914,7 @@ func (f *File) runWriteBursts(s *agentSession, bursts []span, fill func(localOff
 	pending := make(map[uint32]*wburst)
 	next := 0
 	var pkt wire.Packet
-	payload := make([]byte, wire.MaxPayload)
+	payload := s.payload
 
 	// Only the announce packet carries the trace context and deadline
 	// budget; the data packets that follow stay untraced so the hot path
@@ -936,10 +935,7 @@ func (f *File) runWriteBursts(s *agentSession, bursts []span, fill func(localOff
 	}
 	sendData := func(b *wburst, off, length int64) error {
 		for po := off; po < off+length; {
-			m := int64(wire.MaxPayload)
-			if po+m > off+length {
-				m = off + length - po
-			}
+			m := min(int64(len(payload)), off+length-po)
 			fill(po, payload[:m])
 			err := f.sendPacket(s, &wire.Packet{
 				Header: wire.Header{

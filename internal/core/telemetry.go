@@ -48,6 +48,7 @@ type agentTelemetry struct {
 	repairs       *obs.Counter // units rewritten on this agent from parity
 	transitions   *obs.Counter // lifecycle state changes
 	state         *obs.Gauge   // current AgentState as integer
+	packetBytes   *obs.Gauge   // data-packet size the latest session agreed
 	readBurstLat  *obs.Histogram
 	writeBurstLat *obs.Histogram
 
@@ -168,6 +169,7 @@ func newTelemetry(reg *obs.Registry, agents []string, m *Metrics, codec ec.Codec
 		at.repairs = reg.Counter("swift_client_agent_repairs_total", "Units rewritten on this agent from parity.", l)
 		at.transitions = reg.Counter("swift_client_agent_transitions_total", "Failure-domain lifecycle transitions.", l)
 		at.state = reg.Gauge("swift_client_agent_state", "Lifecycle state: 0 healthy, 1 suspect, 2 down.", l)
+		at.packetBytes = reg.Gauge("swift_client_agent_packet_bytes", "Data-packet size the latest session with this agent agreed at open.", l)
 		at.readBurstLat = reg.Histogram("swift_client_agent_read_burst_seconds", "Read burst completion latency per agent.", l)
 		at.writeBurstLat = reg.Histogram("swift_client_agent_write_burst_seconds", "Write burst completion latency per agent.", l)
 		at.pushbacks = reg.Counter("swift_client_agent_pushbacks_total", "Pushback replies received from this agent.", l)
@@ -285,6 +287,9 @@ type AgentStats struct {
 	Corruptions   int64
 	Repairs       int64
 	Transitions   int64
+	// PacketBytes is the data-packet size the latest session with this
+	// agent agreed at open (0 before any session).
+	PacketBytes   int64
 	ReadBurstLat  obs.Snapshot
 	WriteBurstLat obs.Snapshot
 
@@ -374,6 +379,7 @@ func (c *Client) Stats() StatsSnapshot {
 		as.Corruptions = at.corruptions.Load()
 		as.Repairs = at.repairs.Load()
 		as.Transitions = at.transitions.Load()
+		as.PacketBytes = at.packetBytes.Load()
 		as.ReadBurstLat = at.readBurstLat.Snapshot()
 		as.WriteBurstLat = at.writeBurstLat.Snapshot()
 		as.Pushbacks = at.pushbacks.Load()

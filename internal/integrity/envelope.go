@@ -73,13 +73,20 @@ type BlockHeader struct {
 // MarshalHeader encodes h into a fresh HeaderSize-byte slice.
 func MarshalHeader(h BlockHeader) []byte {
 	b := make([]byte, HeaderSize)
+	putHeader(b, h)
+	return b
+}
+
+// putHeader encodes h over b[:HeaderSize].
+//
+//swift:hotpath
+func putHeader(b []byte, h BlockHeader) {
 	binary.BigEndian.PutUint16(b[0:2], BlockMagic)
 	b[2] = h.Version
 	b[3] = h.Flags
 	binary.BigEndian.PutUint32(b[4:8], h.Length)
 	binary.BigEndian.PutUint32(b[8:12], h.Index)
 	binary.BigEndian.PutUint32(b[12:16], h.Sum)
-	return b
 }
 
 // UnmarshalHeader decodes a block header. hole reports an all-zero
@@ -89,6 +96,19 @@ func UnmarshalHeader(b []byte) (h BlockHeader, hole bool, err error) {
 	if len(b) < HeaderSize {
 		return h, false, fmt.Errorf("integrity: short header: %d bytes", len(b))
 	}
+	h, hole, f := parseHeader(b)
+	if f.kind != faultNone {
+		return BlockHeader{}, false, errors.New(f.detail())
+	}
+	return h, hole, nil
+}
+
+// parseHeader decodes the header at b[:HeaderSize], reporting a header
+// it cannot accept as a fault rather than an error so that the
+// verification path builds no message unless one is asked for.
+//
+//swift:hotpath
+func parseHeader(b []byte) (h BlockHeader, hole bool, f fault) {
 	b = b[:HeaderSize]
 	allZero := true
 	for _, c := range b {
@@ -98,20 +118,69 @@ func UnmarshalHeader(b []byte) (h BlockHeader, hole bool, err error) {
 		}
 	}
 	if allZero {
-		return h, true, nil
+		return h, true, f
 	}
 	if m := binary.BigEndian.Uint16(b[0:2]); m != BlockMagic {
-		return h, false, fmt.Errorf("integrity: bad block magic %#04x", m)
+		return h, false, fault{kind: faultMagic, a: int64(m)}
 	}
 	if b[2] != Version {
-		return h, false, fmt.Errorf("integrity: unsupported block version %d", b[2])
+		return h, false, fault{kind: faultVersion, a: int64(b[2])}
 	}
 	h.Version = b[2]
 	h.Flags = b[3]
 	h.Length = binary.BigEndian.Uint32(b[4:8])
 	h.Index = binary.BigEndian.Uint32(b[8:12])
 	h.Sum = binary.BigEndian.Uint32(b[12:16])
-	return h, false, nil
+	return h, false, f
+}
+
+// fault is one block's verification failure as plain numbers: what was
+// wrong, in which block, and the two values the message quotes. The
+// zero fault means the block verified.
+type fault struct {
+	kind  faultKind
+	block int64
+	a, b  int64
+}
+
+type faultKind uint8
+
+const (
+	faultNone faultKind = iota
+	faultShortHeader
+	faultMagic
+	faultVersion
+	faultHoleData
+	faultLengthBlock
+	faultLengthStored
+	faultIndex
+	faultSum
+	faultTail
+)
+
+// detail renders the fault as the Detail of a CorruptError.
+func (f fault) detail() string {
+	switch f.kind {
+	case faultShortHeader:
+		return "truncated block header"
+	case faultMagic:
+		return fmt.Sprintf("integrity: bad block magic %#04x", f.a)
+	case faultVersion:
+		return fmt.Sprintf("integrity: unsupported block version %d", f.a)
+	case faultHoleData:
+		return "data under hole header"
+	case faultLengthBlock:
+		return fmt.Sprintf("block length %d exceeds block size %d", f.a, f.b)
+	case faultLengthStored:
+		return fmt.Sprintf("block length %d beyond stored bytes %d", f.a, f.b)
+	case faultIndex:
+		return fmt.Sprintf("block index %d, want %d", f.a, f.b)
+	case faultSum:
+		return fmt.Sprintf("checksum mismatch: stored %#08x, computed %#08x", f.a, f.b)
+	case faultTail:
+		return fmt.Sprintf("tail block length %d, want %d", f.a, f.b)
+	}
+	return "verified"
 }
 
 // PhysicalSize returns the on-store (envelope) size of a fragment whose

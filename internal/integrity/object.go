@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,6 +15,10 @@ import (
 // checksums, ReadAt verifies, and verification failures surface as
 // *CorruptError. It implements store.Object with logical (unveloped)
 // offsets and sizes, so it is a drop-in replacement for the raw object.
+//
+// A call moves the whole physical span it touches with one inner store
+// call — up to spanBlocks blocks at a time, through a pooled buffer —
+// and verifies or checksums each block in place there.
 type Object struct {
 	inner   store.Object
 	bs      int64 // block size
@@ -43,11 +48,40 @@ func newObject(inner store.Object, blockSize int64, corrupt *atomic.Int64) *Obje
 // BlockSize returns the envelope's checksum granularity.
 func (o *Object) BlockSize() int64 { return o.bs }
 
-func (o *Object) corruptErr(b, logical int64, detail string) error {
+// spanBlocks bounds the blocks one inner call covers (1 MiB of 4 KiB
+// blocks), so a pooled buffer stays a bounded size however large the
+// caller's read or write.
+const spanBlocks = 256
+
+// spanBuf is the physical image of a run of blocks: what one inner call
+// reads or writes. The pool holds *spanBuf rather than []byte so that
+// returning one does not itself allocate.
+type spanBuf struct{ b []byte }
+
+var spanPool = sync.Pool{New: func() any { return new(spanBuf) }}
+
+// acquireSpan returns an n-byte span buffer holding whatever its last
+// user left in it.
+//
+//swift:pool acquire
+func acquireSpan(n int64) *spanBuf {
+	s := spanPool.Get().(*spanBuf)
+	s.b = slices.Grow(s.b[:0], int(n))[:n]
+	return s
+}
+
+// releaseSpan hands a span buffer back once nothing refers to its bytes.
+//
+//swift:pool release
+func releaseSpan(s *spanBuf) { spanPool.Put(s) }
+
+// corruptErr counts and builds the typed error for fault f, found with
+// the object at the given logical size.
+func (o *Object) corruptErr(f fault, logical int64) error {
 	if o.corrupt != nil {
 		o.corrupt.Add(1)
 	}
-	off := b * o.bs
+	off := f.block * o.bs
 	n := logical - off
 	if n > o.bs {
 		n = o.bs
@@ -55,115 +89,103 @@ func (o *Object) corruptErr(b, logical int64, detail string) error {
 	if n < 0 {
 		n = 0
 	}
-	return &CorruptError{Offset: off, Length: n, Detail: detail}
+	return &CorruptError{Offset: off, Length: n, Detail: f.detail()}
 }
 
-// blockBuf is one decoded block: its header (zero for holes) and the
-// raw data-region bytes as stored.
-type blockBuf struct {
-	hole bool
-	hdr  BlockHeader
-	data []byte
+// min64 stands in for the builtin min, which the package's fuzz test
+// shadows with its own int-only one in test builds.
+func min64(a, b int64) int64 {
+	if a < b {
+		return a
+	}
+	return b
 }
 
-// valid returns the number of checksummed bytes the block holds.
-func (bb blockBuf) valid() int64 {
-	if bb.hole {
-		return 0
-	}
-	return int64(bb.hdr.Length)
+// physLen returns how many stored bytes block b has in an object of
+// physical size phys: a full stride, less for the tail block, none past
+// the end.
+func (o *Object) physLen(b, phys int64) int64 {
+	return max(0, min64(o.stride, phys-b*o.stride))
 }
 
-// loadBlock reads and verifies block b. logical and phys are the
-// object's current logical and physical sizes.
-func (o *Object) loadBlock(b, logical, phys int64) (blockBuf, error) {
-	start := b * o.stride
-	end := start + o.stride
-	if end > phys {
-		end = phys
+// readFull fills buf from the inner object at physical offset at; the
+// caller sized buf from the physical size, so a short read is an error.
+//
+//swift:hotpath
+func (o *Object) readFull(buf []byte, at int64) error {
+	n, err := o.inner.ReadAt(buf, at)
+	if n == len(buf) {
+		return nil
 	}
-	if end <= start {
-		return blockBuf{hole: true}, nil
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
-	raw := make([]byte, end-start)
-	n, err := o.inner.ReadAt(raw, start)
-	if n < len(raw) {
-		if err == nil || err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return blockBuf{}, fmt.Errorf("integrity: read block %d: %w", b, err)
+	return err
+}
+
+// checkBlock verifies block b from its stored bytes raw, in place, and
+// returns how many checksummed data bytes follow the header (none for
+// a hole, or for a block past the end of the store). logical is the
+// object's current logical size.
+//
+//swift:hotpath
+func (o *Object) checkBlock(b int64, raw []byte, logical int64) (valid int64, hole bool, f fault) {
+	if len(raw) == 0 {
+		return 0, true, fault{}
 	}
 	if len(raw) < HeaderSize {
-		return blockBuf{}, o.corruptErr(b, logical, "truncated block header")
+		return 0, false, fault{kind: faultShortHeader, block: b}
 	}
-	hdr, hole, err := UnmarshalHeader(raw)
-	if err != nil {
-		return blockBuf{}, o.corruptErr(b, logical, err.Error())
+	hdr, hole, f := parseHeader(raw)
+	if f.kind != faultNone {
+		f.block = b
+		return 0, false, f
 	}
 	data := raw[HeaderSize:]
 	if hole {
 		for _, c := range data {
 			if c != 0 {
-				return blockBuf{}, o.corruptErr(b, logical, "data under hole header")
+				return 0, false, fault{kind: faultHoleData, block: b}
 			}
 		}
-		return blockBuf{hole: true, data: data}, nil
+		return 0, true, fault{}
 	}
-	if int64(hdr.Length) > o.bs {
-		return blockBuf{}, o.corruptErr(b, logical,
-			fmt.Sprintf("block length %d exceeds block size %d", hdr.Length, o.bs))
+	length := int64(hdr.Length)
+	switch {
+	case length > o.bs:
+		return 0, false, fault{kind: faultLengthBlock, block: b, a: length, b: o.bs}
+	case length > int64(len(data)):
+		return 0, false, fault{kind: faultLengthStored, block: b, a: length, b: int64(len(data))}
+	case int64(hdr.Index) != b:
+		return 0, false, fault{kind: faultIndex, block: b, a: int64(hdr.Index), b: b}
 	}
-	if int64(hdr.Length) > int64(len(data)) {
-		return blockBuf{}, o.corruptErr(b, logical,
-			fmt.Sprintf("block length %d beyond stored bytes %d", hdr.Length, len(data)))
-	}
-	if int64(hdr.Index) != b {
-		return blockBuf{}, o.corruptErr(b, logical,
-			fmt.Sprintf("block index %d, want %d", hdr.Index, b))
-	}
-	if sum := Checksum(data[:hdr.Length]); sum != hdr.Sum {
-		return blockBuf{}, o.corruptErr(b, logical,
-			fmt.Sprintf("checksum mismatch: stored %#08x, computed %#08x", hdr.Sum, sum))
+	if sum := Checksum(data[:length]); sum != hdr.Sum {
+		return 0, false, fault{kind: faultSum, block: b, a: int64(hdr.Sum), b: int64(sum)}
 	}
 	// The tail block's stored length is pinned to the physical size;
 	// a mismatch means the fragment was truncated or extended behind
 	// the envelope's back.
 	if nb := (logical + o.bs - 1) / o.bs; b == nb-1 {
-		if tail := logical - (nb-1)*o.bs; int64(hdr.Length) != tail {
-			return blockBuf{}, o.corruptErr(b, logical,
-				fmt.Sprintf("tail block length %d, want %d", hdr.Length, tail))
+		if tail := logical - (nb-1)*o.bs; length != tail {
+			return 0, false, fault{kind: faultTail, block: b, a: length, b: tail}
 		}
 	}
-	return blockBuf{hdr: hdr, data: data}, nil
+	return length, false, fault{}
 }
 
-// copyBlock fills dst with block content starting at block-local offset
-// lo: checksummed bytes first, zeros beyond the stored length (sparse
-// blocks read as zeros).
-func copyBlock(dst []byte, blk blockBuf, lo int64) {
-	var n int
-	if v := blk.valid(); lo < v {
-		n = copy(dst, blk.data[lo:v])
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] = 0
-	}
-}
-
-// storeBlock writes block b: header plus data, checksummed. len(data)
-// becomes the block's valid length.
-func (o *Object) storeBlock(b int64, data []byte) error {
-	out := make([]byte, HeaderSize+len(data))
-	h := BlockHeader{
+// sealBlock writes block b's header over blk[:HeaderSize], checksumming
+// the data that follows it; len(blk)-HeaderSize becomes the block's
+// valid length.
+//
+//swift:hotpath
+func sealBlock(blk []byte, b int64) {
+	data := blk[HeaderSize:]
+	putHeader(blk, BlockHeader{
 		Version: Version,
 		Length:  uint32(len(data)),
 		Index:   uint32(b),
 		Sum:     Checksum(data),
-	}
-	copy(out, MarshalHeader(h))
-	copy(out[HeaderSize:], data)
-	_, err := o.inner.WriteAt(out, b*o.stride)
-	return err
+	})
 }
 
 // ReadAt implements io.ReaderAt over logical offsets, verifying every
@@ -193,23 +215,68 @@ func (o *Object) ReadAt(p []byte, off int64) (int, error) {
 	var done int64
 	for done < want {
 		at := off + done
-		b := at / o.bs
-		lo := at - b*o.bs
-		n := o.bs - lo
-		if n > want-done {
-			n = want - done
-		}
-		blk, err := o.loadBlock(b, logical, phys)
-		if err != nil {
+		n := min64(want-done, (at/o.bs+spanBlocks)*o.bs-at)
+		got, f, err := o.readSpan(p[done:done+n], at, logical, phys)
+		done += int64(got)
+		if err = o.spanErr("read", at, f, err, logical); err != nil {
 			return int(done), err
 		}
-		copyBlock(p[done:done+n], blk, lo)
-		done += n
 	}
 	if done < int64(len(p)) {
 		return int(done), io.EOF
 	}
 	return int(done), nil
+}
+
+// spanErr turns what a span call reported — a verification fault or an
+// inner-store error — into the error the caller sees. Faults become
+// errors here, outside the //swift:hotpath functions, so building the
+// message never counts against them.
+func (o *Object) spanErr(op string, at int64, f fault, err error, logical int64) error {
+	if f.kind != faultNone {
+		return o.corruptErr(f, logical)
+	}
+	if err != nil {
+		return fmt.Errorf("integrity: %s block %d: %w", op, at/o.bs, err)
+	}
+	return nil
+}
+
+// readSpan fills dst with the logical bytes at off — no more than
+// spanBlocks blocks' worth, all inside the logical size — from one inner
+// read. It returns the bytes filled from blocks that verified, stopping
+// at the first that does not.
+//
+//swift:hotpath
+func (o *Object) readSpan(dst []byte, off, logical, phys int64) (int, fault, error) {
+	b0 := off / o.bs
+	b1 := (off + int64(len(dst)) - 1) / o.bs
+	start := b0 * o.stride
+	buf := acquireSpan(min64((b1+1)*o.stride, phys) - start)
+	defer releaseSpan(buf)
+	if err := o.readFull(buf.b, start); err != nil {
+		return 0, fault{}, err
+	}
+	done := 0
+	for b := b0; b <= b1; b++ {
+		at := (b - b0) * o.stride
+		raw := buf.b[at:min64(at+o.stride, int64(len(buf.b)))]
+		valid, _, f := o.checkBlock(b, raw, logical)
+		if f.kind != faultNone {
+			return done, f, nil
+		}
+		// Checksummed bytes first, zeros beyond the stored length
+		// (sparse blocks read as zeros).
+		lo := max(off, b*o.bs) - b*o.bs
+		out := dst[done:min64(int64(len(dst)), int64(done)+o.bs-lo)]
+		n := 0
+		if lo < valid {
+			n = copy(out, raw[HeaderSize+lo:HeaderSize+valid])
+		}
+		clear(out[n:])
+		done += len(out)
+	}
+	return done, fault{}, nil
 }
 
 // WriteAt implements io.WriterAt over logical offsets. Whole-block
@@ -230,49 +297,71 @@ func (o *Object) WriteAt(p []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	logical := LogicalSize(phys, o.bs)
 	total := int64(len(p))
 	var done int64
 	for done < total {
 		at := off + done
-		b := at / o.bs
-		lo := at - b*o.bs
-		n := o.bs - lo
-		if n > total-done {
-			n = total - done
-		}
-		hi := lo + n
-		existLen := logical - b*o.bs
-		if existLen < 0 {
-			existLen = 0
-		}
-		if existLen > o.bs {
-			existLen = o.bs
-		}
-		var buf []byte
-		if lo == 0 && hi >= existLen {
-			// Full cover: the write replaces every previously
-			// valid byte of the block; no merge read needed.
-			buf = p[done : done+n]
-		} else {
-			blk, err := o.loadBlock(b, logical, phys)
-			if err != nil {
-				return int(done), err
-			}
-			newLen := hi
-			if existLen > newLen {
-				newLen = existLen
-			}
-			buf = make([]byte, newLen)
-			copyBlock(buf, blk, 0)
-			copy(buf[lo:hi], p[done:done+n])
-		}
-		if err := o.storeBlock(b, buf); err != nil {
+		n := min64(total-done, (at/o.bs+spanBlocks)*o.bs-at)
+		logical := LogicalSize(phys, o.bs)
+		end, f, err := o.writeSpan(p[done:done+n], at, logical, phys)
+		if err = o.spanErr("write", at, f, err, logical); err != nil {
 			return int(done), err
 		}
 		done += n
+		phys = max(phys, end)
 	}
 	return int(done), nil
+}
+
+// writeSpan stores src at logical offset off — no more than spanBlocks
+// blocks' worth — as one inner write of the blocks' whole physical
+// image. Only the first and last block can be partly covered; each of
+// those that holds valid bytes the write does not replace is read,
+// verified and merged in place first. It returns the physical offset
+// the write ended at.
+//
+//swift:hotpath
+func (o *Object) writeSpan(src []byte, off, logical, phys int64) (end int64, f fault, err error) {
+	stop := off + int64(len(src))
+	b0 := off / o.bs
+	b1 := (stop - 1) / o.bs
+	// Every block before the last is written through to its end, so it
+	// fills its stride; the last is as long as its valid bytes: where
+	// the write ends in it, or where what it holds now ends if that is
+	// further.
+	lastLen := max(stop-b1*o.bs, min64(o.bs, logical-b1*o.bs))
+	start := b0 * o.stride
+	buf := acquireSpan((b1-b0)*o.stride + HeaderSize + lastLen)
+	defer releaseSpan(buf)
+	for b := b0; b <= b1; b++ {
+		lo := max(off, b*o.bs) - b*o.bs
+		hi := min64(stop, (b+1)*o.bs) - b*o.bs
+		newLen := o.bs
+		if b == b1 {
+			newLen = lastLen
+		}
+		at := (b - b0) * o.stride
+		blk := buf.b[at : at+HeaderSize+newLen]
+		if lo > 0 || hi < newLen {
+			// Partial cover: bring in what the block holds now and
+			// zero the rest, the way a sparse block reads.
+			raw := blk[:o.physLen(b, phys)]
+			if err := o.readFull(raw, b*o.stride); err != nil {
+				return 0, fault{}, err
+			}
+			valid, _, f := o.checkBlock(b, raw, logical)
+			if f.kind != faultNone {
+				return 0, f, nil
+			}
+			clear(blk[HeaderSize+valid:])
+		}
+		copy(blk[HeaderSize+lo:HeaderSize+hi], src[b*o.bs+lo-off:])
+		sealBlock(blk, b)
+	}
+	if _, err := o.inner.WriteAt(buf.b, start); err != nil {
+		return 0, fault{}, err
+	}
+	return start + int64(len(buf.b)), fault{}, nil
 }
 
 // Size returns the logical size.
@@ -305,21 +394,37 @@ func (o *Object) Truncate(size int64) error {
 	if size == 0 {
 		return o.inner.Truncate(0)
 	}
-	nb := (size + o.bs - 1) / o.bs
-	tb := nb - 1
-	tailLen := size - tb*o.bs
-	blk, err := o.loadBlock(tb, logical, phys)
-	if err != nil {
+	tb := (size - 1) / o.bs
+	if err := o.resizeBlock(tb, size-tb*o.bs, logical, phys); err != nil {
 		return err
 	}
-	if !blk.hole && int64(blk.hdr.Length) != tailLen {
-		buf := make([]byte, tailLen)
-		copyBlock(buf, blk, 0)
-		if err := o.storeBlock(tb, buf); err != nil {
-			return err
-		}
-	}
 	return o.inner.Truncate(PhysicalSize(size, o.bs))
+}
+
+// resizeBlock rewrites block b with the valid length newLen — cut short,
+// or extended with zeros — unless it is a hole or already that long.
+func (o *Object) resizeBlock(b, newLen, logical, phys int64) error {
+	n := o.physLen(b, phys)
+	buf := acquireSpan(max(n, HeaderSize+newLen))
+	defer releaseSpan(buf)
+	raw := buf.b[:n]
+	if err := o.readFull(raw, b*o.stride); err != nil {
+		return o.spanErr("read", b*o.bs, fault{}, err, logical)
+	}
+	valid, hole, f := o.checkBlock(b, raw, logical)
+	if f.kind != faultNone {
+		return o.corruptErr(f, logical)
+	}
+	if hole || valid == newLen {
+		return nil
+	}
+	blk := buf.b[:HeaderSize+newLen]
+	if newLen > valid {
+		clear(blk[HeaderSize+valid:])
+	}
+	sealBlock(blk, b)
+	_, err := o.inner.WriteAt(blk, b*o.stride)
+	return err
 }
 
 // Sync flushes the inner object.

@@ -694,6 +694,17 @@ type conn struct {
 
 func (c *conn) LocalAddr() string { return c.addr }
 
+// Medium reports the smallest MTU among the host's segments — whichever
+// one a destination routes over carries at least that — and the port
+// queue's capacity in datagrams of that size.
+func (c *conn) Medium() transport.Medium {
+	mtu := c.host.segs[0].cfg.MTU
+	for _, s := range c.host.segs[1:] {
+		mtu = min(mtu, s.cfg.MTU)
+	}
+	return transport.Medium{MaxDatagram: mtu, RecvBuffer: cap(c.queue) * mtu}
+}
+
 // WriteTo copies p into a pooled frame and queues it for the destination;
 // the caller may reuse p as soon as it returns.
 //

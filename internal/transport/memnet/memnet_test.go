@@ -119,6 +119,33 @@ func TestMTUEnforced(t *testing.T) {
 	}
 }
 
+// TestMediumReportsSegment checks what a conn says of its medium: the
+// segment's MTU (1500 unless configured, the smallest for a multi-homed
+// host) and the port queue's capacity in datagrams of that size.
+func TestMediumReportsSegment(t *testing.T) {
+	n := New(1)
+	ether := fastSeg(n, "ether")
+	jumbo := n.NewSegment("jumbo", SegmentConfig{BandwidthBps: 1e10, MTU: 9000})
+	for _, c := range []struct {
+		name string
+		cfg  HostConfig
+		segs []*Segment
+		want transport.Medium
+	}{
+		{"default", HostConfig{}, []*Segment{ether}, transport.Medium{MaxDatagram: 1500, RecvBuffer: 256 * 1500}},
+		{"jumbo", HostConfig{}, []*Segment{jumbo}, transport.Medium{MaxDatagram: 9000, RecvBuffer: 256 * 9000}},
+		{"both", HostConfig{PortQueue: 8}, []*Segment{jumbo, ether}, transport.Medium{MaxDatagram: 1500, RecvBuffer: 8 * 1500}},
+	} {
+		conn, err := n.MustHost(c.name, c.cfg, c.segs...).Listen("1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := transport.MediumOf(conn); got != c.want {
+			t.Errorf("%s: medium %+v, want %+v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestLossDropsFrames(t *testing.T) {
 	n := New(1)
 	seg := n.NewSegment("s", SegmentConfig{BandwidthBps: 1e10, LossRate: 1.0, Seed: 1})

@@ -8,6 +8,7 @@ package transport
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"time"
 )
@@ -41,6 +42,59 @@ type PacketConn interface {
 	LocalAddr() string
 	// Close releases the endpoint; blocked reads return ErrClosed.
 	Close() error
+}
+
+// Medium is what an endpoint's medium carries and can buffer. The zero
+// value means "not known", which every caller treats as the smallest
+// medium the protocol runs on.
+type Medium struct {
+	// MaxDatagram is the largest datagram WriteTo sends whole — without
+	// ErrTooLarge and without the network fragmenting it.
+	MaxDatagram int
+	// RecvBuffer is how many bytes of queued datagrams the endpoint holds
+	// before it drops arrivals, in the medium's own accounting. A kernel
+	// socket charges a datagram about twice its length, so a sender keeps
+	// no more than half of this in flight.
+	RecvBuffer int
+}
+
+// MediumReporter is implemented by the endpoints that know their medium;
+// both transports' do.
+type MediumReporter interface {
+	Medium() Medium
+}
+
+// MediumOf returns what c reports of its medium, or the zero Medium when
+// it reports nothing. A decorator that embeds a PacketConn promotes only
+// that interface's five methods, so MediumOf looks through an embedded
+// PacketConn field exactly as promotion would have, had Medium been one
+// of them: a counting or fault-injecting wrapper stays transparent to the
+// size agreement without knowing it exists.
+func MediumOf(c PacketConn) Medium {
+	for c != nil {
+		if r, ok := c.(MediumReporter); ok {
+			return r.Medium()
+		}
+		c = embeddedConn(c)
+	}
+	return Medium{}
+}
+
+// embeddedConn returns the PacketConn a wrapper struct embeds, or nil.
+func embeddedConn(c PacketConn) PacketConn {
+	v := reflect.ValueOf(c)
+	if v.Kind() == reflect.Pointer {
+		v = v.Elem()
+	}
+	if v.Kind() != reflect.Struct {
+		return nil
+	}
+	f, ok := v.Type().FieldByName("PacketConn")
+	if !ok || !f.Anonymous || len(f.Index) != 1 || f.Type != reflect.TypeOf((*PacketConn)(nil)).Elem() {
+		return nil
+	}
+	inner, _ := v.Field(f.Index[0]).Interface().(PacketConn)
+	return inner
 }
 
 // Host is a network endpoint factory representing one machine. Port "0"

@@ -21,6 +21,11 @@ import (
 type Host struct {
 	ip string
 
+	// maxDatagram is the largest UDP payload the interface holding ip
+	// sends in one frame (0 = not known), looked up at the first Listen.
+	mtuOnce     sync.Once
+	maxDatagram int
+
 	pktsIn, pktsOut   atomic.Int64
 	bytesIn, bytesOut atomic.Int64
 }
@@ -74,13 +79,68 @@ func (h *Host) Listen(port string) (transport.PacketConn, error) {
 		return nil, fmt.Errorf("udpnet: listen %s:%s: %w", h.ip, port, err)
 	}
 	uc := pc.(*net.UDPConn) // what ListenPacket("udp", …) returns
+	h.mtuOnce.Do(func() { h.maxDatagram = interfaceMaxDatagram(h.ip) })
+	// The kernel's default receive buffer overflows under a window of
+	// large datagrams. Ask for room; it grants what net.core.rmem_max
+	// allows, and the size agreement goes by what was granted.
+	_ = uc.SetReadBuffer(recvBufferAsk) // a refusal leaves the default, which Medium then reports
 	return &conn{
 		host: h,
 		uc:   uc,
+		medium: transport.Medium{
+			MaxDatagram: h.maxDatagram,
+			RecvBuffer:  effectiveRecvBuffer(uc),
+		},
 		addr: uc.LocalAddr().String(),
 		dst:  make(map[string]netip.AddrPort),
 		src:  make(map[netip.AddrPort]string),
 	}, nil
+}
+
+// recvBufferAsk is the receive buffer every socket asks for: core's
+// default write window of two 42-packet bursts of 8 KiB payloads is
+// 688 KB in flight, which a kernel that charges a datagram twice its
+// length holds in 1.4 MB. Linux grants twice what is asked, up to twice
+// net.core.rmem_max.
+const recvBufferAsk = 2 << 20
+
+// interfaceMaxDatagram returns the largest UDP payload the interface
+// that holds ip carries in one frame: its MTU less the IP and UDP
+// headers. It returns 0 — not known — for the unspecified address (a
+// wildcard bind sends over whichever interface routes), for a name that
+// is not an address, and for an address no interface holds.
+func interfaceMaxDatagram(ip string) int {
+	addr, err := netip.ParseAddr(ip)
+	if err != nil || addr.IsUnspecified() {
+		return 0
+	}
+	headers := 20 + 8
+	if addr.Is6() && !addr.Is4In6() {
+		headers = 40 + 8
+	}
+	ifs, err := net.Interfaces()
+	if err != nil {
+		return 0
+	}
+	want := net.IP(addr.AsSlice())
+	for _, ifc := range ifs {
+		addrs, err := ifc.Addrs()
+		if err != nil {
+			continue
+		}
+		for _, a := range addrs {
+			ipn, ok := a.(*net.IPNet)
+			if !ok {
+				continue
+			}
+			// Every address of the loopback network is local, not only
+			// the one the interface lists.
+			if ipn.IP.Equal(want) || (ifc.Flags&net.FlagLoopback != 0 && ipn.Contains(want)) {
+				return ifc.MTU - headers
+			}
+		}
+	}
+	return 0
 }
 
 // maxPeers bounds each of a conn's address caches; a cache that fills is
@@ -91,9 +151,10 @@ const maxPeers = 64
 // netip.AddrPort to the socket, so that neither direction resolves,
 // formats or allocates per datagram once a peer has been seen.
 type conn struct {
-	host *Host
-	uc   *net.UDPConn
-	addr string // LocalAddr, fixed at Listen
+	host   *Host
+	uc     *net.UDPConn
+	medium transport.Medium // fixed at Listen
+	addr   string           // LocalAddr, fixed at Listen
 
 	mu  sync.Mutex
 	dst map[string]netip.AddrPort // guarded by mu; WriteTo address → resolved peer
@@ -178,5 +239,9 @@ func (c *conn) ReadFrom(p []byte) (int, string, error) {
 func (c *conn) SetReadDeadline(t time.Time) error { return c.uc.SetReadDeadline(t) }
 
 func (c *conn) LocalAddr() string { return c.addr }
+
+// Medium reports the bound interface's datagram ceiling and the receive
+// buffer the kernel granted this socket.
+func (c *conn) Medium() transport.Medium { return c.medium }
 
 func (c *conn) Close() error { return c.uc.Close() }

@@ -158,3 +158,75 @@ func TestDatagramAllocs(t *testing.T) {
 	}
 	t.Logf("%v allocations per WriteTo+ReadFrom pair", allocs)
 }
+
+// TestMediumReportsLoopback checks what a loopback socket says of its
+// medium: an interface MTU that carries far more than an Ethernet frame,
+// and the receive buffer the kernel granted after Listen asked for room.
+// A wildcard bind, a name and an address no interface holds all report
+// nothing, which callers read as the smallest medium.
+func TestMediumReportsLoopback(t *testing.T) {
+	c, err := NewHost("127.0.0.1").Listen("0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m := transport.MediumOf(c)
+	if m.MaxDatagram < 1500-28 {
+		t.Errorf("loopback carries %d-byte datagrams, want at least an Ethernet frame's", m.MaxDatagram)
+	}
+	if m.RecvBuffer <= 0 {
+		t.Skipf("receive buffer not readable on this platform (%d)", m.RecvBuffer)
+	}
+	for _, ip := range []string{"0.0.0.0", "::", "localhost", "192.0.2.1"} {
+		if got := interfaceMaxDatagram(ip); got != 0 {
+			t.Errorf("interfaceMaxDatagram(%q) = %d, want 0 (not known)", ip, got)
+		}
+	}
+	if got := interfaceMaxDatagram("127.0.0.2"); got != m.MaxDatagram {
+		t.Errorf("interfaceMaxDatagram(127.0.0.2) = %d, want the loopback's %d", got, m.MaxDatagram)
+	}
+}
+
+// TestReportedBufferHoldsHalfItsSize pins the rule senders budget by: a
+// socket queues, unread, datagrams adding up to half the receive buffer
+// it reports, without dropping one. (The kernel charges a datagram its
+// buffer's whole size, about twice the bytes of an 8 KiB one.)
+func TestReportedBufferHoldsHalfItsSize(t *testing.T) {
+	const datagram = 32 + 8192 + 4 // wire.JumboPacket
+	h := NewHost("127.0.0.1")
+	a, err := h.Listen("0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := h.Listen("0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	m := transport.MediumOf(b)
+	if m.MaxDatagram < datagram || m.RecvBuffer <= 0 {
+		t.Skipf("medium %+v does not carry %d-byte datagrams", m, datagram)
+	}
+	// Cap the count so a huge grant does not make the test slow; the
+	// default core window is 84 datagrams.
+	window := min(m.RecvBuffer/2/datagram, 168)
+	p := make([]byte, datagram)
+	for i := 0; i < window; i++ {
+		p[0] = byte(i)
+		if err := a.WriteTo(p, b.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := make([]byte, datagram)
+	b.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for i := 0; i < window; i++ {
+		n, _, err := b.ReadFrom(in)
+		if err != nil {
+			t.Fatalf("datagram %d of %d was dropped from a %d-byte buffer: %v", i, window, m.RecvBuffer, err)
+		}
+		if n != datagram || in[0] != byte(i) {
+			t.Fatalf("datagram %d arrived as %d bytes tagged %d", i, n, in[0])
+		}
+	}
+}

@@ -105,6 +105,14 @@ func FuzzControlPayloads(f *testing.F) {
 	// payload window, and no parser may choke on it.
 	f.Add([]byte{0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88,
 		0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff, 0x01, 0x01})
+	// The datagram-size agreement's trailing fields: whole, and cut short
+	// inside the field (which must decode as absent, not as an error).
+	jumboReq := AppendOpenRequest(nil, &OpenRequest{Name: "obj", MaxPacket: JumboPacket, Window: 2 * 42 * JumboPayload})
+	f.Add(jumboReq)
+	f.Add(jumboReq[:len(jumboReq)-3])
+	jumboRep := AppendOpenReply(nil, &OpenReply{Port: "data9", Size: 1 << 40, Packet: JumboPacket})
+	f.Add(jumboRep)
+	f.Add(jumboRep[:len(jumboRep)-1])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if r, err := ParseOpenRequest(data); err == nil {

@@ -12,35 +12,66 @@ import (
 // ErrShortPayload reports a truncated control payload.
 var ErrShortPayload = errors.New("wire: short control payload")
 
-// OpenRequest is the body of a TOpen packet.
+// OpenRequest is the body of a TOpen packet (and, name only, of TStat
+// and TRemove).
 type OpenRequest struct {
 	Name string // object name, as stored by the agent
+	// MaxPacket is the largest data packet the client's medium carries
+	// and Window the data bytes it keeps in flight towards the agent
+	// (write window × burst size); together they are the client's half
+	// of the datagram-size agreement. Both zero — the encoding of every
+	// client before the agreement existed — means the base packet.
+	MaxPacket uint32
+	Window    uint32
 }
 
-// AppendOpenRequest encodes r.
+// AppendOpenRequest encodes r. The limits trail the name and are left
+// out when zero, so a base client's open is byte-identical to the
+// original protocol's.
 func AppendOpenRequest(dst []byte, r *OpenRequest) []byte {
-	return appendString(dst, r.Name)
+	dst = appendString(dst, r.Name)
+	if r.MaxPacket == 0 && r.Window == 0 {
+		return dst
+	}
+	dst = binary.BigEndian.AppendUint32(dst, r.MaxPacket)
+	return binary.BigEndian.AppendUint32(dst, r.Window)
 }
 
-// ParseOpenRequest decodes a TOpen payload.
+// ParseOpenRequest decodes a TOpen payload; an absent (or cut-short)
+// limits field decodes as zero.
 func ParseOpenRequest(b []byte) (OpenRequest, error) {
-	name, _, err := parseString(b)
-	return OpenRequest{Name: name}, err
+	name, rest, err := parseString(b)
+	r := OpenRequest{Name: name}
+	if err == nil && len(rest) >= 8 {
+		r.MaxPacket = binary.BigEndian.Uint32(rest)
+		r.Window = binary.BigEndian.Uint32(rest[4:])
+	}
+	return r, err
 }
 
 // OpenReply is the body of a TOpenReply packet.
 type OpenReply struct {
 	Port string // private port for further traffic on this file
 	Size int64  // current fragment size in bytes
+	// Packet is the data-packet size the agent agreed to for this
+	// session. Zero — every agent before the agreement existed — means
+	// the base packet; read it through DataPayload.
+	Packet uint32
 }
 
-// AppendOpenReply encodes r.
+// AppendOpenReply encodes r. The agreed size trails the fragment size
+// and is left out when zero.
 func AppendOpenReply(dst []byte, r *OpenReply) []byte {
 	dst = appendString(dst, r.Port)
-	return binary.BigEndian.AppendUint64(dst, uint64(r.Size))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Size))
+	if r.Packet == 0 {
+		return dst
+	}
+	return binary.BigEndian.AppendUint32(dst, r.Packet)
 }
 
-// ParseOpenReply decodes a TOpenReply payload.
+// ParseOpenReply decodes a TOpenReply payload; an absent (or cut-short)
+// agreed size decodes as zero.
 func ParseOpenReply(b []byte) (OpenReply, error) {
 	port, rest, err := parseString(b)
 	if err != nil {
@@ -49,7 +80,11 @@ func ParseOpenReply(b []byte) (OpenReply, error) {
 	if len(rest) < 8 {
 		return OpenReply{}, ErrShortPayload
 	}
-	return OpenReply{Port: port, Size: int64(binary.BigEndian.Uint64(rest))}, nil
+	r := OpenReply{Port: port, Size: int64(binary.BigEndian.Uint64(rest))}
+	if len(rest) >= 12 {
+		r.Packet = binary.BigEndian.Uint32(rest[8:])
+	}
+	return r, nil
 }
 
 // StatReply is the body of a TStatReply packet.

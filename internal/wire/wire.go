@@ -97,7 +97,42 @@ const (
 	// MaxExtPayload is the payload ceiling with every extension present
 	// (trace + deadline) — the floor any control payload must fit.
 	MaxExtPayload = MaxPayload - TraceExtSize - DeadlineExtSize
+
+	// JumboPayload is the data payload of a session whose two ends agreed
+	// at open that the medium between them carries large datagrams: two
+	// 4 KiB atoms, the agent's read chunk, and small enough for a
+	// 9000-byte jumbo frame. Only TData packets ever grow to it; every
+	// control packet, and every data packet of a session that did not
+	// agree, stays within MaxPacket.
+	JumboPayload = 8192
+	// JumboPacket is the datagram that carries a JumboPayload.
+	JumboPacket = HeaderSize + JumboPayload + TrailerSize
 )
+
+// SessionPacket returns the data-packet size one end of a session can
+// run at: JumboPacket when its medium sends a datagram that large whole
+// (maxDatagram) and its receive buffer (recvBuffer) holds the bytes the
+// peer keeps in flight towards it (window) at the two-for-one a kernel
+// socket charges, MaxPacket otherwise. Unknown limits are zero and so
+// yield MaxPacket. A session runs at JumboPacket only when both ends
+// can.
+func SessionPacket(maxDatagram, recvBuffer int, window int64) int {
+	if maxDatagram >= JumboPacket && int64(recvBuffer) >= 2*window {
+		return JumboPacket
+	}
+	return MaxPacket
+}
+
+// DataPayload returns the data payload a session carries per datagram
+// once its ends have agreed on packet-byte datagrams: JumboPayload for
+// JumboPacket, MaxPayload for anything else (an absent or unknown
+// agreement is the base packet).
+func DataPayload(packet int) int {
+	if packet == JumboPacket {
+		return JumboPayload
+	}
+	return MaxPayload
+}
 
 // Type identifies the kind of a protocol packet.
 type Type uint8
@@ -225,12 +260,14 @@ var (
 	ErrBadVersion = errors.New("wire: unsupported version")
 	ErrBadCRC     = errors.New("wire: checksum mismatch")
 	ErrBadLength  = errors.New("wire: payload length mismatch")
-	ErrOversize   = errors.New("wire: payload exceeds MaxPayload")
+	ErrOversize   = errors.New("wire: payload exceeds the packet's limit")
 )
 
 // AppendPacket encodes the packet and appends it to dst, returning the
-// extended slice. It returns an error if the payload exceeds MaxPayload
-// less the bytes any attached extensions claim.
+// extended slice. It returns an error if the payload exceeds the
+// packet's limit — MaxPayload, or JumboPayload for a data packet (the
+// sender slices data at what its session agreed) — less the bytes any
+// attached extensions claim.
 //
 //swift:hotpath
 func AppendPacket(dst []byte, p *Packet) ([]byte, error) {
@@ -238,16 +275,19 @@ func AppendPacket(dst []byte, p *Packet) ([]byte, error) {
 	deadlined := p.Deadline > 0
 	version := uint8(Version)
 	limit := MaxPayload
+	if p.Type == TData {
+		limit = JumboPayload
+	}
 	switch {
 	case traced && deadlined:
 		version = VersionTracedDeadline
-		limit = MaxExtPayload
+		limit -= TraceExtSize + DeadlineExtSize
 	case traced:
 		version = VersionTraced
-		limit = MaxTracedPayload
+		limit -= TraceExtSize
 	case deadlined:
 		version = VersionDeadline
-		limit = MaxPayload - DeadlineExtSize
+		limit -= DeadlineExtSize
 	}
 	if len(p.Payload) > limit {
 		return dst, ErrOversize

@@ -131,6 +131,84 @@ func TestOpenPayloads(t *testing.T) {
 	if err != nil || gr != *rep {
 		t.Fatalf("open reply: %v %v", gr, err)
 	}
+
+	// Without the size agreement's fields both encode exactly as they did
+	// before the fields existed, so either end may be from before then.
+	if want := []byte{0, 15, 'v', 'i', 'd', 'e', 'o', 's', '/', 'c', 'l', 'i', 'p', '.', 'm', 'p', 'g'}; !bytes.Equal(AppendOpenRequest(nil, req), want) {
+		t.Fatalf("base open request encodes as %x, want %x", AppendOpenRequest(nil, req), want)
+	}
+	if want := []byte{0, 5, '4', '0', '1', '2', '3', 0, 0, 0, 2, 0, 0, 0, 0}; !bytes.Equal(b, want) {
+		t.Fatalf("base open reply encodes as %x, want %x", b, want)
+	}
+
+	// With them, they round-trip; cut short inside the fields, they
+	// decode as absent.
+	req = &OpenRequest{Name: "obj", MaxPacket: JumboPacket, Window: 2 * 42 * JumboPayload}
+	b = AppendOpenRequest(nil, req)
+	if got, err = ParseOpenRequest(b); err != nil || got != *req {
+		t.Fatalf("jumbo open request: %v %v", got, err)
+	}
+	if got, err = ParseOpenRequest(b[:len(b)-1]); err != nil || got != (OpenRequest{Name: "obj"}) {
+		t.Fatalf("cut-short open request: %v %v", got, err)
+	}
+	rep.Packet = JumboPacket
+	b = AppendOpenReply(nil, rep)
+	if gr, err = ParseOpenReply(b); err != nil || gr != *rep {
+		t.Fatalf("jumbo open reply: %v %v", gr, err)
+	}
+	if gr, err = ParseOpenReply(b[:len(b)-1]); err != nil || gr.Packet != 0 || gr.Size != rep.Size {
+		t.Fatalf("cut-short open reply: %v %v", gr, err)
+	}
+}
+
+// TestSessionPacket pins the two data-packet sizes and the rule that
+// picks between them.
+func TestSessionPacket(t *testing.T) {
+	if JumboPayload != 2*4096 || JumboPacket > 9000-28 {
+		t.Fatalf("jumbo payload %d in a %d-byte packet: want two 4 KiB atoms inside a 9000-byte frame", JumboPayload, JumboPacket)
+	}
+	const window = 2 * 42 * JumboPayload
+	cases := []struct {
+		maxDatagram, recvBuffer int
+		want                    int
+	}{
+		{9000, 2 * window, JumboPacket},
+		{JumboPacket, 2 * window, JumboPacket},
+		{JumboPacket - 1, 2 * window, MaxPacket}, // medium too small
+		{1500, 1 << 30, MaxPacket},
+		{65508, 2*window - 1, MaxPacket}, // buffer too small
+		{65508, 425984, MaxPacket},       // Linux's default rmem_max, doubled
+		{0, 0, MaxPacket},                // nothing known
+	}
+	for _, c := range cases {
+		if got := SessionPacket(c.maxDatagram, c.recvBuffer, window); got != c.want {
+			t.Errorf("SessionPacket(%d, %d, %d) = %d, want %d", c.maxDatagram, c.recvBuffer, window, got, c.want)
+		}
+	}
+	for packet, want := range map[int]int{JumboPacket: JumboPayload, MaxPacket: MaxPayload, 0: MaxPayload, 65535: MaxPayload} {
+		if got := DataPayload(packet); got != want {
+			t.Errorf("DataPayload(%d) = %d, want %d", packet, got, want)
+		}
+	}
+
+	// Only data packets may carry the jumbo payload.
+	data := &Packet{Header: Header{Type: TData}, Payload: make([]byte, JumboPayload)}
+	buf, err := Marshal(data)
+	if err != nil || len(buf) != JumboPacket {
+		t.Fatalf("jumbo data packet: %d bytes, %v", len(buf), err)
+	}
+	var back Packet
+	if err := Unmarshal(buf, &back); err != nil || len(back.Payload) != JumboPayload {
+		t.Fatalf("jumbo data packet decodes to %d payload bytes, %v", len(back.Payload), err)
+	}
+	data.Payload = make([]byte, JumboPayload+1)
+	if _, err := Marshal(data); err != ErrOversize {
+		t.Fatalf("data payload over the jumbo limit: err = %v, want ErrOversize", err)
+	}
+	ctl := &Packet{Header: Header{Type: TListReply}, Payload: make([]byte, MaxPayload+1)}
+	if _, err := Marshal(ctl); err != ErrOversize {
+		t.Fatalf("control payload over MaxPayload: err = %v, want ErrOversize", err)
+	}
 }
 
 func TestStatReplyPayload(t *testing.T) {
