@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"swift/internal/bench"
-	"swift/internal/parity"
+	"swift/internal/ec"
 	"swift/internal/simswift"
 	"swift/internal/stripe"
 	"swift/internal/wire"
@@ -265,14 +265,25 @@ func BenchmarkWireUnmarshal(b *testing.B) {
 	}
 }
 
+// BenchmarkParityXOR times the computed copy of a 3+1 row: the k=1
+// codec, whose every coefficient is 1.
 func BenchmarkParityXOR(b *testing.B) {
-	dst := make([]byte, 32<<10)
-	src := make([]byte, 32<<10)
-	rand.New(rand.NewSource(1)).Read(src)
-	b.SetBytes(int64(len(dst)))
+	codec, err := ec.New(3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shards := make([][]byte, 4)
+	rng := rand.New(rand.NewSource(1))
+	for i := range shards {
+		shards[i] = make([]byte, 32<<10)
+		rng.Read(shards[i])
+	}
+	b.SetBytes(3 * 32 << 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parity.XOR(dst, src)
+		if err := codec.Encode(shards); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

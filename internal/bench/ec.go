@@ -14,10 +14,10 @@ import (
 // The erasure-coding microbench: raw codec throughput, no network and no
 // agents, because the question it answers is purely computational — is
 // the GF(2^8) kernel fast enough that redundancy math never becomes the
-// bottleneck behind the transport? It compares the XOR degenerate code
-// (k=1, the paper's computed-copy parity) against the Cauchy
-// Reed–Solomon codec at the same and higher correction power, across the
-// striping-unit sizes the mediator actually negotiates.
+// bottleneck behind the transport? It compares the k=1 member of the
+// Cauchy Reed–Solomon family (all-ones parity row: the paper's XOR
+// computed copy) against the same codec at higher correction power,
+// across the striping-unit sizes the mediator actually negotiates.
 
 // ECPoint is one measured cell of the erasure-coding microbench.
 // Throughput is expressed over the data bytes processed (m x unit per
@@ -25,7 +25,7 @@ import (
 // different schemes are directly comparable.
 type ECPoint struct {
 	Scheme          string  `json:"scheme"` // "m+k"
-	Kernel          string  `json:"kernel"` // "xor" (k=1 fast path) or "rs"
+	Kernel          string  `json:"kernel"` // "xor" (k=1: every coefficient is 1) or "rs"
 	UnitBytes       int     `json:"unit_bytes"`
 	EncodeMBps      float64 `json:"encode_mbps"`
 	ReconstructMBps float64 `json:"reconstruct_mbps"` // k shards missing, worst case: all data
@@ -37,23 +37,15 @@ type ECBench struct {
 }
 
 // ecScheme names one codec configuration under test.
-type ecScheme struct {
-	m, k   int
-	kernel string // "xor" or "rs"
-}
+type ecScheme struct{ m, k int }
 
 // defaultECUnits are the striping-unit sizes swept; they bracket the
 // sizes the storage mediator negotiates in practice.
 var defaultECUnits = []int{4 << 10, 16 << 10, 64 << 10, 256 << 10}
 
-// defaultECSchemes pits the legacy XOR computed copy against
-// Reed–Solomon at equal (3+1) and higher (3+2, 8+2) correction power.
-var defaultECSchemes = []ecScheme{
-	{m: 3, k: 1, kernel: "xor"},
-	{m: 3, k: 1, kernel: "rs"},
-	{m: 3, k: 2, kernel: "rs"},
-	{m: 8, k: 2, kernel: "rs"},
-}
+// defaultECSchemes pits the XOR computed copy (3+1) against
+// Reed–Solomon at higher (3+2, 8+2) correction power.
+var defaultECSchemes = []ecScheme{{3, 1}, {3, 2}, {8, 2}}
 
 // MeasureEC runs the codec microbench: for every scheme and unit size it
 // times Encode over fresh parity and Reconstruct with k shards missing
@@ -62,17 +54,13 @@ var defaultECSchemes = []ecScheme{
 func MeasureEC(budget time.Duration) (ECBench, error) {
 	var out ECBench
 	for _, sc := range defaultECSchemes {
-		var (
-			c   ec.Codec
-			err error
-		)
-		if sc.kernel == "rs" {
-			c, err = ec.NewRS(sc.m, sc.k)
-		} else {
-			c, err = ec.New(sc.m, sc.k)
-		}
+		c, err := ec.New(sc.m, sc.k)
 		if err != nil {
 			return ECBench{}, fmt.Errorf("bench: codec %d+%d: %w", sc.m, sc.k, err)
+		}
+		kernel := "rs"
+		if sc.k == 1 {
+			kernel = "xor"
 		}
 		for _, unit := range defaultECUnits {
 			shards := make([][]byte, sc.m+sc.k)
@@ -104,7 +92,7 @@ func MeasureEC(budget time.Duration) (ECBench, error) {
 
 			out.Points = append(out.Points, ECPoint{
 				Scheme:          fmt.Sprintf("%d+%d", sc.m, sc.k),
-				Kernel:          sc.kernel,
+				Kernel:          kernel,
 				UnitBytes:       unit,
 				EncodeMBps:      enc,
 				ReconstructMBps: rec,

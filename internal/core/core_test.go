@@ -49,8 +49,10 @@ type clusterOpts struct {
 	agentQueue int
 	// maxBurst is the agents' MaxBurstBytes (0 = default).
 	maxBurst int64
-	// retryTimeout overrides the client's 30 ms RetryTimeout.
+	// retryTimeout overrides the client's 30 ms RetryTimeout, maxRetries
+	// its 100 retries.
 	retryTimeout time.Duration
+	maxRetries   int
 	// clientHost, when set, wraps the client's host (to tap its conns).
 	clientHost func(transport.Host) transport.Host
 }
@@ -101,6 +103,9 @@ func newCluster(t testing.TB, o clusterOpts) *cluster {
 	if o.retryTimeout == 0 {
 		o.retryTimeout = 30 * time.Millisecond
 	}
+	if o.maxRetries == 0 {
+		o.maxRetries = 100
+	}
 	cl, err := Dial(Config{
 		Host:         ch,
 		Agents:       addrs,
@@ -111,7 +116,7 @@ func newCluster(t testing.TB, o clusterOpts) *cluster {
 		WriteWindow:  o.window,
 		RequestBytes: o.reqBytes,
 		RetryTimeout: o.retryTimeout,
-		MaxRetries:   100,
+		MaxRetries:   o.maxRetries,
 	})
 	if err != nil {
 		t.Fatalf("dial: %v", err)

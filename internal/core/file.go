@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,6 +41,15 @@ type File struct {
 	// residence without earning references and dies in probation.
 	cobj     *cache.Object
 	fetchBuf []byte
+	// Redundancy state of the attempt running under f.mu (see parity.go):
+	// each agent's part in a read, the planner reads of the pass in flight,
+	// the parity units of the write in flight. File-owned so that workers
+	// reach it through f (by pointer: a parityUnits value down the write
+	// workers' frames cost small-rand +6 µs of write p50) and a healthy or
+	// parity-less operation allocates nothing for it. Workers only read it.
+	role    []uint8
+	fetches []fetch
+	parity  parityUnits
 	// prefetching marks operations running on behalf of a background
 	// read-ahead worker; written under f.mu before readRange fans its
 	// goroutines out (which are joined before it returns). Prefetch
@@ -281,13 +291,80 @@ func (f *File) readRange(dst []byte, off int64, allowFailover bool, sp *obs.Span
 }
 
 // readRangeOnce performs one attempt; on error it reports which agent
-// failed (-1 when not attributable).
+// failed (-1 when not attributable). Agents without a session, and with
+// parity those whose breaker is open, are read around: the row planner
+// (planRows) rebuilds their share of dst, its reads riding the same
+// fan-out as the direct ones. An agent that hedges or pushes back, or
+// fails a planner read, is set aside and the planner runs again as a
+// further pass over what is left.
 func (f *File) readRangeOnce(dst []byte, off int64, sp *obs.Span) (failedAgent int, err error) {
 	n := int64(len(dst))
 	if n == 0 {
 		return -1, nil
 	}
 	exts := f.c.layout.LocalExtents(off, n)
+	f.role = slices.Grow(f.role[:0], len(f.sessions))[:len(f.sessions)]
+	role := f.role
+	clear(role)
+	for i, s := range f.sessions {
+		switch touched := exts[i].Len() > 0; {
+		case s == nil && touched:
+			if !f.c.cfg.Parity {
+				return -1, ErrAgentDown
+			}
+			role[i] = aroundGone
+		case s == nil:
+			role[i] = noFetch
+		case !f.c.cfg.Parity || f.c.breakerAllow(i):
+			// Without parity the agent is the sole holder of its units
+			// and must be tried whatever its breaker says.
+		case touched:
+			role[i] = aroundBreaker
+			sp.Annotate("breaker open: reading around agent %d", i)
+		default:
+			role[i] = lastResort
+		}
+	}
+	var cause error // the first error that took a shard out of reach
+	for {
+		failed, lost, perr := f.readPass(dst, off, exts, sp)
+		if perr != nil && cause != nil {
+			// Fewer than m shards are left: surface what took them.
+			return -1, fmt.Errorf("%v: %w", perr, cause)
+		}
+		if perr != nil || lost == nil {
+			return failed, perr
+		}
+		if cause == nil {
+			cause = lost
+		}
+		exts = nil // the direct reads are done
+	}
+}
+
+// readPass is one parallel pass of a read attempt: every agent not read
+// around fetches its extents of dst (exts; nil after the first pass);
+// then, on the same per-agent workers, the planner's reads; then, unless
+// the pass lost an agent, the codec rebuilds what was read around. lost
+// is the first overload signal or planner-read failure of the pass: the
+// agent has been set aside in f.role and the caller runs another pass.
+func (f *File) readPass(dst []byte, off int64, exts []extent.Set, sp *obs.Span) (failedAgent int, lost, err error) {
+	role := f.role
+	around := slices.IndexFunc(role, readAround)
+	var jobs []rowJob
+	var fetches []fetch
+	if around >= 0 {
+		var total int64
+		if jobs, fetches, total, err = f.planRows(dst, off, role); err != nil {
+			return -1, nil, err
+		}
+		sc := acquireScratch(total)
+		defer releaseScratch(sc)
+		for i, at := 0, int64(0); i < len(fetches); i++ {
+			*fetches[i].into = sc.b[at : at+fetches[i].n]
+			at += fetches[i].n
+		}
+	}
 
 	type result struct {
 		agent int
@@ -295,22 +372,16 @@ func (f *File) readRangeOnce(dst []byte, off int64, sp *obs.Span) (failedAgent i
 	}
 	results := make(chan result, len(f.sessions))
 	workers := 0
-	var deadExts []extent.Set
+	f.fetches = fetches
 	for i, s := range f.sessions {
-		if exts[i].Len() == 0 {
+		if s == nil {
 			continue
 		}
-		// A tripped circuit breaker diverts the agent's extents to the
-		// reconstruction path (only meaningful with parity: without it the
-		// agent is the sole holder of its units and must be tried anyway).
-		if s == nil || (f.c.cfg.Parity && !f.c.breakerAllow(i)) {
-			if deadExts == nil {
-				deadExts = make([]extent.Set, len(f.sessions))
-			}
-			deadExts[i] = exts[i]
-			if s != nil {
-				sp.Annotate("breaker open: reading around agent %d", i)
-			}
+		var es []extent.Extent
+		if exts != nil && !readAround(role[i]) {
+			es = exts[i].Extents()
+		}
+		if len(es) == 0 && !fetchesFrom(fetches, i) {
 			continue
 		}
 		workers++
@@ -322,10 +393,13 @@ func (f *File) readRangeOnce(dst []byte, off int64, sp *obs.Span) (failedAgent i
 					break
 				}
 			}
+			if werr == nil {
+				f.runFetches(s, f.fetches, as)
+			}
 			as.SetError(werr)
 			as.Finish()
 			results <- result{agent: i, err: werr}
-		}(i, s, exts[i].Extents())
+		}(i, s, es)
 	}
 	// Overload signals (pushback, hedge, spent deadline) are collected
 	// separately from failures: they must not be attributed to the agent's
@@ -345,52 +419,77 @@ func (f *File) readRangeOnce(dst []byte, off int64, sp *obs.Span) (failedAgent i
 			failedAgent, err = r.agent, r.err
 		}
 	}
+	f.fetches = nil
 	if err != nil {
-		return failedAgent, err
+		return failedAgent, nil, err
 	}
-	for _, r := range soft {
-		if errors.Is(r.err, ErrDeadline) || !f.c.cfg.Parity {
+	// setAside takes an agent out of the attempt for the next pass.
+	setAside := func(agent int, as uint8, e error) error {
+		if errors.Is(e, ErrDeadline) || !f.c.cfg.Parity {
 			// The deadline is global to the operation (reconstruction
 			// cannot outrun it), and without parity there is nothing to
 			// reconstruct from: surface the signal unattributed.
-			return -1, r.err
+			return e
 		}
-		hedged := errors.Is(r.err, errHedged)
-		name := "busy_read"
-		if hedged {
-			name = "hedged_read"
+		if lost == nil {
+			lost = fmt.Errorf("core: reconstruction around agent %d: %w", agent, e)
 		}
-		ds := sp.StartChild(name, r.agent)
-		ds.MarkRetry()
-		rerr := f.reconstructInto(r.agent, exts[r.agent].Extents(), dst, off)
-		ds.SetError(rerr)
-		ds.Finish()
-		if rerr != nil {
-			return -1, fmt.Errorf("core: reconstruction around agent %d: %w (after %v)", r.agent, rerr, r.err)
+		role[agent] = as
+		return nil
+	}
+	for _, r := range soft {
+		as := aroundBusy
+		if errors.Is(r.err, errHedged) {
+			as = aroundHedged
 		}
-		if hedged {
-			f.c.metrics.HedgeWins.Add(1)
-			f.c.traceEvent("hedge_win", r.agent, "%s: reconstruction beat the straggler", f.name)
+		if err := setAside(r.agent, as, r.err); err != nil {
+			return -1, nil, err
 		}
 	}
-	// Reconstruct anything that lived on failed agents.
-	for i := range deadExts {
-		if deadExts[i].Len() == 0 {
+	// A failed planner read is one more missing shard, never the
+	// attempt's error.
+	for i := range fetches {
+		ft := &fetches[i]
+		if ft.err == nil {
 			continue
 		}
-		if !f.c.cfg.Parity {
-			return -1, ErrAgentDown
+		as := noFetch
+		if readAround(role[ft.agent]) {
+			as = aroundGone
 		}
-		ds := sp.StartChild("degraded_read", i)
-		ds.MarkRetry()
-		rerr := f.reconstructInto(i, deadExts[i].Extents(), dst, off)
-		ds.SetError(rerr)
-		ds.Finish()
-		if rerr != nil {
-			return -1, rerr
+		if err := setAside(ft.agent, as, ft.err); err != nil {
+			return -1, nil, err
+		}
+		if !integrity.IsCorrupt(ft.err) && !isOverloadSignal(ft.err) {
+			// Not media damage (read-repair and scrub heal that) and not
+			// backpressure: tear the session down at once, or every
+			// later row stalls a retry budget against a dead agent.
+			f.c.cfg.Logf("core: degraded read lost agent %d, reconstructing around it: %v", ft.agent, ft.err)
+			f.failAgent(ft.agent, ft.err)
 		}
 	}
-	return -1, nil
+	if lost != nil || around < 0 {
+		return -1, lost, nil
+	}
+	ds := sp.StartChild(aroundSpan[role[around]], around)
+	ds.MarkRetry()
+	for i := range jobs {
+		if err = f.ecReconstruct(jobs[i].in, jobs[i].out); err != nil {
+			break
+		}
+	}
+	ds.SetError(err)
+	ds.Finish()
+	if err != nil {
+		return -1, nil, err
+	}
+	for i, r := range role {
+		if r == aroundHedged {
+			f.c.metrics.HedgeWins.Add(1)
+			f.c.traceEvent("hedge_win", i, "%s: reconstruction beat the straggler", f.name)
+		}
+	}
+	return -1, nil, nil
 }
 
 // agentRead fetches one fragment extent from one agent in bursts, placing
@@ -807,18 +906,22 @@ func (f *File) writeRangeOnce(src []byte, off int64, sp *obs.Span) (failedAgent,
 	n := int64(len(src))
 	exts := f.c.layout.LocalExtents(off, n)
 
-	var pbufs map[int64][][]byte
 	if f.c.cfg.Parity {
-		pbufs, err = f.computeParity(src, off, sp)
-		if err != nil {
+		// The parity units live in pooled scratch until the workers
+		// that send them are joined below.
+		l := f.c.layout
+		pu := parityUnits{r0: l.RowOfGlobal(off), r1: l.RowOfGlobal(off + n - 1), k: f.c.parityK(), unit: l.Unit}
+		held := (pu.r1 - pu.r0 + 1) * int64(pu.k) * l.Unit
+		sc := acquireScratch(held + l.RowBytes())
+		defer releaseScratch(sc)
+		pu.buf = sc.b[:held]
+		if err = f.computeParity(src, off, pu, sc.b[held:], sp); err != nil {
 			return -1, 0, err
 		}
-		l := f.c.layout
-		k := f.c.parityK()
-		for row := range pbufs {
-			for j := 0; j < k; j++ {
-				a := l.ParityAgentAt(row, j)
-				exts[a].Add(l.ParityLocal(row), l.Unit)
+		f.parity = pu
+		for row := pu.r0; row <= pu.r1; row++ {
+			for j := 0; j < pu.k; j++ {
+				exts[l.ParityAgentAt(row, j)].Add(l.ParityLocal(row), l.Unit)
 			}
 		}
 	}
@@ -842,7 +945,7 @@ func (f *File) writeRangeOnce(src []byte, off int64, sp *obs.Span) (failedAgent,
 		workers++
 		go func(i int, s *agentSession, es []extent.Extent) {
 			as := sp.StartChild("agent_write", i)
-			werr := f.agentWrite(s, es, src, off, pbufs, as)
+			werr := f.agentWrite(s, es, src, off, &f.parity, as)
 			as.SetError(werr)
 			as.Finish()
 			results <- result{agent: i, err: werr}
@@ -858,6 +961,7 @@ func (f *File) writeRangeOnce(src []byte, off int64, sp *obs.Span) (failedAgent,
 			}
 		}
 	}
+	f.parity = parityUnits{}
 	if err != nil {
 		if isOverloadSignal(err) {
 			// Backpressure, not failure: surface unattributed so the
@@ -885,7 +989,7 @@ type wburst struct {
 // sends out the data to be written as fast as it can ... each storage
 // agent ... either acknowledges receipt of all packets or sends requests
 // for packets lost").
-func (f *File) agentWrite(s *agentSession, es []extent.Extent, src []byte, base int64, pbufs map[int64][][]byte, sp *obs.Span) error {
+func (f *File) agentWrite(s *agentSession, es []extent.Extent, src []byte, base int64, pu *parityUnits, sp *obs.Span) error {
 	var bursts []span
 	for _, e := range es {
 		for lo := e.Off; lo < e.End(); {
@@ -898,7 +1002,7 @@ func (f *File) agentWrite(s *agentSession, es []extent.Extent, src []byte, base 
 		}
 	}
 	return f.runWriteBursts(s, bursts, func(localOff int64, out []byte) {
-		f.gather(s.idx, localOff, out, src, base, pbufs)
+		f.gather(s.idx, localOff, out, src, base, pu)
 	}, sp)
 }
 
@@ -1081,11 +1185,10 @@ func (f *File) writeFlags() uint16 {
 
 // gather fills payload with the fragment bytes [localOff, localOff+len)
 // of the given agent, sourcing data units from the logical buffer src
-// (first byte = logical offset base) and parity units from pbufs (k
-// buffers per row, in parity position order).
+// (first byte = logical offset base) and parity units from pu.
 //
 //swift:hotpath
-func (f *File) gather(agent int, localOff int64, payload []byte, src []byte, base int64, pbufs map[int64][][]byte) {
+func (f *File) gather(agent int, localOff int64, payload []byte, src []byte, base int64, pu *parityUnits) {
 	l := f.c.layout
 	for filled := 0; filled < len(payload); {
 		o := localOff + int64(filled)
@@ -1099,13 +1202,7 @@ func (f *File) gather(agent int, localOff int64, payload []byte, src []byte, bas
 			copyWindow(out, src, g-base)
 		} else {
 			row := o / l.Unit
-			var pb []byte
-			if bufs := pbufs[row]; bufs != nil {
-				if p := l.ParityPos(row, agent); p >= 0 && p < len(bufs) {
-					pb = bufs[p]
-				}
-			}
-			copyWindow(out, pb, in)
+			copyWindow(out, pu.at(row, l.ParityPos(row, agent)), in)
 		}
 		filled += int(take)
 	}

@@ -212,6 +212,44 @@ func TestHedgedReadWins(t *testing.T) {
 	}
 }
 
+// TestTwoStragglersWaitedOut: when more agents stall past the hedge delay
+// than the code can cover (two under 3+1), the read goes back to one of
+// the stragglers for its shard rather than failing: slow beats
+// unreadable, and an overload signal never makes an agent unreadable.
+func TestTwoStragglersWaitedOut(t *testing.T) {
+	c := newOverloadCluster(t, func(cfg *Config) {
+		cfg.HedgeReads = true
+		cfg.MaxRetries = 200 // a retry budget that outlasts the stragglers
+	})
+	f, err := c.client.Open("obj", OpenFlags{Create: true})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer f.Close()
+	data := randBytes(12_000, 4)
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+
+	c.agents[0].SetReadDelay(150 * time.Millisecond)
+	c.agents[1].SetReadDelay(150 * time.Millisecond)
+	out := make([]byte, len(data))
+	if _, err := f.ReadAt(out, 0); err != nil {
+		t.Fatalf("read with two stragglers: %v", err)
+	}
+	if !bytes.Equal(out, data) {
+		t.Fatal("read with two stragglers returned wrong data")
+	}
+	if m := c.client.MetricsSnapshot(); m.Hedges < 2 {
+		t.Fatalf("hedges = %d, want both stragglers hedged", m.Hedges)
+	}
+	for i := range c.agents {
+		if tr := c.client.tel.agent(i).transitions.Load(); tr != 0 {
+			t.Fatalf("agent %d lifecycle transitions = %d after hedging, want 0", i, tr)
+		}
+	}
+}
+
 // TestRetryBudgetExhaustion drains the retry budget and checks that a
 // failover retry is denied with ErrRetryBudget while fresh operations
 // (including degraded reads around the already-failed agent) proceed.

@@ -64,11 +64,13 @@ func (c *tapConn) ReadFrom(p []byte) (int, string, error) {
 
 // tapLog is the ordered record of one client's datagrams: direction,
 // type, fragment range, flags and payload size. Request ids and handles
-// are left out; they depend on what the client did before.
+// are left out; they depend on what the client did before. dataIn sums
+// the payload of the data packets received.
 type tapLog struct {
-	mu    sync.Mutex
-	armed bool
-	lines []string
+	mu     sync.Mutex
+	armed  bool
+	lines  []string
+	dataIn int64
 }
 
 func (l *tapLog) arm(on bool) {
@@ -87,6 +89,9 @@ func (l *tapLog) record(dir string, p []byte) {
 	if err := wire.Unmarshal(p, &pkt); err != nil {
 		l.lines = append(l.lines, fmt.Sprintf("%s undecodable %d bytes", dir, len(p)))
 		return
+	}
+	if dir == "<" && pkt.Type == wire.TData {
+		l.dataIn += int64(len(pkt.Payload))
 	}
 	l.lines = append(l.lines, fmt.Sprintf("%s %s off=%d len=%d flags=%d payload=%d datagram=%d",
 		dir, pkt.Type, pkt.Offset, pkt.Length, pkt.Flags, len(pkt.Payload), len(p)))

@@ -2,9 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
-	"swift/internal/extent"
+	"swift/internal/ec"
 	"swift/internal/integrity"
 	"swift/internal/obs"
 	"swift/internal/wire"
@@ -18,57 +19,86 @@ import (
 // byte-identical placement and parity bytes — and at k>=2 it is a
 // Reed–Solomon code tolerating up to k simultaneous failures per row.
 
-// computeParity builds the parity units for every stripe row touched by a
-// write of src at logical offset off. Rows only partially covered by the
-// write are completed with a read-modify-write: the uncovered old bytes
-// are fetched (degraded-tolerant) before the codec runs. Parity units
-// always span the full striping unit; logical bytes past the object tail
-// count as zeros. The result maps row -> k parity buffers in parity
-// position order.
-func (f *File) computeParity(src []byte, off int64, sp *obs.Span) (map[int64][][]byte, error) {
+// scratch is pooled working memory for one operation's redundancy math:
+// the parity units a write encodes, the shard ranges a degraded read
+// fetches. The pool holds *scratch rather than []byte so that returning
+// one does not itself allocate.
+type scratch struct{ b []byte }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// acquireScratch returns n bytes holding whatever their last user left.
+//
+//swift:pool acquire
+func acquireScratch(n int64) *scratch {
+	s := scratchPool.Get().(*scratch)
+	s.b = slices.Grow(s.b[:0], int(n))[:n]
+	return s
+}
+
+// releaseScratch hands the memory back once nothing refers to its bytes.
+//
+//swift:pool release
+func releaseScratch(s *scratch) { scratchPool.Put(s) }
+
+// parityUnits holds the parity units one write encoded: k whole units,
+// in parity position order, for each of the rows r0..r1.
+type parityUnits struct {
+	r0, r1 int64
+	k      int
+	unit   int64
+	buf    []byte
+}
+
+// at returns the j-th parity unit of the given row, nil when the write
+// holds none (a resend request is wire input and may name any range).
+func (p *parityUnits) at(row int64, j int) []byte {
+	if row < p.r0 || row > p.r1 || j < 0 || j >= p.k {
+		return nil
+	}
+	i := ((row-p.r0)*int64(p.k) + int64(j)) * p.unit
+	return p.buf[i : i+p.unit]
+}
+
+// computeParity encodes into pu the parity units of every stripe row
+// touched by a write of src at logical offset off. A row the write covers
+// whole is encoded straight from src. A partly covered row is completed
+// in rowData (one row of scratch) with a read-modify-write: the uncovered
+// old bytes are fetched (degraded-tolerant) before the codec runs. Parity
+// units always span the full striping unit; logical bytes past the object
+// tail count as zeros.
+func (f *File) computeParity(src []byte, off int64, pu parityUnits, rowData []byte, sp *obs.Span) error {
 	l := f.c.layout
 	m := l.DataPerRow()
-	k := f.c.parityK()
 	rb := l.RowBytes()
 	end := off + int64(len(src))
-	r0, r1 := l.RowOfGlobal(off), l.RowOfGlobal(end-1)
-
-	pbufs := make(map[int64][][]byte, r1-r0+1)
-	rowData := make([]byte, rb)
-	shards := make([][]byte, m+k)
-	for r := r0; r <= r1; r++ {
+	shards := make([][]byte, m+pu.k)
+	for r := pu.r0; r <= pu.r1; r++ {
 		rowOff := r * rb
-		covLo, covHi := rowOff, rowOff+rb
-		if covLo < off {
-			covLo = off
+		covLo, covHi := max(rowOff, off), min(rowOff+rb, end)
+		row := rowData
+		if covHi-covLo == rb {
+			row = src[rowOff-off:]
+		} else {
+			// Old data for the uncovered head and tail of the row
+			// (clamped to the current size; beyond it everything is zero).
+			clear(rowData)
+			if err := f.fillOldRow(rowData, rowOff, covLo, covHi, sp); err != nil {
+				return err
+			}
+			copy(rowData[covLo-rowOff:covHi-rowOff], src[covLo-off:covHi-off])
 		}
-		if covHi > end {
-			covHi = end
-		}
-		// Old data for the uncovered head and tail of the row
-		// (clamped to the current size; beyond it everything is zero).
-		for i := range rowData {
-			rowData[i] = 0
-		}
-		if err := f.fillOldRow(rowData, rowOff, covLo, covHi, sp); err != nil {
-			return nil, err
-		}
-		copy(rowData[covLo-rowOff:covHi-rowOff], src[covLo-off:covHi-off])
-
 		for j := 0; j < m; j++ {
-			shards[j] = rowData[int64(j)*l.Unit : int64(j+1)*l.Unit]
+			shards[j] = row[int64(j)*l.Unit : int64(j+1)*l.Unit]
 		}
-		row := make([][]byte, k)
-		for j := 0; j < k; j++ {
-			row[j] = make([]byte, l.Unit)
-			shards[m+j] = row[j]
+		for j := 0; j < pu.k; j++ {
+			shards[m+j] = pu.at(r, j)
 		}
 		if err := f.ecEncode(shards); err != nil {
-			return nil, fmt.Errorf("core: encode row %d: %w", r, err)
+			return fmt.Errorf("core: encode row %d: %w", r, err)
 		}
-		pbufs[r] = row
 	}
-	return pbufs, nil
+	return nil
 }
 
 // fillOldRow reads the pre-write content of row bytes outside [covLo,
@@ -203,78 +233,174 @@ func (f *File) shardOfAgent(r int64, agent int) int {
 	return l.DataPerRow() + l.ParityPos(r, agent)
 }
 
-// reconstructRow reads the surviving units of row r (excluding agents for
-// which omit returns true) and reconstructs the full row through the
-// codec. It returns the shards in code order; every shard is non-nil on
-// success. Reconstruction succeeds as long as at most k units are
-// unavailable (dead sessions plus omitted agents).
-func (f *File) reconstructRow(r int64, omit func(agent int) bool) ([][]byte, error) {
-	shards, err := f.readRowShards(r, omit)
-	if err != nil {
-		return nil, err
+// agentOfShard is the inverse of shardOfAgent.
+func (f *File) agentOfShard(r int64, shard int) int {
+	l := f.c.layout
+	if m := l.DataPerRow(); shard >= m {
+		return l.ParityAgentAt(r, shard-m)
 	}
-	if err := f.ecReconstruct(shards); err != nil {
-		return nil, err
-	}
-	return shards, nil
+	return l.DataAgent(r, shard)
 }
 
-// reconstructInto rebuilds the fragment extents of a failed agent from
-// the surviving agents' units, placing the recovered logical bytes into
-// dst (first byte = logical offset base). This is the degraded-mode read
-// path of computed-copy redundancy; with k parity units it tolerates up
-// to k simultaneous failures per row.
-func (f *File) reconstructInto(dead int, es []extent.Extent, dst []byte, base int64) error {
+// The part each agent plays in one degraded read attempt.
+const (
+	useDirect  uint8 = iota // read its extents into dst, fetch from it freely
+	lastResort              // breaker open: fetch from it only when the others fall short
+	noFetch                 // ask nothing more of it; what it put in dst stands
+	// From here up the agent is read around: its share of dst is
+	// rebuilt from the other agents' shards, and the value says why.
+	aroundGone    // no session, or failed the planner too
+	aroundBreaker // breaker open
+	aroundBusy    // pushed the read back twice
+	aroundHedged  // stalled past the hedge delay
+)
+
+// readAround reports whether an agent in role r is read around.
+func readAround(r uint8) bool { return r >= aroundGone }
+
+// askTier is when the planner may fetch a shard from an agent in each
+// role: tier 0 freely; tiers 1 and 2 only when the tiers before leave a
+// row short of m shards — slow beats unreadable, so a straggler that was
+// hedged away is waited out after all when too many agents straggle at
+// once for the code to cover; -1 never.
+var askTier = [...]int{
+	useDirect: 0, lastResort: 1, noFetch: -1,
+	aroundGone: -1, aroundBreaker: 2, aroundBusy: 2, aroundHedged: 2,
+}
+
+// aroundSpan names the reconstruction span after what it reads around.
+var aroundSpan = [...]string{
+	aroundGone: "degraded_read", aroundBreaker: "degraded_read",
+	aroundBusy: "busy_read", aroundHedged: "hedged_read",
+}
+
+// rowJob is one codec call of a degraded read: bytes [a, b) of every
+// unit of one row. out holds the wanted data shards — the parts of dst
+// that live on agents being read around — and in the m shards they are
+// rebuilt from: parts of dst the direct reads fill, and fetched scratch.
+type rowJob struct {
+	row     int64
+	a, b    int64
+	in, out [][]byte
+}
+
+// fetch is one planner read: fragment bytes [lo, lo+n) of one agent,
+// into scratch that becomes the job input *into. err is how it failed.
+type fetch struct {
+	agent int
+	lo, n int64
+	into  *[]byte
+	err   error
+}
+
+// planRows plans the reconstruction of every byte of dst (first byte =
+// logical offset off) that lives on an agent being read around. Each
+// touched row gets one job per distinct in-unit byte range of its
+// missing data units (a row-aligned read: one job, the whole unit). The
+// code is byte-wise, so rebuilding [a, b) of a unit takes [a, b) of any m
+// other units of the row: the live data units come from dst itself where
+// the read covers that range — every direct read is joined before the
+// codec runs, and bytes past the object tail arrive as zeros — and the
+// rest is fetched, data units before parity units, as many as are
+// missing and no more, from the agents askTier allows. (A wanted unit
+// fetched from its own straggling agent is both input and output: the
+// codec copies it.) It returns the jobs, the fetches that complete their
+// inputs, and the scratch those need.
+func (f *File) planRows(dst []byte, off int64, role []uint8) (jobs []rowJob, fetches []fetch, total int64, err error) {
 	l := f.c.layout
-	seen := make(map[int64]bool)
-	for _, e := range es {
-		for r := e.Off / l.Unit; r <= (e.End()-1)/l.Unit; r++ {
-			if seen[r] {
+	m, k := l.DataPerRow(), f.c.parityK()
+	rb, end := l.RowBytes(), off+int64(len(dst))
+	for r := l.RowOfGlobal(off); r <= l.RowOfGlobal(end-1); r++ {
+		first := len(jobs)
+		for j := 0; j < m; j++ {
+			g := r*rb + int64(j)*l.Unit
+			lo, hi := max(g, off), min(g+l.Unit, end)
+			if lo >= hi || !readAround(role[l.DataAgent(r, j)]) {
 				continue
 			}
-			seen[r] = true
-			unit, err := f.reconstructUnit(dead, r)
-			if err != nil {
-				return err
+			i := first
+			for i < len(jobs) && (jobs[i].a != lo-g || jobs[i].b != hi-g) {
+				i++
 			}
-			// Place the requested portion(s) of this unit.
-			uLo, uHi := r*l.Unit, (r+1)*l.Unit
-			lo, hi := e.Off, e.End()
-			if lo < uLo {
-				lo = uLo
+			if i == len(jobs) {
+				shards := make([][]byte, 2*(m+k))
+				jobs = append(jobs, rowJob{row: r, a: lo - g, b: hi - g, in: shards[:m+k], out: shards[m+k:]})
 			}
-			if hi > uHi {
-				hi = uHi
-			}
-			if lo >= hi {
-				continue
-			}
-			g, ok := l.GlobalOf(dead, lo)
-			if !ok {
-				continue // parity unit: not logical data
-			}
-			di := g - base
-			if di < 0 || di >= int64(len(dst)) {
-				continue
-			}
-			n := hi - lo
-			if di+n > int64(len(dst)) {
-				n = int64(len(dst)) - di
-			}
-			copy(dst[di:di+n], unit[lo-uLo:lo-uLo+n])
+			jobs[i].out[j] = dst[lo-off : hi-off]
 		}
 	}
-	return nil
+	for i := range jobs {
+		jb := &jobs[i]
+		n, need := jb.b-jb.a, m
+		for j := 0; j < m; j++ {
+			g := jb.row*rb + int64(j)*l.Unit + jb.a
+			if !readAround(role[l.DataAgent(jb.row, j)]) && g >= off && g+n <= end {
+				jb.in[j] = dst[g-off : g-off+n]
+				need--
+			}
+		}
+		for tier := 0; tier <= 2; tier++ {
+			for pos := 0; pos < m+k && need > 0; pos++ {
+				if ag := f.agentOfShard(jb.row, pos); jb.in[pos] == nil && askTier[role[ag]] == tier {
+					fetches = append(fetches, fetch{agent: ag, lo: jb.row*l.Unit + jb.a, n: n, into: &jb.in[pos]})
+					total += n
+					need--
+				}
+			}
+		}
+		if need > 0 {
+			return nil, nil, 0, fmt.Errorf("core: row %d: %w: %d of %d units within reach", jb.row, ec.ErrTooFewShards, m-need, m)
+		}
+	}
+	return jobs, fetches, total, nil
 }
 
-// reconstructUnit rebuilds the unit of row r held by agent dead (data or
-// parity alike) from the surviving agents' units through the codec.
+// fetchesFrom reports whether any planner read is addressed to the agent.
+// It reads nothing a running worker writes.
+func fetchesFrom(fetches []fetch, agent int) bool {
+	for i := range fetches {
+		if fetches[i].agent == agent {
+			return true
+		}
+	}
+	return false
+}
+
+// runFetches performs the planner reads assigned to one agent, on that
+// agent's worker, up to the first that fails. Reconstruction's own reads
+// never hedge: a hedge inside a hedge would recurse.
+func (f *File) runFetches(s *agentSession, fetches []fetch, sp *obs.Span) {
+	for i := range fetches {
+		ft := &fetches[i]
+		if ft.agent != s.idx {
+			continue
+		}
+		buf := *ft.into
+		ft.err = f.readBurst(s, ft.lo, ft.n, func(localOff int64, b []byte) {
+			copy(buf[localOff-ft.lo:], b)
+		}, sp, false)
+		if ft.err != nil {
+			sp.SetError(ft.err)
+			return
+		}
+	}
+}
+
+// reconstructUnit rebuilds the whole unit of row r held by agent dead
+// (data or parity alike) from the surviving agents' units through the
+// codec: what rebuild and read-repair write back.
 func (f *File) reconstructUnit(dead int, r int64) ([]byte, error) {
-	shards, err := f.reconstructRow(r, func(a int) bool { return a == dead })
+	shards, err := f.readRowShards(r, func(a int) bool { return a == dead })
 	if err != nil {
 		return nil, err
 	}
-	return shards[f.shardOfAgent(r, dead)], nil
+	out := make([][]byte, len(shards))
+	unit := make([]byte, f.c.layout.Unit)
+	out[f.shardOfAgent(r, dead)] = unit
+	if err := f.ecReconstruct(shards, out); err != nil {
+		return nil, err
+	}
+	return unit, nil
 }
 
 // VerifyParity scrubs the file: for every stripe row it reads all units

@@ -47,7 +47,7 @@ func TestGatherPlaceInverse(t *testing.T) {
 						m = e.End() - off
 					}
 					payload := make([]byte, m)
-					file.gather(agent, off, payload, src, base, nil)
+					file.gather(agent, off, payload, src, base, &parityUnits{})
 					file.placeGlobal(agent, off, payload, dst, base)
 					off += m
 				}
@@ -69,7 +69,7 @@ func TestGatherParityUnits(t *testing.T) {
 	for i := range pbuf {
 		pbuf[i] = byte(i + 1)
 	}
-	pbufs := map[int64][][]byte{0: {pbuf}}
+	pbufs := &parityUnits{r0: 0, r1: 0, k: 1, unit: 100, buf: pbuf}
 	pa := l.ParityAgent(0)
 
 	out := make([]byte, 100)

@@ -233,16 +233,19 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 			return false, nil
 		}
 		// Up to k corrupt units: drop them from the row and let the
-		// codec reconstruct the holes from the survivors.
+		// codec reconstruct the holes, over the rotten bytes, from the
+		// survivors.
 		shards := f.shardsOfBufs(r, bufs)
+		rebuilt := make([][]byte, len(shards))
 		for _, i := range corrupt {
-			shards[f.shardOfAgent(r, i)] = nil
+			pos := f.shardOfAgent(r, i)
+			shards[pos], rebuilt[pos] = nil, shards[pos]
 		}
-		if rerr := f.ecReconstruct(shards); rerr != nil {
+		if rerr := f.ecReconstruct(shards, rebuilt); rerr != nil {
 			return false, fmt.Errorf("core: scrub: reconstruct row %d: %w", r, rerr)
 		}
 		for _, dead := range corrupt {
-			unit := shards[f.shardOfAgent(r, dead)]
+			unit := rebuilt[f.shardOfAgent(r, dead)]
 			rs := sp.StartChild("scrub_repair", dead)
 			rs.MarkRetry()
 			rs.Annotate("row %d rewritten from parity", r)

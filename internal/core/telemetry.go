@@ -400,11 +400,12 @@ func (f *File) ecEncode(shards [][]byte) error {
 	return err
 }
 
-// ecReconstruct rebuilds one row's missing shards through the codec,
-// timing the call into swift_ec_reconstruct_seconds.
-func (f *File) ecReconstruct(shards [][]byte) error {
+// ecReconstruct rebuilds the shards of one row that out asks for (see
+// ec.Codec.ReconstructInto) through the codec, timing the call into
+// swift_ec_reconstruct_seconds.
+func (f *File) ecReconstruct(shards, out [][]byte) error {
 	start := time.Now()
-	err := f.c.codec.Reconstruct(shards)
+	err := f.c.codec.ReconstructInto(shards, out)
 	f.c.tel.ecReconstructLat.Observe(time.Since(start))
 	return err
 }

@@ -5,17 +5,15 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"swift/internal/parity"
 )
 
 // Shard order convention: a stripe row is a slice of m+k shards, data
-// first (indices 0..m-1) then parity (indices m..m+k-1). In Reconstruct
-// a nil shard marks a missing unit; everywhere else all shards must be
-// present. Shards may be shorter than the row's striping unit — short
-// shards are treated as zero-padded, matching the engine's convention
-// that tail data units end at the file while parity units always span
-// the full unit.
+// first (indices 0..m-1) then parity (indices m..m+k-1). In the
+// reconstruct calls a nil shard marks a missing unit; everywhere else all
+// shards must be present. Shards may be shorter than the row's striping
+// unit — short shards are treated as zero-padded, matching the engine's
+// convention that tail data units end at the file while parity units
+// always span the full unit.
 
 var (
 	// ErrShardCount reports a shards slice whose length is not m+k.
@@ -35,9 +33,16 @@ type Codec interface {
 	// Encode fills the k parity shards from the m data shards. All
 	// m+k shards must be non-nil; parity shards define the row width.
 	Encode(shards [][]byte) error
-	// Reconstruct rebuilds every nil shard from the present ones.
-	// At least m shards must be present. Rebuilt shards are allocated
-	// to the widest present shard's length.
+	// ReconstructInto rebuilds the shards out asks for — out[i] non-nil
+	// means shard i is wanted and is written over its whole length —
+	// from the present (non-nil) entries of shards, at least m of them.
+	// Both slices have m+k entries. Nothing else is rebuilt and nothing
+	// is allocated once the failure set's decode matrix is cached. The
+	// code is byte-wise, so the shards may be any same byte range of
+	// their units.
+	ReconstructInto(shards, out [][]byte) error
+	// Reconstruct rebuilds every nil shard in place, each allocated to
+	// the widest present shard's length.
 	Reconstruct(shards [][]byte) error
 	// Verify reports whether the parity shards match the data shards.
 	Verify(shards [][]byte) (bool, error)
@@ -54,9 +59,9 @@ type Stats struct {
 	EncodeBytes      int64 // data bytes consumed by Encode
 	ReconstructCalls int64
 	ReconstructBytes int64 // bytes of shards rebuilt
-	InvCacheHits     int64 // decode-matrix inversions served from cache
-	InvCacheMisses   int64 // decode-matrix inversions computed
-	// ByMissing[n] counts Reconstruct calls that rebuilt exactly n
+	InvCacheHits     int64 // decode matrices served from cache
+	InvCacheMisses   int64 // decode matrices computed
+	// ByMissing[n] counts reconstruct calls that rebuilt exactly n
 	// shards (index 0 unused; length k+1).
 	ByMissing []int64
 }
@@ -112,30 +117,20 @@ func (c *counters) snapshot() Stats {
 	return s
 }
 
-// New returns a Codec for m data and k parity shards. k=1 returns the
-// XOR codec — the existing internal/parity path is exactly the
-// degenerate single-parity Reed–Solomon code, and routing it through
-// parity.Compute keeps the two paths byte-identical by construction
-// (and proven by TestXORCompat). k>=2 returns the Reed–Solomon codec.
+// New returns a Codec for m data and k parity shards. The first parity
+// row of the code is all ones, so the k=1 codec is the XOR computed copy
+// (TestXORCompat pins the bytes).
 func New(m, k int) (Codec, error) {
 	if err := validate(m, k); err != nil {
 		return nil, err
 	}
-	if k == 1 {
-		return &xorCodec{m: m, ctr: newCounters(1)}, nil
-	}
-	return newRS(m, k)
-}
-
-// NewRS returns the Reed–Solomon codec even for k=1, bypassing the XOR
-// fast path. Only the compatibility tests need this: they prove that
-// RS(m,1) produces byte-identical parity to internal/parity, which is
-// what licenses New's k=1 delegation.
-func NewRS(m, k int) (Codec, error) {
-	if err := validate(m, k); err != nil {
-		return nil, err
-	}
-	return newRS(m, k)
+	return &rsCodec{
+		m:   m,
+		k:   k,
+		a:   codingMatrix(m, k),
+		ctr: newCounters(k),
+		dec: make(map[shardSet]matrix),
+	}, nil
 }
 
 func validate(m, k int) error {
@@ -175,8 +170,11 @@ func rowWidth(shards [][]byte) int {
 	return w
 }
 
-// ---------------------------------------------------------------------
-// Reed–Solomon codec (k >= 2, or k = 1 via NewRS for compat proofs).
+// shardSet is a set of shard indices; m+k <= 256 fits four words.
+type shardSet [4]uint64
+
+func (s *shardSet) add(i int)      { s[i>>6] |= 1 << (uint(i) & 63) }
+func (s *shardSet) has(i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 type rsCodec struct {
 	m, k int
@@ -184,23 +182,36 @@ type rsCodec struct {
 	ctr  *counters
 
 	mu  sync.RWMutex
-	inv map[uint32]matrix // present-shard bitmask → m×m decode matrix
-}
-
-func newRS(m, k int) (*rsCodec, error) {
-	return &rsCodec{
-		m:   m,
-		k:   k,
-		a:   codingMatrix(m, k),
-		ctr: newCounters(k),
-		inv: make(map[uint32]matrix),
-	}, nil
+	dec map[shardSet]matrix // input shards → decode matrix; guarded by mu
 }
 
 func (c *rsCodec) DataShards() int   { return c.m }
 func (c *rsCodec) ParityShards() int { return c.k }
 func (c *rsCodec) String() string    { return fmt.Sprintf("%d+%d", c.m, c.k) }
 func (c *rsCodec) Stats() Stats      { return c.ctr.snapshot() }
+
+// combine sets out = Σ coeff[i]·shards[i], one input per pass, with
+// short shards read as zero-padded.
+//
+//swift:hotpath
+func combine(coeff []byte, shards [][]byte, out []byte) {
+	first := true
+	for i, c := range coeff {
+		if c == 0 {
+			continue
+		}
+		if first {
+			first = false
+			mulSlice(c, shards[i], out)
+			clearSlice(out[min(len(shards[i]), len(out)):])
+			continue
+		}
+		mulAddSlice(c, shards[i], out)
+	}
+	if first {
+		clearSlice(out)
+	}
+}
 
 // Encode fills the k parity shards from the m data shards in place:
 // the per-row write-path kernel.
@@ -210,18 +221,12 @@ func (c *rsCodec) Encode(shards [][]byte) error {
 	if err := checkShards(shards, c.m+c.k, true); err != nil {
 		return err
 	}
-	data := shards[:c.m]
 	var nbytes int64
-	for _, d := range data {
+	for _, d := range shards[:c.m] {
 		nbytes += int64(len(d))
 	}
 	for p := 0; p < c.k; p++ {
-		out := shards[c.m+p]
-		clearSlice(out)
-		arow := c.a.row(p)
-		for d, coeff := range arow {
-			mulAddSlice(coeff, data[d], out)
-		}
+		combine(c.a.row(p), shards, shards[c.m+p])
 	}
 	c.ctr.encodeCalls.Add(1)
 	c.ctr.encodeBytes.Add(nbytes)
@@ -232,14 +237,9 @@ func (c *rsCodec) Verify(shards [][]byte) (bool, error) {
 	if err := checkShards(shards, c.m+c.k, true); err != nil {
 		return false, err
 	}
-	width := rowWidth(shards)
-	want := make([]byte, width)
+	want := make([]byte, rowWidth(shards))
 	for p := 0; p < c.k; p++ {
-		clearSlice(want)
-		arow := c.a.row(p)
-		for d, coeff := range arow {
-			mulAddSlice(coeff, shards[d], want)
-		}
+		combine(c.a.row(p), shards, want)
 		have := shards[c.m+p]
 		for i := range want {
 			var hv byte
@@ -255,187 +255,123 @@ func (c *rsCodec) Verify(shards [][]byte) (bool, error) {
 }
 
 func (c *rsCodec) Reconstruct(shards [][]byte) error {
+	out := make([][]byte, len(shards))
+	width := rowWidth(shards)
+	for i, s := range shards {
+		if s == nil {
+			out[i] = make([]byte, width)
+		}
+	}
+	if err := c.ReconstructInto(shards, out); err != nil {
+		return err
+	}
+	for i, o := range out {
+		if o != nil {
+			shards[i] = o
+		}
+	}
+	return nil
+}
+
+func (c *rsCodec) ReconstructInto(shards, out [][]byte) error {
 	total := c.m + c.k
 	if err := checkShards(shards, total, false); err != nil {
 		return err
 	}
-	var presentMask uint32
-	present, missing := 0, 0
-	for i, s := range shards {
-		if s != nil {
-			presentMask |= 1 << uint(i)
-			present++
-		} else {
-			missing++
+	if err := checkShards(out, total, false); err != nil {
+		return err
+	}
+	wanted := 0
+	for _, o := range out {
+		if o != nil {
+			wanted++
 		}
 	}
-	if missing == 0 {
+	if wanted == 0 {
 		return nil
+	}
+	// The first m present shards are the decode inputs.
+	var inputs shardSet
+	present := 0
+	for i := 0; i < total && present < c.m; i++ {
+		if shards[i] != nil {
+			inputs.add(i)
+			present++
+		}
 	}
 	if present < c.m {
 		return fmt.Errorf("%w: %d present, need %d", ErrTooFewShards, present, c.m)
 	}
-	width := rowWidth(shards)
-
-	// Choose the first m present shards as decode inputs and fetch the
-	// cached inverse of the corresponding generator rows.
-	dec, inputs := c.decodeMatrix(presentMask)
-
-	// Rebuild missing data shards: data[j] = Σ_i dec[j][i] · input[i].
-	var rebuilt int64
-	for j := 0; j < c.m; j++ {
-		if shards[j] != nil {
-			continue
-		}
-		out := make([]byte, width)
-		drow := dec.row(j)
-		for i, idx := range inputs {
-			mulAddSlice(drow[i], shards[idx], out)
-		}
-		shards[j] = out
-		rebuilt += int64(width)
-	}
-
-	// Rebuild missing parity shards from the (now complete) data.
-	for p := 0; p < c.k; p++ {
-		if shards[c.m+p] != nil {
-			continue
-		}
-		out := make([]byte, width)
-		arow := c.a.row(p)
-		for d, coeff := range arow {
-			mulAddSlice(coeff, shards[d], out)
-		}
-		shards[c.m+p] = out
-		rebuilt += int64(width)
-	}
-
-	c.ctr.reconstructCalls.Add(1)
-	c.ctr.reconstructBytes.Add(rebuilt)
-	if missing < len(c.ctr.byMissing) {
-		c.ctr.byMissing[missing].Add(1)
-	} else {
-		c.ctr.byMissing[len(c.ctr.byMissing)-1].Add(1)
-	}
+	c.rebuild(c.decodeMatrix(inputs), shards, out)
+	c.ctr.byMissing[min(wanted, c.k)].Add(1)
 	return nil
 }
 
-// decodeMatrix returns the m×m matrix that maps the first m present
-// shards (in index order) back to the m data shards, plus the shard
-// indices chosen as inputs. Inversions are cached by present-shard
-// bitmask; repeated degraded reads against the same failure set hit
-// the cache.
-func (c *rsCodec) decodeMatrix(presentMask uint32) (matrix, []int) {
-	inputs := make([]int, 0, c.m)
-	for i := 0; i < c.m+c.k && len(inputs) < c.m; i++ {
-		if presentMask&(1<<uint(i)) != 0 {
-			inputs = append(inputs, i)
+// rebuild writes every wanted shard as its row of dec over the inputs:
+// the per-row degraded-read kernel.
+//
+//swift:hotpath
+func (c *rsCodec) rebuild(dec matrix, shards, out [][]byte) {
+	var rebuilt int64
+	for i, o := range out {
+		if o != nil {
+			combine(dec.row(i), shards, o)
+			rebuilt += int64(len(o))
 		}
 	}
-	var inputMask uint32
-	for _, i := range inputs {
-		inputMask |= 1 << uint(i)
-	}
+	c.ctr.reconstructCalls.Add(1)
+	c.ctr.reconstructBytes.Add(rebuilt)
+}
 
+// decodeMatrix returns the (m+k)×(m+k) matrix whose row i expresses
+// shard i — data or parity — over the m input shards (columns of other
+// shards are zero). It is the generator [I; A] times the inverse of the
+// generator rows of the inputs, cached by input set: repeated degraded
+// reads against the same failure set hit the cache.
+func (c *rsCodec) decodeMatrix(inputs shardSet) matrix {
 	c.mu.RLock()
-	dec, ok := c.inv[inputMask]
+	dec, ok := c.dec[inputs]
 	c.mu.RUnlock()
 	if ok {
 		c.ctr.invCacheHits.Add(1)
-		return dec, inputs
+		return dec
 	}
 	c.ctr.invCacheMisses.Add(1)
 
-	// Build the m×m submatrix of the systematic generator [I; A] whose
-	// rows correspond to the chosen input shards, then invert it. The
-	// normalized Cauchy construction guarantees invertibility for any
-	// choice of m distinct rows.
+	// The normalized Cauchy construction guarantees invertibility for
+	// any choice of m distinct generator rows.
+	total := c.m + c.k
 	sub := newMatrix(c.m, c.m)
-	for r, idx := range inputs {
-		if idx < c.m {
-			sub.set(r, idx, 1)
-		} else {
-			copy(sub.row(r), c.a.row(idx-c.m))
+	cols := make([]int, 0, c.m)
+	for i := 0; i < total; i++ {
+		if !inputs.has(i) {
+			continue
 		}
+		if i < c.m {
+			sub.set(len(cols), i, 1)
+		} else {
+			copy(sub.row(len(cols)), c.a.row(i-c.m))
+		}
+		cols = append(cols, i)
 	}
 	inv, err := sub.invert()
 	if err != nil {
 		// Unreachable for a correctly constructed code; fail loudly.
-		panic(fmt.Sprintf("ec: generator submatrix singular for mask %#x: %v", inputMask, err))
+		panic(fmt.Sprintf("ec: generator submatrix singular for inputs %v: %v", cols, err))
+	}
+	par := c.a.mul(inv)
+	dec = newMatrix(total, total)
+	for t, col := range cols {
+		for i := 0; i < c.m; i++ {
+			dec.set(i, col, inv.at(i, t))
+		}
+		for p := 0; p < c.k; p++ {
+			dec.set(c.m+p, col, par.at(p, t))
+		}
 	}
 
 	c.mu.Lock()
-	c.inv[inputMask] = inv
+	c.dec[inputs] = dec
 	c.mu.Unlock()
-	return inv, inputs
-}
-
-// ---------------------------------------------------------------------
-// XOR codec: the degenerate k=1 case, delegating to internal/parity so
-// the legacy single-parity path and the ec path are the same code.
-
-type xorCodec struct {
-	m   int
-	ctr *counters
-}
-
-func (c *xorCodec) DataShards() int   { return c.m }
-func (c *xorCodec) ParityShards() int { return 1 }
-func (c *xorCodec) String() string    { return fmt.Sprintf("%d+1", c.m) }
-func (c *xorCodec) Stats() Stats      { return c.ctr.snapshot() }
-
-// Encode XORs the m data shards into the single parity shard in place.
-//
-//swift:hotpath
-func (c *xorCodec) Encode(shards [][]byte) error {
-	if err := checkShards(shards, c.m+1, true); err != nil {
-		return err
-	}
-	var nbytes int64
-	for _, d := range shards[:c.m] {
-		nbytes += int64(len(d))
-	}
-	parity.Compute(shards[c.m], shards[:c.m])
-	c.ctr.encodeCalls.Add(1)
-	c.ctr.encodeBytes.Add(nbytes)
-	return nil
-}
-
-func (c *xorCodec) Verify(shards [][]byte) (bool, error) {
-	if err := checkShards(shards, c.m+1, true); err != nil {
-		return false, err
-	}
-	return parity.Check(shards[c.m], shards[:c.m]) == nil, nil
-}
-
-func (c *xorCodec) Reconstruct(shards [][]byte) error {
-	if err := checkShards(shards, c.m+1, false); err != nil {
-		return err
-	}
-	missingIdx := -1
-	for i, s := range shards {
-		if s == nil {
-			if missingIdx >= 0 {
-				return fmt.Errorf("%w: 2+ missing, need %d present", ErrTooFewShards, c.m)
-			}
-			missingIdx = i
-		}
-	}
-	if missingIdx < 0 {
-		return nil
-	}
-	width := rowWidth(shards)
-	out := make([]byte, width)
-	surviving := make([][]byte, 0, c.m)
-	for i, s := range shards {
-		if i != missingIdx {
-			surviving = append(surviving, s)
-		}
-	}
-	parity.Reconstruct(out, surviving)
-	shards[missingIdx] = out
-	c.ctr.reconstructCalls.Add(1)
-	c.ctr.reconstructBytes.Add(int64(width))
-	c.ctr.byMissing[1].Add(1)
-	return nil
+	return dec
 }

@@ -2,12 +2,19 @@ package ec
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"swift/internal/parity"
 )
+
+// xorInto is the reference computed copy the k=1 codec must reproduce:
+// dst ^= src, byte by byte, over the overlapping prefix.
+func xorInto(dst, src []byte) {
+	for i := 0; i < len(dst) && i < len(src); i++ {
+		dst[i] ^= src[i]
+	}
+}
 
 // ---------------------------------------------------------------------
 // GF(2^8) algebra.
@@ -54,39 +61,59 @@ func TestGFFieldAxioms(t *testing.T) {
 	}
 }
 
-func TestGFNibbleTables(t *testing.T) {
-	// The split-nibble kernel must agree with the full product table
-	// for every (coefficient, byte) pair.
-	for c := 0; c < 256; c++ {
-		low, high := &mulTableLow[c], &mulTableHigh[c]
-		for b := 0; b < 256; b++ {
-			got := low[b&0x0f] ^ high[b>>4]
-			if want := gfMul[c][b]; got != want {
-				t.Fatalf("nibble mul c=%d b=%d: got %d want %d", c, b, got, want)
+// TestMulSliceKernels holds the word-wide kernels to the scalar product
+// for every coefficient, every length 0–33 and every start offset 0–7
+// into shared backing arrays (misaligned heads, partial tail words), and
+// to the overlapping-prefix rule when in and out differ in length.
+func TestMulSliceKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	inBack, outBack := make([]byte, 48), make([]byte, 48)
+	rng.Read(inBack)
+	check := func(c int, in, out, old []byte, add bool, what string) {
+		t.Helper()
+		n := min(len(in), len(out))
+		for i := range out {
+			want := old[i]
+			if i < n {
+				want = gfMulByte(byte(c), in[i])
+				if add {
+					want ^= old[i]
+				}
+			}
+			if out[i] != want {
+				t.Fatalf("%s c=%d len(in)=%d len(out)=%d i=%d: got %d want %d", what, c, len(in), len(out), i, out[i], want)
 			}
 		}
 	}
-}
-
-func TestMulSliceKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	in := make([]byte, 257) // odd length to catch tail handling
-	rng.Read(in)
-	for _, c := range []byte{0, 1, 2, 29, 255} {
-		out := make([]byte, len(in))
-		mulSlice(c, in, out)
-		acc := make([]byte, len(in))
-		rng.Read(acc)
-		want := make([]byte, len(in))
-		copy(want, acc)
-		mulAddSlice(c, in, acc)
-		for i := range in {
-			if out[i] != gfMul[c][in[i]] {
-				t.Fatalf("mulSlice c=%d i=%d: got %d want %d", c, i, out[i], gfMul[c][in[i]])
+	for c := 0; c < 256; c++ {
+		for n := 0; n <= 33; n++ {
+			for start := 0; start < 8; start++ {
+				in, out := inBack[start:start+n], outBack[7-start:7-start+n]
+				rng.Read(outBack)
+				old := append([]byte(nil), outBack...)
+				mulSlice(byte(c), in, out)
+				check(c, in, out, old[7-start:], false, "mulSlice")
+				if !bytes.Equal(outBack[:7-start], old[:7-start]) || !bytes.Equal(outBack[7-start+n:], old[7-start+n:]) {
+					t.Fatalf("mulSlice c=%d n=%d start=%d wrote outside out", c, n, start)
+				}
+				copy(old, outBack)
+				mulAddSlice(byte(c), in, out)
+				check(c, in, out, old[7-start:], true, "mulAddSlice")
+				if !bytes.Equal(outBack[:7-start], old[:7-start]) || !bytes.Equal(outBack[7-start+n:], old[7-start+n:]) {
+					t.Fatalf("mulAddSlice c=%d n=%d start=%d wrote outside out", c, n, start)
+				}
 			}
-			if acc[i] != want[i]^gfMul[c][in[i]] {
-				t.Fatalf("mulAddSlice c=%d i=%d: got %d want %d", c, i, acc[i], want[i]^gfMul[c][in[i]])
-			}
+		}
+		// Unequal lengths: only the overlapping prefix is touched.
+		for _, ln := range [][2]int{{21, 13}, {13, 21}, {0, 9}, {9, 0}} {
+			in, out := inBack[1:1+ln[0]], outBack[3:3+ln[1]]
+			rng.Read(outBack)
+			old := append([]byte(nil), out...)
+			mulSlice(byte(c), in, out)
+			check(c, in, out, old, false, "mulSlice")
+			copy(old, out)
+			mulAddSlice(byte(c), in, out)
+			check(c, in, out, old, true, "mulAddSlice")
 		}
 	}
 }
@@ -134,7 +161,7 @@ func TestCodingMatrixProperties(t *testing.T) {
 		a := codingMatrix(m, k)
 		// Row 0 and column 0 must be all ones: this is what makes the
 		// first parity unit plain XOR and keeps the k=1 code
-		// byte-identical to internal/parity.
+		// byte-identical to the paper's XOR computed copy.
 		for j := 0; j < m; j++ {
 			if a.at(0, j) != 1 {
 				t.Fatalf("m=%d k=%d: A[0][%d] = %d, want 1", m, k, j, a.at(0, j))
@@ -229,7 +256,7 @@ func TestRoundTripAllErasureSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, mk := range [][2]int{{2, 1}, {4, 1}, {4, 2}, {8, 2}, {5, 3}, {6, 4}} {
 		m, k := mk[0], mk[1]
-		for _, newc := range []func(int, int) (Codec, error){New, NewRS} {
+		for _, newc := range []func(int, int) (Codec, error){New} {
 			c, err := newc(m, k)
 			if err != nil {
 				t.Fatal(err)
@@ -324,6 +351,129 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestReconstructIntoWanted: only the shards out names are rebuilt — data
+// or parity alike, into the caller's memory — and, the code being
+// byte-wise, any same byte range of the present shards rebuilds that
+// range of the missing ones.
+func TestReconstructIntoWanted(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	c, err := New(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := mkShards(t, rng, 4, 3, 300)
+	if err := c.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	const a, b = 37, 250
+	in := make([][]byte, 7)
+	for _, i := range []int{0, 3, 4, 6} { // shards 1, 2, 5 are gone
+		in[i] = shards[i][a:b]
+	}
+	out := make([][]byte, 7)
+	back := bytes.Repeat([]byte{0xa5}, 2*(b-a)+2)
+	out[2], out[5] = back[:b-a], back[b-a+1:2*(b-a)+1]
+	if err := c.ReconstructInto(in, out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out[2], shards[2][a:b]) || !bytes.Equal(out[5], shards[5][a:b]) {
+		t.Fatal("byte range of the wanted shards differs from the encoded row")
+	}
+	if back[b-a] != 0xa5 || back[len(back)-1] != 0xa5 {
+		t.Fatal("ReconstructInto wrote outside the wanted shards")
+	}
+	if in[1] != nil || out[1] != nil {
+		t.Fatal("a missing shard nobody asked for was rebuilt")
+	}
+	d := c.Stats().Sub(before)
+	if d.ReconstructCalls != 1 || d.ReconstructBytes != 2*(b-a) || d.ByMissing[2] != 1 {
+		t.Fatalf("stats delta %+v, want 1 call, %d bytes, byMissing[2]=1", d, 2*(b-a))
+	}
+	// Nothing wanted: no work, no count, even below m present shards.
+	if err := c.ReconstructInto(make([][]byte, 7), make([][]byte, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().ReconstructCalls; got != before.ReconstructCalls+1 {
+		t.Fatalf("an empty request counted as a reconstruction (%d calls)", got-before.ReconstructCalls)
+	}
+	out[2] = nil
+	if err := c.ReconstructInto(make([][]byte, 7), out); !errors.Is(err, ErrTooFewShards) {
+		t.Fatalf("no present shards: err = %v, want ErrTooFewShards", err)
+	}
+	if err := c.ReconstructInto(in, out[:6]); !errors.Is(err, ErrShardCount) {
+		t.Fatalf("short out: err = %v, want ErrShardCount", err)
+	}
+}
+
+// TestWideSchemeRoundTrip: every scheme New accepts decodes erasures at
+// any shard index — the decode-matrix cache key holds all 256.
+func TestWideSchemeRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, tc := range []struct {
+		m, k   int
+		erased []int
+	}{
+		{40, 2, []int{35}},
+		{40, 2, []int{33, 41}},
+		{252, 4, []int{32, 64, 200, 255}},
+		{128, 128, []int{0, 31, 32, 63, 64, 127, 128, 255}},
+	} {
+		c, err := New(tc.m, tc.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := mkShards(t, rng, tc.m, tc.k, 41)
+		if err := c.Encode(shards); err != nil {
+			t.Fatal(err)
+		}
+		work := cloneShards(shards)
+		for _, i := range tc.erased {
+			work[i] = nil
+		}
+		if err := c.Reconstruct(work); err != nil {
+			t.Fatalf("%s erased %v: %v", c, tc.erased, err)
+		}
+		for i := range work {
+			if !bytes.Equal(work[i], shards[i]) {
+				t.Fatalf("%s erased %v: shard %d differs", c, tc.erased, i)
+			}
+		}
+	}
+}
+
+// TestReconstructNoAllocs: once the failure set's decode matrix is
+// cached, rebuilding into caller memory allocates nothing.
+func TestReconstructNoAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, mk := range [][2]int{{3, 2}, {8, 2}} {
+		m, k := mk[0], mk[1]
+		c, err := New(m, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := mkShards(t, rng, m, k, 4096)
+		if err := c.Encode(shards); err != nil {
+			t.Fatal(err)
+		}
+		in := cloneShards(shards)
+		out := make([][]byte, m+k)
+		in[0], in[1] = nil, nil
+		out[0], out[1] = make([]byte, 4096), make([]byte, 4096)
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := c.ReconstructInto(in, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: %.1f allocs per ReconstructInto on a cache hit, want 0", c, allocs)
+		}
+		if !bytes.Equal(out[0], shards[0]) || !bytes.Equal(out[1], shards[1]) {
+			t.Fatalf("%s: rebuilt shards differ", c)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
 // XOR compatibility: the contract that lets internal/core swap the
 // legacy parity path for ec.Codec without rewriting any stored byte.
@@ -337,42 +487,39 @@ func TestXORCompat(t *testing.T) {
 			rng.Read(data[i])
 		}
 		legacy := make([]byte, 333)
-		parity.Compute(legacy, data)
+		for _, d := range data {
+			xorInto(legacy, d)
+		}
 
-		for _, newc := range []func(int, int) (Codec, error){New, NewRS} {
-			c, err := newc(m, 1)
-			if err != nil {
-				t.Fatal(err)
+		c, err := New(m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := make([][]byte, m+1)
+		copy(shards, data)
+		shards[m] = make([]byte, 333)
+		if err := c.Encode(shards); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(shards[m], legacy) {
+			t.Fatalf("m=%d: k=1 parity is not the XOR of the data units", m)
+		}
+		// Reconstruction of a lost data unit must also match the
+		// legacy XOR-of-survivors path.
+		lost := rng.Intn(m)
+		want := append([]byte(nil), legacy...)
+		for i, d := range data {
+			if i != lost {
+				xorInto(want, d)
 			}
-			shards := make([][]byte, m+1)
-			copy(shards, data)
-			shards[m] = make([]byte, 333)
-			if err := c.Encode(shards); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(shards[m], legacy) {
-				t.Fatalf("%T(m=%d): k=1 parity not byte-identical to internal/parity", c, m)
-			}
-			// Reconstruction of a lost data unit must also match the
-			// legacy XOR-of-survivors path.
-			lost := rng.Intn(m)
-			surviving := make([][]byte, 0, m)
-			for i, d := range data {
-				if i != lost {
-					surviving = append(surviving, d)
-				}
-			}
-			surviving = append(surviving, legacy)
-			want := make([]byte, 333)
-			parity.Reconstruct(want, surviving)
-			work := cloneShards(shards)
-			work[lost] = nil
-			if err := c.Reconstruct(work); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(work[lost], want) {
-				t.Fatalf("%T(m=%d): k=1 reconstruction differs from parity.Reconstruct", c, m)
-			}
+		}
+		work := cloneShards(shards)
+		work[lost] = nil
+		if err := c.Reconstruct(work); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(work[lost], want) {
+			t.Fatalf("m=%d: k=1 reconstruction differs from the XOR of the survivors", m)
 		}
 	}
 }
@@ -382,7 +529,7 @@ func TestXORCompat(t *testing.T) {
 
 func TestInversionCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c, err := NewRS(6, 3)
+	c, err := New(6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,13 +587,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(250, 10); err == nil {
 		t.Fatal("New(250,10) succeeded (m+k > 256)")
 	}
-	c, err := New(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, isXOR := c.(*xorCodec); !isXOR {
-		t.Fatalf("New(4,1) = %T, want *xorCodec", c)
-	}
 	c2, err := New(4, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -465,8 +605,10 @@ func FuzzECRoundTrip(f *testing.F) {
 	f.Add(int64(2), uint8(16), uint8(4), uint16(1), uint32(0xf))
 	f.Add(int64(3), uint8(1), uint8(1), uint16(4096), uint32(0x1))
 	f.Add(int64(4), uint8(8), uint8(3), uint16(512), uint32(0x700))
+	f.Add(int64(5), uint8(5), uint8(1), uint16(1028), uint32(0x22))      // odd width: scalar tail
+	f.Add(int64(6), uint8(39), uint8(3), uint16(76), uint32(0x80000005)) // m+k = 44: shards 43 and 41 erased
 	f.Fuzz(func(t *testing.T, seed int64, mb, kb uint8, widthB uint16, eraseMask uint32) {
-		m := int(mb)%16 + 1 // 1..16
+		m := int(mb)%48 + 1 // 1..48
 		k := int(kb)%4 + 1  // 1..4
 		width := int(widthB)%4096 + 1
 		c, err := New(m, k)
@@ -481,13 +623,19 @@ func FuzzECRoundTrip(f *testing.F) {
 		if ok, err := c.Verify(shards); err != nil || !ok {
 			t.Fatalf("Verify after Encode: ok=%v err=%v", ok, err)
 		}
-		// Trim the erasure mask to at most k set bits within range.
+		// Trim the erasure mask to at most k set bits within range; its
+		// top bit moves the whole set to the row's last shards, past
+		// index 32 on wide schemes.
 		total := m + k
 		work := cloneShards(shards)
 		erased := 0
-		for i := 0; i < total && erased < k; i++ {
+		for i := 0; i < min(total, 31) && erased < k; i++ {
 			if eraseMask&(1<<uint(i)) != 0 {
-				work[i] = nil
+				at := i
+				if eraseMask&(1<<31) != 0 {
+					at = total - 1 - i
+				}
+				work[at] = nil
 				erased++
 			}
 		}

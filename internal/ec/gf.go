@@ -1,29 +1,28 @@
-// Package ec implements Swift's general erasure coding: systematic
-// Reed–Solomon codes over GF(2^8) with m data and k parity units per
-// stripe row. It generalizes the single-XOR computed copy of
-// internal/parity — the paper's "resiliency in the presence of a single
-// failure (per group)" — to codes that tolerate any k simultaneous
-// failures, which is what production-scale arrays standardize on once
-// rebuild windows make double failures routine.
+// Package ec implements Swift's erasure coding: systematic Reed–Solomon
+// codes over GF(2^8) with m data and k parity units per stripe row. The
+// k=1 member of the family is the paper's computed copy — "resiliency in
+// the presence of a single failure (per group)" — and larger k tolerates
+// any k simultaneous failures, which is what production-scale arrays
+// standardize on once rebuild windows make double failures routine.
 //
 // The package is deliberately clock-free and allocation-light: all hot
 // kernels operate on caller-provided byte slices using precomputed
 // lookup tables, and the only synchronization is a read-mostly cache of
-// decode-matrix inversions.
+// decode matrices.
 package ec
+
+import "encoding/binary"
 
 // GF(2^8) arithmetic with the primitive polynomial x^8+x^4+x^3+x^2+1
 // (0x11d), the conventional choice for storage Reed–Solomon codes.
 //
-// Three table families are precomputed at init:
+// Two table families are precomputed at init:
 //
 //   - gfExp/gfLog: exponential and logarithm tables for scalar mul/div
 //     and matrix algebra (code construction, inversion).
-//   - gfMul: full 256×256 product table for scalar hot paths.
-//   - mulTableLow/mulTableHigh: split low/high-nibble tables. For a
-//     fixed coefficient c, any byte b satisfies
-//     c·b = c·(b&0x0f) ⊕ c·(b&0xf0), so the byte-slice kernels do two
-//     16-entry lookups and one XOR per byte from tables that fit in L1.
+//   - gfMul: full 256×256 product table. The byte-slice kernels fix a
+//     coefficient c and read only its 256-byte row gfMul[c], which stays
+//     in L1 for the length of a shard.
 
 const gfPoly = 0x11d
 
@@ -32,9 +31,6 @@ var (
 	gfLog [256]byte // gfLog[α^i] = i; gfLog[0] unused
 
 	gfMul [256][256]byte // gfMul[a][b] = a·b
-
-	mulTableLow  [256][16]byte // mulTableLow[c][n]  = c·n        (low nibble)
-	mulTableHigh [256][16]byte // mulTableHigh[c][n] = c·(n<<4)   (high nibble)
 )
 
 func init() {
@@ -54,12 +50,6 @@ func init() {
 		la := int(gfLog[a])
 		for b := 1; b < 256; b++ {
 			gfMul[a][b] = gfExp[la+int(gfLog[b])]
-		}
-	}
-	for c := 0; c < 256; c++ {
-		for n := 0; n < 16; n++ {
-			mulTableLow[c][n] = gfMul[c][n]
-			mulTableHigh[c][n] = gfMul[c][n<<4]
 		}
 	}
 }
@@ -83,57 +73,77 @@ func gfDiv(a, b byte) byte {
 // gfInv returns the multiplicative inverse of a.
 func gfInv(a byte) byte { return gfDiv(1, a) }
 
+// The slice kernels work a 64-bit word at a time: one load of in, eight
+// lookups in the coefficient's product row assembled into a word, one
+// load-xor-store of out, and a scalar loop over the last len%8 bytes.
+// Both operate over the overlapping prefix of in and out — a short tail
+// shard contributes only the bytes it has.
+
+// mul4 returns the four byte-wise products of v under the product row
+// t. (Two halves rather than one eight-byte helper: this one inlines.)
+func mul4(t *[256]byte, v uint32) uint32 {
+	return uint32(t[byte(v)]) | uint32(t[byte(v>>8)])<<8 |
+		uint32(t[byte(v>>16)])<<16 | uint32(t[v>>24])<<24
+}
+
 // mulSlice sets out = c·in element-wise over the overlapping prefix.
-// c==0 zeroes out; c==1 copies.
+// c==0 zeroes it; c==1 copies.
+//
+//swift:hotpath
 func mulSlice(c byte, in, out []byte) {
-	n := len(in)
-	if len(out) < n {
-		n = len(out)
-	}
+	n := min(len(in), len(out))
+	in, out = in[:n], out[:n]
 	switch c {
 	case 0:
-		clearSlice(out[:n])
+		clearSlice(out)
 		return
 	case 1:
-		copy(out[:n], in[:n])
+		copy(out, in)
 		return
 	}
-	low := &mulTableLow[c]
-	high := &mulTableHigh[c]
-	in = in[:n]
-	out = out[:n] // bounds-check elimination: equal-length reslices
-	for i := range in {
-		b := in[i]
-		out[i] = low[b&0x0f] ^ high[b>>4]
+	t := &gfMul[c]
+	words := n &^ 7
+	for i := 0; i < words; i += 8 {
+		v := binary.LittleEndian.Uint64(in[i : i+8 : i+8])
+		w := uint64(mul4(t, uint32(v))) | uint64(mul4(t, uint32(v>>32)))<<32
+		binary.LittleEndian.PutUint64(out[i:i+8:i+8], w)
+	}
+	for i := words; i < n; i++ {
+		out[i] = t[in[i]]
 	}
 }
 
 // mulAddSlice xors c·in into out element-wise over the overlapping
 // prefix. c==0 is a no-op; c==1 degenerates to plain XOR, which is the
 // whole k=1 parity path.
+//
+//swift:hotpath
 func mulAddSlice(c byte, in, out []byte) {
-	n := len(in)
-	if len(out) < n {
-		n = len(out)
-	}
+	n := min(len(in), len(out))
+	in, out = in[:n], out[:n]
+	words := n &^ 7
 	switch c {
 	case 0:
 		return
 	case 1:
-		in = in[:n]
-		out = out[:n]
-		for i := range in {
+		for i := 0; i < words; i += 8 {
+			o := out[i : i+8 : i+8]
+			binary.LittleEndian.PutUint64(o, binary.LittleEndian.Uint64(o)^binary.LittleEndian.Uint64(in[i:i+8:i+8]))
+		}
+		for i := words; i < n; i++ {
 			out[i] ^= in[i]
 		}
 		return
 	}
-	low := &mulTableLow[c]
-	high := &mulTableHigh[c]
-	in = in[:n]
-	out = out[:n]
-	for i := range in {
-		b := in[i]
-		out[i] ^= low[b&0x0f] ^ high[b>>4]
+	t := &gfMul[c]
+	for i := 0; i < words; i += 8 {
+		v := binary.LittleEndian.Uint64(in[i : i+8 : i+8])
+		w := uint64(mul4(t, uint32(v))) | uint64(mul4(t, uint32(v>>32)))<<32
+		o := out[i : i+8 : i+8]
+		binary.LittleEndian.PutUint64(o, binary.LittleEndian.Uint64(o)^w)
+	}
+	for i := words; i < n; i++ {
+		out[i] ^= t[in[i]]
 	}
 }
 

@@ -134,7 +134,7 @@ func addScaledRow(dst, src []byte, c byte) {
 // Nonzero row/column scaling preserves the any-submatrix-invertible
 // property, and it forces row 0 and column 0 to be all ones. An
 // all-ones first parity row means the k=1 code IS plain XOR parity:
-// byte-identical to internal/parity on the same stripe rows, which is
+// byte-identical to the paper's computed copy on the same stripe rows, which is
 // the compatibility guarantee the rest of the stack relies on.
 func codingMatrix(m, k int) matrix {
 	c := newMatrix(k, m)
