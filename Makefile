@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz bench tables figures ablations \
+.PHONY: all build vet lint size test race fuzz bench tables figures ablations \
 	ec-bench hotpath-bench bench-ladder examples obs-test obs-smoke \
 	scrub-smoke failover-smoke trace-smoke overload-smoke cache-smoke clean
 
@@ -21,10 +21,23 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/swiftvet -time ./...
 
+# size = the ratchet on ROADMAP item 5's targets (internal/core <= 3.8k
+# non-test Go lines, core/file.go < 600): it prints both counts and fails
+# when either exceeds its ceiling. A PR that shrinks them lowers the
+# ceilings to its result; none raises them.
+CORE_LINES_MAX := 5227
+CORE_FILE_LINES_MAX := 975
+size:
+	@core=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l); \
+	file=$$(cat internal/core/file.go | wc -l); \
+	echo "internal/core non-test Go lines: $$core (ceiling $(CORE_LINES_MAX))"; \
+	echo "internal/core/file.go lines: $$file (ceiling $(CORE_FILE_LINES_MAX))"; \
+	[ "$$core" -le $(CORE_LINES_MAX) ] && [ "$$file" -le $(CORE_FILE_LINES_MAX) ]
+
 # lint = the full static gate run by CI's lint job: swiftvet, gofmt
-# cleanliness, and (when the tool is on PATH, e.g. installed by CI)
-# govulncheck over the module.
-lint:
+# cleanliness, the size ratchet, and (when the tool is on PATH, e.g.
+# installed by CI) govulncheck over the module.
+lint: size
 	$(GO) run ./cmd/swiftvet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt: the following files need formatting:"; \

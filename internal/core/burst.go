@@ -1,0 +1,425 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"sync/atomic"
+	"time"
+
+	"swift/internal/extent"
+	"swift/internal/obs"
+	"swift/internal/transport"
+	"swift/internal/wire"
+)
+
+// This file is the client's one transfer engine — §3.1's "the client keeps
+// sufficient state to determine what packets have been received and thus
+// can resubmit requests when packets are lost": the retry clock every
+// request/reply exchange runs on, and the burst driver that moves fragment
+// ranges between an agent session and memory in either direction.
+
+// retryClock is the retry discipline of one outstanding exchange, a burst
+// or a control RPC. Silence until next is a timeout: the exchange
+// retransmits and waits one backoff level longer (capped exponential with
+// jitter, so a silent agent is not hammered on the shared medium). Any
+// progress starts the clock over, so deep loss is survived while a dead
+// agent is given up on in bounded time. Callers pass the time in.
+type retryClock struct {
+	next   time.Time // silence until then is a timeout
+	giveUp time.Time // no progress until then ends the exchange
+	level  int       // backoff level of the wait after the next timeout
+}
+
+// startClock returns the clock of an exchange that began, or made
+// progress, at now: give-up is retries base timeouts away.
+func (c *Client) startClock(now time.Time, retries int) retryClock {
+	return retryClock{
+		next:   now.Add(c.cfg.RetryTimeout),
+		giveUp: now.Add(time.Duration(retries) * c.cfg.RetryTimeout),
+	}
+}
+
+// expire is called when rc.next has passed in silence. It reports spent
+// when give-up has passed too; otherwise the caller retransmits and the
+// clock waits one level longer. A wait grown beyond the base timeout
+// counts as a backoff, against agent when there is one.
+func (c *Client) expire(rc *retryClock, now time.Time, agent int) (spent bool) {
+	if !now.Before(rc.giveUp) {
+		return true
+	}
+	if rc.level > 0 {
+		c.metrics.Backoffs.Add(1)
+		if agent >= 0 {
+			c.tel.agent(agent).backoffs.Inc()
+		}
+	}
+	rc.next = now.Add(c.bo.Delay(rc.level)) // capped exponential, ±25% jitter
+	rc.level++
+	return false
+}
+
+// xfer is the memory a burst run moves, in whichever direction: a logical
+// buffer striped over the agents (buf's first byte is logical offset base;
+// a write's parity units ride in pu), or — flat — one contiguous run of a
+// fragment (buf's first byte is fragment offset base), which is how whole
+// units move for reconstruction, repair, rebuild and scrub.
+type xfer struct {
+	buf  []byte
+	base int64
+	pu   *parityUnits
+	flat bool
+}
+
+// direction is which way bytes move; it indexes per-direction counters.
+type direction uint8
+
+const (
+	reading direction = iota // TRead out; TData in
+	writing                  // TWrite and TData out; TWriteAck or TResend in
+)
+
+var dirName = [...]string{reading: "read", writing: "write"}
+
+// readWindow is the read bursts kept in flight per agent: one, as the
+// prototype did. Writes keep Config.WriteWindow.
+const readWindow = 1
+
+// burst is the record of one outstanding burst. Records are session-owned
+// and recycled, so a burst allocates nothing once ids and got have grown.
+type burst struct {
+	lo, n int64
+	// ids name the burst on the wire: a write's announcement; a read's
+	// request and each of its resubmissions.
+	ids       []uint32
+	got       extent.Set // reads: the bytes that have arrived
+	start     time.Time
+	clock     retryClock
+	hedgeAt   time.Time // reads: when a stall is hedged; zero when not armed
+	pushbacks int
+}
+
+// burstRun is one run of the driver on one agent session. runBursts owns
+// the session conn's only receive loop; launch, wake, receive and expire
+// are the state machine it steps, each told the time by the caller.
+type burstRun struct {
+	f     *File
+	s     *agentSession
+	dir   direction
+	x     *xfer
+	sp    *obs.Span
+	at    *agentTelemetry
+	opDl  time.Time // the operation's deadline; zero when OpTimeout is off
+	hedge bool
+	// live are the outstanding bursts, at most window of them; a prefix
+	// of s.bursts.
+	live   []burst
+	window int
+}
+
+// flatBurst moves fragment bytes [lo, lo+len(buf)) of one agent to or from
+// buf as a single burst.
+func (f *File) flatBurst(s *agentSession, dir direction, lo int64, buf []byte, sp *obs.Span) error {
+	x := xfer{buf: buf, base: lo, flat: true}
+	return f.runBursts(s, dir, []extent.Extent{{Off: lo, Len: int64(len(buf))}}, &x, sp, false)
+}
+
+// runBursts moves the given fragment ranges of one agent, one burst each
+// and a window of them at a time, between the agent and x. A read burst
+// is a request answered by data packets; a write burst is an announcement
+// and its data, blasted ("the client sends out the data to be written as
+// fast as it can ... each storage agent ... either acknowledges receipt
+// of all packets or sends requests for packets lost").
+//
+// allowHedge arms hedging of reads (with Config.HedgeReads): a burst
+// stalled past the p99-derived delay ends the run with errHedged for the
+// caller to race reconstruction against the straggler. Reconstruction's
+// own reads pass false — a hedge inside a hedge would recurse.
+func (f *File) runBursts(s *agentSession, dir direction, ranges []extent.Extent, x *xfer, sp *obs.Span, allowHedge bool) error {
+	d := f.newBurstRun(s, dir, x, sp, allowHedge)
+	for next := 0; next < len(ranges) || len(d.live) > 0; {
+		for ; len(d.live) < d.window && next < len(ranges); next++ {
+			// Read the clock per launch: the burst before may have spent
+			// a while sending.
+			if err := d.launch(ranges[next], time.Now()); err != nil {
+				return err
+			}
+		}
+		s.conn.SetReadDeadline(d.wake())
+		n, _, err := s.conn.ReadFrom(s.buf)
+		now := time.Now()
+		switch {
+		case err == nil:
+			err = d.receive(s.buf[:n], now)
+		case transport.IsTimeout(err):
+			err = d.expire(now)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (f *File) newBurstRun(s *agentSession, dir direction, x *xfer, sp *obs.Span, allowHedge bool) burstRun {
+	cfg := &f.c.cfg
+	d := burstRun{f: f, s: s, dir: dir, x: x, sp: sp, at: f.c.tel.agent(s.idx), opDl: f.opDeadline, live: s.bursts[:0], window: readWindow}
+	if dir == writing {
+		d.window = cfg.WriteWindow
+	} else {
+		d.hedge = allowHedge && cfg.HedgeReads && cfg.Parity
+	}
+	return d
+}
+
+// launch starts the burst for fragment range r at now.
+func (d *burstRun) launch(r extent.Extent, now time.Time) error {
+	c := d.f.c
+	d.live = d.live[:len(d.live)+1]
+	b := &d.live[len(d.live)-1]
+	b.got.Reset()
+	*b = burst{lo: r.Off, n: r.Len, ids: b.ids[:0], got: b.got, start: now, clock: c.startClock(now, c.cfg.MaxRetries)}
+	if d.hedge {
+		b.hedgeAt = now.Add(c.hedgeDelay(d.s.idx))
+	}
+	c.metrics.Bursts[d.dir].Add(1)
+	d.at.bursts[d.dir].Inc()
+	if d.dir == writing {
+		b.ids = append(b.ids, c.nextReq())
+	}
+	if err := d.transmit(b, now); err != nil || d.dir == reading {
+		return err
+	}
+	return d.sendData(b.ids[0], b.lo, b.n)
+}
+
+// transmit sends, or sends again, what asks the agent to move burst b: a
+// write's announcement (the agent re-acknowledges a complete burst and
+// otherwise asks for exactly what it lacks) or read requests for what has
+// not arrived, each under a fresh id. Only these packets carry the trace
+// context and, with OpTimeout set, the operation's remaining deadline
+// budget; data packets never do.
+func (d *burstRun) transmit(b *burst, now time.Time) error {
+	f, s := d.f, d.s
+	p := wire.Packet{Header: wire.Header{Type: wire.TRead, Handle: s.handle}, Trace: d.sp.Context()}
+	if !d.opDl.IsZero() {
+		// Every (re)transmission is stamped afresh with the shrunk budget,
+		// so the agent can shed work whose client has given up.
+		if p.Deadline = d.opDl.Sub(now); p.Deadline <= 0 {
+			return fmt.Errorf("%w: %s %s[%d:%d]", ErrDeadline, dirName[d.dir], f.name, b.lo, b.lo+b.n)
+		}
+	}
+	if d.dir == writing {
+		p.Type, p.ReqID, p.Offset, p.Length, p.Flags = wire.TWrite, b.ids[0], b.lo, uint32(b.n), f.writeFlags()
+		return f.sendPacket(s, &p)
+	}
+	missing := []extent.Extent{{Off: b.lo, Len: b.n}}
+	if b.got.Len() > 0 {
+		const maxResubmit = 8
+		missing = b.got.Missing(b.lo, b.n)
+		missing = missing[:min(len(missing), maxResubmit)]
+	}
+	for _, m := range missing {
+		p.ReqID, p.Offset, p.Length = f.c.nextReq(), m.Off, uint32(m.Len)
+		b.ids = append(b.ids, p.ReqID)
+		if err := f.sendPacket(s, &p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sendData blasts fragment bytes [off, off+n) as data packets of the
+// write burst announced under id.
+//
+//swift:hotpath
+func (d *burstRun) sendData(id uint32, off, n int64) error {
+	f, s, x := d.f, d.s, d.x
+	cfg := &f.c.cfg
+	p := wire.Packet{Header: wire.Header{Type: wire.TData, ReqID: id, Handle: s.handle}}
+	for end := off + n; off < end; off += int64(len(p.Payload)) {
+		p.Payload = s.payload[:min(int64(len(s.payload)), end-off)]
+		if x.flat {
+			copyWindow(p.Payload, x.buf, off-x.base)
+		} else {
+			f.gather(s.idx, off, p.Payload, x.buf, x.base, x.pu)
+		}
+		p.Offset, p.Length = off, uint32(len(p.Payload))
+		if err := f.sendPacket(s, &p); err != nil {
+			return err
+		}
+		f.c.metrics.DataPackets.Add(1)
+		d.at.dataPackets.Inc()
+		if cfg.WritePace > 0 {
+			cfg.Sleep(cfg.WritePace)
+		}
+	}
+	return nil
+}
+
+// wake is when the receive loop must stop waiting for a datagram: the
+// earliest timeout or hedge among the outstanding bursts, or the
+// operation's deadline.
+func (d *burstRun) wake() time.Time {
+	w := d.opDl
+	for i := range d.live {
+		b := &d.live[i]
+		if w.IsZero() || b.clock.next.Before(w) {
+			w = b.clock.next
+		}
+		if !b.hedgeAt.IsZero() && b.hedgeAt.Before(w) {
+			w = b.hedgeAt
+		}
+	}
+	return w
+}
+
+// receive dispatches one datagram that arrived at now.
+func (d *burstRun) receive(dgram []byte, now time.Time) error {
+	var pkt wire.Packet
+	if wire.Unmarshal(dgram, &pkt) != nil {
+		return nil
+	}
+	i := 0
+	for i < len(d.live) && !slices.Contains(d.live[i].ids, pkt.ReqID) {
+		i++
+	}
+	if i == len(d.live) {
+		return nil // stale, or not ours
+	}
+	b, done := &d.live[i], false
+	switch {
+	case pkt.Type == wire.TData && d.dir == reading:
+		done = d.takeData(b, &pkt, now)
+	case pkt.Type == wire.TWriteAck && d.dir == writing:
+		done = true
+	case pkt.Type == wire.TResend && d.dir == writing:
+		return d.resend(b, &pkt, now)
+	case pkt.Type == wire.TPushback:
+		return d.pushback(b, &pkt, now)
+	case pkt.Type == wire.TError:
+		return wire.ParseError(pkt.Payload)
+	}
+	if done {
+		// A finished burst, in either direction, is the breaker's success.
+		d.f.c.noteAgentOK(d.s.idx)
+		observeDur(d.at.burstLat[d.dir], now.Sub(b.start), d.sp)
+		last := len(d.live) - 1
+		d.live[i], d.live[last] = d.live[last], d.live[i]
+		d.live = d.live[:last]
+	}
+	return nil
+}
+
+// takeData places one data packet of read burst b and reports whether the
+// burst is now whole. A payload outside the burst is dropped: the offset
+// is wire input, and x holds only what was asked for.
+//
+//swift:hotpath
+func (d *burstRun) takeData(b *burst, pkt *wire.Packet, now time.Time) (whole bool) {
+	off, n, x := pkt.Offset, int64(len(pkt.Payload)), d.x
+	if n == 0 || off < b.lo || off+n > b.lo+b.n {
+		return false
+	}
+	if x.flat {
+		copy(x.buf[off-x.base:], pkt.Payload)
+	} else {
+		d.f.placeGlobal(d.s.idx, off, pkt.Payload, x.buf, x.base)
+	}
+	b.got.Add(off, n)
+	b.clock = d.f.c.startClock(now, d.f.c.cfg.MaxRetries) // progress
+	return b.got.Contains(b.lo, b.n)
+}
+
+// incident reports one recovery event of burst b everywhere it is
+// observed — global and per-agent counter, trace ring, agent span.
+func (d *burstRun) incident(n *atomic.Int64, a *obs.Counter, what string, b *burst, format string, args ...any) {
+	n.Add(1)
+	a.Inc()
+	msg := fmt.Sprintf(format, args...)
+	d.f.c.traceEvent(dirName[d.dir]+"_"+what, d.s.idx, "%s[%d:%d] %s", d.f.name, b.lo, b.lo+b.n, msg)
+	d.sp.MarkRetry()
+	d.sp.Annotate("%s %s [%d:%d) agent %d: %s", dirName[d.dir], what, b.lo, b.lo+b.n, d.s.idx, msg)
+}
+
+// resend honours the agent's request for the ranges of write burst b it
+// lacks. The agent is alive and said what it wants: progress.
+func (d *burstRun) resend(b *burst, pkt *wire.Packet, now time.Time) error {
+	ranges, err := wire.ParseResend(pkt.Payload)
+	if err != nil {
+		return nil
+	}
+	c := d.f.c
+	b.clock = c.startClock(now, c.cfg.MaxRetries)
+	d.incident(&c.metrics.ResendAsks, d.at.resendAsks, "resend", b, "%d ranges asked", len(ranges))
+	for _, r := range ranges {
+		// The ranges are wire input: send only what lies inside the burst.
+		if lo, hi := max(r.Off, b.lo), min(r.Off+r.Len, b.lo+b.n); lo < hi {
+			if err := d.sendData(b.ids[0], lo, hi-lo); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// pushback handles the agent's explicit refusal of burst b: backpressure
+// that feeds the breaker, never a lifecycle event. One pushback paces the
+// retransmission by the agent's hint; a second means persistent shedding,
+// and the run ends with ErrAgentBusy for the caller to work around it.
+func (d *burstRun) pushback(b *burst, pkt *wire.Packet, now time.Time) error {
+	info, err := wire.ParsePushback(pkt.Payload)
+	if err != nil {
+		return nil
+	}
+	c, idx := d.f.c, d.s.idx
+	b.pushbacks++
+	d.incident(&c.metrics.Pushbacks, d.at.pushbacks, "pushback", b, "%v (retry after %v)", info.Reason, info.RetryAfter)
+	c.noteOverload(idx, "pushback: "+info.Reason.String())
+	switch {
+	case info.Reason == wire.PushDeadlineExpired:
+		// The agent says our budget is spent; trust it.
+		return fmt.Errorf("%w: agent %d shed %s %s[%d:%d]", ErrDeadline, idx, dirName[d.dir], d.f.name, b.lo, b.lo+b.n)
+	case b.pushbacks >= 2:
+		return agentBusy(idx)
+	case info.RetryAfter > 0:
+		b.clock.next = now.Add(info.RetryAfter)
+	default:
+		b.clock.next = now.Add(c.cfg.RetryTimeout)
+	}
+	return nil
+}
+
+// expire handles a wake at now with nothing received: the operation's
+// deadline ends the run, a burst stalled past its hedge delay is hedged,
+// and each burst whose timeout has come is retransmitted or given up on.
+func (d *burstRun) expire(now time.Time) error {
+	f, c, idx, name := d.f, d.f.c, d.s.idx, dirName[d.dir]
+	if !d.opDl.IsZero() && !now.Before(d.opDl) {
+		return fmt.Errorf("%w: %s %s", ErrDeadline, name, f.name)
+	}
+	for i := range d.live {
+		b := &d.live[i]
+		if !b.hedgeAt.IsZero() && !now.Before(b.hedgeAt) {
+			if c.budget.spend() {
+				d.incident(&c.metrics.Hedges, d.at.hedges, "hedge", b, "stalled %v, racing reconstruction", now.Sub(b.start))
+				return fmt.Errorf("%w: agent %d read %s[%d:%d]", errHedged, idx, f.name, b.lo, b.lo+b.n)
+			}
+			c.metrics.BudgetDenials.Add(1)
+			b.hedgeAt = time.Time{} // budget empty: wait the burst out
+		}
+		if now.Before(b.clock.next) {
+			continue
+		}
+		level := b.clock.level
+		if c.expire(&b.clock, now, idx) {
+			d.incident(&c.metrics.Timeouts[d.dir], d.at.timeouts[d.dir], "giveup", b, "retries exhausted")
+			c.noteOverload(idx, name+" retry give-up")
+			return fmt.Errorf("%w: %s %s[%d:%d] agent %d", ErrRetriesSpent, name, f.name, b.lo, b.lo+b.n, idx)
+		}
+		d.incident(&c.metrics.Timeouts[d.dir], d.at.timeouts[d.dir], "timeout", b, "retransmitting (level %d)", level)
+		if err := d.transmit(b, now); err != nil {
+			return err
+		}
+	}
+	return nil
+}

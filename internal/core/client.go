@@ -24,6 +24,7 @@ import (
 	"swift/internal/backoff"
 	"swift/internal/cache"
 	"swift/internal/ec"
+	"swift/internal/extent"
 	"swift/internal/mediator"
 	"swift/internal/obs"
 	"swift/internal/stripe"
@@ -276,33 +277,23 @@ type Client struct {
 
 // Metrics counts protocol events, for diagnostics and calibration.
 type Metrics struct {
-	ReadBursts    atomic.Int64 // read requests issued
-	ReadTimeouts  atomic.Int64 // read bursts that needed resubmission
-	WriteBursts   atomic.Int64 // write bursts issued
-	WriteTimeouts atomic.Int64 // write bursts re-announced after silence
-	ResendAsks    atomic.Int64 // agent resend requests honoured
-	DataPackets   atomic.Int64 // data packets sent (including resends)
-	Backoffs      atomic.Int64 // retransmission waits grown beyond the base timeout
-	Probes        atomic.Int64 // health probes sent (monitor and Ping)
-	Readmissions  atomic.Int64 // agents automatically returned to service
-	Corruptions   atomic.Int64 // at-rest corruption events reported by agents
-	Repairs       atomic.Int64 // stripe units rewritten from parity (read-repair and scrub)
-	Unrepairable  atomic.Int64 // corruption events parity could not repair
-	ScrubRows     atomic.Int64 // stripe rows verified by the scrubber
-	Pushbacks     atomic.Int64 // explicit pushback replies received from agents
-	Hedges        atomic.Int64 // read bursts hedged after the straggler delay
-	HedgeWins     atomic.Int64 // hedged reads completed by reconstruction
-	BudgetDenials atomic.Int64 // retries or hedges denied by the retry budget
-	BreakerTrips  atomic.Int64 // per-agent circuit breakers tripped open
+	Bursts        [2]atomic.Int64 // bursts issued, by direction
+	Timeouts      [2]atomic.Int64 // bursts retransmitted (or given up on) after silence, by direction
+	ResendAsks    atomic.Int64    // agent resend requests honoured
+	DataPackets   atomic.Int64    // data packets sent (including resends)
+	Backoffs      atomic.Int64    // retransmission waits grown beyond the base timeout
+	Probes        atomic.Int64    // health probes sent (monitor and Ping)
+	Readmissions  atomic.Int64    // agents automatically returned to service
+	Corruptions   atomic.Int64    // at-rest corruption events reported by agents
+	Repairs       atomic.Int64    // stripe units rewritten from parity (read-repair and scrub)
+	Unrepairable  atomic.Int64    // corruption events parity could not repair
+	ScrubRows     atomic.Int64    // stripe rows verified by the scrubber
+	Pushbacks     atomic.Int64    // explicit pushback replies received from agents
+	Hedges        atomic.Int64    // read bursts hedged after the straggler delay
+	HedgeWins     atomic.Int64    // hedged reads completed by reconstruction
+	BudgetDenials atomic.Int64    // retries or hedges denied by the retry budget
+	BreakerTrips  atomic.Int64    // per-agent circuit breakers tripped open
 }
-
-// Metrics returns a pointer to the client's live protocol counters.
-//
-// Deprecated: the atomics behind the pointer keep mutating, so there is no
-// coherent read across fields. Use MetricsSnapshot (a value copy) or
-// Stats (the full telemetry snapshot) instead. Retained as an alias for
-// existing callers.
-func (c *Client) Metrics() *Metrics { return &c.metrics }
 
 // Dial creates a client. It performs no network traffic; agents are
 // contacted when objects are opened.
@@ -422,11 +413,6 @@ func (c *Client) downSnapshot() []bool {
 	}
 	return out
 }
-
-// backoff returns the retransmission wait for the given consecutive
-// silent-timeout count (0 = base RetryTimeout): capped exponential growth
-// with ±25% jitter so colliding clients desynchronize.
-func (c *Client) backoff(level int) time.Duration { return c.bo.Delay(level) }
 
 // retryBudget is the no-progress interval after which an operation gives
 // up on an agent.
@@ -585,6 +571,11 @@ type agentSession struct {
 	// payload is the gather scratch for one outgoing data packet; its
 	// length is the data payload the session agreed at open.
 	payload []byte
+	// bursts are the burst driver's records, one per window slot, and
+	// cuts the scratch its callers cut extents into bursts in; both are
+	// recycled from run to run.
+	bursts []burst
+	cuts   []extent.Extent
 }
 
 // burstPackets is the default burst, in full data packets.
@@ -597,6 +588,18 @@ func (c *Config) requestBytes(payload int) int64 {
 		return c.RequestBytes
 	}
 	return burstPackets * int64(payload)
+}
+
+// cut splits fragment extents into bursts of at most reqBytes each, in
+// order. The result is valid until the next call.
+func (s *agentSession) cut(es []extent.Extent) []extent.Extent {
+	s.cuts = s.cuts[:0]
+	for _, e := range es {
+		for lo := e.Off; lo < e.End(); lo += s.reqBytes {
+			s.cuts = append(s.cuts, extent.Extent{Off: lo, Len: min(s.reqBytes, e.End()-lo)})
+		}
+	}
+	return s.cuts
 }
 
 func (s *agentSession) close() {
@@ -630,13 +633,11 @@ func (c *Client) openSession(idx int, addr, name string, flags OpenFlags, tctx o
 	if window <= math.MaxUint32 && wire.SessionPacket(m.MaxDatagram, m.RecvBuffer, window) == wire.JumboPacket {
 		offer.MaxPacket, offer.Window = wire.JumboPacket, uint32(window)
 	}
-	reqID := c.nextReq()
-	req := &wire.Packet{
-		Header:  wire.Header{Type: wire.TOpen, ReqID: reqID, Flags: f},
+	reply, err := c.rpc(conn, addr, &wire.Packet{
+		Header:  wire.Header{Type: wire.TOpen, Flags: f},
 		Trace:   tctx,
 		Payload: wire.AppendOpenRequest(nil, &offer),
-	}
-	reply, err := c.rpc(conn, addr, req, reqID)
+	})
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -670,69 +671,80 @@ func (c *Client) openSession(idx int, addr, name string, flags OpenFlags, tctx o
 		buf:      make([]byte, packet),
 		sendBuf:  make([]byte, 0, packet),
 		payload:  make([]byte, payload),
+		bursts:   make([]burst, max(readWindow, c.cfg.WriteWindow)),
 	}, nil
 }
 
-// rpc sends req to addr on conn and waits for the matching reply,
-// retransmitting on timeout. TError replies are converted to errors.
-func (c *Client) rpc(conn transport.PacketConn, addr string, req *wire.Packet, reqID uint32) (*wire.Packet, error) {
-	return c.rpcAttempts(conn, addr, req, reqID, c.cfg.MaxRetries)
+// rpc sends req to addr on conn under a fresh request id and waits for the
+// matching reply, retransmitting on timeout. TError replies are converted
+// to errors.
+func (c *Client) rpc(conn transport.PacketConn, addr string, req *wire.Packet) (*wire.Packet, error) {
+	return c.rpcAttempts(conn, addr, req, c.nextReq(), c.cfg.MaxRetries)
 }
 
 // rpcAttempts is rpc with an explicit retransmission budget of roughly
-// retries×RetryTimeout. Consecutive timeouts retransmit with capped
-// exponential backoff and jitter so a dead agent is not hammered at a
-// fixed cadence — the control plane shares the data path's storm
-// avoidance.
+// retries×RetryTimeout.
 func (c *Client) rpcAttempts(conn transport.PacketConn, addr string, req *wire.Packet, reqID uint32, retries int) (*wire.Packet, error) {
+	var out *wire.Packet
+	req.ReqID = reqID
+	err := c.exchange(conn, addr, req, retries, func(pkt *wire.Packet) bool {
+		reply := *pkt
+		reply.Payload = append([]byte(nil), pkt.Payload...)
+		out = &reply
+		return true
+	})
+	return out, err
+}
+
+// exchange is the control plane's request/reply loop: it sends req to addr
+// on conn, hands every reply that carries req's id to take until take
+// reports the answer complete, and retransmits on the data path's retry
+// clock, giving up (ErrAgentDown) after roughly retries×RetryTimeout. Each
+// transmission carries what is left of that budget in the deadline
+// extension — the same contract as medrpc — so an agent that dequeues a
+// retransmit after the client's give-up point sheds it instead of serving
+// a reply nobody reads. TError replies are converted to errors.
+func (c *Client) exchange(conn transport.PacketConn, addr string, req *wire.Packet, retries int, take func(*wire.Packet) (done bool)) error {
 	rbuf := make([]byte, wire.MaxPacket)
 	var pkt wire.Packet
-	giveUp := time.Now().Add(time.Duration(retries) * c.cfg.RetryTimeout)
-	for attempt := 0; ; attempt++ {
-		// Each (re)transmission carries the remaining retry budget in
-		// the deadline extension — the same contract as medrpc — so an
-		// agent that dequeues a retransmit after the client's give-up
-		// point sheds it instead of serving a reply nobody reads.
-		if rem := time.Until(giveUp); rem > 0 {
-			req.Deadline = rem
-		} else {
-			req.Deadline = 0
-		}
+	now := time.Now()
+	rc := c.startClock(now, retries)
+	// A control request is one small datagram each way, so silence
+	// already means a lost exchange and the first retransmission backs
+	// off; a burst's first timeout resubmits at the base rate because
+	// losing part of forty packets is the common case there.
+	rc.level = 1
+	for {
+		req.Deadline = max(0, rc.giveUp.Sub(now))
 		buf, err := wire.Marshal(req)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := conn.WriteTo(buf, addr); err != nil {
-			return nil, err
+			return err
 		}
-		if attempt > 0 {
-			c.metrics.Backoffs.Add(1)
-		}
-		deadline := time.Now().Add(c.backoff(attempt))
 		for {
-			conn.SetReadDeadline(deadline)
+			conn.SetReadDeadline(rc.next)
 			n, _, err := conn.ReadFrom(rbuf)
 			if err != nil {
 				if transport.IsTimeout(err) {
 					break // retransmit
 				}
-				return nil, err
+				return err
 			}
-			if err := wire.Unmarshal(rbuf[:n], &pkt); err != nil {
-				continue
-			}
-			if pkt.ReqID != reqID {
-				continue // stale
+			if wire.Unmarshal(rbuf[:n], &pkt) != nil || pkt.ReqID != req.ReqID {
+				continue // damaged or stale
 			}
 			if pkt.Type == wire.TError {
-				return nil, wire.ParseError(pkt.Payload)
+				return wire.ParseError(pkt.Payload)
 			}
-			out := pkt
-			out.Payload = append([]byte(nil), pkt.Payload...)
-			return &out, nil
+			if take(&pkt) {
+				return nil
+			}
 		}
-		if !time.Now().Before(giveUp) {
-			return nil, ErrAgentDown
+		now = time.Now()
+		if c.expire(&rc, now, -1) {
+			return ErrAgentDown
 		}
 	}
 }
@@ -749,11 +761,10 @@ func (c *Client) Stat(name string) (int64, error) {
 			frag[i] = -1
 			continue
 		}
-		reqID := c.nextReq()
 		reply, err := c.rpc(c.ctl, addr, &wire.Packet{
-			Header:  wire.Header{Type: wire.TStat, ReqID: reqID},
+			Header:  wire.Header{Type: wire.TStat},
 			Payload: wire.AppendOpenRequest(nil, &wire.OpenRequest{Name: name}),
-		}, reqID)
+		})
 		if err != nil {
 			return 0, fmt.Errorf("core: stat %s on agent %d: %w", name, i, err)
 		}
@@ -802,67 +813,36 @@ func (c *Client) List() ([]string, error) {
 // the request until every packet up to the FLast-marked one has been seen.
 // c.mu must be held: it serializes use of the shared control conn.
 func (c *Client) listAgentLocked(addr string) ([]string, error) {
-	reqID := c.nextReq()
-	req, err := wire.Marshal(&wire.Packet{Header: wire.Header{Type: wire.TList, ReqID: reqID}})
-	if err != nil {
-		return nil, err
-	}
 	parts := make(map[int64][]string)
 	last := int64(-1)
-	complete := func() bool {
-		if last < 0 {
+	req := &wire.Packet{Header: wire.Header{Type: wire.TList, ReqID: c.nextReq()}}
+	err := c.exchange(c.ctl, addr, req, c.cfg.MaxRetries, func(pkt *wire.Packet) bool {
+		if pkt.Type != wire.TListReply {
 			return false
+		}
+		names, perr := wire.ParseNames(pkt.Payload)
+		if perr != nil {
+			return false
+		}
+		parts[pkt.Offset] = names
+		if pkt.Flags&wire.FLast != 0 {
+			last = pkt.Offset
 		}
 		for s := int64(0); s <= last; s++ {
 			if _, ok := parts[s]; !ok {
 				return false
 			}
 		}
-		return true
+		return last >= 0
+	})
+	if err != nil {
+		return nil, err
 	}
-	rbuf := make([]byte, wire.MaxPacket)
-	var pkt wire.Packet
-	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
-		if err := c.ctl.WriteTo(req, addr); err != nil {
-			return nil, err
-		}
-		deadline := time.Now().Add(c.cfg.RetryTimeout)
-		for !complete() {
-			c.ctl.SetReadDeadline(deadline)
-			n, _, err := c.ctl.ReadFrom(rbuf)
-			if err != nil {
-				if transport.IsTimeout(err) {
-					break
-				}
-				return nil, err
-			}
-			if uerr := wire.Unmarshal(rbuf[:n], &pkt); uerr != nil || pkt.ReqID != reqID {
-				continue
-			}
-			if pkt.Type == wire.TError {
-				return nil, wire.ParseError(pkt.Payload)
-			}
-			if pkt.Type != wire.TListReply {
-				continue
-			}
-			names, perr := wire.ParseNames(pkt.Payload)
-			if perr != nil {
-				continue
-			}
-			parts[pkt.Offset] = names
-			if pkt.Flags&wire.FLast != 0 {
-				last = pkt.Offset
-			}
-		}
-		if complete() {
-			var out []string
-			for s := int64(0); s <= last; s++ {
-				out = append(out, parts[s]...)
-			}
-			return out, nil
-		}
+	var out []string
+	for s := int64(0); s <= last; s++ {
+		out = append(out, parts[s]...)
 	}
-	return nil, ErrAgentDown
+	return out, nil
 }
 
 // AgentStatus is one agent's health probe result.
@@ -912,11 +892,8 @@ func (c *Client) probeAgent(addr string, retries int) (wire.PingReply, time.Dura
 	}
 	defer conn.Close()
 	c.metrics.Probes.Add(1)
-	reqID := c.nextReq()
 	start := time.Now()
-	reply, err := c.rpcAttempts(conn, addr, &wire.Packet{
-		Header: wire.Header{Type: wire.TPing, ReqID: reqID},
-	}, reqID, retries)
+	reply, err := c.rpcAttempts(conn, addr, &wire.Packet{Header: wire.Header{Type: wire.TPing}}, c.nextReq(), retries)
 	if err != nil {
 		return wire.PingReply{}, 0, err
 	}
@@ -941,11 +918,10 @@ func (c *Client) Remove(name string) error {
 		if c.health[i].state == StateDown {
 			continue
 		}
-		reqID := c.nextReq()
 		_, err := c.rpc(c.ctl, addr, &wire.Packet{
-			Header:  wire.Header{Type: wire.TRemove, ReqID: reqID},
+			Header:  wire.Header{Type: wire.TRemove},
 			Payload: wire.AppendOpenRequest(nil, &wire.OpenRequest{Name: name}),
-		}, reqID)
+		})
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("core: remove %s on agent %d: %w", name, i, err)
 		}

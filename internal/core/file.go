@@ -12,7 +12,6 @@ import (
 	"swift/internal/extent"
 	"swift/internal/integrity"
 	"swift/internal/obs"
-	"swift/internal/transport"
 	"swift/internal/wire"
 )
 
@@ -213,39 +212,62 @@ func (f *File) growFetch(n int64) []byte {
 }
 
 // readRange reads [off, off+len(dst)) into dst, unclamped by the logical
-// size (absent bytes arrive as zeros). With allowFailover set and parity
-// enabled, up to k (= ParityShards) mid-operation agent failures trigger
-// degraded retries under a progress budget; every retry is covered by
-// the codec's correction power, so the operation completes as long as at
-// most k agents are out.
+// size (absent bytes arrive as zeros).
+func (f *File) readRange(dst []byte, off int64, allowFailover bool, sp *obs.Span) error {
+	return f.moveRange(reading, dst, off, allowFailover, sp)
+}
+
+// writeRange writes src at logical offset off.
+func (f *File) writeRange(src []byte, off int64, allowFailover bool, sp *obs.Span) error {
+	return f.moveRange(writing, src, off, allowFailover, sp)
+}
+
+// moveRange attempts the read or write of buf at logical offset off until
+// an attempt succeeds or recovery is exhausted. With allowFailover set and
+// parity enabled, up to k (= ParityShards) mid-operation agent failures
+// trigger degraded retries under a progress budget; every retry is covered
+// by the codec's correction power, so the operation completes as long as
+// at most k agents are out.
 //
 // Corruption reported by an agent is handled before failover: the client
 // repairs the damaged rows through the codec (read-repair) and retries
-// against clean data, keeping the agent in service. Only when repair is
-// impossible — parity off, too many agents out, budget spent — does the
-// error fall through to the ordinary failover path or the caller.
-func (f *File) readRange(dst []byte, off int64, allowFailover bool, sp *obs.Span) error {
+// against clean data, keeping the agent in service. A write — whose
+// partial-block merge-read may find its neighbours rotten — does so only
+// when exactly one agent failed: every other agent then completed its
+// bursts, so the codec reconstruction from the survivors is the intended
+// new unit. Only when repair is impossible — parity off, too many agents
+// out, budget spent — does the error fall through to the ordinary failover
+// path or the caller.
+func (f *File) moveRange(dir direction, buf []byte, off int64, allowFailover bool, sp *obs.Span) error {
+	name := dirName[dir]
 	repairs, failovers := 0, 0
-	budget := f.repairBudget(off, int64(len(dst)))
+	budget := f.repairBudget(off, int64(len(buf)))
 	for {
-		failed, err := f.readRangeOnce(dst, off, sp)
+		var failed int
+		var err error
+		nerrs := 1
+		if dir == reading {
+			failed, err = f.readRangeOnce(buf, off, sp)
+		} else {
+			failed, nerrs, err = f.writeRangeOnce(buf, off, sp)
+		}
 		if err == nil {
 			return nil
 		}
-		corrupt := failed >= 0 && integrity.IsCorrupt(err)
+		corrupt := failed >= 0 && nerrs == 1 && integrity.IsCorrupt(err)
 		if corrupt {
 			f.noteCorrupt(failed, err)
 			if repairs < budget {
 				repairs++
-				rs := sp.StartChild("read_repair", failed)
+				rs := sp.StartChild(name+"_repair", failed)
 				rs.MarkRetry()
-				rerr := f.repairCorrupt(failed, err, off, int64(len(dst)), rs)
+				rerr := f.repairCorrupt(failed, err, off, int64(len(buf)), rs)
 				rs.SetError(rerr)
 				rs.Finish()
 				if rerr == nil {
 					continue // repaired in place; retry clean
 				}
-				f.c.cfg.Logf("core: read repair of agent %d failed: %v", failed, rerr)
+				f.c.cfg.Logf("core: %s repair of agent %d failed: %v", name, failed, rerr)
 			}
 		}
 		if failed < 0 || !f.c.cfg.Parity || !allowFailover {
@@ -275,14 +297,14 @@ func (f *File) readRange(dst []byte, off int64, allowFailover bool, sp *obs.Span
 		// kept (the failure was real) even when the retry is denied.
 		if !f.c.budget.spend() {
 			f.c.metrics.BudgetDenials.Add(1)
-			f.c.traceEvent("budget_denied", failed, "read failover denied: %v", err)
-			return fmt.Errorf("%w: read failover around agent %d (last error: %v)",
-				ErrRetryBudget, failed, err)
+			f.c.traceEvent("budget_denied", failed, "%s failover denied: %v", name, err)
+			return fmt.Errorf("%w: %s failover around agent %d (last error: %v)",
+				ErrRetryBudget, name, failed, err)
 		}
-		f.c.traceEvent("read_failover", failed, "%s: %v", f.name, err)
+		f.c.traceEvent(name+"_failover", failed, "%s: %v", f.name, err)
 		sp.MarkRetry()
 		sp.Annotate("failover around agent %d: %v", failed, err)
-		f.c.cfg.Logf("core: read failing over around agent %d: %v", failed, err)
+		f.c.cfg.Logf("core: %s failing over around agent %d: %v", name, failed, err)
 		failovers++
 		if failovers >= f.c.parityK() {
 			allowFailover = false
@@ -342,6 +364,12 @@ func (f *File) readRangeOnce(dst []byte, off int64, sp *obs.Span) (failedAgent i
 	}
 }
 
+// result is how one agent's worker of a fan-out ended.
+type result struct {
+	agent int
+	err   error
+}
+
 // readPass is one parallel pass of a read attempt: every agent not read
 // around fetches its extents of dst (exts; nil after the first pass);
 // then, on the same per-agent workers, the planner's reads; then, unless
@@ -366,10 +394,6 @@ func (f *File) readPass(dst []byte, off int64, exts []extent.Set, sp *obs.Span) 
 		}
 	}
 
-	type result struct {
-		agent int
-		err   error
-	}
 	results := make(chan result, len(f.sessions))
 	workers := 0
 	f.fetches = fetches
@@ -387,12 +411,9 @@ func (f *File) readPass(dst []byte, off int64, exts []extent.Set, sp *obs.Span) 
 		workers++
 		go func(i int, s *agentSession, es []extent.Extent) {
 			as := sp.StartChild("agent_read", i)
-			var werr error
-			for _, e := range es {
-				if werr = f.agentRead(s, e, dst, off, as); werr != nil {
-					break
-				}
-			}
+			// Reads on behalf of the prefetch workers never hedge.
+			x := xfer{buf: dst, base: off}
+			werr := f.runBursts(s, reading, s.cut(es), &x, as, !f.prefetching)
 			if werr == nil {
 				f.runFetches(s, f.fetches, as)
 			}
@@ -492,26 +513,6 @@ func (f *File) readPass(dst []byte, off int64, exts []extent.Set, sp *obs.Span) 
 	return -1, nil, nil
 }
 
-// agentRead fetches one fragment extent from one agent in bursts, placing
-// payload bytes into the logical buffer dst (whose first byte is logical
-// offset base).
-func (f *File) agentRead(s *agentSession, e extent.Extent, dst []byte, base int64, sp *obs.Span) error {
-	for lo := e.Off; lo < e.End(); {
-		n := s.reqBytes
-		if lo+n > e.End() {
-			n = e.End() - lo
-		}
-		err := f.readBurst(s, lo, n, func(localOff int64, b []byte) {
-			f.placeGlobal(s.idx, localOff, b, dst, base)
-		}, sp, !f.prefetching)
-		if err != nil {
-			return err
-		}
-		lo += n
-	}
-	return nil
-}
-
 // placeGlobal copies fragment bytes into the logical buffer, splitting at
 // striping-unit boundaries (a datagram's payload may span two units of the
 // fragment, which are discontiguous in logical space).
@@ -538,179 +539,6 @@ func (f *File) placeGlobal(agent int, localOff int64, b []byte, dst []byte, base
 		b = b[take:]
 		localOff += take
 	}
-}
-
-// readBurst issues one read request for fragment range [lo, lo+n) and
-// collects the data packets, resubmitting requests for missing ranges on
-// timeout — the client-driven recovery of §3.1 ("the client keeps
-// sufficient state to determine what packets have been received and thus
-// can resubmit requests when packets are lost"). The engine keeps one
-// outstanding request per storage agent, as the prototype did. sink is
-// called with fragment-local offsets.
-//
-// With OpTimeout set, each request carries the operation's remaining
-// deadline budget so the agent can shed work whose client has given up.
-// An agent pushback paces retransmission by the agent's hint and feeds
-// the circuit breaker; repeated pushback abandons the burst with
-// ErrAgentBusy so the caller reconstructs around the agent. allowHedge
-// additionally arms hedging (with Config.HedgeReads): a burst stalled
-// past the p99-derived delay returns errHedged for the caller to race
-// reconstruction against the straggler. Reconstruction's own shard reads
-// pass allowHedge false — a hedge inside a hedge would recurse.
-func (f *File) readBurst(s *agentSession, lo, n int64, sink func(localOff int64, b []byte), sp *obs.Span, allowHedge bool) error {
-	cfg := &f.c.cfg
-	at := f.c.tel.agent(s.idx)
-	start := time.Now()
-	accept := map[uint32]bool{}
-	var got extent.Set
-	var pkt wire.Packet
-	opDl := f.opDeadline
-
-	// The request packet carries the per-agent span's context so the
-	// agent's service span joins this trace; data packets never do.
-	tctx := sp.Context()
-	send := func(off, length int64) error {
-		var budget time.Duration
-		if !opDl.IsZero() {
-			if budget = time.Until(opDl); budget <= 0 {
-				return fmt.Errorf("%w: read %s[%d:%d]", ErrDeadline, f.name, lo, lo+n)
-			}
-		}
-		reqID := f.c.nextReq()
-		accept[reqID] = true
-		return f.sendPacket(s, &wire.Packet{Header: wire.Header{
-			Type: wire.TRead, ReqID: reqID, Handle: s.handle,
-			Offset: off, Length: uint32(length),
-		}, Trace: tctx, Deadline: budget})
-	}
-	if err := send(lo, n); err != nil {
-		return err
-	}
-	f.c.metrics.ReadBursts.Add(1)
-	at.readBursts.Inc()
-	hedging := allowHedge && cfg.HedgeReads && cfg.Parity
-	var hedgeAt time.Time
-	if hedging {
-		hedgeAt = start.Add(f.c.hedgeDelay(s.idx))
-	}
-	pushbacks := 0
-	level := 0 // consecutive silent timeouts; drives the backoff
-	giveUp := time.Now().Add(f.c.retryBudget())
-	deadline := time.Now().Add(cfg.RetryTimeout)
-	for !got.Contains(lo, n) {
-		wake := deadline
-		if hedging && hedgeAt.Before(wake) {
-			wake = hedgeAt
-		}
-		s.conn.SetReadDeadline(wake)
-		rn, _, err := s.conn.ReadFrom(s.buf)
-		if err != nil {
-			if !transport.IsTimeout(err) {
-				return err
-			}
-			now := time.Now()
-			if hedging && !now.Before(hedgeAt) {
-				if f.c.budget.spend() {
-					f.c.metrics.Hedges.Add(1)
-					at.hedges.Inc()
-					f.c.traceEvent("hedge", s.idx, "%s[%d:%d] stalled %v, racing reconstruction",
-						f.name, lo, lo+n, now.Sub(start))
-					sp.MarkRetry()
-					sp.Annotate("hedging agent %d after %v stall", s.idx, now.Sub(start))
-					return fmt.Errorf("%w: agent %d read %s[%d:%d]", errHedged, s.idx, f.name, lo, lo+n)
-				}
-				f.c.metrics.BudgetDenials.Add(1)
-				hedging = false // budget empty: wait the burst out normally
-			}
-			if now.Before(deadline) {
-				continue // woke early only to check the hedge clock
-			}
-			if !opDl.IsZero() && !now.Before(opDl) {
-				return fmt.Errorf("%w: read %s[%d:%d]", ErrDeadline, f.name, lo, lo+n)
-			}
-			f.c.metrics.ReadTimeouts.Add(1)
-			at.readTimeouts.Inc()
-			if !now.Before(giveUp) {
-				f.c.traceEvent("read_giveup", s.idx, "%s[%d:%d] retries exhausted", f.name, lo, lo+n)
-				f.c.noteOverload(s.idx, "retry give-up")
-				return fmt.Errorf("%w: read %s[%d:%d] agent %d",
-					ErrRetriesSpent, f.name, lo, lo+n, s.idx)
-			}
-			missing := got.Missing(lo, n)
-			const maxResubmit = 8
-			if len(missing) > maxResubmit {
-				missing = missing[:maxResubmit]
-			}
-			f.c.traceEvent("read_timeout", s.idx, "%s[%d:%d] resubmitting %d ranges (level %d)",
-				f.name, lo, lo+n, len(missing), level)
-			sp.MarkRetry()
-			sp.Annotate("read timeout [%d:%d): resubmitting %d ranges (level %d)",
-				lo, lo+n, len(missing), level)
-			for _, m := range missing {
-				if err := send(m.Off, m.Len); err != nil {
-					return err
-				}
-			}
-			// Resubmissions back off exponentially (with jitter) so a
-			// silent agent is not hammered on the shared medium.
-			if level > 0 {
-				f.c.metrics.Backoffs.Add(1)
-				at.backoffs.Inc()
-			}
-			deadline = time.Now().Add(f.c.backoff(level))
-			level++
-			continue
-		}
-		if uerr := wire.Unmarshal(s.buf[:rn], &pkt); uerr != nil {
-			continue
-		}
-		if pkt.Type == wire.TError && accept[pkt.ReqID] {
-			return wire.ParseError(pkt.Payload)
-		}
-		if pkt.Type == wire.TPushback && accept[pkt.ReqID] {
-			info, perr := wire.ParsePushback(pkt.Payload)
-			if perr != nil {
-				continue
-			}
-			pushbacks++
-			f.c.metrics.Pushbacks.Add(1)
-			at.pushbacks.Inc()
-			f.c.noteOverload(s.idx, "pushback: "+info.Reason.String())
-			f.c.traceEvent("pushback", s.idx, "%s[%d:%d] %v (retry after %v)",
-				f.name, lo, lo+n, info.Reason, info.RetryAfter)
-			sp.MarkRetry()
-			sp.Annotate("pushback from agent %d: %v", s.idx, info.Reason)
-			if info.Reason == wire.PushDeadlineExpired {
-				// The agent says our budget is spent; trust it.
-				return fmt.Errorf("%w: agent %d shed read %s[%d:%d]", ErrDeadline, s.idx, f.name, lo, lo+n)
-			}
-			if pushbacks >= 2 {
-				// Persistent shedding: stop offering work; the caller
-				// reconstructs around the agent. Never a lifecycle event.
-				return agentBusy(s.idx)
-			}
-			// Single pushback: pace the retransmission by the agent's
-			// hint and let the timeout machinery resubmit.
-			wait := info.RetryAfter
-			if wait <= 0 {
-				wait = cfg.RetryTimeout
-			}
-			deadline = time.Now().Add(wait)
-			continue
-		}
-		if pkt.Type != wire.TData || !accept[pkt.ReqID] || len(pkt.Payload) == 0 {
-			continue
-		}
-		sink(pkt.Offset, pkt.Payload)
-		got.Add(pkt.Offset, int64(len(pkt.Payload)))
-		// Progress: reset the backoff and refresh the give-up budget.
-		level = 0
-		giveUp = time.Now().Add(f.c.retryBudget())
-		deadline = time.Now().Add(cfg.RetryTimeout)
-	}
-	f.c.noteAgentOK(s.idx)
-	observeSpan(at.readBurstLat, start, sp)
-	return nil
 }
 
 // sendPacket marshals into the session's scratch buffer and transmits to
@@ -837,71 +665,6 @@ func (f *File) absorbWrite(p []byte, off int64, sp *obs.Span) error {
 	return nil
 }
 
-// writeRange writes src at logical offset off. Corruption reported by an
-// agent (a partial-block write must merge-read its neighbours, and those
-// may be rotten) triggers read-repair-then-retry, but only when exactly
-// one agent failed: every other agent then completed its bursts, so the
-// codec reconstruction from the survivors is the intended new unit.
-// Anything else falls to the ordinary degraded-mode failover, which
-// tolerates up to k (= ParityShards) failed agents.
-func (f *File) writeRange(src []byte, off int64, allowFailover bool, sp *obs.Span) error {
-	repairs, failovers := 0, 0
-	budget := f.repairBudget(off, int64(len(src)))
-	for {
-		failed, nerrs, err := f.writeRangeOnce(src, off, sp)
-		if err == nil {
-			return nil
-		}
-		corrupt := failed >= 0 && nerrs == 1 && integrity.IsCorrupt(err)
-		if corrupt {
-			f.noteCorrupt(failed, err)
-			if repairs < budget {
-				repairs++
-				rs := sp.StartChild("write_repair", failed)
-				rs.MarkRetry()
-				rerr := f.repairCorrupt(failed, err, off, int64(len(src)), rs)
-				rs.SetError(rerr)
-				rs.Finish()
-				if rerr == nil {
-					continue // damaged rows healed; retry the write
-				}
-				f.c.cfg.Logf("core: write repair of agent %d failed: %v", failed, rerr)
-			}
-		}
-		if failed < 0 || !f.c.cfg.Parity || !allowFailover {
-			if corrupt {
-				f.noteUnrepairable(failed, err)
-				return err
-			}
-			if failed >= 0 {
-				f.failAgent(failed, err)
-				if f.quorumLost() {
-					return ErrNoQuorum
-				}
-			}
-			return err
-		}
-		f.failAgent(failed, err)
-		if f.quorumLost() {
-			return ErrNoQuorum
-		}
-		if !f.c.budget.spend() {
-			f.c.metrics.BudgetDenials.Add(1)
-			f.c.traceEvent("budget_denied", failed, "write failover denied: %v", err)
-			return fmt.Errorf("%w: write failover around agent %d (last error: %v)",
-				ErrRetryBudget, failed, err)
-		}
-		f.c.traceEvent("write_failover", failed, "%s: %v", f.name, err)
-		sp.MarkRetry()
-		sp.Annotate("failover around agent %d: %v", failed, err)
-		f.c.cfg.Logf("core: write failing over around agent %d: %v", failed, err)
-		failovers++
-		if failovers >= f.c.parityK() {
-			allowFailover = false
-		}
-	}
-}
-
 func (f *File) writeRangeOnce(src []byte, off int64, sp *obs.Span) (failedAgent, nerrs int, err error) {
 	n := int64(len(src))
 	exts := f.c.layout.LocalExtents(off, n)
@@ -926,10 +689,6 @@ func (f *File) writeRangeOnce(src []byte, off int64, sp *obs.Span) (failedAgent,
 		}
 	}
 
-	type result struct {
-		agent int
-		err   error
-	}
 	results := make(chan result, len(f.sessions))
 	workers := 0
 	for i, s := range f.sessions {
@@ -945,7 +704,8 @@ func (f *File) writeRangeOnce(src []byte, off int64, sp *obs.Span) (failedAgent,
 		workers++
 		go func(i int, s *agentSession, es []extent.Extent) {
 			as := sp.StartChild("agent_write", i)
-			werr := f.agentWrite(s, es, src, off, &f.parity, as)
+			x := xfer{buf: src, base: off, pu: &f.parity}
+			werr := f.runBursts(s, writing, s.cut(es), &x, as, false)
 			as.SetError(werr)
 			as.Finish()
 			results <- result{agent: i, err: werr}
@@ -971,209 +731,6 @@ func (f *File) writeRangeOnce(src []byte, off int64, sp *obs.Span) (failedAgent,
 		return failedAgent, nerrs, err
 	}
 	return -1, 0, nil
-}
-
-// wburst is one in-flight write burst.
-type wburst struct {
-	reqID    uint32
-	lo, n    int64
-	start    time.Time // announce time, for burst completion latency
-	deadline time.Time // next retransmission time (backed off)
-	giveUp   time.Time // abandon the agent if no progress by then
-	retries  int       // consecutive silent re-announces; drives backoff
-}
-
-// agentWrite streams the fragment extents to one agent: announce each
-// burst, blast its data packets, and collect acknowledgements, honouring
-// the agent's resend requests — the write protocol of §3.1 ("the client
-// sends out the data to be written as fast as it can ... each storage
-// agent ... either acknowledges receipt of all packets or sends requests
-// for packets lost").
-func (f *File) agentWrite(s *agentSession, es []extent.Extent, src []byte, base int64, pu *parityUnits, sp *obs.Span) error {
-	var bursts []span
-	for _, e := range es {
-		for lo := e.Off; lo < e.End(); {
-			n := s.reqBytes
-			if lo+n > e.End() {
-				n = e.End() - lo
-			}
-			bursts = append(bursts, span{lo, n})
-			lo += n
-		}
-	}
-	return f.runWriteBursts(s, bursts, func(localOff int64, out []byte) {
-		f.gather(s.idx, localOff, out, src, base, pu)
-	}, sp)
-}
-
-// span is one write burst's fragment range.
-type span struct{ lo, n int64 }
-
-// runWriteBursts drives the windowed announce/data/ack/resend state
-// machine for a list of bursts on one agent. fill supplies the bytes for
-// any fragment range being (re)transmitted.
-func (f *File) runWriteBursts(s *agentSession, bursts []span, fill func(localOff int64, out []byte), sp *obs.Span) error {
-	cfg := &f.c.cfg
-	at := f.c.tel.agent(s.idx)
-	pending := make(map[uint32]*wburst)
-	next := 0
-	var pkt wire.Packet
-	payload := s.payload
-
-	// Only the announce packet carries the trace context and deadline
-	// budget; the data packets that follow stay untraced so the hot path
-	// never grows.
-	tctx := sp.Context()
-	opDl := f.opDeadline
-	announce := func(b *wburst) error {
-		var budget time.Duration
-		if !opDl.IsZero() {
-			if budget = time.Until(opDl); budget <= 0 {
-				return fmt.Errorf("%w: write %s[%d:%d]", ErrDeadline, f.name, b.lo, b.lo+b.n)
-			}
-		}
-		return f.sendPacket(s, &wire.Packet{Header: wire.Header{
-			Type: wire.TWrite, ReqID: b.reqID, Handle: s.handle,
-			Offset: b.lo, Length: uint32(b.n), Flags: f.writeFlags(),
-		}, Trace: tctx, Deadline: budget})
-	}
-	sendData := func(b *wburst, off, length int64) error {
-		for po := off; po < off+length; {
-			m := min(int64(len(payload)), off+length-po)
-			fill(po, payload[:m])
-			err := f.sendPacket(s, &wire.Packet{
-				Header: wire.Header{
-					Type: wire.TData, ReqID: b.reqID, Handle: s.handle,
-					Offset: po, Length: uint32(m),
-				},
-				Payload: payload[:m],
-			})
-			if err != nil {
-				return err
-			}
-			f.c.metrics.DataPackets.Add(1)
-			at.dataPackets.Inc()
-			if cfg.WritePace > 0 {
-				cfg.Sleep(cfg.WritePace)
-			}
-			po += m
-		}
-		return nil
-	}
-
-	for next < len(bursts) || len(pending) > 0 {
-		// Keep the window full.
-		for len(pending) < cfg.WriteWindow && next < len(bursts) {
-			sp := bursts[next]
-			next++
-			now := time.Now()
-			b := &wburst{
-				reqID: f.c.nextReq(), lo: sp.lo, n: sp.n,
-				start:    now,
-				deadline: now.Add(cfg.RetryTimeout),
-				giveUp:   now.Add(f.c.retryBudget()),
-			}
-			pending[b.reqID] = b
-			f.c.metrics.WriteBursts.Add(1)
-			at.writeBursts.Inc()
-			if err := announce(b); err != nil {
-				return err
-			}
-			if err := sendData(b, b.lo, b.n); err != nil {
-				return err
-			}
-		}
-
-		// Earliest pending deadline.
-		oldest := time.Now().Add(cfg.RetryTimeout)
-		for _, b := range pending {
-			if b.deadline.Before(oldest) {
-				oldest = b.deadline
-			}
-		}
-		s.conn.SetReadDeadline(oldest)
-		rn, _, err := s.conn.ReadFrom(s.buf)
-		if err != nil {
-			if !transport.IsTimeout(err) {
-				return err
-			}
-			now := time.Now()
-			if !opDl.IsZero() && !now.Before(opDl) {
-				return fmt.Errorf("%w: write %s", ErrDeadline, f.name)
-			}
-			for _, b := range pending {
-				if now.Before(b.deadline) {
-					continue
-				}
-				f.c.metrics.WriteTimeouts.Add(1)
-				at.writeTimeouts.Inc()
-				if !now.Before(b.giveUp) {
-					f.c.traceEvent("write_giveup", s.idx, "%s[%d:%d] retries exhausted", f.name, b.lo, b.lo+b.n)
-					f.c.noteOverload(s.idx, "write retry give-up")
-					return fmt.Errorf("%w: write %s[%d:%d] agent %d",
-						ErrRetriesSpent, f.name, b.lo, b.lo+b.n, s.idx)
-				}
-				// Re-announce: the agent re-acks if complete or
-				// requests exactly what is missing. Consecutive silent
-				// re-announces back off exponentially with jitter.
-				if b.retries > 0 {
-					f.c.metrics.Backoffs.Add(1)
-					at.backoffs.Inc()
-					f.c.traceEvent("write_timeout", s.idx, "%s[%d:%d] re-announce (retry %d)",
-						f.name, b.lo, b.lo+b.n, b.retries)
-					sp.MarkRetry()
-					sp.Annotate("write timeout [%d:%d): re-announce (retry %d)",
-						b.lo, b.lo+b.n, b.retries)
-				}
-				b.deadline = now.Add(f.c.backoff(b.retries))
-				b.retries++
-				if err := announce(b); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if uerr := wire.Unmarshal(s.buf[:rn], &pkt); uerr != nil {
-			continue
-		}
-		switch pkt.Type {
-		case wire.TWriteAck:
-			if b := pending[pkt.ReqID]; b != nil {
-				observeSpan(at.writeBurstLat, b.start, sp)
-			}
-			delete(pending, pkt.ReqID)
-		case wire.TResend:
-			b := pending[pkt.ReqID]
-			if b == nil {
-				continue
-			}
-			ranges, perr := wire.ParseResend(pkt.Payload)
-			if perr != nil {
-				continue
-			}
-			// The agent is alive and told us what it wants: progress.
-			// Reset the backoff and refresh the give-up budget.
-			b.retries = 0
-			b.deadline = time.Now().Add(cfg.RetryTimeout)
-			b.giveUp = time.Now().Add(f.c.retryBudget())
-			f.c.metrics.ResendAsks.Add(1)
-			at.resendAsks.Inc()
-			f.c.traceEvent("resend_ask", s.idx, "%s[%d:%d] %d ranges",
-				f.name, b.lo, b.lo+b.n, len(ranges))
-			sp.MarkRetry()
-			sp.Annotate("resend ask [%d:%d): %d ranges", b.lo, b.lo+b.n, len(ranges))
-			for _, r := range ranges {
-				if err := sendData(b, r.Off, r.Len); err != nil {
-					return err
-				}
-			}
-		case wire.TError:
-			if pending[pkt.ReqID] != nil {
-				return wire.ParseError(pkt.Payload)
-			}
-		}
-	}
-	return nil
 }
 
 func (f *File) writeFlags() uint16 {
@@ -1245,22 +802,29 @@ func (f *File) Sync() error {
 			continue
 		}
 		as := sp.StartChild("agent_sync", s.idx)
-		reqID := f.c.nextReq()
-		reply, err := f.c.rpc(s.conn, s.dataAddr, &wire.Packet{
-			Header: wire.Header{Type: wire.TSync, ReqID: reqID, Handle: s.handle},
-			Trace:  as.Context(),
-		}, reqID)
-		if err == nil && reply.Type != wire.TSyncReply {
-			err = fmt.Errorf("core: unexpected %v to sync", reply.Type)
-		} else if err != nil {
-			err = fmt.Errorf("core: sync agent %d: %w", s.idx, err)
-		}
+		err := f.sessionRPC(s, wire.TSync, wire.TSyncReply, 0, as)
 		as.SetError(err)
 		as.Finish()
 		if err != nil {
 			sp.SetError(err)
 			return err
 		}
+	}
+	return nil
+}
+
+// sessionRPC sends the header-only request typ (with offset) to the agent
+// of session s and waits for its reply, which must be of type want.
+func (f *File) sessionRPC(s *agentSession, typ, want wire.Type, offset int64, sp *obs.Span) error {
+	reply, err := f.c.rpc(s.conn, s.dataAddr, &wire.Packet{
+		Header: wire.Header{Type: typ, Handle: s.handle, Offset: offset},
+		Trace:  sp.Context(),
+	})
+	if err != nil {
+		return fmt.Errorf("core: %v agent %d: %w", typ, s.idx, err)
+	}
+	if reply.Type != want {
+		return fmt.Errorf("core: unexpected %v to %v", reply.Type, typ)
 	}
 	return nil
 }
@@ -1286,15 +850,8 @@ func (f *File) Truncate(size int64) error {
 		if s == nil {
 			continue
 		}
-		reqID := f.c.nextReq()
-		reply, err := f.c.rpc(s.conn, s.dataAddr, &wire.Packet{
-			Header: wire.Header{Type: wire.TTrunc, ReqID: reqID, Handle: s.handle, Offset: frags[s.idx]},
-		}, reqID)
-		if err != nil {
-			return fmt.Errorf("core: truncate agent %d: %w", s.idx, err)
-		}
-		if reply.Type != wire.TTruncReply {
-			return fmt.Errorf("core: unexpected %v to truncate", reply.Type)
+		if err := f.sessionRPC(s, wire.TTrunc, wire.TTruncReply, frags[s.idx], nil); err != nil {
+			return err
 		}
 	}
 	if f.cobj != nil {
@@ -1325,13 +882,12 @@ func (f *File) Close() error {
 		if s == nil {
 			continue
 		}
-		reqID := f.c.nextReq()
 		// Best-effort with a small budget: a dead agent reaps the
 		// session on its idle timer anyway, and a full retry budget per
 		// dead agent would stall the caller for seconds.
 		_, err := f.c.rpcAttempts(s.conn, s.dataAddr, &wire.Packet{
-			Header: wire.Header{Type: wire.TClose, ReqID: reqID, Handle: s.handle},
-		}, reqID, 2)
+			Header: wire.Header{Type: wire.TClose, Handle: s.handle},
+		}, f.c.nextReq(), 2)
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("core: close agent %d: %w", s.idx, err)
 		}

@@ -213,39 +213,38 @@ func (c *Client) BreakerStates() []BreakerState {
 }
 
 // noteOverload feeds one pushback or retry give-up from agent i into its
-// breaker, recording the transition in telemetry and the trace ring.
+// breaker.
 func (c *Client) noteOverload(i int, why string) {
 	if i < 0 || i >= len(c.breakers) {
 		return
 	}
 	from, to, changed := c.breakers[i].strike(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
-	if !changed {
-		return
+	if changed {
+		if to == BreakerOpen && from == BreakerClosed {
+			c.metrics.BreakerTrips.Add(1)
+		}
+		c.breakerMoved(i, from, to, why)
 	}
-	at := c.tel.agent(i)
-	at.breakerTransitions.Inc()
-	at.breakerState.Set(int64(to))
-	if to == BreakerOpen && from == BreakerClosed {
-		c.metrics.BreakerTrips.Add(1)
-	}
-	c.traceEvent("breaker", i, "%v -> %v (%s)", from, to, why)
-	c.cfg.Logf("core: agent %d breaker %v -> %v (%s)", i, from, to, why)
 }
 
-// noteAgentOK feeds one successful burst from agent i into its breaker.
+// noteAgentOK feeds one completed burst from agent i into its breaker.
 func (c *Client) noteAgentOK(i int) {
 	if i < 0 || i >= len(c.breakers) {
 		return
 	}
-	from, to, changed := c.breakers[i].success()
-	if !changed {
-		return
+	if from, to, changed := c.breakers[i].success(); changed {
+		c.breakerMoved(i, from, to, "trial burst completed")
 	}
+}
+
+// breakerMoved records a breaker transition in telemetry, the trace ring
+// and the log.
+func (c *Client) breakerMoved(i int, from, to BreakerState, why string) {
 	at := c.tel.agent(i)
 	at.breakerTransitions.Inc()
 	at.breakerState.Set(int64(to))
-	c.traceEvent("breaker", i, "%v -> %v (trial burst completed)", from, to)
-	c.cfg.Logf("core: agent %d breaker %v -> %v (trial burst completed)", i, from, to)
+	c.traceEvent("breaker", i, "%v -> %v (%s)", from, to, why)
+	c.cfg.Logf("core: agent %d breaker %v -> %v (%s)", i, from, to, why)
 }
 
 // hedgeDelay is how long a read burst on agent i may stall before the
@@ -253,7 +252,7 @@ func (c *Client) noteAgentOK(i int) {
 // floored at the base retry timeout so a cold histogram cannot cause
 // hair-trigger hedging.
 func (c *Client) hedgeDelay(i int) time.Duration {
-	d := time.Duration(float64(c.tel.agent(i).readBurstLat.Percentile(99)) * c.cfg.HedgeMultiplier)
+	d := time.Duration(float64(c.tel.agent(i).burstLat[reading].Percentile(99)) * c.cfg.HedgeMultiplier)
 	if d < c.cfg.RetryTimeout {
 		d = c.cfg.RetryTimeout
 	}

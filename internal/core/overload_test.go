@@ -114,6 +114,55 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
+// TestBreakerCountsWrites: a completed write burst is the breaker's
+// success signal like a completed read burst, so strikes are consecutive
+// across all traffic and a half-open breaker closes on a write-only
+// workload.
+func TestBreakerCountsWrites(t *testing.T) {
+	c := newOverloadCluster(t, func(cfg *Config) { cfg.BreakerThreshold = 3 })
+	f, err := c.client.Open("obj", OpenFlags{Create: true})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer f.Close()
+	data := randBytes(64_000, 6)
+	strikes := func(i int) int {
+		b := &c.client.breakers[i]
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.strikes
+	}
+
+	// Two strikes, then a successful write: the count starts over.
+	c.client.noteOverload(0, "test strike")
+	c.client.noteOverload(0, "test strike")
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if got := strikes(0); got != 0 {
+		t.Fatalf("strikes after a completed write = %d, want 0: strikes were counted through the write", got)
+	}
+
+	// Trip agent 1 with a cooldown that has already run out; the first
+	// look at it admits trial traffic, and a write is such traffic.
+	b := &c.client.breakers[1]
+	for i := 0; i < 3; i++ {
+		b.strike(time.Now().Add(-time.Hour), 3, time.Second)
+	}
+	if !c.client.breakerAllow(1) || b.current() != BreakerHalfOpen {
+		t.Fatalf("breaker %v after its cooldown, want half-open", b.current())
+	}
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if got := b.current(); got != BreakerClosed {
+		t.Fatalf("breaker %v after a completed trial write, want closed", got)
+	}
+	if tr := c.client.tel.agent(1).breakerTransitions.Load(); tr != 1 {
+		t.Fatalf("agent 1 breaker transitions observed = %d, want the one closing", tr)
+	}
+}
+
 // overloadCluster builds a parity cluster with overload-control knobs
 // exposed, on a fast memnet segment.
 func newOverloadCluster(t *testing.T, mutate func(*Config)) *cluster {
@@ -333,5 +382,39 @@ func TestOpDeadlineExceeded(t *testing.T) {
 	}
 	if !bytes.Equal(out, data) {
 		t.Fatal("read after recovery returned wrong data")
+	}
+}
+
+// TestRowReadHonoursOpDeadline: the whole-unit row read behind read-repair
+// ends the operation when its deadline is spent, as the row planner does —
+// it must not treat the late agent as one more missing shard and
+// reconstruct on past a deadline that is global to the operation.
+func TestRowReadHonoursOpDeadline(t *testing.T) {
+	c := newOverloadCluster(t, nil)
+	f, err := c.client.Open("obj", OpenFlags{Create: true})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(randBytes(32_000, 7), 0); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+
+	// One straggler of four under 3+1: the other three units are enough
+	// to reconstruct from, so only the deadline can end the read.
+	c.agents[1].SetReadDelay(200 * time.Millisecond)
+	defer c.agents[1].SetReadDelay(0)
+	f.mu.Lock()
+	f.opDeadline = time.Now().Add(30 * time.Millisecond)
+	_, err = f.readRowShards(0, nil)
+	f.opDeadline = time.Time{}
+	f.mu.Unlock()
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("row read past the operation deadline = %v, want ErrDeadline", err)
+	}
+	for i, h := range c.client.Health() {
+		if h.State != StateHealthy {
+			t.Fatalf("agent %d state = %v after deadline miss, want healthy", i, h.State)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -133,24 +134,15 @@ func (f *File) fillOldRow(rowData []byte, rowOff, covLo, covHi int64, sp *obs.Sp
 // codec to correct, which is exactly what a second agent dying in the
 // middle of an already-degraded read must look like, or a double failure
 // under k=2 would error out of the reconstruct path instead of being
-// masked. Attributable (non-media) failures are fed into the
-// failure-domain lifecycle so the session is torn down at once — leaving
-// it up would stall every later row for a full retry budget against a
-// dead agent. Only when fewer than m units survive (more damage than any
-// codec can cover) does the first error propagate.
+// masked. Only when fewer than m units survive (more damage than any
+// codec can cover) does the first error propagate — and a spent operation
+// deadline always does: it is global to the operation, and reconstruction
+// cannot outrun it.
 func (f *File) readRowShards(r int64, omit func(agent int) bool) ([][]byte, error) {
 	l := f.c.layout
 	m := l.DataPerRow()
 	shards := make([][]byte, m+f.c.parityK())
-	type readFail struct {
-		agent int
-		err   error
-	}
-	var (
-		mu    sync.Mutex
-		wg    sync.WaitGroup
-		fails []readFail
-	)
+	errs := make([]error, len(f.sessions))
 	// Agents with an open circuit breaker are skipped — their unit becomes
 	// one more missing shard — as long as enough candidates remain to
 	// reach m units: a tripped straggler must not stall every
@@ -162,6 +154,7 @@ func (f *File) readRowShards(r int64, omit func(agent int) bool) ([][]byte, erro
 			live++
 		}
 	}
+	var wg sync.WaitGroup
 	for i, s := range f.sessions {
 		if s == nil || (omit != nil && omit(i)) {
 			continue
@@ -170,57 +163,42 @@ func (f *File) readRowShards(r int64, omit func(agent int) bool) ([][]byte, erro
 			live--
 			continue
 		}
-		pos := l.DataPos(r, i)
-		if pos < 0 {
-			pos = m + l.ParityPos(r, i)
-		}
 		wg.Add(1)
 		go func(i int, s *agentSession, pos int) {
 			defer wg.Done()
 			buf := make([]byte, l.Unit)
-			err := f.readBurst(s, r*l.Unit, l.Unit, func(localOff int64, b []byte) {
-				copy(buf[localOff-r*l.Unit:], b)
-			}, nil, false)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				fails = append(fails, readFail{agent: i, err: err})
-				return
+			if errs[i] = f.flatBurst(s, reading, r*l.Unit, buf, nil); errs[i] == nil {
+				shards[pos] = buf
 			}
-			shards[pos] = buf
-		}(i, s, pos)
+		}(i, s, f.shardOfAgent(r, i))
 	}
 	wg.Wait()
-	if len(fails) == 0 {
-		return shards, nil
-	}
 	present := 0
 	for _, sh := range shards {
 		if sh != nil {
 			present++
 		}
 	}
-	if present < m {
-		return nil, fails[0].err
-	}
-	for _, fl := range fails {
-		if integrity.IsCorrupt(fl.err) {
-			// Media damage, not a dead agent: keep the session in
-			// service (read-repair and scrub heal it) and let the codec
-			// route around the one bad unit.
-			continue
+	var spent error
+	for i, err := range errs {
+		switch {
+		case err == nil:
+		case present < m:
+			return nil, err
+		case errors.Is(err, ErrDeadline):
+			spent = err
+		case integrity.IsCorrupt(err) || isOverloadSignal(err):
+			// Media damage (read-repair and scrub heal it) or backpressure:
+			// the agent stays in service, the lifecycle stays untouched,
+			// and the codec routes around the one unit.
+		default:
+			// Attributable: tear the session down at once, or every later
+			// row stalls a full retry budget against a dead agent.
+			f.c.cfg.Logf("core: row %d read lost agent %d, reconstructing around it: %v", r, i, err)
+			f.failAgent(i, err)
 		}
-		if isOverloadSignal(fl.err) {
-			// Backpressure (pushback, spent deadline): the agent is
-			// healthy, the codec routes around the missing unit, and the
-			// lifecycle stays untouched.
-			continue
-		}
-		f.c.cfg.Logf("core: row %d read lost agent %d, reconstructing around it: %v",
-			r, fl.agent, fl.err)
-		f.failAgent(fl.agent, fl.err)
 	}
-	return shards, nil
+	return shards, spent
 }
 
 // shardOfAgent returns the code-order shard index of the given agent in
@@ -375,11 +353,7 @@ func (f *File) runFetches(s *agentSession, fetches []fetch, sp *obs.Span) {
 		if ft.agent != s.idx {
 			continue
 		}
-		buf := *ft.into
-		ft.err = f.readBurst(s, ft.lo, ft.n, func(localOff int64, b []byte) {
-			copy(buf[localOff-ft.lo:], b)
-		}, sp, false)
-		if ft.err != nil {
+		if ft.err = f.flatBurst(s, reading, ft.lo, *ft.into, sp); ft.err != nil {
 			sp.SetError(ft.err)
 			return
 		}
@@ -474,12 +448,7 @@ func (f *File) RepairRow(r int64) error {
 	}
 	for j := 0; j < k; j++ {
 		pa := l.ParityAgentAt(r, j)
-		lo := l.ParityLocal(r)
-		unit := shards[m+j]
-		err := f.runWriteBursts(f.sessions[pa], []span{{lo: lo, n: l.Unit}}, func(localOff int64, out []byte) {
-			copy(out, unit[localOff-lo:])
-		}, nil)
-		if err != nil {
+		if err := f.flatBurst(f.sessions[pa], writing, l.ParityLocal(r), shards[m+j], nil); err != nil {
 			return err
 		}
 	}
@@ -521,25 +490,13 @@ func (f *File) rebuildLocked(idx int) error {
 		if err != nil {
 			return fmt.Errorf("core: rebuild row %d: %w", r, err)
 		}
-		lo := r * l.Unit
-		err = f.runWriteBursts(s, []span{{lo: lo, n: l.Unit}}, func(localOff int64, out []byte) {
-			copy(out, unit[localOff-lo:])
-		}, nil)
-		if err != nil {
+		if err := f.flatBurst(s, writing, r*l.Unit, unit, nil); err != nil {
 			return fmt.Errorf("core: rebuild row %d: %w", r, err)
 		}
 	}
 	// Trim the fragment: the tail data unit may be partial.
-	want := l.FragmentSizes(f.size)[idx]
-	reqID := f.c.nextReq()
-	reply, err := f.c.rpc(s.conn, s.dataAddr, &wire.Packet{
-		Header: wire.Header{Type: wire.TTrunc, ReqID: reqID, Handle: s.handle, Offset: want},
-	}, reqID)
-	if err != nil {
+	if err := f.sessionRPC(s, wire.TTrunc, wire.TTruncReply, l.FragmentSizes(f.size)[idx], nil); err != nil {
 		return fmt.Errorf("core: rebuild trim: %w", err)
-	}
-	if reply.Type != wire.TTruncReply {
-		return fmt.Errorf("core: unexpected %v to rebuild trim", reply.Type)
 	}
 	return nil
 }

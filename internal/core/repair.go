@@ -111,26 +111,15 @@ func (f *File) writeRowUnit(i int, r int64, unit []byte, sp *obs.Span) error {
 	}
 	l := f.c.layout
 	lo := r * l.Unit
-	err := f.runWriteBursts(s, []span{{lo: lo, n: l.Unit}}, func(localOff int64, out []byte) {
-		copy(out, unit[localOff-lo:])
-	}, sp)
-	if err != nil {
+	if err := f.flatBurst(s, writing, lo, unit, sp); err != nil {
 		return err
 	}
 	want := l.FragmentSizes(f.size)[i]
 	if lo+l.Unit <= want {
 		return nil
 	}
-	reqID := f.c.nextReq()
-	reply, err := f.c.rpc(s.conn, s.dataAddr, &wire.Packet{
-		Header: wire.Header{Type: wire.TTrunc, ReqID: reqID, Handle: s.handle, Offset: want},
-		Trace:  sp.Context(),
-	}, reqID)
-	if err != nil {
+	if err := f.sessionRPC(s, wire.TTrunc, wire.TTruncReply, want, sp); err != nil {
 		return fmt.Errorf("repair trim: %w", err)
-	}
-	if reply.Type != wire.TTruncReply {
-		return fmt.Errorf("unexpected %v to repair trim", reply.Type)
 	}
 	return nil
 }

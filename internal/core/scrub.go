@@ -134,9 +134,7 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 		go func(i int, s *agentSession) {
 			defer wg.Done()
 			buf := make([]byte, l.Unit)
-			errs[i] = f.readBurst(s, r*l.Unit, l.Unit, func(localOff int64, b []byte) {
-				copy(buf[localOff-r*l.Unit:], b)
-			}, nil, false)
+			errs[i] = f.flatBurst(s, reading, r*l.Unit, buf, nil)
 			bufs[i] = buf
 		}(i, s)
 	}

@@ -37,20 +37,17 @@ type telemetry struct {
 // agentTelemetry attributes protocol events and burst latency to one
 // storage agent.
 type agentTelemetry struct {
-	readBursts    *obs.Counter
-	readTimeouts  *obs.Counter
-	writeBursts   *obs.Counter
-	writeTimeouts *obs.Counter
-	backoffs      *obs.Counter
-	resendAsks    *obs.Counter
-	dataPackets   *obs.Counter
-	corruptions   *obs.Counter // corrupt reads/writes reported by this agent
-	repairs       *obs.Counter // units rewritten on this agent from parity
-	transitions   *obs.Counter // lifecycle state changes
-	state         *obs.Gauge   // current AgentState as integer
-	packetBytes   *obs.Gauge   // data-packet size the latest session agreed
-	readBurstLat  *obs.Histogram
-	writeBurstLat *obs.Histogram
+	bursts      [2]*obs.Counter // by direction
+	timeouts    [2]*obs.Counter // by direction
+	backoffs    *obs.Counter
+	resendAsks  *obs.Counter
+	dataPackets *obs.Counter
+	corruptions *obs.Counter      // corrupt reads/writes reported by this agent
+	repairs     *obs.Counter      // units rewritten on this agent from parity
+	transitions *obs.Counter      // lifecycle state changes
+	state       *obs.Gauge        // current AgentState as integer
+	packetBytes *obs.Gauge        // data-packet size the latest session agreed
+	burstLat    [2]*obs.Histogram // burst completion latency, by direction
 
 	// Overload control (see overload.go).
 	pushbacks          *obs.Counter // pushback replies received from this agent
@@ -124,10 +121,10 @@ func newTelemetry(reg *obs.Registry, agents []string, m *Metrics, codec ec.Codec
 		name, help string
 		load       func() int64
 	}{
-		{"swift_client_read_bursts_total", "Read burst requests issued.", m.ReadBursts.Load},
-		{"swift_client_read_timeouts_total", "Read bursts that needed resubmission.", m.ReadTimeouts.Load},
-		{"swift_client_write_bursts_total", "Write bursts issued.", m.WriteBursts.Load},
-		{"swift_client_write_timeouts_total", "Write bursts re-announced after silence.", m.WriteTimeouts.Load},
+		{"swift_client_read_bursts_total", "Read burst requests issued.", m.Bursts[reading].Load},
+		{"swift_client_read_timeouts_total", "Read bursts that needed resubmission.", m.Timeouts[reading].Load},
+		{"swift_client_write_bursts_total", "Write bursts issued.", m.Bursts[writing].Load},
+		{"swift_client_write_timeouts_total", "Write bursts re-announced after silence.", m.Timeouts[writing].Load},
 		{"swift_client_resend_asks_total", "Agent resend requests honoured.", m.ResendAsks.Load},
 		{"swift_client_data_packets_total", "Data packets sent, including resends.", m.DataPackets.Load},
 		{"swift_client_backoffs_total", "Retransmission waits grown beyond the base timeout.", m.Backoffs.Load},
@@ -158,10 +155,10 @@ func newTelemetry(reg *obs.Registry, agents []string, m *Metrics, codec ec.Codec
 	for i := range agents {
 		l := obs.Labels{"agent": strconv.Itoa(i)}
 		at := &t.agents[i]
-		at.readBursts = reg.Counter("swift_client_agent_read_bursts_total", "Read bursts issued to this agent.", l)
-		at.readTimeouts = reg.Counter("swift_client_agent_read_timeouts_total", "Read burst timeouts on this agent.", l)
-		at.writeBursts = reg.Counter("swift_client_agent_write_bursts_total", "Write bursts issued to this agent.", l)
-		at.writeTimeouts = reg.Counter("swift_client_agent_write_timeouts_total", "Write burst timeouts on this agent.", l)
+		at.bursts[reading] = reg.Counter("swift_client_agent_read_bursts_total", "Read bursts issued to this agent.", l)
+		at.timeouts[reading] = reg.Counter("swift_client_agent_read_timeouts_total", "Read burst timeouts on this agent.", l)
+		at.bursts[writing] = reg.Counter("swift_client_agent_write_bursts_total", "Write bursts issued to this agent.", l)
+		at.timeouts[writing] = reg.Counter("swift_client_agent_write_timeouts_total", "Write burst timeouts on this agent.", l)
 		at.backoffs = reg.Counter("swift_client_agent_backoffs_total", "Backed-off retransmissions to this agent.", l)
 		at.resendAsks = reg.Counter("swift_client_agent_resend_asks_total", "Resend requests honoured from this agent.", l)
 		at.dataPackets = reg.Counter("swift_client_agent_data_packets_total", "Data packets sent to this agent.", l)
@@ -170,8 +167,8 @@ func newTelemetry(reg *obs.Registry, agents []string, m *Metrics, codec ec.Codec
 		at.transitions = reg.Counter("swift_client_agent_transitions_total", "Failure-domain lifecycle transitions.", l)
 		at.state = reg.Gauge("swift_client_agent_state", "Lifecycle state: 0 healthy, 1 suspect, 2 down.", l)
 		at.packetBytes = reg.Gauge("swift_client_agent_packet_bytes", "Data-packet size the latest session with this agent agreed at open.", l)
-		at.readBurstLat = reg.Histogram("swift_client_agent_read_burst_seconds", "Read burst completion latency per agent.", l)
-		at.writeBurstLat = reg.Histogram("swift_client_agent_write_burst_seconds", "Write burst completion latency per agent.", l)
+		at.burstLat[reading] = reg.Histogram("swift_client_agent_read_burst_seconds", "Read burst completion latency per agent.", l)
+		at.burstLat[writing] = reg.Histogram("swift_client_agent_write_burst_seconds", "Write burst completion latency per agent.", l)
 		at.pushbacks = reg.Counter("swift_client_agent_pushbacks_total", "Pushback replies received from this agent.", l)
 		at.hedges = reg.Counter("swift_client_agent_hedges_total", "Read bursts hedged away from this agent.", l)
 		at.breakerTransitions = reg.Counter("swift_client_agent_breaker_transitions_total", "Circuit-breaker state changes for this agent.", l)
@@ -198,10 +195,9 @@ func (c *Client) Trace() *obs.TraceRing { return c.tel.trace }
 // TraceEvents returns up to n recent trace events, oldest first.
 func (c *Client) TraceEvents(n int) []obs.Event { return c.tel.trace.Last(n) }
 
-// MetricsSnapshot is a coherent value copy of the client's protocol
-// counters. Unlike the deprecated Metrics method it hands out plain
-// integers, so callers can difference, print and compare snapshots
-// without touching live atomics.
+// MetricsSnapshot is a value copy of the client's protocol counters: plain
+// integers, so callers can difference, print and compare snapshots without
+// touching live atomics.
 type MetricsSnapshot struct {
 	ReadBursts    int64
 	ReadTimeouts  int64
@@ -251,10 +247,10 @@ func (s MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
 func (c *Client) MetricsSnapshot() MetricsSnapshot {
 	m := &c.metrics
 	return MetricsSnapshot{
-		ReadBursts:    m.ReadBursts.Load(),
-		ReadTimeouts:  m.ReadTimeouts.Load(),
-		WriteBursts:   m.WriteBursts.Load(),
-		WriteTimeouts: m.WriteTimeouts.Load(),
+		ReadBursts:    m.Bursts[reading].Load(),
+		ReadTimeouts:  m.Timeouts[reading].Load(),
+		WriteBursts:   m.Bursts[writing].Load(),
+		WriteTimeouts: m.Timeouts[writing].Load(),
 		ResendAsks:    m.ResendAsks.Load(),
 		DataPackets:   m.DataPackets.Load(),
 		Backoffs:      m.Backoffs.Load(),
@@ -369,10 +365,10 @@ func (c *Client) Stats() StatsSnapshot {
 		if i < len(health) {
 			as.State = health[i].State
 		}
-		as.ReadBursts = at.readBursts.Load()
-		as.ReadTimeouts = at.readTimeouts.Load()
-		as.WriteBursts = at.writeBursts.Load()
-		as.WriteTimeouts = at.writeTimeouts.Load()
+		as.ReadBursts = at.bursts[reading].Load()
+		as.ReadTimeouts = at.timeouts[reading].Load()
+		as.WriteBursts = at.bursts[writing].Load()
+		as.WriteTimeouts = at.timeouts[writing].Load()
 		as.Backoffs = at.backoffs.Load()
 		as.ResendAsks = at.resendAsks.Load()
 		as.DataPackets = at.dataPackets.Load()
@@ -380,8 +376,8 @@ func (c *Client) Stats() StatsSnapshot {
 		as.Repairs = at.repairs.Load()
 		as.Transitions = at.transitions.Load()
 		as.PacketBytes = at.packetBytes.Load()
-		as.ReadBurstLat = at.readBurstLat.Snapshot()
-		as.WriteBurstLat = at.writeBurstLat.Snapshot()
+		as.ReadBurstLat = at.burstLat[reading].Snapshot()
+		as.WriteBurstLat = at.burstLat[writing].Snapshot()
 		as.Pushbacks = at.pushbacks.Load()
 		as.Hedges = at.hedges.Load()
 		as.BreakerTransitions = at.breakerTransitions.Load()
@@ -416,14 +412,15 @@ func (c *Client) traceEvent(kind string, agent int, format string, args ...any) 
 	c.tel.trace.Emitf("core", kind, agent, format, args...)
 }
 
-// observe is a small helper: record elapsed time since start into h.
-func observe(h *obs.Histogram, start time.Time) { h.Observe(time.Since(start)) }
-
-// observeSpan is observe plus a histogram exemplar: when sp belongs to a
-// trace, the observation carries the trace id so exported percentiles link
-// to a concrete kept trace. A nil span degrades to plain observe.
+// observeSpan records the time elapsed since start into h, with a
+// histogram exemplar: when sp belongs to a trace, the observation carries
+// the trace id so exported percentiles link to a concrete kept trace.
 func observeSpan(h *obs.Histogram, start time.Time, sp *obs.Span) {
-	d := time.Since(start)
+	observeDur(h, time.Since(start), sp)
+}
+
+// observeDur is observeSpan for a duration the caller already measured.
+func observeDur(h *obs.Histogram, d time.Duration, sp *obs.Span) {
 	if id := sp.Context().TraceID; id != 0 {
 		h.ObserveExemplar(d, id)
 		return
