@@ -7,9 +7,6 @@
 //	tcp     — the §3 TCP-prototype ablation (≤45% of network capacity)
 //	ec      — the erasure-coding codec microbench (encode/reconstruct
 //	          MB/s, XOR vs Reed–Solomon; also writes BENCH_ec.json)
-//	hotpath — the client read/write hot-path profile (ns/byte and
-//	          allocs/op, tracing off vs on; also writes
-//	          BENCH_hotpath.json)
 //
 // Each cell is sampled eight times and reported as mean, σ, min, max and a
 // 90% confidence interval, exactly as the paper's tables are.
@@ -33,7 +30,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "table to run: 1, 2, 3, 4, tcp, ablations, ec, hotpath, or all")
+	table := flag.String("table", "all", "table to run: 1, 2, 3, 4, tcp, ablations, ec, or all")
 	samples := flag.Int("samples", 0, "samples per cell (default 8)")
 	sizes := flag.String("sizes", "", "comma-separated transfer sizes in MB (default 3,6,9)")
 	scale := flag.Float64("scale", 0, "time-scale override (0 = per-table default)")
@@ -41,8 +38,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced run: 3 samples of 3 MB")
 	ecBudget := flag.Duration("ec-budget", 100*time.Millisecond, "minimum measurement time per ec cell")
 	ecJSON := flag.String("ec-json", "BENCH_ec.json", "machine-readable output path for -table ec (empty disables)")
-	hotBudget := flag.Duration("hotpath-budget", 200*time.Millisecond, "minimum measurement time per hotpath packet cell")
-	hotJSON := flag.String("hotpath-json", "BENCH_hotpath.json", "machine-readable output path for -table hotpath (empty disables)")
 	flag.Parse()
 
 	rc := bench.RunConfig{Samples: *samples, Scale: *scale, Seed: *seed}
@@ -102,13 +97,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *table == "hotpath" {
-		ran = true
-		if err := runHotpath(*hotBudget, *hotJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "swift-bench: hotpath: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "swift-bench: unknown table %q\n", *table)
 		os.Exit(2)
@@ -146,31 +134,6 @@ func runAblations(rc bench.RunConfig) error {
 // result set to jsonPath.
 func runEC(budget time.Duration, jsonPath string) error {
 	b, err := bench.MeasureEC(budget)
-	if err != nil {
-		return err
-	}
-	b.Print(os.Stdout)
-	fmt.Println()
-	if jsonPath == "" {
-		return nil
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := b.WriteJSON(f); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", jsonPath)
-	return nil
-}
-
-// runHotpath runs the client hot-path profile (ns/byte and allocs/op,
-// tracing off vs on), prints it in the ablation-sweep style, and (unless
-// disabled) writes the machine-readable result set to jsonPath.
-func runHotpath(budget time.Duration, jsonPath string) error {
-	b, err := bench.MeasureHotpath(budget)
 	if err != nil {
 		return err
 	}

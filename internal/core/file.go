@@ -261,7 +261,8 @@ func (f *File) moveRange(dir direction, buf []byte, off int64, allowFailover boo
 				repairs++
 				rs := sp.StartChild(name+"_repair", failed)
 				rs.MarkRetry()
-				rerr := f.repairCorrupt(failed, err, off, int64(len(buf)), rs)
+				r0, r1 := f.corruptRows(err, off, int64(len(buf)))
+				rerr := f.healUnits(failed, r0, r1, "rewritten from parity", rs)
 				rs.SetError(rerr)
 				rs.Finish()
 				if rerr == nil {
@@ -314,42 +315,29 @@ func (f *File) moveRange(dir direction, buf []byte, off int64, allowFailover boo
 
 // readRangeOnce performs one attempt; on error it reports which agent
 // failed (-1 when not attributable). Agents without a session, and with
-// parity those whose breaker is open, are read around: the row planner
-// (planRows) rebuilds their share of dst, its reads riding the same
-// fan-out as the direct ones. An agent that hedges or pushes back, or
-// fails a planner read, is set aside and the planner runs again as a
-// further pass over what is left.
+// parity those whose breaker is open, are read around (castRoles): the
+// row planner rebuilds their share of dst, its reads riding the same
+// fan-out as the direct ones.
 func (f *File) readRangeOnce(dst []byte, off int64, sp *obs.Span) (failedAgent int, err error) {
 	n := int64(len(dst))
 	if n == 0 {
 		return -1, nil
 	}
 	exts := f.c.layout.LocalExtents(off, n)
-	f.role = slices.Grow(f.role[:0], len(f.sessions))[:len(f.sessions)]
-	role := f.role
-	clear(role)
-	for i, s := range f.sessions {
-		switch touched := exts[i].Len() > 0; {
-		case s == nil && touched:
-			if !f.c.cfg.Parity {
-				return -1, ErrAgentDown
-			}
-			role[i] = aroundGone
-		case s == nil:
-			role[i] = noFetch
-		case !f.c.cfg.Parity || f.c.breakerAllow(i):
-			// Without parity the agent is the sole holder of its units
-			// and must be tried whatever its breaker says.
-		case touched:
-			role[i] = aroundBreaker
-			sp.Annotate("breaker open: reading around agent %d", i)
-		default:
-			role[i] = lastResort
-		}
+	if err := f.castRoles(exts, nil, sp); err != nil {
+		return -1, err
 	}
+	return f.readPasses(dst, off, exts, nil, sp)
+}
+
+// readPasses runs the row planner over the roles cast, for a read of dst
+// or for the one job of a heal (which has no dst and no direct reads). An
+// agent that hedges or pushes back, or fails a planner read, is set aside
+// and the planner runs again as a further pass over what is left.
+func (f *File) readPasses(dst []byte, off int64, exts []extent.Set, heal []rowJob, sp *obs.Span) (failedAgent int, err error) {
 	var cause error // the first error that took a shard out of reach
 	for {
-		failed, lost, perr := f.readPass(dst, off, exts, sp)
+		failed, lost, perr := f.readPass(dst, off, exts, heal, sp)
 		if perr != nil && cause != nil {
 			// Fewer than m shards are left: surface what took them.
 			return -1, fmt.Errorf("%v: %w", perr, cause)
@@ -373,17 +361,21 @@ type result struct {
 // readPass is one parallel pass of a read attempt: every agent not read
 // around fetches its extents of dst (exts; nil after the first pass);
 // then, on the same per-agent workers, the planner's reads; then, unless
-// the pass lost an agent, the codec rebuilds what was read around. lost
+// the pass lost an agent, the codec rebuilds what was read around — the
+// jobs of heal when given, else what dst is missing. lost
 // is the first overload signal or planner-read failure of the pass: the
 // agent has been set aside in f.role and the caller runs another pass.
-func (f *File) readPass(dst []byte, off int64, exts []extent.Set, sp *obs.Span) (failedAgent int, lost, err error) {
+func (f *File) readPass(dst []byte, off int64, exts []extent.Set, heal []rowJob, sp *obs.Span) (failedAgent int, lost, err error) {
 	role := f.role
 	around := slices.IndexFunc(role, readAround)
-	var jobs []rowJob
+	jobs := heal
 	var fetches []fetch
 	if around >= 0 {
+		if heal == nil {
+			jobs = f.readJobs(dst, off, role)
+		}
 		var total int64
-		if jobs, fetches, total, err = f.planRows(dst, off, role); err != nil {
+		if fetches, total, err = f.planFetches(jobs, dst, off, role); err != nil {
 			return -1, nil, err
 		}
 		sc := acquireScratch(total)
@@ -490,6 +482,11 @@ func (f *File) readPass(dst []byte, off int64, exts []extent.Set, sp *obs.Span) 
 		}
 	}
 	if lost != nil || around < 0 {
+		// The next pass plans afresh: a heal's job outlives this pass's
+		// scratch, so it must not keep the inputs fetched into it.
+		for i := range fetches {
+			*fetches[i].into = nil
+		}
 		return -1, lost, nil
 	}
 	ds := sp.StartChild(aroundSpan[role[around]], around)

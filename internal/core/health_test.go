@@ -96,8 +96,8 @@ func TestProbeOnceDemotesSilentAgents(t *testing.T) {
 // crashes mid-life, the data path fails over and marks it, writes proceed
 // degraded, the agent restarts, and the background monitor re-admits it —
 // reopening the file's session and rebuilding the stale fragment from
-// parity — with no caller intervention. VerifyParity then proves the
-// rebuilt units are consistent with the degraded writes.
+// parity — with no caller intervention. A scrub then proves the rebuilt
+// units are consistent with the degraded writes.
 func TestMonitorAutoReadmitWithRebuild(t *testing.T) {
 	c := newCluster(t, clusterOpts{agents: 4, parity: true, unit: 2048})
 	f, err := c.client.Open("obj", OpenFlags{Create: true})
@@ -153,12 +153,12 @@ func TestMonitorAutoReadmitWithRebuild(t *testing.T) {
 	// The rebuilt fragment must be consistent with the degraded writes:
 	// a scrub finds nothing, and the healthy-path read returns the new
 	// content.
-	bad, err := f.VerifyParity()
+	rep, err := f.Scrub(ScrubOptions{})
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	if len(bad) != 0 {
-		t.Fatalf("rows %v inconsistent after auto-rebuild", bad)
+	if !rep.Clean() || rep.Rows == 0 {
+		t.Fatalf("rows inconsistent after auto-rebuild: %s", rep)
 	}
 	if _, err := f.ReadAt(out, 0); err != nil {
 		t.Fatalf("post-readmit read: %v", err)

@@ -385,12 +385,12 @@ func TestOpDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestRowReadHonoursOpDeadline: the whole-unit row read behind read-repair
-// ends the operation when its deadline is spent, as the row planner does —
-// it must not treat the late agent as one more missing shard and
+// TestRowReadHonoursOpDeadline: the whole-unit read behind read-repair
+// ends the operation when its deadline is spent, as any planner read
+// does — it must not treat the late agent as one more missing shard and
 // reconstruct on past a deadline that is global to the operation.
 func TestRowReadHonoursOpDeadline(t *testing.T) {
-	c := newOverloadCluster(t, nil)
+	c := newOverloadCluster(t, func(cfg *Config) { cfg.ParityShards = 2 })
 	f, err := c.client.Open("obj", OpenFlags{Create: true})
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -400,17 +400,29 @@ func TestRowReadHonoursOpDeadline(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 
-	// One straggler of four under 3+1: the other three units are enough
-	// to reconstruct from, so only the deadline can end the read.
-	c.agents[1].SetReadDelay(200 * time.Millisecond)
-	defer c.agents[1].SetReadDelay(0)
+	// Healing agent 0's unit of row 0 under 2+2 takes two of the other
+	// three units, the first two in code order. The first of those agents
+	// straggles: the third unit could stand in for its, so only the
+	// deadline can end the read — and nothing is written back.
+	straggler := f.agentOfShard(0, 0)
+	if straggler == 0 {
+		straggler = f.agentOfShard(0, 1)
+	}
+	c.agents[straggler].SetReadDelay(200 * time.Millisecond)
+	defer c.agents[straggler].SetReadDelay(0)
+	before := c.client.MetricsSnapshot()
 	f.mu.Lock()
 	f.opDeadline = time.Now().Add(30 * time.Millisecond)
-	_, err = f.readRowShards(0, nil)
+	jb := f.newJob(0, 0, 4096)
+	jb.out[f.shardOfAgent(0, 0)] = make([]byte, 4096)
+	_, err = f.healRow(jb, nil, "rewritten from parity", nil)
 	f.opDeadline = time.Time{}
 	f.mu.Unlock()
 	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("row read past the operation deadline = %v, want ErrDeadline", err)
+		t.Fatalf("unit read past the operation deadline = %v, want ErrDeadline", err)
+	}
+	if d := c.client.MetricsSnapshot().Sub(before); d.WriteBursts != 0 || d.Repairs != 0 {
+		t.Fatalf("a unit read that missed its deadline wrote %d bursts and reported %d repairs", d.WriteBursts, d.Repairs)
 	}
 	for i, h := range c.client.Health() {
 		if h.State != StateHealthy {

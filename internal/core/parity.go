@@ -1,24 +1,25 @@
 package core
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
 
 	"swift/internal/ec"
-	"swift/internal/integrity"
+	"swift/internal/extent"
 	"swift/internal/obs"
 	"swift/internal/wire"
 )
 
 // This file is the engine's redundancy machinery: computing the k parity
 // units of every written stripe row through the erasure codec
-// (internal/ec), reconstructing missing units on the degraded read path,
-// auditing rows (VerifyParity) and rebuilding whole fragments after an
-// agent returns. At k=1 the codec is the legacy XOR computed copy —
-// byte-identical placement and parity bytes — and at k>=2 it is a
-// Reed–Solomon code tolerating up to k simultaneous failures per row.
+// (internal/ec), and the row planner — the one code that reads a row
+// around agents, for degraded reads and for the heals behind read-repair,
+// scrub and the rebuild of a returning agent's fragment. At k=1 the codec
+// is the legacy XOR computed copy — byte-identical placement and parity
+// bytes — and at k>=2 it is a Reed–Solomon code tolerating up to k
+// simultaneous failures per row.
 
 // scratch is pooled working memory for one operation's redundancy math:
 // the parity units a write encodes, the shard ranges a degraded read
@@ -124,83 +125,6 @@ func (f *File) fillOldRow(rowData []byte, rowOff, covLo, covHi int64, sp *obs.Sp
 	return read(covHi, rowOff+rb)
 }
 
-// readRowShards reads row r's units from every agent with a live session,
-// except those listed in omit, and returns them in code order (data
-// shards 0..m-1, parity shards m..m+k-1) with nil marking units that
-// could not be read. Reads run in parallel.
-//
-// A per-agent read failure does not abort the row as long as at least m
-// units survive: the failed unit becomes one more missing shard for the
-// codec to correct, which is exactly what a second agent dying in the
-// middle of an already-degraded read must look like, or a double failure
-// under k=2 would error out of the reconstruct path instead of being
-// masked. Only when fewer than m units survive (more damage than any
-// codec can cover) does the first error propagate — and a spent operation
-// deadline always does: it is global to the operation, and reconstruction
-// cannot outrun it.
-func (f *File) readRowShards(r int64, omit func(agent int) bool) ([][]byte, error) {
-	l := f.c.layout
-	m := l.DataPerRow()
-	shards := make([][]byte, m+f.c.parityK())
-	errs := make([]error, len(f.sessions))
-	// Agents with an open circuit breaker are skipped — their unit becomes
-	// one more missing shard — as long as enough candidates remain to
-	// reach m units: a tripped straggler must not stall every
-	// reconstruction for its whole cooldown. When shards are scarce the
-	// breaker is overridden; slow beats unreadable.
-	live := 0
-	for i, s := range f.sessions {
-		if s != nil && (omit == nil || !omit(i)) {
-			live++
-		}
-	}
-	var wg sync.WaitGroup
-	for i, s := range f.sessions {
-		if s == nil || (omit != nil && omit(i)) {
-			continue
-		}
-		if !f.c.breakerAllow(i) && live-1 >= m {
-			live--
-			continue
-		}
-		wg.Add(1)
-		go func(i int, s *agentSession, pos int) {
-			defer wg.Done()
-			buf := make([]byte, l.Unit)
-			if errs[i] = f.flatBurst(s, reading, r*l.Unit, buf, nil); errs[i] == nil {
-				shards[pos] = buf
-			}
-		}(i, s, f.shardOfAgent(r, i))
-	}
-	wg.Wait()
-	present := 0
-	for _, sh := range shards {
-		if sh != nil {
-			present++
-		}
-	}
-	var spent error
-	for i, err := range errs {
-		switch {
-		case err == nil:
-		case present < m:
-			return nil, err
-		case errors.Is(err, ErrDeadline):
-			spent = err
-		case integrity.IsCorrupt(err) || isOverloadSignal(err):
-			// Media damage (read-repair and scrub heal it) or backpressure:
-			// the agent stays in service, the lifecycle stays untouched,
-			// and the codec routes around the one unit.
-		default:
-			// Attributable: tear the session down at once, or every later
-			// row stalls a full retry budget against a dead agent.
-			f.c.cfg.Logf("core: row %d read lost agent %d, reconstructing around it: %v", r, i, err)
-			f.failAgent(i, err)
-		}
-	}
-	return shards, spent
-}
-
 // shardOfAgent returns the code-order shard index of the given agent in
 // row r.
 func (f *File) shardOfAgent(r int64, agent int) int {
@@ -252,14 +176,24 @@ var aroundSpan = [...]string{
 	aroundBusy: "busy_read", aroundHedged: "hedged_read",
 }
 
-// rowJob is one codec call of a degraded read: bytes [a, b) of every
-// unit of one row. out holds the wanted data shards — the parts of dst
-// that live on agents being read around — and in the m shards they are
-// rebuilt from: parts of dst the direct reads fill, and fetched scratch.
+// rowJob is one codec call of the row planner: bytes [a, b) of every
+// unit of one row. out holds the wanted shards — for a read, the parts of
+// dst that live on agents being read around; for a heal, whole units
+// (data or parity alike) bound for write-back — and in the m shards they
+// are rebuilt from: parts of dst the direct reads fill, units the caller
+// already holds, and fetched scratch.
 type rowJob struct {
 	row     int64
 	a, b    int64
 	in, out [][]byte
+}
+
+// newJob returns the job for bytes [a, b) of row's units, with nothing
+// wanted and nothing in hand yet.
+func (f *File) newJob(row, a, b int64) rowJob {
+	n := f.c.layout.DataPerRow() + f.c.parityK()
+	shards := make([][]byte, 2*n)
+	return rowJob{row: row, a: a, b: b, in: shards[:n], out: shards[n:]}
 }
 
 // fetch is one planner read: fragment bytes [lo, lo+n) of one agent,
@@ -271,22 +205,48 @@ type fetch struct {
 	err   error
 }
 
-// planRows plans the reconstruction of every byte of dst (first byte =
-// logical offset off) that lives on an agent being read around. Each
-// touched row gets one job per distinct in-unit byte range of its
-// missing data units (a row-aligned read: one job, the whole unit). The
-// code is byte-wise, so rebuilding [a, b) of a unit takes [a, b) of any m
-// other units of the row: the live data units come from dst itself where
-// the read covers that range — every direct read is joined before the
-// codec runs, and bytes past the object tail arrive as zeros — and the
-// rest is fetched, data units before parity units, as many as are
-// missing and no more, from the agents askTier allows. (A wanted unit
-// fetched from its own straggling agent is both input and output: the
-// codec copies it.) It returns the jobs, the fetches that complete their
-// inputs, and the scratch those need.
-func (f *File) planRows(dst []byte, off int64, role []uint8) (jobs []rowJob, fetches []fetch, total int64, err error) {
+// castRoles gives every agent its part in a read attempt over the
+// fragment ranges exts, or — exts nil — in the heal of the units heal.out
+// names, whose agents are read around whatever their state. Agents
+// without a session, and with parity those whose breaker is open, are
+// read around when touched and kept out of the planner's reach, or at
+// its last resort, when not.
+func (f *File) castRoles(exts []extent.Set, heal *rowJob, sp *obs.Span) error {
+	f.role = slices.Grow(f.role[:0], len(f.sessions))[:len(f.sessions)]
+	role := f.role
+	clear(role)
+	for i, s := range f.sessions {
+		touched := exts != nil && exts[i].Len() > 0
+		wanted := heal != nil && heal.out[f.shardOfAgent(heal.row, i)] != nil
+		switch {
+		case wanted || s == nil && touched:
+			if !f.c.cfg.Parity {
+				return ErrAgentDown
+			}
+			role[i] = aroundGone
+		case s == nil:
+			role[i] = noFetch
+		case !f.c.cfg.Parity || f.c.breakerAllow(i):
+			// Without parity the agent is the sole holder of its units
+			// and must be tried whatever its breaker says.
+		case touched:
+			role[i] = aroundBreaker
+			sp.Annotate("breaker open: reading around agent %d", i)
+		default:
+			role[i] = lastResort
+		}
+	}
+	return nil
+}
+
+// readJobs makes the jobs of a degraded read: the reconstruction of
+// every byte of dst (first byte = logical offset off) that lives on an
+// agent being read around. Each touched row gets one job per distinct
+// in-unit byte range of its missing data units (a row-aligned read: one
+// job, the whole unit).
+func (f *File) readJobs(dst []byte, off int64, role []uint8) (jobs []rowJob) {
 	l := f.c.layout
-	m, k := l.DataPerRow(), f.c.parityK()
+	m := l.DataPerRow()
 	rb, end := l.RowBytes(), off+int64(len(dst))
 	for r := l.RowOfGlobal(off); r <= l.RowOfGlobal(end-1); r++ {
 		first := len(jobs)
@@ -301,19 +261,39 @@ func (f *File) planRows(dst []byte, off int64, role []uint8) (jobs []rowJob, fet
 				i++
 			}
 			if i == len(jobs) {
-				shards := make([][]byte, 2*(m+k))
-				jobs = append(jobs, rowJob{row: r, a: lo - g, b: hi - g, in: shards[:m+k], out: shards[m+k:]})
+				jobs = append(jobs, f.newJob(r, lo-g, hi-g))
 			}
 			jobs[i].out[j] = dst[lo-off : hi-off]
 		}
 	}
+	return jobs
+}
+
+// planFetches completes the inputs of jobs — a read's (readJobs) or a
+// heal's one whole-unit job, which brings no dst. The code is byte-wise,
+// so rebuilding [a, b) of a unit takes [a, b) of any m other units of the
+// row: what a job already holds counts first; the live data units come
+// from dst itself where the read covers that range — every direct read
+// is joined before the codec runs, and bytes past the object tail arrive
+// as zeros — and the rest is fetched, data units before parity units, as
+// many as are missing and no more, from the agents askTier allows. (A
+// wanted unit fetched from its own straggling agent is both input and
+// output: the codec copies it.) It returns the fetches and the scratch
+// they need.
+func (f *File) planFetches(jobs []rowJob, dst []byte, off int64, role []uint8) (fetches []fetch, total int64, err error) {
+	l := f.c.layout
+	m, k := l.DataPerRow(), f.c.parityK()
+	rb, end := l.RowBytes(), off+int64(len(dst))
 	for i := range jobs {
 		jb := &jobs[i]
 		n, need := jb.b-jb.a, m
-		for j := 0; j < m; j++ {
-			g := jb.row*rb + int64(j)*l.Unit + jb.a
-			if !readAround(role[l.DataAgent(jb.row, j)]) && g >= off && g+n <= end {
-				jb.in[j] = dst[g-off : g-off+n]
+		for pos := range jb.in {
+			if pos < m && !readAround(role[l.DataAgent(jb.row, pos)]) {
+				if g := jb.row*rb + int64(pos)*l.Unit + jb.a; g >= off && g+n <= end {
+					jb.in[pos] = dst[g-off : g-off+n]
+				}
+			}
+			if jb.in[pos] != nil {
 				need--
 			}
 		}
@@ -327,10 +307,10 @@ func (f *File) planRows(dst []byte, off int64, role []uint8) (jobs []rowJob, fet
 			}
 		}
 		if need > 0 {
-			return nil, nil, 0, fmt.Errorf("core: row %d: %w: %d of %d units within reach", jb.row, ec.ErrTooFewShards, m-need, m)
+			return nil, 0, fmt.Errorf("core: row %d: %w: %d of %d units within reach", jb.row, ec.ErrTooFewShards, m-need, m)
 		}
 	}
-	return jobs, fetches, total, nil
+	return fetches, total, nil
 }
 
 // fetchesFrom reports whether any planner read is addressed to the agent.
@@ -360,95 +340,56 @@ func (f *File) runFetches(s *agentSession, fetches []fetch, sp *obs.Span) {
 	}
 }
 
-// reconstructUnit rebuilds the whole unit of row r held by agent dead
-// (data or parity alike) from the surviving agents' units through the
-// codec: what rebuild and read-repair write back.
-func (f *File) reconstructUnit(dead int, r int64) ([]byte, error) {
-	shards, err := f.readRowShards(r, func(a int) bool { return a == dead })
-	if err != nil {
-		return nil, err
+// healRow rebuilds the units jb.out names through the row planner — from
+// what jb.in already holds, reading around for the rest — and writes each
+// back to the agent it belongs on: the one mend behind rebuild,
+// read-repair and both of scrub's. A rebuilt unit equal to held's (the
+// units as the agents hold them now, when the caller read them) is left
+// alone. Each unit written is reported as a repair under what; rebuild,
+// which mends nothing that was reported broken, passes none. It returns
+// the units written.
+func (f *File) healRow(jb rowJob, held [][]byte, what string, sp *obs.Span) (healed int64, err error) {
+	if err := f.castRoles(nil, &jb, sp); err != nil {
+		return 0, err
 	}
-	out := make([][]byte, len(shards))
-	unit := make([]byte, f.c.layout.Unit)
-	out[f.shardOfAgent(r, dead)] = unit
-	if err := f.ecReconstruct(shards, out); err != nil {
-		return nil, err
+	if _, err := f.readPasses(nil, 0, nil, []rowJob{jb}, sp); err != nil {
+		return 0, fmt.Errorf("row %d: reconstruct: %w", jb.row, err)
 	}
-	return unit, nil
+	for pos, unit := range jb.out {
+		if unit == nil || held != nil && bytes.Equal(unit, held[pos]) {
+			continue
+		}
+		agent := f.agentOfShard(jb.row, pos)
+		if err := f.writeRowUnit(agent, jb.row, unit, sp); err != nil {
+			return healed, fmt.Errorf("row %d: rewrite agent %d: %w", jb.row, agent, err)
+		}
+		healed++
+		if what != "" {
+			f.noteRepair(agent, jb.row, what, sp)
+		}
+	}
+	return healed, nil
 }
 
-// VerifyParity scrubs the file: for every stripe row it reads all units
-// from all agents and checks that the parity units match the codec's
-// encoding of the data units. It returns the rows that fail, in
-// ascending order — the maintenance pass a Swift installation would run
-// after crashes.
-func (f *File) VerifyParity() ([]int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return nil, ErrClosed
-	}
+// healUnits heals agent i's unit of each row in [r0, r1): the rows a
+// corruption report implicates (read-repair), or every row (rebuild). It
+// is sound while the unit plus the agents out of reach stay within the
+// codec's correction power — with k parity units, up to k-1 other agents
+// may be out — and the planner refuses the row otherwise; a read or write
+// whose repair is refused falls back to degraded-mode failover.
+func (f *File) healUnits(i int, r0, r1 int64, what string, sp *obs.Span) error {
 	if !f.c.cfg.Parity {
-		return nil, fmt.Errorf("core: verify requires parity")
+		return fmt.Errorf("parity disabled")
 	}
-	if f.liveCount() < len(f.sessions) {
-		return nil, fmt.Errorf("core: verify requires all agents up")
+	if i < 0 || i >= len(f.sessions) || f.sessions[i] == nil {
+		return fmt.Errorf("no session to the agent")
 	}
-	if f.size == 0 {
-		return nil, nil
-	}
-	l := f.c.layout
-	var bad []int64
-	lastRow := l.RowOfGlobal(f.size - 1)
-	for r := int64(0); r <= lastRow; r++ {
-		shards, err := f.readRowShards(r, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: verify row %d: %w", r, err)
-		}
-		ok, verr := f.c.codec.Verify(shards)
-		if verr != nil {
-			return nil, fmt.Errorf("core: verify row %d: %w", r, verr)
-		}
-		if !ok {
-			bad = append(bad, r)
-		}
-	}
-	return bad, nil
-}
-
-// RepairRow recomputes and rewrites the parity units of one row from its
-// data units, fixing a scrub finding whose data is trusted.
-func (f *File) RepairRow(r int64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return ErrClosed
-	}
-	if !f.c.cfg.Parity {
-		return fmt.Errorf("core: repair requires parity")
-	}
-	l := f.c.layout
-	k := f.c.parityK()
-	for j := 0; j < k; j++ {
-		if pa := l.ParityAgentAt(r, j); pa >= len(f.sessions) || f.sessions[pa] == nil {
-			return fmt.Errorf("core: repair: parity agent %d down", pa)
-		}
-	}
-	// Read the data units and re-encode the row's parity.
-	shards, err := f.readRowShards(r, func(a int) bool { return l.ParityPos(r, a) >= 0 })
-	if err != nil {
-		return err
-	}
-	m := l.DataPerRow()
-	for j := 0; j < k; j++ {
-		shards[m+j] = make([]byte, l.Unit)
-	}
-	if err := f.ecEncode(shards); err != nil {
-		return fmt.Errorf("core: repair row %d: %w", r, err)
-	}
-	for j := 0; j < k; j++ {
-		pa := l.ParityAgentAt(r, j)
-		if err := f.flatBurst(f.sessions[pa], writing, l.ParityLocal(r), shards[m+j], nil); err != nil {
+	unit := acquireScratch(f.c.layout.Unit)
+	defer releaseScratch(unit)
+	for r := r0; r < r1; r++ {
+		jb := f.newJob(r, 0, f.c.layout.Unit)
+		jb.out[f.shardOfAgent(r, i)] = unit.b
+		if _, err := f.healRow(jb, nil, what, sp); err != nil {
 			return err
 		}
 	}
@@ -471,31 +412,17 @@ func (f *File) Rebuild(idx int) error {
 }
 
 // rebuildLocked is Rebuild with f.mu held (re-admission calls it before
-// the fresh session becomes visible to reads).
+// the fresh session becomes visible to reads). It reports no repairs:
+// nothing was reported broken.
 func (f *File) rebuildLocked(idx int) error {
-	if !f.c.cfg.Parity {
-		return fmt.Errorf("core: rebuild requires parity")
-	}
-	if idx < 0 || idx >= len(f.sessions) || f.sessions[idx] == nil {
-		return fmt.Errorf("core: rebuild: no session to agent %d", idx)
-	}
-	s := f.sessions[idx]
 	l := f.c.layout
-	if f.size == 0 {
-		return nil
+	if err := f.healUnits(idx, 0, (f.size+l.RowBytes()-1)/l.RowBytes(), "", nil); err != nil {
+		return fmt.Errorf("core: rebuild agent %d: %w", idx, err)
 	}
-	lastRow := l.RowOfGlobal(f.size - 1)
-	for r := int64(0); r <= lastRow; r++ {
-		unit, err := f.reconstructUnit(idx, r)
-		if err != nil {
-			return fmt.Errorf("core: rebuild row %d: %w", r, err)
-		}
-		if err := f.flatBurst(s, writing, r*l.Unit, unit, nil); err != nil {
-			return fmt.Errorf("core: rebuild row %d: %w", r, err)
-		}
-	}
-	// Trim the fragment: the tail data unit may be partial.
-	if err := f.sessionRPC(s, wire.TTrunc, wire.TTruncReply, l.FragmentSizes(f.size)[idx], nil); err != nil {
+	// Trim the fragment — the tail data unit may be partial, and an agent
+	// that was out while the file shrank, even to nothing, still holds
+	// the old length.
+	if err := f.sessionRPC(f.sessions[idx], wire.TTrunc, wire.TTruncReply, l.FragmentSizes(f.size)[idx], nil); err != nil {
 		return fmt.Errorf("core: rebuild trim: %w", err)
 	}
 	return nil

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+	"time"
 
 	"swift/internal/transport"
 	"swift/internal/transport/memnet"
@@ -215,18 +217,22 @@ func TestScrubDetectsAndRepairsCorruption(t *testing.T) {
 	defer f.Close()
 	data := randBytes(20_000, 95)
 	f.WriteAt(data, 0)
+	scrub := func(when string, opts ScrubOptions) ScrubReport {
+		t.Helper()
+		rep, err := f.Scrub(opts)
+		if err != nil {
+			t.Fatalf("scrub %s: %v", when, err)
+		}
+		return rep
+	}
 
 	// A clean file scrubs clean.
-	bad, err := f.VerifyParity()
-	if err != nil {
-		t.Fatalf("verify: %v", err)
-	}
-	if len(bad) != 0 {
-		t.Fatalf("clean file reported bad rows %v", bad)
+	if rep := scrub("clean", ScrubOptions{}); !rep.Clean() || rep.Rows != 7 {
+		t.Fatalf("clean file: %s, want all 7 rows verified clean", rep)
 	}
 
-	// Corrupt one byte of agent 2's fragment in row 3 (bit rot).
-	l := c.client.Layout()
+	// Corrupt one byte of agent 2's fragment in row 3 (bit rot beneath no
+	// envelope: the agent serves it without complaint).
 	row := int64(3)
 	obj, err := c.stores[2].Open("scrub", false)
 	if err != nil {
@@ -238,36 +244,52 @@ func TestScrubDetectsAndRepairsCorruption(t *testing.T) {
 	}
 	obj.Close()
 
-	bad, err = f.VerifyParity()
-	if err != nil {
-		t.Fatalf("verify after corruption: %v", err)
-	}
-	if len(bad) != 1 || bad[0] != row {
-		t.Fatalf("bad rows = %v, want [%d]", bad, row)
+	// Detection alone finds exactly that row and rewrites nothing.
+	if rep := scrub("after corruption", ScrubOptions{}); rep.ParityMismatches != 1 || rep.Repaired != 0 {
+		t.Fatalf("after corruption: %s, want one parity mismatch and no repair", rep)
 	}
 
-	// If agent 2 held the parity unit of that row, RepairRow restores
-	// consistency from the data; otherwise recompute parity to match
+	// If agent 2 held the parity unit of that row, the repair restores
+	// consistency from the data; otherwise it recomputes parity to match
 	// the (now-corrupt) data — either way the row scrubs clean after.
-	if err := f.RepairRow(row); err != nil {
-		t.Fatalf("repair: %v", err)
+	if rep := scrub("repair", ScrubOptions{Repair: true}); rep.ParityMismatches != 1 || rep.Repaired != 1 {
+		t.Fatalf("repair: %s, want the one mismatch mended by one rewritten parity unit", rep)
 	}
-	bad, err = f.VerifyParity()
-	if err != nil {
-		t.Fatalf("verify after repair: %v", err)
+	if rep := scrub("after repair", ScrubOptions{}); !rep.Clean() {
+		t.Fatalf("after repair: %s, want clean", rep)
 	}
-	if len(bad) != 0 {
-		t.Fatalf("rows still bad after repair: %v", bad)
+
+	// A row with an agent out cannot be judged: it is skipped, not failed.
+	f.mu.Lock()
+	f.failAgent(1, ErrAgentDown)
+	f.mu.Unlock()
+	if rep := scrub("agent out", ScrubOptions{Repair: true}); rep.Skipped == 0 || rep.Rows != 0 || rep.Repaired != 0 {
+		t.Fatalf("agent out: %s, want every row skipped", rep)
 	}
-	_ = l
 }
 
+// TestScrubRequiresParity: without parity a scrub has no equation to
+// audit and nothing to mend with — it reads every unit, finds no
+// mismatch even over rot, and repairs nothing.
 func TestScrubRequiresParity(t *testing.T) {
 	c := newCluster(t, clusterOpts{agents: 3})
 	f, _ := c.client.Open("noparity", OpenFlags{Create: true})
 	defer f.Close()
-	if _, err := f.VerifyParity(); err == nil {
-		t.Fatal("scrub without parity succeeded")
+	f.WriteAt(randBytes(20_000, 96), 0)
+	obj, err := c.stores[1].Open("noparity", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obj.WriteAt([]byte{0xFF}, 17); err != nil {
+		t.Fatal(err)
+	}
+	obj.Close()
+	rep, err := f.Scrub(ScrubOptions{Repair: true})
+	if err != nil {
+		t.Fatalf("scrub: %v", err)
+	}
+	if rep.Scheme != "none" || rep.Rows == 0 || rep.ParityMismatches != 0 || rep.Repaired != 0 {
+		t.Fatalf("scrub without parity: %s, want rows read, nothing audited or repaired", rep)
 	}
 }
 
@@ -277,4 +299,204 @@ func TestParityRequiresThreeAgents(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error for parity with 2 agents")
 	}
+}
+
+// TestRebuildTrimsAfterTruncateToZero: an agent that was out while the
+// file was truncated to nothing comes back holding its old fragment. The
+// rebuild has no rows to write, but it must still trim: a fresh open
+// would otherwise size the object from the stale bytes.
+func TestRebuildTrimsAfterTruncateToZero(t *testing.T) {
+	c := newCluster(t, clusterOpts{agents: 4, parity: true, unit: 2048})
+	f, _ := c.client.Open("obj", OpenFlags{Create: true})
+	defer f.Close()
+	f.WriteAt(randBytes(45_000, 27), 0)
+
+	f.mu.Lock()
+	f.sessions[3].close()
+	f.sessions[3] = nil
+	f.mu.Unlock()
+	if err := f.Truncate(0); err != nil {
+		t.Fatalf("truncate with agent 3 out: %v", err)
+	}
+	if err := f.readmit(3, true); err != nil {
+		t.Fatalf("readmit: %v", err)
+	}
+	if got, err := c.stores[3].Stat("obj"); err != nil || got != 0 {
+		t.Fatalf("readmitted fragment = %d bytes (%v), want 0", got, err)
+	}
+	g, err := c.client.Open("obj", OpenFlags{})
+	if err != nil {
+		t.Fatalf("fresh open: %v", err)
+	}
+	defer g.Close()
+	if g.Size() != 0 {
+		t.Fatalf("fresh open sees size %d, want 0", g.Size())
+	}
+}
+
+// fragmentOf returns the whole fragment of name in agent's store, and with
+// junk set overwrites it there with noise — for a rebuild to put right.
+func fragmentOf(t *testing.T, c *cluster, agent int, name string, junk bool) []byte {
+	t.Helper()
+	obj, err := c.stores[agent].Open(name, false)
+	if err != nil {
+		t.Fatalf("open fragment of agent %d: %v", agent, err)
+	}
+	defer obj.Close()
+	size, _ := obj.Size()
+	frag := make([]byte, size)
+	if _, err := obj.ReadAt(frag, 0); err != nil {
+		t.Fatalf("read fragment of agent %d: %v", agent, err)
+	}
+	if junk {
+		if _, err := obj.WriteAt(randBytes(len(frag), 99), 0); err != nil {
+			t.Fatalf("overwrite fragment of agent %d: %v", agent, err)
+		}
+	}
+	return frag
+}
+
+// TestRebuildFetchesOnlyMShards: rebuilding a unit takes m of the row's
+// other units, not all of them — one read burst per shard fetched, for a
+// data holder and a parity holder of row 0 alike.
+func TestRebuildFetchesOnlyMShards(t *testing.T) {
+	const unit, rows = 2048, 8
+	c := newCluster(t, clusterOpts{agents: 5, parityShards: 2, unit: unit})
+	f, data := writeObj(t, c, "obj", rows*3*unit, 28)
+	defer f.Close()
+	l := c.client.Layout()
+	for _, x := range []int{l.DataAgent(0, 0), l.ParityAgentAt(0, 0)} {
+		want := fragmentOf(t, c, x, "obj", true)
+		before := c.client.MetricsSnapshot()
+		if err := f.Rebuild(x); err != nil {
+			t.Fatalf("rebuild agent %d: %v", x, err)
+		}
+		d := c.client.MetricsSnapshot().Sub(before)
+		if !bytes.Equal(fragmentOf(t, c, x, "obj", false), want) {
+			t.Errorf("rebuild of agent %d did not restore its fragment", x)
+		}
+		if d.ReadBursts != 3*rows || d.WriteBursts != rows {
+			t.Errorf("rebuild of agent %d over %d rows: %d read bursts and %d write bursts, want %d and %d",
+				x, rows, d.ReadBursts, d.WriteBursts, 3*rows, rows)
+		}
+		if d.Repairs != 0 {
+			t.Errorf("rebuild of agent %d reported %d repairs; nothing was reported broken", x, d.Repairs)
+		}
+	}
+	if rep, err := f.Scrub(ScrubOptions{}); err != nil || !rep.Clean() || rep.Rows != rows {
+		t.Fatalf("scrub after the rebuilds: %s (%v), want %d clean rows", rep, err, rows)
+	}
+	got := make([]byte, len(data))
+	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after the rebuilds: err %v, exact %v", err, bytes.Equal(got, data))
+	}
+}
+
+// TestRebuildUsesPooledScratch: a rebuild's shards and the unit it writes
+// back live in pooled scratch, so its garbage does not grow with the
+// bytes it moves.
+func TestRebuildUsesPooledScratch(t *testing.T) {
+	const unit, rows = 64 << 10, 64
+	c := newCluster(t, clusterOpts{agents: 5, parityShards: 2, unit: unit})
+	f, _ := writeObj(t, c, "obj", rows*3*unit, 29)
+	defer f.Close()
+	if err := f.Rebuild(1); err != nil { // warm the pools and the sessions' burst records
+		t.Fatalf("rebuild: %v", err)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	allocated := ms.TotalAlloc
+	if err := f.Rebuild(1); err != nil {
+		t.Fatalf("rebuild: %v", err)
+	}
+	runtime.ReadMemStats(&ms)
+	if got := ms.TotalAlloc - allocated; got >= rows*unit && !raceEnabled {
+		t.Errorf("%d bytes allocated rebuilding %d rows, want less than one unit (%d) a row", got, rows, unit)
+	}
+}
+
+// TestRebuildBreakerAndStragglers: the rebuild's reads follow the
+// planner's rules. A survivor whose breaker is open is asked for its unit
+// only when fewer than m are otherwise within reach — before the pass or,
+// when another survivor dies under it, in the next one — and a survivor
+// that is merely slow is waited out: no hedge, no lifecycle event.
+func TestRebuildBreakerAndStragglers(t *testing.T) {
+	const unit, rows = 2048, 4
+	setup := func(t *testing.T) (*cluster, *File) {
+		c := newCluster(t, clusterOpts{agents: 5, parityShards: 2, unit: unit, retryTimeout: 10 * time.Millisecond, maxRetries: 5})
+		f, _ := writeObj(t, c, "obj", rows*3*unit, 30)
+		t.Cleanup(func() { f.Close() })
+		return c, f
+	}
+	tripBreaker := func(c *cluster, agent int) {
+		b := &c.client.breakers[agent]
+		b.mu.Lock()
+		b.state, b.until = BreakerOpen, time.Now().Add(time.Hour)
+		b.mu.Unlock()
+	}
+	readsOf := func(c *cluster, agent int) int64 { return c.client.tel.agent(agent).bursts[reading].Load() }
+	// rebuild scribbles over agent 0's fragment, rebuilds it, and checks
+	// that the fragment is back.
+	rebuild := func(t *testing.T, c *cluster, f *File) {
+		t.Helper()
+		want := fragmentOf(t, c, 0, "obj", true)
+		if err := f.Rebuild(0); err != nil {
+			t.Fatalf("rebuild: %v", err)
+		}
+		if !bytes.Equal(fragmentOf(t, c, 0, "obj", false), want) {
+			t.Fatal("rebuild did not restore the fragment")
+		}
+	}
+
+	t.Run("breaker_open_not_asked", func(t *testing.T) {
+		c, f := setup(t)
+		tripBreaker(c, 2)
+		rebuild(t, c, f)
+		if n := readsOf(c, 2); n != 0 {
+			t.Errorf("agent 2, breaker open, was read %d times with three other survivors in reach", n)
+		}
+	})
+	t.Run("breaker_open_asked_when_short", func(t *testing.T) {
+		c, f := setup(t)
+		tripBreaker(c, 2)
+		f.mu.Lock()
+		f.sessions[4].close()
+		f.sessions[4] = nil
+		f.mu.Unlock()
+		rebuild(t, c, f)
+		if n := readsOf(c, 2); n != rows {
+			t.Errorf("agent 2, breaker open, was read %d times, want once a row (%d): only two others are in reach", n, rows)
+		}
+	})
+	t.Run("breaker_open_asked_after_a_death", func(t *testing.T) {
+		c, f := setup(t)
+		tripBreaker(c, 2)
+		c.agents[4].Close() // found dead by the rebuild's own read
+		rebuild(t, c, f)
+		if st := c.client.Health()[4].State; st == StateHealthy {
+			t.Error("agent 4 died under a rebuild read and is still healthy: failAgent did not fire")
+		}
+		if n := readsOf(c, 2); n != rows {
+			t.Errorf("agent 2, breaker open, was read %d times, want once a row (%d) after agent 4 died", n, rows)
+		}
+	})
+	t.Run("straggler_waited_out", func(t *testing.T) {
+		c := newOverloadCluster(t, func(cfg *Config) {
+			cfg.HedgeReads = true
+			cfg.MaxRetries = 200 // a retry budget that outlasts the straggler
+		})
+		f, _ := writeObj(t, c, "obj", 12_000, 31)
+		defer f.Close()
+		c.agents[2].SetReadDelay(150 * time.Millisecond)
+		rebuild(t, c, f) // 3+1: every survivor's unit is needed
+		c.agents[2].SetReadDelay(0)
+		if m := c.client.MetricsSnapshot(); m.Hedges != 0 {
+			t.Errorf("the rebuild hedged %d reads", m.Hedges)
+		}
+		for i := range c.agents {
+			if tr := c.client.tel.agent(i).transitions.Load(); tr != 0 {
+				t.Errorf("agent %d: %d lifecycle transitions, want 0", i, tr)
+			}
+		}
+	})
 }

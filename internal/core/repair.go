@@ -10,12 +10,12 @@ import (
 
 // This file implements read-repair: when a storage agent reports at-rest
 // corruption (an integrity.CorruptError surfaced through the wire as a
-// TError), the client reconstructs the damaged stripe units from the
-// surviving agents' units and parity, writes the recovered bytes back to
-// the corrupt agent, and retries the original operation against clean
-// data. Corruption is deliberately NOT fed into the failure-domain
-// lifecycle: the agent is alive and answering — only its media is bad —
-// so demoting it would trade a repairable fragment for a degraded stripe.
+// TError), the client heals the damaged stripe units (healUnits, in
+// parity.go) from the other agents' units, data and parity alike, and
+// retries the original operation against clean data. Corruption is
+// deliberately NOT fed into the failure-domain lifecycle: the agent is
+// alive and answering — only its media is bad — so demoting it would
+// trade a repairable fragment for a degraded stripe.
 
 // noteCorrupt records a corruption report attributed to agent i.
 func (f *File) noteCorrupt(i int, err error) {
@@ -34,55 +34,17 @@ func (f *File) noteUnrepairable(i int, err error) {
 	f.c.cfg.Logf("core: unrepairable corruption on agent %d: %s: %v", i, f.name, err)
 }
 
-// repairCorrupt rewrites the stripe rows of agent i's fragment implicated
-// by the corruption error cerr, reconstructing each row's unit through
-// the erasure codec from the surviving agents' units (data and parity
-// alike). The logical operation range [off, off+n) bounds the rows
-// repaired when the error does not carry a parseable corrupt range. f.mu
-// must be held.
-//
-// Reconstruction is sound as long as the corrupt unit plus the dead
-// agents stay within the codec's correction power: with k parity units,
-// up to k-1 agents may be out while agent i's media is repaired. Callers
-// fall back to degraded-mode failover when repair is refused.
-func (f *File) repairCorrupt(i int, cerr error, off, n int64, sp *obs.Span) error {
-	if !f.c.cfg.Parity {
-		return fmt.Errorf("core: repair agent %d: parity disabled", i)
-	}
-	if i < 0 || i >= len(f.sessions) || f.sessions[i] == nil {
-		return fmt.Errorf("core: repair: no session to agent %d", i)
-	}
-	out := 1 // agent i's corrupt unit is excluded from reconstruction
-	for j, s := range f.sessions {
-		if j != i && s == nil {
-			out++
-		}
-	}
-	if k := f.c.parityK(); out > k {
-		return fmt.Errorf("core: repair agent %d: %d units unavailable, scheme tolerates %d", i, out, k)
-	}
-	r0, r1 := f.corruptRows(cerr, off, n)
-	if r1 < r0 {
-		return fmt.Errorf("core: repair agent %d: no rows implicated", i)
-	}
-	for r := r0; r <= r1; r++ {
-		unit, err := f.reconstructUnit(i, r)
-		if err != nil {
-			return fmt.Errorf("core: repair agent %d row %d: reconstruct: %w", i, r, err)
-		}
-		if err := f.writeRowUnit(i, r, unit, sp); err != nil {
-			return fmt.Errorf("core: repair agent %d row %d: %w", i, r, err)
-		}
-		f.c.metrics.Repairs.Add(1)
-		f.c.tel.agent(i).repairs.Inc()
-		f.c.traceEvent("repair", i, "%s row %d rewritten from parity", f.name, r)
-		sp.Annotate("row %d rewritten from parity", r)
-		f.c.cfg.Logf("core: repaired %s row %d on agent %d from parity", f.name, r, i)
-	}
-	return nil
+// noteRepair records one unit of agent i rewritten through the codec,
+// everywhere a repair is observed; what says which kind.
+func (f *File) noteRepair(i int, r int64, what string, sp *obs.Span) {
+	f.c.metrics.Repairs.Add(1)
+	f.c.tel.agent(i).repairs.Inc()
+	f.c.traceEvent("repair", i, "%s row %d %s", f.name, r, what)
+	sp.Annotate("agent %d row %d %s", i, r, what)
+	f.c.cfg.Logf("core: repaired %s row %d on agent %d: %s", f.name, r, i, what)
 }
 
-// corruptRows maps a corruption error to the inclusive stripe-row range to
+// corruptRows maps a corruption error to the stripe rows [r0, r1) to
 // repair. Preferred source is the error's own corrupt range — the agent
 // reports fragment-local byte offsets, and a fragment's row index equals
 // the stripe row index (every agent holds exactly one unit per row, at
@@ -91,12 +53,9 @@ func (f *File) repairCorrupt(i int, cerr error, off, n int64, sp *obs.Span) erro
 func (f *File) corruptRows(cerr error, off, n int64) (r0, r1 int64) {
 	l := f.c.layout
 	if ce, ok := integrity.ParseCorrupt(cerr.Error()); ok && ce.Length > 0 {
-		return ce.Offset / l.Unit, (ce.Offset + ce.Length - 1) / l.Unit
+		return ce.Offset / l.Unit, (ce.Offset+ce.Length-1)/l.Unit + 1
 	}
-	if n <= 0 {
-		n = 1
-	}
-	return l.RowOfGlobal(off), l.RowOfGlobal(off + n - 1)
+	return l.RowOfGlobal(off), l.RowOfGlobal(off+max(n, 1)-1) + 1
 }
 
 // writeRowUnit overwrites agent i's unit of stripe row r with unit
@@ -113,6 +72,9 @@ func (f *File) writeRowUnit(i int, r int64, unit []byte, sp *obs.Span) error {
 	lo := r * l.Unit
 	if err := f.flatBurst(s, writing, lo, unit, sp); err != nil {
 		return err
+	}
+	if (r+1)*l.RowBytes() <= f.size {
+		return nil // a row the object covers whole holds whole units
 	}
 	want := l.FragmentSizes(f.size)[i]
 	if lo+l.Unit <= want {

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -126,17 +126,22 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 		}
 	}
 
-	bufs := make([][]byte, len(f.sessions))
+	// The one read that goes straight to every agent rather than around
+	// any: the scrub wants each agent's own verdict on its unit. The
+	// units land in code order, with k spare units behind them for a
+	// re-encoded parity.
+	m, k := l.DataPerRow(), f.c.parityK()
+	sc := acquireScratch(int64(len(f.sessions)+k) * l.Unit)
+	defer releaseScratch(sc)
+	unitAt := func(pos int) []byte { return sc.b[int64(pos)*l.Unit : int64(pos+1)*l.Unit] }
 	errs := make([]error, len(f.sessions))
 	var wg sync.WaitGroup
 	for i, s := range f.sessions {
 		wg.Add(1)
-		go func(i int, s *agentSession) {
+		go func(i int, s *agentSession, unit []byte) {
 			defer wg.Done()
-			buf := make([]byte, l.Unit)
-			errs[i] = f.flatBurst(s, reading, r*l.Unit, buf, nil)
-			bufs[i] = buf
-		}(i, s)
+			errs[i] = f.flatBurst(s, reading, r*l.Unit, unit, nil)
+		}(i, s, unitAt(f.shardOfAgent(r, i)))
 	}
 	wg.Wait()
 
@@ -172,15 +177,33 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 	rep.Bytes += l.Unit * int64(len(f.sessions))
 	f.c.metrics.ScrubRows.Add(1)
 
-	k := f.c.parityK()
-	switch {
-	case len(corrupt) == 0:
-		if !f.c.cfg.Parity {
-			return false, nil
+	if !f.c.cfg.Parity || len(corrupt) > k {
+		// No parity, or more corrupt units in one row than the scheme has
+		// parity units: the codec cannot reconstruct them.
+		rep.Unrepairable += int64(len(corrupt))
+		for _, i := range corrupt {
+			f.noteUnrepairable(i, errs[i])
 		}
+		return false, nil
+	}
+	// What is wrong with the row becomes one heal job over the units in
+	// hand: in, the units to trust; out, where to rebuild the others.
+	heal := f.newJob(r, 0, l.Unit)
+	for pos := range heal.in {
+		heal.in[pos] = unitAt(pos)
+	}
+	var held [][]byte
+	what := "rewritten from parity"
+	if len(corrupt) > 0 {
+		// Up to k corrupt units: the codec rebuilds them, over the rotten
+		// bytes, from the rest of the row.
+		for _, i := range corrupt {
+			pos := f.shardOfAgent(r, i)
+			heal.in[pos], heal.out[pos] = nil, heal.in[pos]
+		}
+	} else {
 		// All units read back clean: audit the row through the codec.
-		shards := f.shardsOfBufs(r, bufs)
-		ok, verr := f.c.codec.Verify(shards)
+		ok, verr := f.c.codec.Verify(heal.in)
 		if verr != nil {
 			return false, fmt.Errorf("core: scrub: verify row %d: %w", r, verr)
 		}
@@ -190,95 +213,28 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 		rep.ParityMismatches++
 		f.c.traceEvent("scrub_mismatch", -1, "%s row %d parity disagrees with data", f.name, r)
 		f.c.cfg.Logf("core: scrub: %s row %d parity mismatch", f.name, r)
-		if !opts.Repair {
-			return false, nil
+		// The data units are clean, so the parity units are the liars (a
+		// crash between data and parity writes leaves exactly this).
+		// Re-encode them from the data; held lets the heal rewrite only
+		// those that actually disagree.
+		held, what = slices.Clone(heal.in), "parity recomputed"
+		for j := m; j < m+k; j++ {
+			heal.in[j], heal.out[j] = nil, unitAt(len(f.sessions)+j-m)
 		}
-		// The data units read back clean; the parity units are the liars
-		// (a crash between data and parity writes leaves exactly this).
-		// Re-encode from the data and rewrite only the units that
-		// actually disagree.
-		m := l.DataPerRow()
-		fresh := make([][]byte, m+k)
-		copy(fresh, shards[:m])
-		for j := 0; j < k; j++ {
-			fresh[m+j] = make([]byte, l.Unit)
-		}
-		if eerr := f.ecEncode(fresh); eerr != nil {
-			return false, fmt.Errorf("core: scrub: re-encode row %d: %w", r, eerr)
-		}
-		for j := 0; j < k; j++ {
-			if bytes.Equal(fresh[m+j], shards[m+j]) {
-				continue
-			}
-			pa := l.ParityAgentAt(r, j)
-			rs := sp.StartChild("scrub_repair", pa)
-			rs.MarkRetry()
-			rs.Annotate("row %d parity recomputed", r)
-			werr := f.writeRowUnit(pa, r, fresh[m+j], rs)
-			rs.SetError(werr)
-			rs.Finish()
-			if werr != nil {
-				return false, fmt.Errorf("core: scrub: rewrite parity row %d: %w", r, werr)
-			}
-			rep.Repaired++
-			f.c.metrics.Repairs.Add(1)
-			f.c.tel.agent(pa).repairs.Inc()
-			f.c.traceEvent("repair", pa, "%s row %d parity recomputed", f.name, r)
-		}
-
-	case len(corrupt) <= k && f.c.cfg.Parity:
-		if !opts.Repair {
-			return false, nil
-		}
-		// Up to k corrupt units: drop them from the row and let the
-		// codec reconstruct the holes, over the rotten bytes, from the
-		// survivors.
-		shards := f.shardsOfBufs(r, bufs)
-		rebuilt := make([][]byte, len(shards))
-		for _, i := range corrupt {
-			pos := f.shardOfAgent(r, i)
-			shards[pos], rebuilt[pos] = nil, shards[pos]
-		}
-		if rerr := f.ecReconstruct(shards, rebuilt); rerr != nil {
-			return false, fmt.Errorf("core: scrub: reconstruct row %d: %w", r, rerr)
-		}
-		for _, dead := range corrupt {
-			unit := rebuilt[f.shardOfAgent(r, dead)]
-			rs := sp.StartChild("scrub_repair", dead)
-			rs.MarkRetry()
-			rs.Annotate("row %d rewritten from parity", r)
-			werr := f.writeRowUnit(dead, r, unit, rs)
-			rs.SetError(werr)
-			rs.Finish()
-			if werr != nil {
-				return false, fmt.Errorf("core: scrub: rewrite agent %d row %d: %w", dead, r, werr)
-			}
-			rep.Repaired++
-			f.c.metrics.Repairs.Add(1)
-			f.c.tel.agent(dead).repairs.Inc()
-			f.c.traceEvent("repair", dead, "%s row %d rewritten from parity", f.name, r)
-			f.c.cfg.Logf("core: scrub: repaired %s row %d on agent %d", f.name, r, dead)
-		}
-
-	default:
-		// More corrupt units in one row than the scheme has parity (or
-		// no parity at all): the codec cannot reconstruct them.
-		rep.Unrepairable += int64(len(corrupt))
-		for _, i := range corrupt {
-			f.noteUnrepairable(i, errs[i])
-		}
+	}
+	if !opts.Repair {
+		return false, nil
+	}
+	rs := sp.StartChild("scrub_repair", -1)
+	rs.MarkRetry()
+	healed, err := f.healRow(heal, held, what, rs)
+	rs.SetError(err)
+	rs.Finish()
+	rep.Repaired += healed
+	if err != nil {
+		return false, fmt.Errorf("core: scrub: %w", err)
 	}
 	return false, nil
-}
-
-// shardsOfBufs reorders the per-agent unit buffers of row r into code
-// order (data shards first, then parity shards).
-func (f *File) shardsOfBufs(r int64, bufs [][]byte) [][]byte {
-	shards := make([][]byte, len(bufs))
-	for i, b := range bufs {
-		shards[f.shardOfAgent(r, i)] = b
-	}
-	return shards
 }
 
 // agentState returns agent i's lifecycle state.

@@ -26,8 +26,8 @@ import (
 // Calls through interfaces and into foreign (stdlib) code are not
 // traversed — the type system's layer boundaries bound the hot set —
 // and justified exceptions (init-time setup, cold error branches) take
-// //lint:allow hotalloc <reason>. This turns BENCH_hotpath.json's
-// 0.0 allocs/op from a bench observation into a build gate.
+// //lint:allow hotalloc <reason>. This turns the benchmark ladder's
+// zero allocations per packet from a bench observation into a build gate.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "//swift:hotpath functions and everything they reach must not heap-allocate",
