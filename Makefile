@@ -25,8 +25,8 @@ vet:
 # non-test Go lines, core/file.go < 600): it prints both counts and fails
 # when either exceeds its ceiling. A PR that shrinks them lowers the
 # ceilings to its result; none raises them.
-CORE_LINES_MAX := 5069
-CORE_FILE_LINES_MAX := 972
+CORE_LINES_MAX := 5065
+CORE_FILE_LINES_MAX := 959
 size:
 	@core=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l); \
 	file=$$(cat internal/core/file.go | wc -l); \
@@ -98,7 +98,8 @@ overload-smoke:
 cache-smoke:
 	sh scripts/cache-smoke.sh
 
-# Short fuzz pass over the wire codecs, the at-rest integrity
+# Short fuzz pass over the wire codecs, udpnet's walk over the control
+# messages a coalesced receive carries, the at-rest integrity
 # envelope, the erasure codec, the lint annotation parsers, and the
 # agent's write-burst state machine and the cache object against their
 # models (CI smoke; go native fuzzing). The burst target observes real
@@ -109,6 +110,7 @@ cache-smoke:
 fuzz:
 	$(GO) test ./internal/wire/ -run XXX -fuzz FuzzUnmarshal -fuzztime 20s
 	$(GO) test ./internal/wire/ -run XXX -fuzz FuzzControlPayloads -fuzztime 20s
+	$(GO) test ./internal/transport/udpnet/ -run XXX -fuzz FuzzGROControl -fuzztime 20s
 	$(GO) test ./internal/integrity/ -run XXX -fuzz FuzzIntegrityEnvelope -fuzztime 20s
 	$(GO) test ./internal/ec/ -run XXX -fuzz FuzzECRoundTrip -fuzztime 20s
 	$(GO) test ./internal/lint/ -run XXX -fuzz FuzzParseDirective -fuzztime 10s

@@ -223,7 +223,7 @@ func (a *Agent) isClosed() bool {
 
 // send marshals and transmits one packet, logging failures. Control
 // replies and error paths come through here; the per-session data path
-// uses session.send, which reuses the session's marshal scratch.
+// uses session.send, which goes through the session's send batch.
 func (a *Agent) send(c transport.PacketConn, to string, p *wire.Packet) {
 	buf, err := wire.Marshal(p)
 	if err != nil {
@@ -621,10 +621,11 @@ type session struct {
 	burstFree [][]byte
 	lastSeen  time.Time
 
-	// sendBuf is the marshal scratch for the session's data path. The
-	// session is served by a single goroutine, so the buffer is reused
-	// across packets without locking (transports copy on WriteTo).
-	sendBuf []byte
+	// out sends the session's data path in runs: a read burst's data
+	// packets leave in as few calls as the conn allows. The session is
+	// served by a single goroutine, so its buffer is reused without
+	// locking (transports copy on send).
+	out *wire.Batch
 	// readFree recycles the two serve-loop chunk buffers: the reader
 	// goroutine fills one while the transmitter drains the other, so a
 	// burst of any length touches exactly two buffers.
@@ -639,19 +640,14 @@ func newSession(a *Agent, handle uint64, obj store.Object, conn transport.Packet
 		conn:    conn,
 		payload: payload,
 		writes:  make(map[uint32]*writeState),
+		out:     wire.NewBatch(conn, wire.HeaderSize+payload+wire.TrailerSize),
 	}
 }
 
-// send marshals into the session's scratch buffer and transmits on the
-// session conn — the zero-allocation mirror of core's File.sendPacket.
+// send hands one packet to the session's batch: a data packet may wait
+// for the rest of its run, anything else leaves at once.
 func (s *session) send(to string, p *wire.Packet) {
-	buf, err := wire.AppendPacket(s.sendBuf[:0], p)
-	if err != nil {
-		s.agent.cfg.Logf("agent %s: marshal %v: %v", s.agent.host.Name(), p.Type, err) //lint:allow hotalloc cold marshal-failure log
-		return
-	}
-	s.sendBuf = buf[:0]
-	if err := s.conn.WriteTo(buf, to); err != nil {
+	if err := s.out.Send(p, to); err != nil {
 		s.agent.cfg.Logf("agent %s: send %v to %s: %v", s.agent.host.Name(), p.Type, to, err) //lint:allow hotalloc cold send-failure log
 	}
 }
@@ -663,28 +659,34 @@ func (s *session) run() {
 	defer s.abandonWrites()
 
 	cfg := &s.agent.cfg
-	buf := make([]byte, wire.HeaderSize+s.payload+wire.TrailerSize)
+	buf := make([]byte, transport.RunBuffer(s.conn, wire.HeaderSize+s.payload+wire.TrailerSize))
 	var pkt wire.Packet
 	now := time.Now()
 	s.lastSeen = now
 	for {
-		// One clock reading per datagram serves the deadline, the
-		// handlers and the burst bookkeeping. After a long read burst it
-		// is stale, which only makes the next tick come early.
+		// One clock reading per run serves the deadline, the handlers and
+		// the burst bookkeeping. After a long read burst it is stale,
+		// which only makes the next tick come early.
 		s.conn.SetReadDeadline(now.Add(cfg.ResendCheck))
-		n, from, err := s.conn.ReadFrom(buf)
+		n, seg, from, err := transport.ReadSegments(s.conn, buf)
 		now = time.Now()
 		switch {
 		case err == nil:
 			s.lastSeen = now
-			if uerr := wire.Unmarshal(buf[:n], &pkt); uerr != nil {
-				s.agent.tel.badPackets.Inc()
-				cfg.Logf("agent %s session %d: bad packet: %v", s.agent.host.Name(), s.handle, uerr)
-				continue
-			}
-			if s.dispatch(&pkt, from, now) {
-				s.agent.dropSession(s)
-				return
+			// Every datagram of a run is dispatched, in order, where it
+			// lies.
+			for run := buf[:n]; len(run) > 0; {
+				var dgram []byte
+				dgram, run = transport.NextSegment(run, seg)
+				if uerr := wire.Unmarshal(dgram, &pkt); uerr != nil {
+					s.agent.tel.badPackets.Inc()
+					cfg.Logf("agent %s session %d: bad packet: %v", s.agent.host.Name(), s.handle, uerr)
+					continue
+				}
+				if s.dispatch(&pkt, from, now) {
+					s.agent.dropSession(s)
+					return
+				}
 			}
 		case transport.IsTimeout(err):
 			if now.Sub(s.lastSeen) > cfg.SessionIdle || s.agent.isClosed() {
@@ -824,9 +826,7 @@ func (s *session) serveRead(pkt *wire.Packet, from string) {
 			}
 			// The tail past EOF must read as zeros: the buffer is
 			// recycled, so clear whatever the store did not fill.
-			for i := int64(got); i < n; i++ {
-				buf[i] = 0
-			}
+			clear(buf[got:])
 			chunks <- chunk{off: off, data: buf}
 			off += n
 			remaining -= n
@@ -866,6 +866,9 @@ func (s *session) serveRead(pkt *wire.Packet, from string) {
 			}
 		}
 		s.readFree <- c.data[:cap(c.data)]
+	}
+	if err := s.out.Flush(); err != nil {
+		s.agent.cfg.Logf("agent %s: send data to %s: %v", s.agent.host.Name(), from, err) //lint:allow hotalloc cold send-failure log
 	}
 	switch {
 	case fail != nil:
@@ -1085,10 +1088,10 @@ func (s *session) abandonWrites() {
 	}
 }
 
-// checkWrites is the burst bookkeeping that runs after every datagram
-// and on every read-deadline tick. Its cost does not depend on how many
-// bursts completed recently: the done queue is reaped from its head, and
-// the open set is swept at most once per ResendCheck.
+// checkWrites is the burst bookkeeping that runs after every run of
+// datagrams received and on every read-deadline tick. Its cost does not
+// depend on how many bursts completed recently: the done queue is reaped
+// from its head, and the open set is swept at most once per ResendCheck.
 func (s *session) checkWrites(now time.Time) {
 	s.reapDone(now)
 	if len(s.open) > 0 && now.Sub(s.lastSweep) >= s.agent.cfg.ResendCheck {

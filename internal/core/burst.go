@@ -145,13 +145,16 @@ func (f *File) runBursts(s *agentSession, dir direction, ranges []extent.Extent,
 			}
 		}
 		s.conn.SetReadDeadline(d.wake())
-		n, _, err := s.conn.ReadFrom(s.buf)
+		n, seg, _, err := transport.ReadSegments(s.conn, s.buf)
 		now := time.Now()
-		switch {
-		case err == nil:
-			err = d.receive(s.buf[:n], now)
-		case transport.IsTimeout(err):
+		if transport.IsTimeout(err) {
 			err = d.expire(now)
+		}
+		// Every datagram of a run is dispatched, in order, where it lies.
+		for run := s.buf[:n]; len(run) > 0 && err == nil; {
+			var dgram []byte
+			dgram, run = transport.NextSegment(run, seg)
+			err = d.receive(dgram, now)
 		}
 		if err != nil {
 			return err
@@ -210,7 +213,7 @@ func (d *burstRun) transmit(b *burst, now time.Time) error {
 	}
 	if d.dir == writing {
 		p.Type, p.ReqID, p.Offset, p.Length, p.Flags = wire.TWrite, b.ids[0], b.lo, uint32(b.n), f.writeFlags()
-		return f.sendPacket(s, &p)
+		return s.out.Send(&p, s.dataAddr)
 	}
 	missing := []extent.Extent{{Off: b.lo, Len: b.n}}
 	if b.got.Len() > 0 {
@@ -221,7 +224,7 @@ func (d *burstRun) transmit(b *burst, now time.Time) error {
 	for _, m := range missing {
 		p.ReqID, p.Offset, p.Length = f.c.nextReq(), m.Off, uint32(m.Len)
 		b.ids = append(b.ids, p.ReqID)
-		if err := f.sendPacket(s, &p); err != nil {
+		if err := s.out.Send(&p, s.dataAddr); err != nil {
 			return err
 		}
 	}
@@ -229,7 +232,8 @@ func (d *burstRun) transmit(b *burst, now time.Time) error {
 }
 
 // sendData blasts fragment bytes [off, off+n) as data packets of the
-// write burst announced under id.
+// write burst announced under id, in runs of the session's batch; with
+// WritePace set, a run is one packet.
 //
 //swift:hotpath
 func (d *burstRun) sendData(id uint32, off, n int64) error {
@@ -244,16 +248,19 @@ func (d *burstRun) sendData(id uint32, off, n int64) error {
 			f.gather(s.idx, off, p.Payload, x.buf, x.base, x.pu)
 		}
 		p.Offset, p.Length = off, uint32(len(p.Payload))
-		if err := f.sendPacket(s, &p); err != nil {
+		if err := s.out.Send(&p, s.dataAddr); err != nil {
 			return err
 		}
 		f.c.metrics.DataPackets.Add(1)
 		d.at.dataPackets.Inc()
 		if cfg.WritePace > 0 {
+			if err := s.out.Flush(); err != nil {
+				return err
+			}
 			cfg.Sleep(cfg.WritePace)
 		}
 	}
-	return nil
+	return s.out.Flush()
 }
 
 // wake is when the receive loop must stop waiting for a datagram: the

@@ -87,7 +87,7 @@ func newBurstRig(t *testing.T, dir direction, allowHedge bool, mutate func(*Conf
 	r.f = &File{c: c, name: "obj"}
 	s := &agentSession{
 		idx: 0, conn: r.conn, dataAddr: "a:9", handle: 7,
-		buf: make([]byte, wire.MaxPacket), sendBuf: make([]byte, 0, wire.MaxPacket),
+		buf: make([]byte, wire.MaxPacket), out: wire.NewBatch(r.conn, wire.MaxPacket),
 		payload: make([]byte, rigPayload), bursts: make([]burst, 2),
 	}
 	r.d = r.f.newBurstRun(s, dir, &xfer{buf: r.mem, flat: true}, nil, allowHedge)

@@ -566,8 +566,10 @@ type agentSession struct {
 	// reqBytes is the burst size for this session: Config.RequestBytes,
 	// or 42 packets of the agreed payload.
 	reqBytes int64
-	buf      []byte // receive buffer, owned by the session's worker
-	sendBuf  []byte // marshal buffer, owned by the session's worker
+	// buf receives runs of datagrams and out sends them; both are owned
+	// by the session's worker.
+	buf []byte
+	out *wire.Batch
 	// payload is the gather scratch for one outgoing data packet; its
 	// length is the data payload the session agreed at open.
 	payload []byte
@@ -668,8 +670,8 @@ func (c *Client) openSession(idx int, addr, name string, flags OpenFlags, tctx o
 		handle:   reply.Handle,
 		fragSize: rep.Size,
 		reqBytes: c.cfg.requestBytes(payload),
-		buf:      make([]byte, packet),
-		sendBuf:  make([]byte, 0, packet),
+		buf:      make([]byte, transport.RunBuffer(conn, packet)),
+		out:      wire.NewBatch(conn, packet),
 		payload:  make([]byte, payload),
 		bursts:   make([]burst, max(readWindow, c.cfg.WriteWindow)),
 	}, nil

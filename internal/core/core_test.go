@@ -53,8 +53,9 @@ type clusterOpts struct {
 	// its 100 retries.
 	retryTimeout time.Duration
 	maxRetries   int
-	// clientHost, when set, wraps the client's host (to tap its conns).
-	clientHost func(transport.Host) transport.Host
+	// clientHost and agentHost, when set, wrap the client's and each
+	// agent's host (to tap their conns).
+	clientHost, agentHost func(transport.Host) transport.Host
 }
 
 func newCluster(t testing.TB, o clusterOpts) *cluster {
@@ -83,7 +84,11 @@ func newCluster(t testing.TB, o clusterOpts) *cluster {
 		if o.integrityBS > 0 {
 			as = integrity.NewStore(st, o.integrityBS)
 		}
-		a, err := agent.New(h, as, agent.Config{
+		var ah transport.Host = h
+		if o.agentHost != nil {
+			ah = o.agentHost(h)
+		}
+		a, err := agent.New(ah, as, agent.Config{
 			ResendCheck:   5 * time.Millisecond,
 			ResendAfter:   10 * time.Millisecond,
 			MaxBurstBytes: o.maxBurst,

@@ -538,19 +538,6 @@ func (f *File) placeGlobal(agent int, localOff int64, b []byte, dst []byte, base
 	}
 }
 
-// sendPacket marshals into the session's scratch buffer and transmits to
-// the agent's private port.
-//
-//swift:hotpath
-func (f *File) sendPacket(s *agentSession, p *wire.Packet) error {
-	buf, err := wire.AppendPacket(s.sendBuf[:0], p)
-	if err != nil {
-		return err
-	}
-	s.sendBuf = buf[:0]
-	return s.conn.WriteTo(buf, s.dataAddr)
-}
-
 // WriteAt implements io.WriterAt: it streams to all affected agents in
 // parallel and, with parity enabled, maintains the computed copy. With
 // write-behind on, the bytes are instead absorbed into dirty cache

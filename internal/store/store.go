@@ -146,9 +146,7 @@ func (o *memObject) grow(size int64) {
 		// The reslice exposes old bytes only up to the previous
 		// length; clear anything between len and the new size that
 		// may hold stale truncated data.
-		for i := n; i < int(size); i++ {
-			o.data[i] = 0
-		}
+		clear(o.data[n:])
 		return
 	}
 	newCap := 2 * cap(o.data)

@@ -97,6 +97,97 @@ func embeddedConn(c PacketConn) PacketConn {
 	return inner
 }
 
+// A run is consecutive datagrams to or from one peer, laid end to end in
+// one buffer: every datagram seg bytes long except the last, which may be
+// shorter. A conn that can move a run in one call — udpnet, through UDP
+// segmentation offload and receive coalescing — implements SegmentWriter
+// and SegmentReader; WriteSegments and ReadSegments use those methods when
+// the conn has them and otherwise go datagram by datagram. Either way the
+// datagrams on the wire are the ones a WriteTo per datagram would send.
+const (
+	// MaxRun is the most bytes one segment call carries: the largest UDP
+	// payload over IPv4, which is also what one GSO send may hold.
+	MaxRun = 65507
+	// MaxSegments is the most datagrams one segment call carries (the
+	// kernel's UDP_MAX_SEGMENTS on every release that has GSO).
+	MaxSegments = 64
+	// RunBytes is a receive buffer that holds any run a kernel coalesces,
+	// up to the largest UDP payload over IPv6.
+	RunBytes = 64 << 10
+)
+
+// SegmentWriter is implemented by conns that send a run in one call.
+type SegmentWriter interface {
+	// WriteSegments sends b to addr as datagrams of seg bytes, the last
+	// possibly shorter.
+	WriteSegments(b []byte, seg int, addr string) error
+}
+
+// SegmentReader is implemented by conns that receive a run in one call.
+type SegmentReader interface {
+	// ReadSegments receives one run from one source into p: n bytes of
+	// datagrams of seg bytes, the last possibly shorter. p should hold
+	// RunBytes; a shorter p receives one datagram at a time.
+	ReadSegments(p []byte) (n, seg int, from string, err error)
+}
+
+// WriteSegments sends the run b to addr: in one call when c itself
+// implements SegmentWriter, otherwise one WriteTo per datagram. Unlike
+// MediumOf it does not look through an embedded PacketConn, so a counting,
+// recording or loss-injecting decorator sees every datagram. A run of one
+// datagram is one WriteTo either way.
+//
+//swift:hotpath
+func WriteSegments(c PacketConn, b []byte, seg int, addr string) error {
+	if seg <= 0 || seg >= len(b) {
+		return c.WriteTo(b, addr)
+	}
+	if w, ok := c.(SegmentWriter); ok {
+		return w.WriteSegments(b, seg, addr)
+	}
+	for len(b) > 0 {
+		var dgram []byte
+		dgram, b = NextSegment(b, seg)
+		if err := c.WriteTo(dgram, addr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadSegments receives one run into p: through c's own ReadSegments when
+// c implements SegmentReader (not looking through decorators, as for
+// WriteSegments), otherwise one ReadFrom, a run of one datagram.
+//
+//swift:hotpath
+func ReadSegments(c PacketConn, p []byte) (n, seg int, from string, err error) {
+	if r, ok := c.(SegmentReader); ok {
+		return r.ReadSegments(p)
+	}
+	n, from, err = c.ReadFrom(p)
+	return n, n, from, err
+}
+
+// NextSegment splits the first datagram off a run of seg-byte datagrams.
+// A seg that is not positive, or longer than the run, makes the run one
+// datagram.
+func NextSegment(run []byte, seg int) (dgram, rest []byte) {
+	if seg <= 0 || seg > len(run) {
+		seg = len(run)
+	}
+	return run[:seg], run[seg:]
+}
+
+// RunBuffer is the receive buffer a loop reading c with ReadSegments
+// needs for datagrams of up to datagram bytes: RunBytes when c receives
+// runs, datagram otherwise.
+func RunBuffer(c PacketConn, datagram int) int {
+	if _, ok := c.(SegmentReader); ok {
+		return RunBytes
+	}
+	return datagram
+}
+
 // Host is a network endpoint factory representing one machine. Port "0"
 // requests an ephemeral port.
 type Host interface {
@@ -105,8 +196,12 @@ type Host interface {
 }
 
 // IsTimeout reports whether err is a read-deadline expiry from either
-// transport implementation.
+// transport implementation. A nil err answers at once: the errors.As
+// below allocates, and receive loops ask after every receive.
 func IsTimeout(err error) bool {
+	if err == nil {
+		return false
+	}
 	if errors.Is(err, ErrTimeout) {
 		return true
 	}

@@ -107,3 +107,100 @@ func TestMediumOf(t *testing.T) {
 		}
 	}
 }
+
+// logConn logs every datagram written to it and hands out queued ones;
+// segConn adds the segment calls, logging each run.
+type logConn struct {
+	plainConn
+	sent  [][]byte
+	queue [][]byte
+}
+
+func (c *logConn) WriteTo(p []byte, _ string) error {
+	c.sent = append(c.sent, append([]byte(nil), p...))
+	return nil
+}
+
+func (c *logConn) ReadFrom(p []byte) (int, string, error) {
+	if len(c.queue) == 0 {
+		return 0, "", ErrTimeout
+	}
+	n := copy(p, c.queue[0])
+	c.queue = c.queue[1:]
+	return n, "peer:1", nil
+}
+
+type segConn struct {
+	logConn
+	runs []int // seg of each run written
+}
+
+func (c *segConn) WriteSegments(b []byte, seg int, addr string) error {
+	c.runs = append(c.runs, seg)
+	return c.WriteTo(b, addr)
+}
+
+func (c *segConn) ReadSegments(p []byte) (int, int, string, error) {
+	n, from, err := c.ReadFrom(p)
+	return n, 1, from, err
+}
+
+// TestSegmentCalls: a conn with the segment calls gets whole runs, one
+// without them — including a decorator embedding one that has them — gets
+// one WriteTo per datagram, and a run of one datagram is a plain WriteTo.
+func TestSegmentCalls(t *testing.T) {
+	run := []byte("aaabbbcc")
+	sc := &segConn{}
+	if err := WriteSegments(sc, run, 3, "peer:1"); err != nil || len(sc.runs) != 1 || sc.runs[0] != 3 {
+		t.Fatalf("segment conn: runs %v, err %v; want one run of 3-byte datagrams", sc.runs, err)
+	}
+	if err := WriteSegments(sc, run[:3], 3, "peer:1"); err != nil || len(sc.runs) != 1 || len(sc.sent) != 2 {
+		t.Fatalf("a run of one went through WriteSegments (runs %v)", sc.runs)
+	}
+	lc := &logConn{}
+	if err := WriteSegments(lc, run, 3, "peer:1"); err != nil {
+		t.Fatal(err)
+	}
+	if len(lc.sent) != 3 || string(lc.sent[0]) != "aaa" || string(lc.sent[1]) != "bbb" || string(lc.sent[2]) != "cc" {
+		t.Errorf("plain conn: sent %q, want the run's three datagrams", lc.sent)
+	}
+	inner := &segConn{}
+	wrapped := &embedWrap{PacketConn: inner}
+	if err := WriteSegments(wrapped, run, 3, "peer:1"); err != nil || len(inner.runs) != 0 || len(inner.sent) != 3 {
+		t.Errorf("embedding decorator: inner saw runs %v and %d datagrams; want no run and 3 datagrams", inner.runs, len(inner.sent))
+	}
+
+	// Receiving: a plain conn's run is its one datagram; an embedded
+	// segment reader is not looked through.
+	inner.queue = [][]byte{[]byte("xyz")}
+	buf := make([]byte, 16)
+	if n, seg, from, err := ReadSegments(wrapped, buf); err != nil || n != 3 || seg != 3 || from != "peer:1" {
+		t.Errorf("decorator: run of %d bytes in %d-byte datagrams from %q, err %v; want one 3-byte datagram", n, seg, from, err)
+	}
+	inner.queue = [][]byte{[]byte("xyz")}
+	if _, seg, _, _ := ReadSegments(inner, buf); seg != 1 {
+		t.Errorf("segment reader's own seg not returned: %d", seg)
+	}
+	if RunBuffer(inner, 1400) != RunBytes || RunBuffer(wrapped, 1400) != 1400 {
+		t.Error("RunBuffer does not follow the conn's own ReadSegments")
+	}
+}
+
+func TestNextSegment(t *testing.T) {
+	for _, c := range []struct {
+		run         string
+		seg         int
+		dgram, rest string
+	}{
+		{"aaabbb", 3, "aaa", "bbb"},
+		{"aab", 2, "aa", "b"},
+		{"ab", 5, "ab", ""},
+		{"ab", 0, "ab", ""},
+		{"", 3, "", ""},
+	} {
+		d, r := NextSegment([]byte(c.run), c.seg)
+		if string(d) != c.dgram || string(r) != c.rest {
+			t.Errorf("NextSegment(%q, %d) = %q, %q; want %q, %q", c.run, c.seg, d, r, c.dgram, c.rest)
+		}
+	}
+}

@@ -84,7 +84,7 @@ func (h *Host) Listen(port string) (transport.PacketConn, error) {
 	// large datagrams. Ask for room; it grants what net.core.rmem_max
 	// allows, and the size agreement goes by what was granted.
 	_ = uc.SetReadBuffer(recvBufferAsk) // a refusal leaves the default, which Medium then reports
-	return &conn{
+	c := &conn{
 		host: h,
 		uc:   uc,
 		medium: transport.Medium{
@@ -94,7 +94,11 @@ func (h *Host) Listen(port string) (transport.PacketConn, error) {
 		addr: uc.LocalAddr().String(),
 		dst:  make(map[string]netip.AddrPort),
 		src:  make(map[netip.AddrPort]string),
-	}, nil
+	}
+	gso, gro := segmentOffload(uc)
+	c.gso.Store(gso)
+	c.gro = gro
+	return c, nil
 }
 
 // recvBufferAsk is the receive buffer every socket asks for: core's
@@ -159,6 +163,24 @@ type conn struct {
 	mu  sync.Mutex
 	dst map[string]netip.AddrPort // guarded by mu; WriteTo address → resolved peer
 	src map[netip.AddrPort]string // guarded by mu; socket source → ReadFrom address
+
+	// gso is whether a run still leaves in one UDP_SEGMENT sendmsg. It
+	// starts as what the kernel knows and is cleared for good by the
+	// first segmented send the kernel refuses.
+	gso atomic.Bool
+	// gro is whether the socket took UDP_GRO at Listen, so that one
+	// receive may return a run. Every receive then goes through rmu.
+	gro bool
+
+	rmu sync.Mutex
+	oob [groOOB]byte // guarded by rmu; a receive's control messages
+	// ReadFrom hands a run out one datagram per call: it receives into
+	// stage (built on first use) and keeps in rest, from restFrom, what
+	// it has not returned yet.
+	stage    []byte         // guarded by rmu
+	rest     []byte         // guarded by rmu
+	restSeg  int            // guarded by rmu
+	restFrom netip.AddrPort // guarded by rmu
 }
 
 // unmap turns an IPv4-mapped IPv6 address back into plain IPv4.
@@ -222,18 +244,128 @@ func (c *conn) WriteTo(p []byte, addr string) error {
 	return err
 }
 
+// WriteSegments sends b to addr as datagrams of seg bytes, the last
+// possibly shorter: one UDP_SEGMENT sendmsg per MaxRun bytes or
+// MaxSegments datagrams, whichever comes first. Once the kernel refuses a
+// segmented send (EIO where the device cannot checksum for it, EINVAL on a
+// path it cannot segment for) the conn sends every run datagram by
+// datagram, starting with the rest of this one.
+//
+//swift:hotpath
+func (c *conn) WriteSegments(b []byte, seg int, addr string) error {
+	if seg <= 0 || seg >= len(b) {
+		return c.WriteTo(b, addr)
+	}
+	ap, err := c.resolve(addr)
+	if err != nil {
+		return err
+	}
+	whole := min(transport.MaxRun/seg, transport.MaxSegments) * seg
+	for len(b) > seg && c.gso.Load() {
+		run := b[:min(whole, len(b))]
+		var oob [segmentOOB]byte
+		if _, _, err := c.uc.WriteMsgUDPAddrPort(run, segmentCmsg(oob[:], seg), ap); err != nil {
+			c.gso.Store(false)
+			break
+		}
+		c.host.pktsOut.Add(int64(segments(len(run), seg)))
+		c.host.bytesOut.Add(int64(len(run)))
+		b = b[len(run):]
+	}
+	for len(b) > 0 {
+		var dgram []byte
+		dgram, b = transport.NextSegment(b, seg)
+		if _, err := c.uc.WriteToUDPAddrPort(dgram, ap); err != nil {
+			return err
+		}
+		c.host.pktsOut.Add(1)
+		c.host.bytesOut.Add(int64(len(dgram)))
+	}
+	return nil
+}
+
+// segments is how many datagrams of seg bytes an n-byte run holds.
+func segments(n, seg int) int {
+	if n == 0 || seg <= 0 {
+		return 1
+	}
+	return (n + seg - 1) / seg
+}
+
 //swift:hotpath
 func (c *conn) ReadFrom(p []byte) (int, string, error) {
-	n, ap, err := c.uc.ReadFromUDPAddrPort(p)
-	if err != nil {
-		if te, ok := err.(net.Error); ok && te.Timeout() {
-			return n, "", transport.ErrTimeout
+	if !c.gro {
+		n, ap, err := c.uc.ReadFromUDPAddrPort(p)
+		if err != nil {
+			return n, "", timeoutErr(err)
 		}
-		return n, "", err
+		c.host.pktsIn.Add(1)
+		c.host.bytesIn.Add(int64(n))
+		return n, c.sourceString(ap), nil
 	}
-	c.host.pktsIn.Add(1)
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if len(c.rest) == 0 {
+		if c.stage == nil {
+			c.stage = make([]byte, transport.RunBytes) //lint:allow hotalloc one receive buffer per conn, built on its first ReadFrom
+		}
+		n, seg, ap, err := c.receiveLocked(c.stage)
+		if err != nil {
+			return 0, "", err
+		}
+		c.rest, c.restSeg, c.restFrom = c.stage[:n], seg, ap
+	}
+	var dgram []byte
+	dgram, c.rest = transport.NextSegment(c.rest, c.restSeg)
+	return copy(p, dgram), c.sourceString(c.restFrom), nil
+}
+
+// ReadSegments receives one run, straight into p when p holds
+// transport.RunBytes. A run ReadFrom has begun to hand out comes first.
+//
+//swift:hotpath
+func (c *conn) ReadSegments(p []byte) (int, int, string, error) {
+	if !c.gro || len(p) < transport.RunBytes {
+		n, from, err := c.ReadFrom(p)
+		return n, n, from, err
+	}
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if len(c.rest) > 0 {
+		n := copy(p, c.rest)
+		c.rest = c.rest[:0]
+		return n, c.restSeg, c.sourceString(c.restFrom), nil
+	}
+	n, seg, ap, err := c.receiveLocked(p)
+	if err != nil {
+		return 0, 0, "", err
+	}
+	return n, seg, c.sourceString(ap), nil
+}
+
+// receiveLocked receives one run into p and counts its datagrams. A
+// datagram that arrived alone is a run of one.
+//
+//swift:hotpath
+func (c *conn) receiveLocked(p []byte) (n, seg int, from netip.AddrPort, err error) {
+	n, oobn, _, from, err := c.uc.ReadMsgUDPAddrPort(p, c.oob[:])
+	if err != nil {
+		return 0, 0, from, timeoutErr(err)
+	}
+	if seg = groSegment(c.oob[:oobn]); seg <= 0 || seg > n {
+		seg = n
+	}
+	c.host.pktsIn.Add(int64(segments(n, seg)))
 	c.host.bytesIn.Add(int64(n))
-	return n, c.sourceString(ap), nil
+	return n, seg, from, nil
+}
+
+// timeoutErr maps a socket's deadline expiry to transport.ErrTimeout.
+func timeoutErr(err error) error {
+	if te, ok := err.(net.Error); ok && te.Timeout() {
+		return transport.ErrTimeout
+	}
+	return err
 }
 
 func (c *conn) SetReadDeadline(t time.Time) error { return c.uc.SetReadDeadline(t) }

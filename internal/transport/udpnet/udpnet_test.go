@@ -157,6 +157,30 @@ func TestDatagramAllocs(t *testing.T) {
 		t.Fatalf("%v allocations per WriteTo+ReadFrom pair, want <= 1", allocs)
 	}
 	t.Logf("%v allocations per WriteTo+ReadFrom pair", allocs)
+
+	// A run both ways: seven 8 KiB datagrams, and a base burst's worth of
+	// 1400-byte ones.
+	run := make([]byte, transport.RunBytes)
+	for _, shape := range []struct{ count, seg int }{{7, 32 + 8192 + 4}, {42, 1400}} {
+		out := make([]byte, shape.count*shape.seg)
+		sc := a.(transport.SegmentWriter)
+		rc := b.(transport.SegmentReader)
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := sc.WriteSegments(out, shape.seg, to); err != nil {
+				t.Fatal(err)
+			}
+			for got := 0; got < len(out); {
+				n, _, from, err := rc.ReadSegments(run)
+				if err != nil || from != a.LocalAddr() {
+					t.Fatalf("run from %q: %v", from, err)
+				}
+				got += n
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%v allocations per WriteSegments+ReadSegments of %d x %d bytes, want 0", allocs, shape.count, shape.seg)
+		}
+	}
 }
 
 // TestMediumReportsLoopback checks what a loopback socket says of its

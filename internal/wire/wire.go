@@ -52,6 +52,14 @@
 // peers keep decoding them; only control packets ever carry extensions —
 // data packets (TData) stay version 1 so the per-packet hot path never
 // pays for them.
+//
+// The datagram is the unit of loss and of retransmission, but not of
+// system calls: a Batch lays a burst's equal-size data packets end to end
+// so that the transport moves up to transport.MaxRun bytes of them in one
+// call (transport.WriteSegments; udpnet's UDP segmentation offload), and the
+// receive loops take a coalesced run the same way and decode it in place,
+// datagram by datagram. Each datagram on the wire is byte for byte the one
+// AppendPacket makes, so neither end needs to know the other batches.
 package wire
 
 import (
@@ -62,6 +70,7 @@ import (
 	"time"
 
 	"swift/internal/obs"
+	"swift/internal/transport"
 )
 
 // Protocol constants.
@@ -323,8 +332,8 @@ func AppendPacket(dst []byte, p *Packet) ([]byte, error) {
 	return append(dst, tr[:]...), nil
 }
 
-// Marshal encodes the packet into a fresh buffer.
-func Marshal(p *Packet) ([]byte, error) {
+// encodedLen is the datagram AppendPacket makes of p.
+func encodedLen(p *Packet) int {
 	n := HeaderSize + len(p.Payload) + TrailerSize
 	if p.Trace.Valid() {
 		n += TraceExtSize
@@ -332,8 +341,81 @@ func Marshal(p *Packet) ([]byte, error) {
 	if p.Deadline > 0 {
 		n += DeadlineExtSize
 	}
-	buf := make([]byte, 0, n) //lint:allow hotalloc Marshal returns a fresh buffer by contract; hot senders use AppendPacket with caller scratch
+	return n
+}
+
+// Marshal encodes the packet into a fresh buffer.
+func Marshal(p *Packet) ([]byte, error) {
+	buf := make([]byte, 0, encodedLen(p)) //lint:allow hotalloc Marshal returns a fresh buffer by contract; hot senders use AppendPacket with caller scratch
 	return AppendPacket(buf, p)
+}
+
+// Batch is a peer-bound send buffer: it marshals packets end to end so
+// that a run of equal-size data packets leaves in one
+// transport.WriteSegments call, while every datagram stays the one
+// AppendPacket makes. A run ends when a packet cannot join it — another
+// peer, a larger datagram, no room left — and is sent when it ends with a
+// shorter datagram, when it is full, or on Flush. Packets other than TData
+// are never held: each leaves at once, after whatever run preceded it, so
+// control traffic keeps its order and its latency. Over a conn that cannot
+// send a run in one call, every packet leaves at once too.
+//
+// A Batch belongs to one goroutine; its buffer is reused from run to run.
+type Batch struct {
+	conn  transport.PacketConn
+	limit int    // bytes a run may hold; 0 holds nothing back
+	buf   []byte // the run: datagrams of seg bytes, the last possibly shorter
+	seg   int
+	to    string
+}
+
+// NewBatch returns a batch sending on conn packets of at most datagram
+// bytes.
+func NewBatch(conn transport.PacketConn, datagram int) *Batch {
+	b := &Batch{conn: conn}
+	if _, ok := conn.(transport.SegmentWriter); ok {
+		b.limit = transport.MaxRun
+	}
+	b.buf = make([]byte, 0, max(b.limit, datagram))
+	return b
+}
+
+// Send marshals p into the run bound for addr, sending what the rules
+// above say is ready. An error is the send's, and may concern packets of
+// the run before p.
+//
+//swift:hotpath
+func (b *Batch) Send(p *Packet, addr string) error {
+	n := encodedLen(p)
+	if len(b.buf) > 0 && (addr != b.to || n > b.seg) {
+		if err := b.Flush(); err != nil {
+			return err
+		}
+	}
+	buf, err := AppendPacket(b.buf, p)
+	if err != nil {
+		return err
+	}
+	if len(b.buf) == 0 {
+		b.seg, b.to = n, addr
+	}
+	b.buf = buf
+	if p.Type != TData || n < b.seg || len(buf)+b.seg > b.limit || len(buf) >= transport.MaxSegments*b.seg {
+		return b.Flush()
+	}
+	return nil
+}
+
+// Flush sends the run held back, if any.
+//
+//swift:hotpath
+func (b *Batch) Flush() error {
+	if len(b.buf) == 0 {
+		return nil
+	}
+	err := transport.WriteSegments(b.conn, b.buf, b.seg, b.to)
+	b.buf = b.buf[:0]
+	return err
 }
 
 // Unmarshal decodes buf into p. Versions 1 through 4 are accepted;
