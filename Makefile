@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all build vet lint size test race fuzz bench tables figures ablations \
-	ec-bench bench-ladder examples obs-test obs-smoke \
+	bench-ladder examples obs-test obs-smoke \
 	scrub-smoke failover-smoke trace-smoke overload-smoke cache-smoke clean
 
 all: build vet test obs-test
@@ -100,9 +100,9 @@ cache-smoke:
 
 # Short fuzz pass over the wire codecs, udpnet's walk over the control
 # messages a coalesced receive carries, the at-rest integrity
-# envelope, the erasure codec, the lint annotation parsers, and the
-# agent's write-burst state machine and the cache object against their
-# models (CI smoke; go native fuzzing). The burst target observes real
+# envelope, the erasure codec and its GF(2^8) slice kernels, the lint
+# annotation parsers, and the agent's write-burst state machine and the
+# cache object against their models (CI smoke; go native fuzzing). The burst target observes real
 # service times and the cache target recycles buffers through a
 # sync.Pool, so their coverage is not a pure function of the input:
 # without a cap the engine spends its default 60 s minimising each
@@ -113,6 +113,7 @@ fuzz:
 	$(GO) test ./internal/transport/udpnet/ -run XXX -fuzz FuzzGROControl -fuzztime 20s
 	$(GO) test ./internal/integrity/ -run XXX -fuzz FuzzIntegrityEnvelope -fuzztime 20s
 	$(GO) test ./internal/ec/ -run XXX -fuzz FuzzECRoundTrip -fuzztime 20s
+	$(GO) test ./internal/ec/ -run XXX -fuzz FuzzMulSlice -fuzztime 20s
 	$(GO) test ./internal/lint/ -run XXX -fuzz FuzzParseDirective -fuzztime 10s
 	$(GO) test ./internal/lint/ -run XXX -fuzz FuzzParseGuard -fuzztime 10s
 	$(GO) test ./internal/lint/ -run XXX -fuzz FuzzParseAllow -fuzztime 10s
@@ -132,11 +133,6 @@ figures:
 
 ablations:
 	$(GO) run ./cmd/swift-bench -table ablations
-
-# Erasure-coding codec microbench: encode/reconstruct MB/s, XOR vs
-# Reed–Solomon, across striping-unit sizes. Writes BENCH_ec.json.
-ec-bench:
-	$(GO) run ./cmd/swift-bench -table ec
 
 # The real-CPU benchmark ladder (BENCHMARK.json): its own tests under the
 # race detector, then every workload once, untraced. The run exits

@@ -5,8 +5,6 @@
 //	Table 3 — the NFS file-server baseline
 //	Table 4 — Swift on two Ethernets (6 storage agents)
 //	tcp     — the §3 TCP-prototype ablation (≤45% of network capacity)
-//	ec      — the erasure-coding codec microbench (encode/reconstruct
-//	          MB/s, XOR vs Reed–Solomon; also writes BENCH_ec.json)
 //
 // Each cell is sampled eight times and reported as mean, σ, min, max and a
 // 90% confidence interval, exactly as the paper's tables are.
@@ -24,20 +22,17 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"swift/internal/bench"
 )
 
 func main() {
-	table := flag.String("table", "all", "table to run: 1, 2, 3, 4, tcp, ablations, ec, or all")
+	table := flag.String("table", "all", "table to run: 1, 2, 3, 4, tcp, ablations, or all")
 	samples := flag.Int("samples", 0, "samples per cell (default 8)")
 	sizes := flag.String("sizes", "", "comma-separated transfer sizes in MB (default 3,6,9)")
 	scale := flag.Float64("scale", 0, "time-scale override (0 = per-table default)")
 	seed := flag.Int64("seed", 1, "random seed")
 	quick := flag.Bool("quick", false, "reduced run: 3 samples of 3 MB")
-	ecBudget := flag.Duration("ec-budget", 100*time.Millisecond, "minimum measurement time per ec cell")
-	ecJSON := flag.String("ec-json", "BENCH_ec.json", "machine-readable output path for -table ec (empty disables)")
 	flag.Parse()
 
 	rc := bench.RunConfig{Samples: *samples, Scale: *scale, Seed: *seed}
@@ -90,13 +85,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *table == "ec" {
-		ran = true
-		if err := runEC(*ecBudget, *ecJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "swift-bench: ec: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "swift-bench: unknown table %q\n", *table)
 		os.Exit(2)
@@ -126,30 +114,5 @@ func runAblations(rc bench.RunConfig) error {
 	}
 	bench.PrintSmallObjects(os.Stdout, small)
 	fmt.Println()
-	return nil
-}
-
-// runEC runs the erasure-coding codec microbench, prints it in the
-// ablation-sweep style, and (unless disabled) writes the machine-readable
-// result set to jsonPath.
-func runEC(budget time.Duration, jsonPath string) error {
-	b, err := bench.MeasureEC(budget)
-	if err != nil {
-		return err
-	}
-	b.Print(os.Stdout)
-	fmt.Println()
-	if jsonPath == "" {
-		return nil
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := b.WriteJSON(f); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", jsonPath)
 	return nil
 }

@@ -2,6 +2,8 @@ package ec
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -61,61 +63,120 @@ func TestGFFieldAxioms(t *testing.T) {
 	}
 }
 
-// TestMulSliceKernels holds the word-wide kernels to the scalar product
-// for every coefficient, every length 0–33 and every start offset 0–7
-// into shared backing arrays (misaligned heads, partial tail words), and
-// to the overlapping-prefix rule when in and out differ in length.
-func TestMulSliceKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	inBack, outBack := make([]byte, 48), make([]byte, 48)
-	rng.Read(inBack)
-	check := func(c int, in, out, old []byte, add bool, what string) {
-		t.Helper()
-		n := min(len(in), len(out))
-		for i := range out {
-			want := old[i]
-			if i < n {
-				want = gfMulByte(byte(c), in[i])
-				if add {
-					want ^= old[i]
-				}
+// wordsPath runs the word-wide Go kernels alone — the whole path where
+// there is no vector kernel — over the overlapping prefix, as
+// mulAddSlice (add) or mulSlice does.
+func wordsPath(c byte, in, out []byte, add bool) {
+	n := min(len(in), len(out))
+	in, out = in[:n], out[:n]
+	switch {
+	case add && c == 1:
+		xorWords(in, out)
+	case add:
+		mulAddWords(&gfMul[c], in, out)
+	default:
+		mulWords(&gfMul[c], in, out)
+	}
+}
+
+// checkMulSlice runs one kernel call both ways — mulSlice or mulAddSlice
+// (the vector kernel where the CPU has one) and wordsPath — on in and on
+// out's window into outBack, starting from the same old bytes. Both must
+// leave outBack byte for byte as the scalar product says: c·in (xored
+// into the old bytes when add) over the overlapping prefix, nothing
+// changed elsewhere.
+func checkMulSlice(t *testing.T, c byte, in, outBack []byte, at, outLen int, add bool) {
+	t.Helper()
+	n := min(len(in), outLen)
+	old := append([]byte(nil), outBack...)
+	want := append([]byte(nil), outBack...)
+	for i := 0; i < n; i++ {
+		p := gfMulByte(c, in[i])
+		if add {
+			p ^= want[at+i]
+		}
+		want[at+i] = p
+	}
+	what := "mulSlice"
+	if add {
+		what = "mulAddSlice"
+	}
+	for _, path := range []string{what, "word-wide"} {
+		copy(outBack, old)
+		out := outBack[at : at+outLen]
+		switch {
+		case path == "word-wide":
+			wordsPath(c, in, out, add)
+		case add:
+			mulAddSlice(c, in, out)
+		default:
+			mulSlice(c, in, out)
+		}
+		if !bytes.Equal(outBack, want) {
+			i := 0
+			for outBack[i] == want[i] {
+				i++
 			}
-			if out[i] != want {
-				t.Fatalf("%s c=%d len(in)=%d len(out)=%d i=%d: got %d want %d", what, c, len(in), len(out), i, out[i], want)
-			}
+			t.Fatalf("%s (%s path) c=%d len(in)=%d len(out)=%d at=%d: byte %d of the backing array is %d, want %d",
+				what, path, c, len(in), outLen, at, i-at, outBack[i], want[i])
 		}
 	}
+}
+
+// TestMulSliceKernels holds the slice kernels — the vector kernel where
+// the CPU has one and the word-wide Go loops — to the scalar product for
+// every coefficient: every length 0–200 and 64 KiB + 7 (whole vector
+// blocks, whole words and scalar tails), input and output starting at
+// every offset 0–31 into shared backing arrays, unequal input and output
+// lengths, and no byte written outside the overlapping prefix.
+func TestMulSliceKernels(t *testing.T) {
+	const long = 64<<10 + 7
+	rng := rand.New(rand.NewSource(1))
+	inBack, outBack := make([]byte, long+64), make([]byte, long+64)
+	rng.Read(inBack)
+	rng.Read(outBack)
 	for c := 0; c < 256; c++ {
-		for n := 0; n <= 33; n++ {
-			for start := 0; start < 8; start++ {
-				in, out := inBack[start:start+n], outBack[7-start:7-start+n]
-				rng.Read(outBack)
-				old := append([]byte(nil), outBack...)
-				mulSlice(byte(c), in, out)
-				check(c, in, out, old[7-start:], false, "mulSlice")
-				if !bytes.Equal(outBack[:7-start], old[:7-start]) || !bytes.Equal(outBack[7-start+n:], old[7-start+n:]) {
-					t.Fatalf("mulSlice c=%d n=%d start=%d wrote outside out", c, n, start)
-				}
-				copy(old, outBack)
-				mulAddSlice(byte(c), in, out)
-				check(c, in, out, old[7-start:], true, "mulAddSlice")
-				if !bytes.Equal(outBack[:7-start], old[:7-start]) || !bytes.Equal(outBack[7-start+n:], old[7-start+n:]) {
-					t.Fatalf("mulAddSlice c=%d n=%d start=%d wrote outside out", c, n, start)
-				}
+		if raceEnabled && c > 2 && c%16 != 15 {
+			continue // instrumented, all 256 take ~20× as long; the plain run sweeps them
+		}
+		for start := 0; start < 32; start++ {
+			for n := 0; n <= 200; n++ {
+				in := inBack[start : start+n]
+				checkMulSlice(t, byte(c), in, outBack[:232], 31-start, n, false)
+				checkMulSlice(t, byte(c), in, outBack[:232], 31-start, n, true)
 			}
+		}
+		// The long length runs each coefficient at one offset pair; the
+		// sweep over c covers all 32.
+		start := c % 32
+		for _, add := range []bool{false, true} {
+			checkMulSlice(t, byte(c), inBack[start:start+long], outBack, 31-start, long, add)
 		}
 		// Unequal lengths: only the overlapping prefix is touched.
-		for _, ln := range [][2]int{{21, 13}, {13, 21}, {0, 9}, {9, 0}} {
-			in, out := inBack[1:1+ln[0]], outBack[3:3+ln[1]]
-			rng.Read(outBack)
-			old := append([]byte(nil), out...)
-			mulSlice(byte(c), in, out)
-			check(c, in, out, old, false, "mulSlice")
-			copy(old, out)
-			mulAddSlice(byte(c), in, out)
-			check(c, in, out, old, true, "mulAddSlice")
+		for _, ln := range [][2]int{{21, 13}, {13, 21}, {0, 9}, {9, 0}, {100, 67}, {67, 100}, {200, 32}, {long, 45}} {
+			for _, add := range []bool{false, true} {
+				checkMulSlice(t, byte(c), inBack[1:1+ln[0]], outBack[:ln[1]+64], 3, ln[1], add)
+			}
 		}
 	}
+}
+
+// FuzzMulSlice holds both slice kernels on both paths to the scalar
+// product for any coefficient, data, lengths and offsets.
+func FuzzMulSlice(f *testing.F) {
+	f.Add(byte(2), []byte("the quick brown fox jumps over the lazy dog, twice over"), uint8(0), uint8(3), uint16(50))
+	f.Add(byte(1), bytes.Repeat([]byte{0xa5, 0x5a, 0xff}, 100), uint8(7), uint8(31), uint16(290))
+	f.Add(byte(0x8e), bytes.Repeat([]byte{0x0f, 0xf0}, 64), uint8(31), uint8(0), uint16(16))
+	f.Fuzz(func(t *testing.T, c byte, data []byte, inOff, outOff uint8, outLen uint16) {
+		in := data[min(int(inOff)%32, len(data)):]
+		at, ol := int(outOff)%32, int(outLen)%1024
+		outBack := make([]byte, at+ol+32)
+		for i := range outBack {
+			outBack[i] = byte(i*7 + 3)
+		}
+		checkMulSlice(t, c, in, outBack, at, ol, false)
+		checkMulSlice(t, c, in, outBack, at, ol, true)
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -524,6 +585,51 @@ func TestXORCompat(t *testing.T) {
 	}
 }
 
+// TestParityGolden pins the parity bytes Encode writes for a seeded 3+2
+// row and a seeded 8+2 row, so parity already on disk keeps decoding
+// whichever kernel computes it (TestXORCompat pins k=1). The 8237-byte
+// units and the 5003-byte last data unit run every kernel path: whole
+// 32-byte vector blocks, whole words, a scalar tail and zero padding.
+func TestParityGolden(t *testing.T) {
+	for _, tc := range []struct {
+		m, k int
+		want string // SHA-256 of the parity units, in order
+	}{
+		{3, 2, "041ca12c35142f43b114f986b9b6a7c159be51c4cb45b6b14f7ca564c3bd5a2d"},
+		{8, 2, "57cae9f49d9fb3fc088ee1189fa2267206c99341ecc85468250618d66d71a05b"},
+	} {
+		c, err := New(tc.m, tc.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := mkShards(t, rand.New(rand.NewSource(27)), tc.m, tc.k, 8237)
+		shards[tc.m-1] = shards[tc.m-1][:5003]
+		if err := c.Encode(shards); err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, p := range shards[tc.m:] {
+			h.Write(p)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Fatalf("%s parity digest %s, want %s", c, got, tc.want)
+		}
+		// The pinned parity rebuilds the first k data units.
+		work := cloneShards(shards)
+		for i := 0; i < tc.k; i++ {
+			work[i] = nil
+		}
+		if err := c.Reconstruct(work); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tc.k; i++ {
+			if !bytes.Equal(work[i], shards[i]) {
+				t.Fatalf("%s: data unit %d rebuilt from the pinned parity differs", c, i)
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
 // Inversion cache and stats.
 
@@ -724,15 +830,15 @@ func benchReconstruct(b *testing.B, m, k, unit, nlost int) {
 	if err := c.Encode(shards); err != nil {
 		b.Fatal(err)
 	}
+	in := cloneShards(shards)
+	out := make([][]byte, len(shards))
+	for j := 0; j < nlost; j++ {
+		in[j], out[j] = nil, make([]byte, unit)
+	}
 	b.SetBytes(int64(nlost * unit))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		work := make([][]byte, len(shards))
-		copy(work, shards)
-		for j := 0; j < nlost; j++ {
-			work[j] = nil
-		}
-		if err := c.Reconstruct(work); err != nil {
+		if err := c.ReconstructInto(in, out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -741,6 +847,7 @@ func benchReconstruct(b *testing.B, m, k, unit, nlost int) {
 func BenchmarkEncode(b *testing.B) {
 	for _, cfg := range []struct{ m, k, unit int }{
 		{3, 1, 4 << 10}, {3, 1, 64 << 10},
+		{3, 2, 64 << 10},
 		{8, 2, 4 << 10}, {8, 2, 64 << 10}, {8, 2, 1 << 20},
 		{16, 4, 64 << 10},
 	} {
@@ -753,6 +860,7 @@ func BenchmarkEncode(b *testing.B) {
 func BenchmarkReconstruct(b *testing.B) {
 	for _, cfg := range []struct{ m, k, unit, lost int }{
 		{3, 1, 64 << 10, 1},
+		{3, 2, 64 << 10, 2},
 		{8, 2, 64 << 10, 1}, {8, 2, 64 << 10, 2},
 		{16, 4, 64 << 10, 4},
 	} {

@@ -20,9 +20,12 @@ import "encoding/binary"
 //
 //   - gfExp/gfLog: exponential and logarithm tables for scalar mul/div
 //     and matrix algebra (code construction, inversion).
-//   - gfMul: full 256×256 product table. The byte-slice kernels fix a
-//     coefficient c and read only its 256-byte row gfMul[c], which stays
-//     in L1 for the length of a shard.
+//   - gfMul: full 256×256 product table. The word-wide slice kernels
+//     fix a coefficient c and read only its 256-byte row gfMul[c], which
+//     stays in L1 for the length of a shard.
+//
+// initKernel then derives whatever the platform's vector kernel needs
+// from gfMul (gf_amd64.go; nothing in gf_generic.go).
 
 const gfPoly = 0x11d
 
@@ -52,6 +55,7 @@ func init() {
 			gfMul[a][b] = gfExp[la+int(gfLog[b])]
 		}
 	}
+	initKernel()
 }
 
 // gfMulByte returns the GF(2^8) product a·b.
@@ -73,11 +77,13 @@ func gfDiv(a, b byte) byte {
 // gfInv returns the multiplicative inverse of a.
 func gfInv(a byte) byte { return gfDiv(1, a) }
 
-// The slice kernels work a 64-bit word at a time: one load of in, eight
-// lookups in the coefficient's product row assembled into a word, one
+// The slice kernels operate over the overlapping prefix of in and out —
+// a short tail shard contributes only the bytes it has. The vector
+// kernel (mulVec, mulAddVec) takes the longest 32-byte-multiple prefix
+// it can; the word-wide loops below take the rest, or everything where
+// there is no vector kernel: one 64-bit load of in, eight lookups in the
+// coefficient's product row assembled into a word, one
 // load-xor-store of out, and a scalar loop over the last len%8 bytes.
-// Both operate over the overlapping prefix of in and out — a short tail
-// shard contributes only the bytes it has.
 
 // mul4 returns the four byte-wise products of v under the product row
 // t. (Two halves rather than one eight-byte helper: this one inlines.)
@@ -101,7 +107,34 @@ func mulSlice(c byte, in, out []byte) {
 		copy(out, in)
 		return
 	}
-	t := &gfMul[c]
+	v := mulVec(c, in, out)
+	mulWords(&gfMul[c], in[v:], out[v:])
+}
+
+// mulAddSlice xors c·in into out element-wise over the overlapping
+// prefix. c==0 is a no-op; c==1 degenerates to plain XOR, which is the
+// whole k=1 parity path.
+//
+//swift:hotpath
+func mulAddSlice(c byte, in, out []byte) {
+	n := min(len(in), len(out))
+	in, out = in[:n], out[:n]
+	if c == 0 {
+		return
+	}
+	v := mulAddVec(c, in, out)
+	if c == 1 {
+		xorWords(in[v:], out[v:])
+		return
+	}
+	mulAddWords(&gfMul[c], in[v:], out[v:])
+}
+
+// mulWords sets out = t[in] byte-wise, where t is a coefficient's
+// product row; in and out have equal lengths.
+func mulWords(t *[256]byte, in, out []byte) {
+	n := len(in)
+	out = out[:n]
 	words := n &^ 7
 	for i := 0; i < words; i += 8 {
 		v := binary.LittleEndian.Uint64(in[i : i+8 : i+8])
@@ -113,29 +146,12 @@ func mulSlice(c byte, in, out []byte) {
 	}
 }
 
-// mulAddSlice xors c·in into out element-wise over the overlapping
-// prefix. c==0 is a no-op; c==1 degenerates to plain XOR, which is the
-// whole k=1 parity path.
-//
-//swift:hotpath
-func mulAddSlice(c byte, in, out []byte) {
-	n := min(len(in), len(out))
-	in, out = in[:n], out[:n]
+// mulAddWords xors t[in] into out byte-wise; in and out have equal
+// lengths.
+func mulAddWords(t *[256]byte, in, out []byte) {
+	n := len(in)
+	out = out[:n]
 	words := n &^ 7
-	switch c {
-	case 0:
-		return
-	case 1:
-		for i := 0; i < words; i += 8 {
-			o := out[i : i+8 : i+8]
-			binary.LittleEndian.PutUint64(o, binary.LittleEndian.Uint64(o)^binary.LittleEndian.Uint64(in[i:i+8:i+8]))
-		}
-		for i := words; i < n; i++ {
-			out[i] ^= in[i]
-		}
-		return
-	}
-	t := &gfMul[c]
 	for i := 0; i < words; i += 8 {
 		v := binary.LittleEndian.Uint64(in[i : i+8 : i+8])
 		w := uint64(mul4(t, uint32(v))) | uint64(mul4(t, uint32(v>>32)))<<32
@@ -144,6 +160,20 @@ func mulAddSlice(c byte, in, out []byte) {
 	}
 	for i := words; i < n; i++ {
 		out[i] ^= t[in[i]]
+	}
+}
+
+// xorWords xors in into out; in and out have equal lengths.
+func xorWords(in, out []byte) {
+	n := len(in)
+	out = out[:n]
+	words := n &^ 7
+	for i := 0; i < words; i += 8 {
+		o := out[i : i+8 : i+8]
+		binary.LittleEndian.PutUint64(o, binary.LittleEndian.Uint64(o)^binary.LittleEndian.Uint64(in[i:i+8:i+8]))
+	}
+	for i := words; i < n; i++ {
+		out[i] ^= in[i]
 	}
 }
 
