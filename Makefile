@@ -21,17 +21,20 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/swiftvet -time ./...
 
-# size = the ratchet on ROADMAP item 5's targets (internal/core <= 3.8k
+# size = the ratchet on ROADMAP item 6's targets (internal/core <= 3.8k
 # non-test Go lines, core/file.go < 600): it prints both counts and fails
 # when either exceeds its ceiling. A PR that shrinks them lowers the
-# ceilings to its result; none raises them.
-CORE_LINES_MAX := 5065
+# ceilings to its result; none raises them. It also prints the repo-wide
+# non-test Go line count (item 6's "down by >= 2k lines"), ungated.
+CORE_LINES_MAX := 5051
 CORE_FILE_LINES_MAX := 959
 size:
 	@core=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l); \
 	file=$$(cat internal/core/file.go | wc -l); \
+	repo=$$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "internal/core non-test Go lines: $$core (ceiling $(CORE_LINES_MAX))"; \
 	echo "internal/core/file.go lines: $$file (ceiling $(CORE_FILE_LINES_MAX))"; \
+	echo "repo-wide non-test Go lines: $$repo (reported, not gated)"; \
 	[ "$$core" -le $(CORE_LINES_MAX) ] && [ "$$file" -le $(CORE_FILE_LINES_MAX) ]
 
 # lint = the full static gate run by CI's lint job: swiftvet, gofmt

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"swift/internal/bench"
+	"swift/internal/core"
 	"swift/internal/ec"
 	"swift/internal/simswift"
 	"swift/internal/stripe"
@@ -96,19 +97,19 @@ func BenchmarkAblationTCPvsUDP(b *testing.B) {
 
 // BenchmarkAblationParity measures the computed-copy redundancy cost.
 func BenchmarkAblationParity(b *testing.B) {
-	reportSwift(b, bench.Options{Agents: 4, Parity: true})
+	reportSwift(b, bench.Options{Agents: 4, Client: core.Config{Parity: true}})
 }
 
 // BenchmarkAblationStripeUnit4K measures a small striping unit (the
 // mediator's high-parallelism choice).
 func BenchmarkAblationStripeUnit4K(b *testing.B) {
-	reportSwift(b, bench.Options{Agents: 3, Unit: 4 << 10})
+	reportSwift(b, bench.Options{Agents: 3, Client: core.Config{Unit: 4 << 10}})
 }
 
 // BenchmarkAblationReadWindow measures the literal one-packet-per-request
 // read rule of the prototype.
 func BenchmarkAblationReadWindow(b *testing.B) {
-	reportSwift(b, bench.Options{Agents: 3, RequestBytes: 1364})
+	reportSwift(b, bench.Options{Agents: 3, Client: core.Config{RequestBytes: 1364}})
 }
 
 // BenchmarkAblationAgents4 measures the saturating fourth agent.

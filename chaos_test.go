@@ -85,21 +85,23 @@ func TestChaosSoak(t *testing.T) {
 
 	clientHost := n.MustHost("client", memnet.HostConfig{}, seg)
 	fs, err := swift.Dial(swift.Config{
-		Host:       clientHost,
-		Agents:     addrs,
-		StripeUnit: 4096,
-		Parity:     true,
+		Host:   clientHost,
+		Agents: addrs,
+		Unit:   4096,
+		Parity: true,
 		// Small no-progress budget (20 × 15ms ≈ 300ms) so failure
 		// attribution outpaces the fault schedule, and a fast monitor so
 		// re-admission fits inside the recovery gaps.
-		RetryTimeout:   15 * time.Millisecond,
-		MaxRetries:     20,
-		HealthInterval: 25 * time.Millisecond,
-		AutoRebuild:    true,
-		// Background scrubbing heals bitrot between fault windows, so
-		// damage cannot accumulate into a same-row double corruption.
-		ScrubInterval: 100 * time.Millisecond,
-		Logf:          t.Logf,
+		RetryTimeout: 15 * time.Millisecond,
+		MaxRetries:   20,
+		Monitor: swift.MonitorConfig{
+			Interval: 25 * time.Millisecond,
+			Rebuild:  true,
+			// Background scrubbing heals bitrot between fault windows, so
+			// damage cannot accumulate into a same-row double corruption.
+			ScrubInterval: 100 * time.Millisecond,
+		},
+		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -325,7 +327,7 @@ soak:
 			t.Fatalf("drill: flip raw byte on agent %d: %v", agent, err)
 		}
 	}
-	before := fs.Metrics()
+	before := fs.Stats().Counters
 	for i := 0; i < nAgents; i++ {
 		flip(i, int64(i)*4096+137)
 	}
@@ -352,14 +354,14 @@ soak:
 	if rep.Corruptions != 0 || rep.ParityMismatches != 0 || rep.Unrepairable != 0 {
 		t.Fatalf("verification scrub not clean: %s", rep)
 	}
-	delta := fs.Metrics().Sub(before)
+	delta := fs.Stats().Counters.Sub(before)
 	if delta.Corruptions == 0 {
 		t.Fatal("drill: no corruption detected (flips were served or missed)")
 	}
 	if delta.Repairs == 0 {
 		t.Fatal("drill: no unit repaired")
 	}
-	if m := fs.Metrics(); m.Unrepairable != 0 {
+	if m := fs.Stats().Counters; m.Unrepairable != 0 {
 		t.Fatalf("unrepairable corruption events: %d", m.Unrepairable)
 	}
 
@@ -375,7 +377,7 @@ soak:
 		}
 	}
 	t.Logf("soak: %d ops, %d faults applied, %d corruptions detected, %d units repaired, all agents re-admitted",
-		ops, len(ctl.Log()), fs.Metrics().Corruptions, fs.Metrics().Repairs)
+		ops, len(ctl.Log()), fs.Stats().Counters.Corruptions, fs.Stats().Counters.Repairs)
 
 	// Sixth drill: double failure under Reed-Solomon. A fresh five-agent
 	// 3+2 volume loses TWO agents mid-traffic — damage beyond the
@@ -465,17 +467,19 @@ func chaosDoubleKillK2(t *testing.T) {
 
 	clientHost := n.MustHost("rs-client", memnet.HostConfig{}, seg)
 	fs, err := swift.Dial(swift.Config{
-		Host:           clientHost,
-		Agents:         addrs,
-		StripeUnit:     4096,
-		DataShards:     3,
-		ParityShards:   2,
-		RetryTimeout:   15 * time.Millisecond,
-		MaxRetries:     20,
-		HealthInterval: 25 * time.Millisecond,
-		AutoRebuild:    true,
-		ScrubInterval:  100 * time.Millisecond,
-		Logf:           t.Logf,
+		Host:         clientHost,
+		Agents:       addrs,
+		Unit:         4096,
+		DataShards:   3,
+		ParityShards: 2,
+		RetryTimeout: 15 * time.Millisecond,
+		MaxRetries:   20,
+		Monitor: swift.MonitorConfig{
+			Interval:      25 * time.Millisecond,
+			Rebuild:       true,
+			ScrubInterval: 100 * time.Millisecond,
+		},
+		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("drill6: dial: %v", err)
@@ -559,7 +563,7 @@ func chaosDoubleKillK2(t *testing.T) {
 	}
 
 	// Restart both victims; the monitor must re-admit them and
-	// AutoRebuild must reconstruct their stale fragments from the
+	// Monitor.Rebuild must reconstruct their stale fragments from the
 	// survivors — the test never calls a manual recovery entry point.
 	for _, v := range victims {
 		a, err := swift.StartAgent(hosts[v], sts[v], agentCfg)
@@ -599,7 +603,7 @@ func chaosDoubleKillK2(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if m := fs.Metrics(); m.Unrepairable != 0 {
+	if m := fs.Stats().Counters; m.Unrepairable != 0 {
 		t.Fatalf("drill6: unrepairable corruption events: %d", m.Unrepairable)
 	}
 
@@ -725,14 +729,16 @@ func chaosMediatorFailover(t *testing.T) {
 	}
 	clientHost := n.MustHost("fed-client", memnet.HostConfig{}, seg)
 	cfg := swift.Config{
-		Host:           clientHost,
-		RetryTimeout:   15 * time.Millisecond,
-		MaxRetries:     20,
-		HealthInterval: 25 * time.Millisecond,
-		AutoRebuild:    true,
-		ScrubInterval:  100 * time.Millisecond,
-		Heartbeat:      broker.Heartbeat,
-		Logf:           t.Logf,
+		Host:         clientHost,
+		RetryTimeout: 15 * time.Millisecond,
+		MaxRetries:   20,
+		Monitor: swift.MonitorConfig{
+			Interval:      25 * time.Millisecond,
+			Rebuild:       true,
+			ScrubInterval: 100 * time.Millisecond,
+			Heartbeat:     broker.Heartbeat,
+		},
+		Logf: t.Logf,
 	}
 	cfg.ApplyPlan(&rec.Plan)
 	fs, err := swift.Dial(cfg)
@@ -1056,7 +1062,7 @@ func chaosTraceSpans(t *testing.T) {
 	// The plan's unit (64 KiB for a four-agent session) would put the
 	// whole test object in one stripe row on one data agent; shrink it so
 	// the object stripes across every agent, the delayed one included.
-	cfg.StripeUnit = 4096
+	cfg.Unit = 4096
 	fs, err := swift.Dial(cfg)
 	if err != nil {
 		t.Fatalf("drill8: dial: %v", err)
@@ -1089,7 +1095,7 @@ func chaosTraceSpans(t *testing.T) {
 	// beneath the envelope (local offset 137 sits in stripe row 0, whose
 	// parity lives elsewhere), so the full read must detect, reconstruct
 	// and repair.
-	before := fs.Metrics()
+	before := fs.Stats().Counters
 	r := raw[rec.Plan.Addrs[0]]
 	obj, err := r.Open("trace-obj", false)
 	if err != nil {
@@ -1114,7 +1120,7 @@ func chaosTraceSpans(t *testing.T) {
 	if !bytes.Equal(got, mirror) {
 		t.Fatal("drill8: repair read returned corrupt bytes")
 	}
-	if d := fs.Metrics().Sub(before); d.Corruptions == 0 {
+	if d := fs.Stats().Counters.Sub(before); d.Corruptions == 0 {
 		t.Fatal("drill8: flipped byte never detected — the repair read did not exercise the envelope")
 	}
 
@@ -1329,17 +1335,16 @@ func chaosOverload(t *testing.T) {
 		}
 	}()
 	fs, err := swift.Dial(swift.Config{
-		Host:           n.MustHost("ov-client", memnet.HostConfig{}, seg),
-		Agents:         addrs,
-		StripeUnit:     4096,
-		Parity:         true,
-		ParityShards:   2,
-		RetryTimeout:   15 * time.Millisecond,
-		MaxRetries:     20,
-		HealthInterval: 25 * time.Millisecond,
-		AutoRebuild:    true,
-		OpTimeout:      2 * time.Second,
-		HedgeReads:     true,
+		Host:         n.MustHost("ov-client", memnet.HostConfig{}, seg),
+		Agents:       addrs,
+		Unit:         4096,
+		Parity:       true,
+		ParityShards: 2,
+		RetryTimeout: 15 * time.Millisecond,
+		MaxRetries:   20,
+		Monitor:      swift.MonitorConfig{Interval: 25 * time.Millisecond, Rebuild: true},
+		OpTimeout:    2 * time.Second,
+		HedgeReads:   true,
 		// At 2.5x overdemand even healthy agents see transient queue-full
 		// bursts; the straggler's queue is full continuously. A higher
 		// strike count separates the regimes — healthy agents intersperse
@@ -1497,8 +1502,8 @@ func chaosOverload(t *testing.T) {
 
 	// The shed work must be visible on the overload instruments — and
 	// ONLY there: the lifecycle saw nothing.
-	m := fs.Metrics()
 	st := fs.Stats()
+	m := st.Counters
 	if !raceEnabled {
 		if m.Pushbacks == 0 {
 			t.Fatal("drill9: straggler's full queue produced no pushbacks")
@@ -1536,7 +1541,7 @@ func chaosOverload(t *testing.T) {
 	}
 	t.Logf("drill9: baseline %.1f MB/s (%d sheds) -> surge %.1f MB/s (%d ops, %d sheds, p99 %v), %d pushbacks, %d/%d hedges won, budget fill %.2f",
 		baseGoodput/1e6, baseSheds, surgeGoodput/1e6, len(surgeLats), surgeSheds, p99,
-		m.Pushbacks, m.HedgeWins, m.Hedges, st.Overload.BudgetFill)
+		m.Pushbacks, m.HedgeWins, m.Hedges, st.BudgetFill)
 }
 
 // chaosCacheCoherence is TestChaosSoak's tenth drill: the cache

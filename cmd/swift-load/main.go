@@ -100,19 +100,21 @@ func main() {
 	tracer := obs.NewTracer(obs.TracerConfig{Rate: *traceRate})
 	tracer.Register(reg)
 	copts := bench.Options{
-		Agents:         *agents,
-		Segments:       *segments,
-		Parity:         *parity,
-		Scale:          *scale,
-		Seed:           *seed,
-		CacheSize:      cacheBytes,
-		WriteBehindMax: writeBehindBytes,
-		Obs:            reg,
-		Tracer:         tracer,
+		Agents:   *agents,
+		Segments: *segments,
+		Scale:    *scale,
+		Seed:     *seed,
+		Client: core.Config{
+			Parity:         *parity,
+			CacheSize:      cacheBytes,
+			WriteBehindMax: writeBehindBytes,
+			Obs:            reg,
+			Tracer:         tracer,
+		},
 	}
 	if *verbose {
-		copts.Verbose = true
-		copts.Logf = func(format string, args ...any) {
+		copts.Client.Verbose = true
+		copts.Client.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
@@ -121,8 +123,8 @@ func main() {
 		// re-admission while faults fly. The give-up budget is cut from
 		// the measurement default (80 modeled seconds of no progress) to
 		// ~3, so failure attribution outpaces the fault schedule.
-		copts.HealthInterval = 300 * time.Millisecond
-		copts.MaxRetries = 8
+		copts.Client.Monitor.Interval = 300 * time.Millisecond
+		copts.Client.MaxRetries = 8
 	}
 	cluster, err := bench.NewSwiftCluster(copts)
 	if err != nil {
@@ -338,18 +340,18 @@ func runCacheProfile(agents, segments int, scale float64, seed int64, verbose bo
 	}
 	run := func(cached bool) passStats {
 		opts := bench.Options{
-			Agents:    agents,
-			Segments:  segments,
-			Scale:     scale,
-			Seed:      seed,
-			CacheSize: -1,
+			Agents:   agents,
+			Segments: segments,
+			Scale:    scale,
+			Seed:     seed,
+			Client:   core.Config{CacheSize: -1},
 		}
 		if cached {
-			opts.CacheSize = 0 // auto-size from read-ahead
-			opts.ReadAhead = 256 << 10
+			opts.Client.CacheSize = 0 // auto-size from read-ahead
+			opts.Client.ReadAhead = 256 << 10
 		}
 		if verbose {
-			opts.Logf = func(format string, args ...any) {
+			opts.Client.Logf = func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 			}
 		}

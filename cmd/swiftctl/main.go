@@ -162,7 +162,7 @@ func main() {
 	cfg := swift.Config{
 		Host:         host,
 		Agents:       addrs,
-		StripeUnit:   *unit,
+		Unit:         *unit,
 		Parity:       *parity,
 		ParityShards: *parityShards,
 		SyncWrites:   *syncw,
@@ -276,10 +276,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cfg.Agents = plan.Addrs
-		cfg.StripeUnit = plan.Unit
-		cfg.Parity = plan.Parity
-		cfg.ParityShards = plan.ParityShards
+		cfg.ApplyPlan(plan)
 		fmt.Fprintf(os.Stderr, "swiftctl: plan: %d agents, unit %d, parity shards %d\n",
 			len(plan.Addrs), plan.Unit, plan.ParityShards)
 		if *leaseTTL > 0 {
@@ -605,7 +602,7 @@ func cmdStats(fs *swift.FS, args []string) error {
 			}
 			defer fs.Remove("swiftctl-stats")
 		}
-		printStats(fs.Stats(), swift.MetricsSnapshot{}, 0)
+		printStats(os.Stdout, fs.Stats(), swift.MetricsSnapshot{}, 0)
 		printFederation(medClients)
 		return nil
 	}
@@ -624,12 +621,12 @@ func cmdStats(fs *swift.FS, args []string) error {
 		}()
 	}
 
-	prev := fs.Metrics()
+	prev := fs.Stats().Counters
 	for n := 0; *rounds == 0 || n < *rounds; n++ {
 		time.Sleep(*every)
 		s := fs.Stats()
 		fmt.Printf("--- %s\n", time.Now().Format("15:04:05"))
-		printStats(s, prev, *every)
+		printStats(os.Stdout, s, prev, *every)
 		printFederation(medClients)
 		prev = s.Counters
 	}
@@ -668,18 +665,18 @@ func statsLoad(fs *swift.FS, mb int, stop chan struct{}) error {
 	}
 }
 
-// printStats renders one telemetry snapshot. With a non-zero interval the
-// counter line shows per-interval deltas against prev.
-func printStats(s swift.Stats, prev swift.MetricsSnapshot, interval time.Duration) {
+// printStats renders one telemetry snapshot to w. With a non-zero
+// interval the counter lines show per-interval deltas against prev.
+func printStats(w io.Writer, s swift.Stats, prev swift.MetricsSnapshot, interval time.Duration) {
 	c := s.Counters.Sub(prev)
 	suffix := ""
 	if interval > 0 {
 		suffix = fmt.Sprintf("/%v", interval)
 	}
-	fmt.Printf("bursts: read=%d%s (timeouts %d)  write=%d%s (timeouts %d)  resends=%d  backoffs=%d  probes=%d\n",
+	fmt.Fprintf(w, "bursts: read=%d%s (timeouts %d)  write=%d%s (timeouts %d)  resends=%d  backoffs=%d  probes=%d\n",
 		c.ReadBursts, suffix, c.ReadTimeouts, c.WriteBursts, suffix,
 		c.WriteTimeouts, c.ResendAsks, c.Backoffs, c.Probes)
-	fmt.Printf("integrity[%s]: corruptions=%d repairs=%d unrepairable=%d scrubbed_rows=%d\n",
+	fmt.Fprintf(w, "integrity[%s]: corruptions=%d repairs=%d unrepairable=%d scrubbed_rows=%d\n",
 		s.Scheme, c.Corruptions, c.Repairs, c.Unrepairable, c.ScrubRows)
 	if s.Scheme != "" && s.Scheme != "none" {
 		line := fmt.Sprintf("ec[%s]: encodes=%d (%.1f MB) reconstructs=%d (%.1f MB) inv_cache=%d/%d",
@@ -689,23 +686,22 @@ func printStats(s swift.Stats, prev swift.MetricsSnapshot, interval time.Duratio
 		for n := 1; n < len(s.EC.ByMissing); n++ {
 			line += fmt.Sprintf(" rebuilt_%dmiss=%d", n, s.EC.ByMissing[n])
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 	printHist := func(label string, h swift.LatencySnapshot) {
 		if h.Count == 0 {
 			return
 		}
-		fmt.Printf("%-6s n=%-6d mean=%-10v p50=%-10v p90=%-10v p99=%-10v max=%v\n",
+		fmt.Fprintf(w, "%-6s n=%-6d mean=%-10v p50=%-10v p90=%-10v p99=%-10v max=%v\n",
 			label, h.Count, h.Mean.Round(time.Microsecond),
 			h.P50.Round(time.Microsecond), h.P90.Round(time.Microsecond),
 			h.P99.Round(time.Microsecond), h.Max.Round(time.Microsecond))
 	}
-	ov := s.Overload
-	fmt.Printf("overload: pushbacks=%d hedges=%d (wins %d) budget_denials=%d breaker_trips=%d budget_fill=%.0f%%\n",
-		ov.Pushbacks, ov.Hedges, ov.HedgeWins, ov.BudgetDenials,
-		ov.BreakerTrips, 100*ov.BudgetFill)
+	fmt.Fprintf(w, "overload: pushbacks=%d hedges=%d (wins %d) budget_denials=%d breaker_trips=%d budget_fill=%.0f%%\n",
+		c.Pushbacks, c.Hedges, c.HedgeWins, c.BudgetDenials,
+		c.BreakerTrips, 100*s.BudgetFill)
 	if cs := s.Cache; cs.Capacity > 0 {
-		fmt.Printf("cache: %.1f/%.1f MB (%.1f dirty)  hit_rate=%.1f%% (%d/%d)  fill=%.2f B/read B (%.1f MB)  readahead=%d/%d used  flushes=%d (errs %d, stalls %d)  evictions=%d  invalidations=%d\n",
+		fmt.Fprintf(w, "cache: %.1f/%.1f MB (%.1f dirty)  hit_rate=%.1f%% (%d/%d)  fill=%.2f B/read B (%.1f MB)  readahead=%d/%d used  flushes=%d (errs %d, stalls %d)  evictions=%d  invalidations=%d\n",
 			float64(cs.Bytes)/1e6, float64(cs.Capacity)/1e6, float64(cs.Dirty)/1e6,
 			100*cs.HitRate(), cs.Hits, cs.Hits+cs.Misses,
 			cs.FillPerReadByte(), float64(cs.FillBytes)/1e6,
@@ -717,7 +713,7 @@ func printStats(s swift.Stats, prev swift.MetricsSnapshot, interval time.Duratio
 	printHist("write", s.WriteLat)
 	printHist("probe", s.ProbeLat)
 	for i, as := range s.Agents {
-		fmt.Printf("agent %d %-22s %-8v brk=%-9v pkt=%-5d rb=%-6d rto=%-4d wb=%-6d wto=%-4d pb=%-4d hg=%-4d rp50=%-10v wp50=%v\n",
+		fmt.Fprintf(w, "agent %d %-22s %-8v brk=%-9v pkt=%-5d rb=%-6d rto=%-4d wb=%-6d wto=%-4d pb=%-4d hg=%-4d rp50=%-10v wp50=%v\n",
 			i, as.Addr, as.State, as.Breaker, as.PacketBytes, as.ReadBursts, as.ReadTimeouts,
 			as.WriteBursts, as.WriteTimeouts, as.Pushbacks, as.Hedges,
 			as.ReadBurstLat.P50.Round(time.Microsecond),

@@ -32,9 +32,9 @@ func main() {
 	}
 
 	fs, err := swift.Dial(swift.Config{
-		Host:       host,
-		Agents:     addrs,
-		StripeUnit: 16 * 1024,
+		Host:   host,
+		Agents: addrs,
+		Unit:   16 * 1024,
 	})
 	if err != nil {
 		log.Fatalf("dial: %v", err)

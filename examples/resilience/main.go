@@ -54,14 +54,13 @@ func main() {
 	}()
 
 	fs, err := swift.Dial(swift.Config{
-		Host:       host,
-		Agents:     addrs,
-		StripeUnit: 8 * 1024,
-		Parity:     true, // one rotating parity unit per stripe row
+		Host:   host,
+		Agents: addrs,
+		Unit:   8 * 1024,
+		Parity: true, // one rotating parity unit per stripe row
 		// The background health monitor: probe every 200ms, and rebuild a
 		// returning agent's fragments from parity before re-admitting it.
-		HealthInterval: 200 * time.Millisecond,
-		AutoRebuild:    true,
+		Monitor: swift.MonitorConfig{Interval: 200 * time.Millisecond, Rebuild: true},
 	})
 	if err != nil {
 		log.Fatalf("dial: %v", err)

@@ -66,7 +66,7 @@ func main() {
 		Agents:   6,
 		Segments: 2,
 		Scale:    6,
-		Unit:     plan.Unit,
+		Client:   core.Config{Unit: plan.Unit},
 	})
 	if err != nil {
 		log.Fatalf("cluster: %v", err)

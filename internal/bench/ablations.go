@@ -142,7 +142,7 @@ func AblationRequestSize(rc RunConfig) (Sweep, error) {
 	}
 	for _, pkts := range []int64{1, 4, 12, 48} {
 		rd, wr, err := measureCluster(Options{
-			Agents: 3, RequestBytes: pkts * 1364, Scale: 6,
+			Agents: 3, Scale: 6, Client: core.Config{RequestBytes: pkts * 1364},
 		}, rc.SizesMB[0], rc.Samples, rc.Seed)
 		if err != nil {
 			return Sweep{}, err
@@ -164,7 +164,7 @@ func AblationStripeUnit(rc RunConfig) (Sweep, error) {
 	}
 	for _, unit := range []int64{4 << 10, 16 << 10, 64 << 10, 256 << 10} {
 		rd, wr, err := measureCluster(Options{
-			Agents: 3, Unit: unit, Scale: 6,
+			Agents: 3, Scale: 6, Client: core.Config{Unit: unit},
 		}, rc.SizesMB[0], rc.Samples, rc.Seed)
 		if err != nil {
 			return Sweep{}, err
@@ -209,7 +209,7 @@ func AblationParity(rc RunConfig) (Sweep, error) {
 	}
 	for _, parity := range []bool{false, true} {
 		rd, wr, err := measureCluster(Options{
-			Agents: 4, Parity: parity, Scale: 6,
+			Agents: 4, Scale: 6, Client: core.Config{Parity: parity},
 		}, rc.SizesMB[0], rc.Samples, rc.Seed)
 		if err != nil {
 			return Sweep{}, err
@@ -236,7 +236,7 @@ func AblationReadAhead(rc RunConfig) (Sweep, error) {
 	}
 	size := rc.SizesMB[0] << 20
 	for _, window := range []int64{0, 64 << 10, 256 << 10} {
-		opts := Options{Agents: 3, Scale: 6, Seed: rc.Seed, ReadAhead: window}
+		opts := Options{Agents: 3, Scale: 6, Seed: rc.Seed, Client: core.Config{ReadAhead: window}}
 		cl, err := NewSwiftCluster(opts)
 		if err != nil {
 			return Sweep{}, err
@@ -295,7 +295,7 @@ func AblationSmallObjects(rc RunConfig) ([]SmallObjectResult, error) {
 	for _, size := range []int64{1 << 10, 4 << 10, 16 << 10} {
 		res := SmallObjectResult{Size: size}
 		for _, parity := range []bool{false, true} {
-			opts := Options{Agents: 4, Parity: parity, Unit: 4 << 10, Scale: 6, Seed: rc.Seed}
+			opts := Options{Agents: 4, Scale: 6, Seed: rc.Seed, Client: core.Config{Parity: parity, Unit: 4 << 10}}
 			cl, err := NewSwiftCluster(opts)
 			if err != nil {
 				return nil, err

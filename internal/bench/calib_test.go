@@ -18,7 +18,7 @@ func TestCalibrate(t *testing.T) {
 	data := pattern(size, 1)
 	for _, rb := range []int64{8184, 16368, 32736, 65472} {
 		for _, scpu := range []time.Duration{250e3, 400e3, 520e3} {
-			cl, err := NewSwiftCluster(Options{Agents: 3, Scale: 6, RequestBytes: rb, SendCPU: scpu})
+			cl, err := NewSwiftCluster(Options{Agents: 3, Scale: 6, SendCPU: scpu, Client: core.Config{RequestBytes: rb}})
 			if err != nil {
 				t.Fatal(err)
 			}

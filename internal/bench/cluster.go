@@ -8,7 +8,6 @@ import (
 	"swift/internal/core"
 	"swift/internal/disk"
 	"swift/internal/nfs"
-	"swift/internal/obs"
 	"swift/internal/store"
 	"swift/internal/transport/memnet"
 )
@@ -26,52 +25,24 @@ type Options struct {
 	Segments int
 	// StreamClient swaps in the TCP-prototype client profile.
 	StreamClient bool
-	// Parity enables computed-copy redundancy.
-	Parity bool
 	// SyncAgentWrites forces the agents to write through to disk.
 	SyncAgentWrites bool
-	// RequestBytes overrides the per-agent burst size (0 = default).
-	RequestBytes int64
-	// Unit overrides the striping unit (0 = 64 KiB).
-	Unit int64
-	// ReadAhead enables the client's sequential read-ahead window.
-	ReadAhead int64
-	// CacheSize bounds the client block cache in bytes (0 auto-sizes
-	// when another cache feature is on; negative disables the tier).
-	CacheSize int64
-	// WriteBehindMax, when > 0, bounds write-behind dirty bytes.
-	WriteBehindMax int64
 	// SendCPU overrides the client's per-packet send cost (0 = default).
 	SendCPU time.Duration
 	// Seed seeds loss and disk positioning.
 	Seed int64
-	// HealthInterval, when > 0, starts the client's background health
-	// monitor at this modeled-time period (scaled like the protocol
-	// timers).
-	HealthInterval time.Duration
-	// HealthRebuild makes re-admission rebuild a returning agent's
-	// fragments from parity first. At paper-faithful Ethernet rates a
-	// full rebuild takes minutes of modeled time, so soak harnesses
-	// usually leave it off and let re-admission just reopen sessions.
-	HealthRebuild bool
-	// MaxRetries overrides the client's no-progress give-up budget
-	// (≈ MaxRetries × RetryTimeout). The default 200 suits measurement
-	// runs where an op must survive deep loss; chaos soaks set it much
-	// lower so failure attribution outpaces the fault schedule.
-	MaxRetries int
-	// Logf receives client and agent diagnostics (default: none).
-	Logf func(format string, args ...any)
-	// Verbose additionally routes burst-level trace events to Logf.
-	Verbose bool
-	// Obs, when non-nil, is the metric registry the client's telemetry
-	// and every segment's and host's traffic counters are registered in
-	// (swift-load's -metrics endpoint). Agents keep private registries —
-	// their unlabeled series would collide in a shared one.
-	Obs *obs.Registry
-	// Tracer, when non-nil, is shared by the client and every agent, so
-	// one collector assembles full cross-layer span trees (client op →
-	// per-agent service spans) for the in-process installation.
-	Tracer *obs.Tracer
+	// Client is the client's configuration. NewSwiftCluster sets Host,
+	// Agents, RetryTimeout, WritePace and Sleep, and fills the paper
+	// profile where Client leaves a field zero: a 64 KiB Unit, the
+	// prototype's RequestBytes, MaxRetries 200 (an op must survive deep
+	// loss; chaos soaks set it much lower so failure attribution
+	// outpaces the fault schedule) and WriteWindow 2 (pinned here, so the
+	// paper's tables do not move with the engine's default).
+	// Monitor.Interval is modeled time, scaled like the protocol timers.
+	// Logf, Verbose and Tracer reach the agents too, and Obs, when set,
+	// also registers every segment's and host's traffic counters (agents
+	// keep private registries: their unlabeled series would collide).
+	Client core.Config
 }
 
 func (o *Options) fill() {
@@ -112,8 +83,8 @@ func NewSwiftCluster(opts Options) (*SwiftCluster, error) {
 
 	for s := 0; s < opts.Segments; s++ {
 		seg := n.NewSegment(fmt.Sprintf("ether%d", s), EthernetSegment(opts.Seed+int64(s)))
-		if opts.Obs != nil {
-			seg.Register(opts.Obs)
+		if opts.Client.Obs != nil {
+			seg.Register(opts.Client.Obs)
 		}
 		c.Segments = append(c.Segments, seg)
 	}
@@ -135,15 +106,15 @@ func NewSwiftCluster(opts Options) (*SwiftCluster, error) {
 			ResendCheck: scaled(60*time.Millisecond, opts.Scale),
 			ResendAfter: scaled(120*time.Millisecond, opts.Scale),
 			SessionIdle: scaled(120*time.Second, opts.Scale),
-			Logf:        opts.Logf,
-			Verbose:     opts.Verbose,
-			Tracer:      opts.Tracer,
+			Logf:        opts.Client.Logf,
+			Verbose:     opts.Client.Verbose,
+			Tracer:      opts.Client.Tracer,
 		})
 		if err != nil {
 			return nil, err
 		}
-		if opts.Obs != nil {
-			host.Register(opts.Obs)
+		if opts.Client.Obs != nil {
+			host.Register(opts.Client.Obs)
 		}
 		c.Agents = append(c.Agents, a)
 		c.AgentHosts = append(c.AgentHosts, host)
@@ -162,55 +133,33 @@ func NewSwiftCluster(opts Options) (*SwiftCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Obs != nil {
-		clientHost.Register(opts.Obs)
+	if opts.Client.Obs != nil {
+		clientHost.Register(opts.Client.Obs)
 	}
-	reqBytes := int64(RequestBytes)
-	if opts.RequestBytes != 0 {
-		reqBytes = opts.RequestBytes
+	cfg := opts.Client
+	cfg.Host = clientHost
+	cfg.Agents = addrs
+	cfg.RetryTimeout = scaled(400*time.Millisecond, opts.Scale)
+	cfg.WritePace = WritePace
+	cfg.Sleep = n.Sleep
+	cfg.Monitor.Interval = scaled(cfg.Monitor.Interval, opts.Scale)
+	if cfg.Unit == 0 {
+		cfg.Unit = 64 * 1024
 	}
-	unit := int64(64 * 1024)
-	if opts.Unit != 0 {
-		unit = opts.Unit
+	if cfg.RequestBytes == 0 {
+		cfg.RequestBytes = RequestBytes
 	}
-	maxRetries := 200
-	if opts.MaxRetries != 0 {
-		maxRetries = opts.MaxRetries
+	if cfg.MaxRetries == 0 {
+		cfg.MaxRetries = 200
 	}
-	cl, err := core.Dial(core.Config{
-		Host:         clientHost,
-		Agents:       addrs,
-		Unit:         unit,
-		Parity:       opts.Parity,
-		RequestBytes: reqBytes,
-		WriteWindow:  2,
-		RetryTimeout: scaled(400*time.Millisecond, opts.Scale),
-		MaxRetries:   maxRetries,
-		ReadAhead:    opts.ReadAhead,
-		WritePace:    WritePace,
-		Sleep:        n.Sleep,
-
-		CacheSize:      opts.CacheSize,
-		WriteBehindMax: opts.WriteBehindMax,
-		Logf:           opts.Logf,
-		Verbose:        opts.Verbose,
-		Obs:            opts.Obs,
-		Tracer:         opts.Tracer,
-	})
+	if cfg.WriteWindow == 0 {
+		cfg.WriteWindow = 2
+	}
+	cl, err := core.Dial(cfg)
 	if err != nil {
 		return nil, err
 	}
 	c.Client = cl
-	if opts.HealthInterval > 0 {
-		err = cl.StartMonitor(core.MonitorConfig{
-			Interval: scaled(opts.HealthInterval, opts.Scale),
-			Rebuild:  opts.HealthRebuild && opts.Parity,
-		})
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-	}
 	return c, nil
 }
 
@@ -238,9 +187,9 @@ func (c *SwiftCluster) RestartAgent(i int) error {
 		ResendCheck: scaled(60*time.Millisecond, c.opts.Scale),
 		ResendAfter: scaled(120*time.Millisecond, c.opts.Scale),
 		SessionIdle: scaled(120*time.Second, c.opts.Scale),
-		Logf:        c.opts.Logf,
-		Verbose:     c.opts.Verbose,
-		Tracer:      c.opts.Tracer,
+		Logf:        c.opts.Client.Logf,
+		Verbose:     c.opts.Client.Verbose,
+		Tracer:      c.opts.Client.Tracer,
 	})
 	if err != nil {
 		return err

@@ -354,7 +354,7 @@ func (b *MediatorBroker) Renew() error {
 	return err
 }
 
-// Heartbeat is Renew shaped for Config.Heartbeat: failures are logged
+// Heartbeat is Renew shaped for MonitorConfig.Heartbeat: failures are logged
 // and counted (RenewFailures) rather than returned.
 func (b *MediatorBroker) Heartbeat() {
 	if err := b.Renew(); err != nil && !errors.Is(err, ErrNoMediatorSession) {

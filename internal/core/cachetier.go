@@ -20,6 +20,9 @@ import (
 // never linger just because writers went quiet.
 const flushTick = 100 * time.Millisecond
 
+// readAheadStreams caps concurrently prefetching streams, one worker each.
+const readAheadStreams = 2
+
 // prefetchReq is one suggested read-ahead window for a file's stream.
 type prefetchReq struct {
 	f   *File
@@ -57,7 +60,7 @@ func (c *Client) initCache() {
 	c.cache = cache.New(cache.Config{
 		Capacity:       capBytes,
 		ReadAhead:      cfg.ReadAhead,
-		Streams:        cfg.ReadAheadStreams,
+		Streams:        readAheadStreams,
 		WriteBehindMax: cfg.WriteBehindMax,
 	}, c.tel.reg)
 	if cfg.ReadAhead > 0 {

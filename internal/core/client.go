@@ -7,9 +7,9 @@
 // on striped objects, the light-weight datagram protocol of §3.1 (reads
 // with client-side resubmission and one outstanding request per agent;
 // writes streamed at full speed with explicit acknowledgement and
-// agent-driven resend requests), and the computed-copy redundancy of §2:
-// rotating XOR parity with degraded-mode reads, degraded writes, and
-// fragment rebuild.
+// agent-driven resend requests), and the computed-copy redundancy of §2 as
+// m+k Reed–Solomon rows (k = 1 is the paper's XOR parity) with degraded
+// reads, degraded writes, and fragment rebuild through k failed agents.
 package core
 
 import (
@@ -40,7 +40,8 @@ var (
 	ErrClosed       = errors.New("core: file closed")
 )
 
-// Config describes a client of a set of storage agents.
+// Config describes a client of a set of storage agents; swift.Config is
+// an alias of it.
 type Config struct {
 	// Host is the client machine's transport.
 	Host transport.Host
@@ -48,17 +49,20 @@ type Config struct {
 	// Their order defines the striping order and must be consistent
 	// across clients of the same objects.
 	Agents []string
-	// Unit is the default striping unit in bytes (default 32 KiB). The
-	// storage mediator overrides it per session when rate requirements
-	// are declared.
+	// Unit is the striping unit in bytes (default 32 KiB). The storage
+	// mediator picks it per session when rate requirements are declared.
 	Unit int64
 	// Parity enables computed-copy redundancy (requires >= 3 agents).
 	Parity bool
 	// ParityShards is the number of parity units per stripe row (k).
-	// Zero means 1 when Parity is set (the legacy rotating-XOR layout);
+	// Zero means 1 when Parity is set (the paper's XOR computed copy);
 	// values >= 2 select Reed–Solomon coding and tolerate up to k
 	// simultaneous agent failures. Setting ParityShards implies Parity.
 	ParityShards int
+	// DataShards, when non-zero, asserts m = len(Agents)-ParityShards, so
+	// a misconfigured agent list fails Dial instead of silently changing
+	// the layout.
+	DataShards int
 	// RequestBytes is the largest read or write burst requested from
 	// one agent at a time. Zero, the default, means 42 full data packets
 	// of whatever size the session with that agent agreed at open: 57288
@@ -70,12 +74,9 @@ type Config struct {
 	WriteWindow int
 	// RetryTimeout is the base wait for progress on a burst before
 	// resubmitting (default 250ms). Consecutive silent timeouts back off
-	// exponentially (with jitter) up to MaxRetryTimeout, so a dead agent
+	// exponentially (with jitter) up to 8×RetryTimeout, so a dead agent
 	// is not bombarded on the shared medium.
 	RetryTimeout time.Duration
-	// MaxRetryTimeout caps the per-attempt backoff (default
-	// 8×RetryTimeout).
-	MaxRetryTimeout time.Duration
 	// MaxRetries sizes the retransmission budget: an operation gives up
 	// on an agent once roughly MaxRetries×RetryTimeout elapses with no
 	// progress (default 40). Progress refreshes the budget.
@@ -85,11 +86,9 @@ type Config struct {
 	// analogue of the kernel read-ahead the paper's baselines enjoy.
 	// Detected streams get their next window fetched by a background
 	// worker while the application consumes the current one; random
-	// reads bypass it. Setting ReadAhead enables the cache.
+	// reads bypass it; two streams prefetch at once. Setting ReadAhead
+	// enables the cache.
 	ReadAhead int64
-	// ReadAheadStreams caps concurrently prefetching sequential streams
-	// (default 2); each gets a background read-ahead worker.
-	ReadAheadStreams int
 	// CacheSize bounds the client block cache in bytes. Zero auto-sizes
 	// it when ReadAhead or WriteBehindMax enables the cache; negative
 	// disables caching outright. Setting CacheSize > 0 enables the
@@ -117,6 +116,8 @@ type Config struct {
 	// Sleep implements WritePace (default time.Sleep). Measured runs
 	// inject the modeled network's scaled sleeper.
 	Sleep func(time.Duration)
+	// Monitor, with Interval > 0, is the health monitor Dial starts.
+	Monitor MonitorConfig
 	// Logf receives diagnostics (default: none).
 	Logf func(format string, args ...any)
 	// Verbose additionally routes burst-level trace events (timeouts,
@@ -128,10 +129,14 @@ type Config struct {
 	// mediator metrics behind one /metrics endpoint. Nil gets a private
 	// registry (telemetry is always recorded).
 	Obs *obs.Registry
+	// TraceRate is the head-sampling rate in [0,1] of the tracer Dial
+	// builds when Tracer is nil (the tail sampler keeps errored, retried
+	// and slow ops regardless).
+	TraceRate float64
 	// Tracer, when non-nil, mints distributed-tracing spans: every client
 	// operation roots a span tree, per-agent work opens children, and the
-	// context rides control packets to agents and mediators. Nil disables
-	// tracing at zero cost on the per-packet path.
+	// context rides control packets to agents and mediators. Nil with
+	// TraceRate 0 disables tracing at zero cost on the per-packet path.
 	Tracer *obs.Tracer
 	// OpTimeout, when > 0, gives every read and write operation a deadline
 	// budget. The remaining budget rides each request in the version-gated
@@ -140,25 +145,16 @@ type Config struct {
 	// stay byte-identical to the version-1 format.
 	OpTimeout time.Duration
 	// HedgeReads enables hedged reads with parity: a read burst stalled
-	// past HedgeMultiplier× the agent's p99 burst latency is abandoned and
-	// its extents reconstructed from the other agents' shards, bounded by
-	// the retry budget. Default off.
+	// past twice the agent's p99 burst latency (and at least RetryTimeout)
+	// is abandoned and its extents reconstructed from the other agents'
+	// shards, bounded by the retry budget. Default off.
 	HedgeReads bool
-	// HedgeMultiplier scales the p99-derived hedge delay (default 2).
-	HedgeMultiplier float64
-	// RetryBudgetCap is the retry token bucket's capacity (default 1000).
-	RetryBudgetCap float64
-	// RetryBudgetRatio is the fraction of a token each fresh operation
-	// deposits — sustained retries are capped at this fraction of fresh
-	// traffic (default 0.5).
-	RetryBudgetRatio float64
-	// BreakerThreshold is the number of consecutive pushbacks or retry
-	// give-ups that trip an agent's circuit breaker open (default 5).
+	// BreakerThreshold consecutive pushbacks or retry give-ups trip an
+	// agent's circuit breaker open for two seconds (default 5).
 	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before
-	// admitting a half-open trial burst (default 2s).
-	BreakerCooldown time.Duration
 }
+
+const maxBackoff = 8 // cap on a retransmission wait, in RetryTimeouts
 
 func (c *Config) fill() error {
 	if c.Host == nil {
@@ -176,9 +172,6 @@ func (c *Config) fill() error {
 	if c.RetryTimeout == 0 {
 		c.RetryTimeout = 250 * time.Millisecond
 	}
-	if c.MaxRetryTimeout == 0 {
-		c.MaxRetryTimeout = 8 * c.RetryTimeout
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 40
 	}
@@ -188,33 +181,35 @@ func (c *Config) fill() error {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.HedgeMultiplier == 0 {
-		c.HedgeMultiplier = 2
-	}
-	if c.RetryBudgetCap == 0 {
-		c.RetryBudgetCap = 1000
-	}
-	if c.RetryBudgetRatio == 0 {
-		c.RetryBudgetRatio = 0.5
-	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 5
 	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.ReadAheadStreams == 0 {
-		c.ReadAheadStreams = 2
-	}
 	// Normalize the redundancy knobs both ways: ParityShards implies
-	// Parity, and Parity alone means the legacy single parity unit. All
+	// Parity, and Parity alone means the single XOR parity unit. All
 	// boolean cfg.Parity checks in the engine stay valid for any k.
 	if c.ParityShards > 0 {
 		c.Parity = true
 	} else if c.Parity {
 		c.ParityShards = 1
 	}
+	if c.DataShards > 0 && c.DataShards+c.ParityShards != len(c.Agents) {
+		return fmt.Errorf("core: %d data + %d parity shards need %d agents, have %d",
+			c.DataShards, c.ParityShards, c.DataShards+c.ParityShards, len(c.Agents))
+	}
 	return c.layout().Validate()
+}
+
+// ApplyPlan configures the client from an admitted transfer plan: agent
+// set (striping order), striping unit, and redundancy scheme.
+func (c *Config) ApplyPlan(p *mediator.Plan) {
+	c.Agents = append([]string(nil), p.Addrs...)
+	c.Unit = p.Unit
+	c.Parity = p.Parity
+	c.ParityShards = p.ParityShards
+	c.DataShards = 0
+	if p.Parity {
+		c.DataShards = len(p.Addrs) - p.ParityShards
+	}
 }
 
 // cacheEnabled reports whether the client runs the block cache tier.
@@ -308,11 +303,11 @@ func Dial(cfg Config) (*Client, error) {
 	c := &Client{
 		cfg:      cfg,
 		layout:   cfg.layout(),
-		bo:       backoff.New(cfg.RetryTimeout, cfg.MaxRetryTimeout),
+		bo:       backoff.New(cfg.RetryTimeout, maxBackoff*cfg.RetryTimeout),
 		ctl:      ctl,
 		health:   make([]agentHealth, len(cfg.Agents)),
 		files:    make(map[*File]struct{}),
-		budget:   newTokenBucket(cfg.RetryBudgetCap, cfg.RetryBudgetRatio),
+		budget:   newTokenBucket(retryBudgetCap, retryBudgetRatio),
 		breakers: make([]breaker, len(cfg.Agents)),
 	}
 	if k := c.layout.ParityPerRow(); k > 0 {
@@ -325,12 +320,19 @@ func Dial(cfg Config) (*Client, error) {
 	c.tel = newTelemetry(cfg.Obs, cfg.Agents, &c.metrics, c.codec, c.budget)
 	c.initCache()
 	c.tracer = cfg.Tracer
+	if c.tracer == nil {
+		c.tracer = obs.NewTracer(obs.TracerConfig{Rate: cfg.TraceRate}) // nil at rate 0
+		c.tracer.Register(c.tel.reg)
+	}
 	if cfg.Verbose {
 		logf := c.cfg.Logf
 		// Logf implementations may block (files, test loggers); the
 		// buffered hand-off keeps event emission non-blocking on the data
 		// path, dropping on overflow instead of stalling a transfer.
 		c.traceStop = c.tel.trace.SetBufferedSink(func(e obs.Event) { logf("trace: %s", e.String()) }, 256)
+	}
+	if cfg.Monitor.Interval > 0 {
+		c.StartMonitor(cfg.Monitor)
 	}
 	return c, nil
 }
@@ -869,7 +871,7 @@ func (c *Client) Ping() []AgentStatus {
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
-			pr, rtt, err := c.probeAgent(addr, 2)
+			pr, rtt, err := c.probeAgent(addr, probeRetries)
 			if err != nil {
 				return
 			}

@@ -125,10 +125,6 @@ func (c *Client) noteFailure(i int, err error) {
 type MonitorConfig struct {
 	// Interval is the probe period (default 500ms).
 	Interval time.Duration
-	// ProbeRetries sizes each probe's retry budget (default 2, i.e.
-	// roughly 2×RetryTimeout per probe before an agent is written off
-	// for the round).
-	ProbeRetries int
 	// Rebuild, with parity enabled, reconstructs a re-admitted agent's
 	// fragments from the survivors before the agent serves reads again,
 	// so units written degraded while it was out are never served stale.
@@ -138,31 +134,27 @@ type MonitorConfig struct {
 	// disables background scrubbing.
 	ScrubInterval time.Duration
 	// Heartbeat, when non-nil, is called once per probe round — the hook
-	// the swift facade uses to renew its mediator session lease while the
-	// client is alive.
+	// that renews a mediator session lease (MediatorBroker.Heartbeat).
 	Heartbeat func()
 }
 
-func (mc *MonitorConfig) fill() {
-	if mc.Interval == 0 {
-		mc.Interval = 500 * time.Millisecond
-	}
-	if mc.ProbeRetries == 0 {
-		mc.ProbeRetries = 2
-	}
-}
+// probeRetries gives each health probe about 2×RetryTimeout.
+const probeRetries = 2
 
 // StartMonitor launches the background health monitor: every Interval it
 // probes every agent, demotes silent ones (healthy→suspect→down) even
 // when no traffic is flowing, and re-admits recovered ones — reopening
 // per-file sessions and, with Rebuild set, reconstructing their fragments
-// first. Stop with StopMonitor or Client.Close.
-func (c *Client) StartMonitor(mc MonitorConfig) error {
-	mc.fill()
+// first. Starting a running monitor is a no-op. Stop with StopMonitor or
+// Client.Close.
+func (c *Client) StartMonitor(mc MonitorConfig) {
+	if mc.Interval == 0 {
+		mc.Interval = 500 * time.Millisecond
+	}
 	c.mu.Lock()
 	if c.monStop != nil {
 		c.mu.Unlock()
-		return nil // already running
+		return
 	}
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -214,7 +206,6 @@ func (c *Client) StartMonitor(mc MonitorConfig) error {
 		wg.Wait()
 		close(done)
 	}()
-	return nil
 }
 
 // StopMonitor stops the background health monitor, if running, and waits
@@ -237,16 +228,15 @@ func (c *Client) StopMonitor() {
 // timer; swiftctl's health command calls it directly.
 func (c *Client) ProbeOnce() []AgentHealth {
 	c.mu.Lock()
-	mc := c.monCfg
+	rebuild := c.monCfg.Rebuild
 	c.mu.Unlock()
-	mc.fill()
 
 	type verdict struct{ ok bool }
 	verdicts := make([]verdict, len(c.cfg.Agents))
 	var wgDone = make(chan int, len(c.cfg.Agents))
 	for i, addr := range c.cfg.Agents {
 		go func(i int, addr string) {
-			_, _, err := c.probeAgent(addr, mc.ProbeRetries)
+			_, _, err := c.probeAgent(addr, probeRetries)
 			verdicts[i] = verdict{ok: err == nil}
 			wgDone <- i
 		}(i, addr)
@@ -261,7 +251,7 @@ func (c *Client) ProbeOnce() []AgentHealth {
 		c.mu.Unlock()
 		switch {
 		case verdicts[i].ok && state != StateHealthy:
-			c.readmit(i, mc.Rebuild)
+			c.readmit(i, rebuild)
 		case !verdicts[i].ok:
 			c.mu.Lock()
 			switch state {

@@ -132,12 +132,10 @@ func TestMonitorAutoReadmitWithRebuild(t *testing.T) {
 
 	// Restart the agent and let the monitor find it.
 	restartAgent(t, c, 2)
-	if err := c.client.StartMonitor(MonitorConfig{
+	c.client.StartMonitor(MonitorConfig{
 		Interval: 15 * time.Millisecond,
 		Rebuild:  true,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if h := c.client.Health()[2]; h.State == StateHealthy {
@@ -172,12 +170,8 @@ func TestMonitorAutoReadmitWithRebuild(t *testing.T) {
 // is a no-op while running, and stop is safe to repeat.
 func TestMonitorStartStopIdempotent(t *testing.T) {
 	c := newCluster(t, clusterOpts{})
-	if err := c.client.StartMonitor(MonitorConfig{Interval: 10 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.client.StartMonitor(MonitorConfig{Interval: 10 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
+	c.client.StartMonitor(MonitorConfig{Interval: 10 * time.Millisecond})
+	c.client.StartMonitor(MonitorConfig{Interval: 10 * time.Millisecond})
 	time.Sleep(30 * time.Millisecond)
 	c.client.StopMonitor()
 	c.client.StopMonitor()

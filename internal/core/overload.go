@@ -43,6 +43,17 @@ var (
 // the hedge delay; the caller reconstructs the extents from parity.
 var errHedged = errors.New("core: read burst hedged")
 
+// The retry budget holds retryBudgetCap tokens and each fresh operation
+// deposits retryBudgetRatio of one, so sustained retries stay under half
+// of fresh traffic. A tripped breaker stays open for breakerCooldown; a
+// read burst hedges after hedgeMultiplier × its agent's p99.
+const (
+	retryBudgetCap   = 1000
+	retryBudgetRatio = 0.5
+	breakerCooldown  = 2 * time.Second
+	hedgeMultiplier  = 2
+)
+
 // tokenBucket is the shared retry budget: fresh operations deposit
 // fractional tokens, retries and hedges spend whole ones. With ratio r,
 // sustained retry traffic is capped at r times fresh traffic; the cap
@@ -218,7 +229,7 @@ func (c *Client) noteOverload(i int, why string) {
 	if i < 0 || i >= len(c.breakers) {
 		return
 	}
-	from, to, changed := c.breakers[i].strike(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
+	from, to, changed := c.breakers[i].strike(time.Now(), c.cfg.BreakerThreshold, breakerCooldown)
 	if changed {
 		if to == BreakerOpen && from == BreakerClosed {
 			c.metrics.BreakerTrips.Add(1)
@@ -252,11 +263,7 @@ func (c *Client) breakerMoved(i int, from, to BreakerState, why string) {
 // floored at the base retry timeout so a cold histogram cannot cause
 // hair-trigger hedging.
 func (c *Client) hedgeDelay(i int) time.Duration {
-	d := time.Duration(float64(c.tel.agent(i).burstLat[reading].Percentile(99)) * c.cfg.HedgeMultiplier)
-	if d < c.cfg.RetryTimeout {
-		d = c.cfg.RetryTimeout
-	}
-	return d
+	return max(hedgeMultiplier*c.tel.agent(i).burstLat[reading].Percentile(99), c.cfg.RetryTimeout)
 }
 
 // isOverloadSignal reports whether err is backpressure (pushback, hedge,

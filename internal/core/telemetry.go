@@ -313,21 +313,12 @@ type StatsSnapshot struct {
 	ECEncodeLat      obs.Snapshot
 	ECReconstructLat obs.Snapshot
 
-	// Overload is the cooperative overload-control summary.
-	Overload OverloadStats
+	// BudgetFill is the retry token bucket's fill fraction in [0,1]; the
+	// overload-control counters are in Counters.
+	BudgetFill float64
 
 	// Cache is the block cache's counters (zeros when caching is off).
 	Cache cache.Stats
-}
-
-// OverloadStats summarizes the client's overload-control activity.
-type OverloadStats struct {
-	Pushbacks     int64   // pushback replies received
-	Hedges        int64   // read bursts hedged
-	HedgeWins     int64   // hedges completed by reconstruction
-	BudgetDenials int64   // retries/hedges denied by the budget
-	BreakerTrips  int64   // breakers tripped open
-	BudgetFill    float64 // retry token bucket fill fraction [0,1]
 }
 
 // Stats snapshots the client's telemetry. It is safe to call during live
@@ -346,15 +337,8 @@ func (c *Client) Stats() StatsSnapshot {
 		ECEncodeLat:      c.tel.ecEncodeLat.Snapshot(),
 		ECReconstructLat: c.tel.ecReconstructLat.Snapshot(),
 
-		Cache: c.CacheStats(),
-	}
-	s.Overload = OverloadStats{
-		Pushbacks:     s.Counters.Pushbacks,
-		Hedges:        s.Counters.Hedges,
-		HedgeWins:     s.Counters.HedgeWins,
-		BudgetDenials: s.Counters.BudgetDenials,
-		BreakerTrips:  s.Counters.BreakerTrips,
-		BudgetFill:    c.budget.fill(),
+		BudgetFill: c.budget.fill(),
+		Cache:      c.CacheStats(),
 	}
 	health := c.Health()
 	s.Agents = make([]AgentStats, len(c.tel.agents))

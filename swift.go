@@ -39,9 +39,6 @@
 package swift
 
 import (
-	"fmt"
-	"time"
-
 	"swift/internal/agent"
 	"swift/internal/cache"
 	"swift/internal/core"
@@ -52,139 +49,12 @@ import (
 	"swift/internal/transport"
 )
 
-// Config configures a Swift client (the distribution agent).
-type Config struct {
-	// Host is the client machine's network attachment.
-	Host transport.Host
-	// Agents lists the storage agents' control addresses ("host:port").
-	// Order matters: it defines the striping order.
-	Agents []string
-	// StripeUnit is the striping unit in bytes (default 32 KiB).
-	StripeUnit int64
-	// Parity enables computed-copy redundancy (requires >= 3 agents):
-	// rotating parity units per stripe row. With ParityShards unset this
-	// is the paper's single XOR computed copy, tolerating one failed
-	// agent.
-	Parity bool
-	// ParityShards selects the m+k erasure scheme: the number of parity
-	// units per stripe row (k), each on its own agent. Zero with Parity
-	// set means 1 (plain XOR); 2 or more selects Reed–Solomon coding
-	// tolerating that many simultaneous agent failures. Setting it
-	// implies Parity. Requires len(Agents) >= ParityShards+2.
-	ParityShards int
-	// DataShards, when non-zero, asserts the number of data units per
-	// stripe row (m). It is always len(Agents)-ParityShards; Dial
-	// rejects a mismatch so a misconfigured agent list fails loudly
-	// instead of silently changing the layout.
-	DataShards int
-	// SyncWrites makes agents commit each write burst to stable storage
-	// before acknowledging.
-	SyncWrites bool
-	// RequestBytes, WriteWindow, RetryTimeout and MaxRetries tune the
-	// data-transfer protocol; zero values select defaults.
-	RequestBytes int64
-	WriteWindow  int
-	RetryTimeout time.Duration
-	MaxRetries   int
-	// ReadAhead fetches sequential reads in windows of this many bytes
-	// (0 disables). Small sequential readers gain large-burst rates;
-	// detected sequential streams are additionally prefetched
-	// asynchronously into the block cache ahead of the reader.
-	ReadAhead int64
-	// ReadAheadStreams bounds how many concurrent sequential streams get
-	// asynchronous read-ahead (default 2). More streams pipeline more
-	// concurrent readers at the cost of agent-side interleaving.
-	ReadAheadStreams int
-	// CacheSize bounds the client block cache in bytes. Zero auto-sizes
-	// from ReadAhead and WriteBehindMax (at least 8 MiB when any caching
-	// feature is on); negative disables the cache tier entirely.
-	CacheSize int64
-	// WriteBehindMax, when > 0, absorbs writes into the cache and flushes
-	// them to the agents in the background, bounding dirty bytes at this
-	// budget. Sync, Seek-free sequential writers gain full-window bursts;
-	// Close and Sync still guarantee durability before returning.
-	WriteBehindMax int64
-	// CacheSync, when non-nil, is the cache-coherence hook: called once
-	// per health round (and on Close) with the cache's resident objects
-	// and this client's recent writes, it returns the entries that are
-	// stale and must be invalidated. Wire a MediatorBroker's CacheSync
-	// here so the mediator tier propagates cross-client invalidations.
-	CacheSync func(cached []CachedObject, written []string) ([]CachedObject, error)
-	// WritePace inserts a delay between outgoing data packets (the
-	// prototype's kernel-friendly wait loop); Sleep implements it.
-	WritePace time.Duration
-	Sleep     func(time.Duration)
-	// HealthInterval, when > 0, starts the background health monitor:
-	// every interval it probes all agents, demotes silent ones through the
-	// failure-domain lifecycle (healthy → suspect → down), and re-admits
-	// recovered ones automatically — reopening each open file's sessions
-	// and, with AutoRebuild, reconstructing the agent's fragments from
-	// parity first.
-	HealthInterval time.Duration
-	// AutoRebuild makes re-admission rebuild a returning agent's
-	// fragments from the survivors before it serves reads again
-	// (requires Parity).
-	AutoRebuild bool
-	// ScrubInterval, when > 0 together with HealthInterval, runs a
-	// background scrub over every open file at this period: each stripe
-	// row is read from all agents, verified against the integrity
-	// envelope and the parity equation, and (with Parity) repaired in
-	// place — corrupt units rewritten from the XOR of their peers, stale
-	// parity recomputed from the data.
-	ScrubInterval time.Duration
-	// OpTimeout, when > 0, gives every ReadAt/WriteAt a deadline budget.
-	// The remaining budget travels on each request packet, so agents shed
-	// work the client has already abandoned; an op past its budget fails
-	// with core.ErrDeadline without marking any agent failed.
-	OpTimeout time.Duration
-	// HedgeReads races a parity reconstruction against a straggling agent
-	// once a read burst exceeds a p99-derived hedge delay (requires
-	// Parity). Hedges spend the retry budget, so a broadly slow cluster
-	// cannot amplify load.
-	HedgeReads bool
-	// HedgeMultiplier scales the observed p99 read-burst latency into the
-	// hedge delay (default 2).
-	HedgeMultiplier float64
-	// RetryBudgetCap and RetryBudgetRatio bound retry amplification: a
-	// token bucket holding at most Cap tokens, refilled by Ratio per
-	// fresh operation, pays for every failover retry and hedge. Defaults
-	// 1000 and 0.5.
-	RetryBudgetCap   float64
-	RetryBudgetRatio float64
-	// BreakerThreshold consecutive overload signals (pushbacks, retry
-	// give-ups) trip an agent's circuit breaker open for BreakerCooldown;
-	// while open, parity-protected reads reconstruct around the agent
-	// instead of waiting on it. Defaults 5 and 2s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// Heartbeat, when non-nil together with HealthInterval, is invoked
-	// once per health-probe round — the hook for renewing a storage
-	// mediator session lease (mediator.Renew) while this client lives.
-	Heartbeat func()
-	// Logf receives diagnostics.
-	Logf func(format string, args ...any)
-	// Verbose additionally routes burst-level trace events (failovers,
-	// timeouts, lifecycle transitions) to Logf, prefixed "trace:".
-	Verbose bool
-	// Obs, when non-nil, is the metric registry the client registers its
-	// telemetry in, for export over HTTP (see internal/obs.Serve). Nil
-	// gets a private registry; telemetry is always recorded and available
-	// through FS.Stats.
-	Obs *obs.Registry
-	// TraceRate enables distributed tracing: every client operation
-	// (open, read, write, sync, scrub) records a span tree across the
-	// client's internal layers and — over the wire — the storage agents
-	// and mediator replicas serving it. Rate is the head-sampling
-	// probability in [0,1]; independent of it, the tail sampler keeps
-	// ops that errored, retried (timeouts, resends, repairs, failovers),
-	// or ran slower than the operation's live p99. Zero disables tracing
-	// with no per-packet cost.
-	TraceRate float64
-	// Tracer, when non-nil, overrides TraceRate: the client joins an
-	// existing tracer (shared with in-process agents or mediators, so
-	// one collector assembles the full cross-layer tree).
-	Tracer *obs.Tracer
-}
+// Config configures a Swift client (the distribution agent). It is the
+// engine's own configuration; see core.Config for every field.
+type Config = core.Config
+
+// MonitorConfig tunes the background health monitor (Config.Monitor).
+type MonitorConfig = core.MonitorConfig
 
 // FS is a handle to a striped object store: the Swift distribution agent.
 type FS struct {
@@ -200,67 +70,9 @@ type OpenFlags = core.OpenFlags
 
 // Dial creates a Swift client for the given agent set.
 func Dial(cfg Config) (*FS, error) {
-	if cfg.DataShards > 0 {
-		k := cfg.ParityShards
-		if k == 0 && cfg.Parity {
-			k = 1
-		}
-		if cfg.DataShards+k != len(cfg.Agents) {
-			return nil, fmt.Errorf("swift: %d data + %d parity shards need %d agents, have %d",
-				cfg.DataShards, k, cfg.DataShards+k, len(cfg.Agents))
-		}
-	}
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = obs.NewTracer(obs.TracerConfig{Rate: cfg.TraceRate})
-		tracer.Register(cfg.Obs)
-	}
-	c, err := core.Dial(core.Config{
-		Host:         cfg.Host,
-		Agents:       cfg.Agents,
-		Unit:         cfg.StripeUnit,
-		Parity:       cfg.Parity,
-		ParityShards: cfg.ParityShards,
-		SyncWrites:   cfg.SyncWrites,
-		RequestBytes: cfg.RequestBytes,
-		WriteWindow:  cfg.WriteWindow,
-		RetryTimeout: cfg.RetryTimeout,
-		MaxRetries:   cfg.MaxRetries,
-		ReadAhead:    cfg.ReadAhead,
-		WritePace:    cfg.WritePace,
-		Sleep:        cfg.Sleep,
-
-		ReadAheadStreams: cfg.ReadAheadStreams,
-		CacheSize:        cfg.CacheSize,
-		WriteBehindMax:   cfg.WriteBehindMax,
-		CacheSync:        cfg.CacheSync,
-
-		OpTimeout:        cfg.OpTimeout,
-		HedgeReads:       cfg.HedgeReads,
-		HedgeMultiplier:  cfg.HedgeMultiplier,
-		RetryBudgetCap:   cfg.RetryBudgetCap,
-		RetryBudgetRatio: cfg.RetryBudgetRatio,
-		BreakerThreshold: cfg.BreakerThreshold,
-		BreakerCooldown:  cfg.BreakerCooldown,
-
-		Logf:    cfg.Logf,
-		Verbose: cfg.Verbose,
-		Obs:     cfg.Obs,
-		Tracer:  tracer,
-	})
+	c, err := core.Dial(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.HealthInterval > 0 {
-		if err := c.StartMonitor(core.MonitorConfig{
-			Interval:      cfg.HealthInterval,
-			Rebuild:       cfg.AutoRebuild,
-			ScrubInterval: cfg.ScrubInterval,
-			Heartbeat:     cfg.Heartbeat,
-		}); err != nil {
-			c.Close()
-			return nil, err
-		}
 	}
 	return &FS{c: c}, nil
 }
@@ -325,7 +137,7 @@ func (fs *FS) Health() []AgentHealth { return fs.c.Health() }
 // CheckHealth runs one synchronous health round — probing every agent,
 // applying lifecycle transitions, and re-admitting recovered agents — and
 // returns the resulting snapshot. The background monitor (see
-// Config.HealthInterval) calls the same machinery on a timer.
+// Config.Monitor) calls the same machinery on a timer.
 func (fs *FS) CheckHealth() []AgentHealth { return fs.c.ProbeOnce() }
 
 // ScrubOptions tune a scrub pass (see FS.ScrubObject and File.Scrub).
@@ -349,7 +161,7 @@ func (fs *FS) ScrubAll(opts ScrubOptions) (ScrubReport, error) {
 
 // ScrubOpen scrubs every currently open file once, repairing (when
 // Parity is enabled) what it finds — the same pass the background
-// scrubber (Config.ScrubInterval) runs on its timer.
+// scrubber (Config.Monitor.ScrubInterval) runs on its timer.
 func (fs *FS) ScrubOpen() ScrubReport { return fs.c.ScrubOnce() }
 
 // ErrCorrupt is the sentinel all at-rest corruption errors match with
@@ -382,10 +194,6 @@ type AgentStats = core.AgentStats
 
 // MetricsSnapshot is a value copy of the client's protocol counters.
 type MetricsSnapshot = core.MetricsSnapshot
-
-// OverloadStats summarizes the client's overload-control activity within
-// Stats: load shed, hedged, denied, and the retry budget's fill level.
-type OverloadStats = core.OverloadStats
 
 // CacheStats is the client block cache's counter snapshot within Stats:
 // hits, misses, read-ahead activity, write-behind flushes and coherence
@@ -440,7 +248,7 @@ func (fs *FS) CacheStats() CacheStats { return fs.c.CacheStats() }
 // CoherenceSync runs one synchronous cache-coherence round through
 // Config.CacheSync: declare recent writes, learn which cached objects
 // other clients have overwritten, and invalidate them. The health
-// monitor (Config.HealthInterval) calls the same machinery every round;
+// monitor (Config.Monitor) calls the same machinery every round;
 // CoherenceSync is for tests and clients that need a bounded staleness
 // point without waiting for the next round.
 func (fs *FS) CoherenceSync() { fs.c.CoherenceSync() }
@@ -471,9 +279,6 @@ func (fs *FS) Layout() LayoutInfo {
 		Scheme:       fs.c.Scheme(),
 	}
 }
-
-// Metrics returns a value copy of the client's protocol counters.
-func (fs *FS) Metrics() MetricsSnapshot { return fs.c.MetricsSnapshot() }
 
 // TraceEvents returns up to n recent trace events, oldest first.
 func (fs *FS) TraceEvents(n int) []TraceEvent { return fs.c.TraceEvents(n) }
@@ -560,23 +365,10 @@ type BrokerConfig = core.BrokerConfig
 type MediatorBroker = core.MediatorBroker
 
 // NewMediatorBroker builds the failover broker over a mediator replica
-// set. Wire the returned broker's Heartbeat into Config.Heartbeat so the
-// health monitor renews the session lease while the client lives.
+// set. Wire the returned broker's Heartbeat into Config.Monitor.Heartbeat
+// so the health monitor renews the session lease while the client lives.
 func NewMediatorBroker(cfg BrokerConfig) (*MediatorBroker, error) {
 	return core.NewMediatorBroker(cfg)
-}
-
-// ApplyPlan configures the client from an admitted transfer plan: agent
-// set (striping order), striping unit, and redundancy scheme.
-func (c *Config) ApplyPlan(p *TransferPlan) {
-	c.Agents = append([]string(nil), p.Addrs...)
-	c.StripeUnit = p.Unit
-	c.Parity = p.Parity
-	c.ParityShards = p.ParityShards
-	c.DataShards = 0
-	if p.Parity {
-		c.DataShards = len(p.Addrs) - p.ParityShards
-	}
 }
 
 // AgentConfig configures a storage agent server.

@@ -36,7 +36,7 @@ func startCluster(t *testing.T, n int, cfg swift.Config) *swift.FS {
 }
 
 func TestFacadeOverUDP(t *testing.T) {
-	fs := startCluster(t, 3, swift.Config{StripeUnit: 8 * 1024})
+	fs := startCluster(t, 3, swift.Config{Unit: 8 * 1024})
 
 	data := make([]byte, 300_000)
 	rand.New(rand.NewSource(1)).Read(data)
@@ -103,7 +103,7 @@ func TestFacadeParityDegradedOverUDP(t *testing.T) {
 	}()
 	fs, err := swift.Dial(swift.Config{
 		Host: host, Agents: addrs,
-		StripeUnit: 4 * 1024, Parity: true,
+		Unit: 4 * 1024, Parity: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestFacadeParityDegradedOverUDP(t *testing.T) {
 }
 
 func TestSeekSemantics(t *testing.T) {
-	fs := startCluster(t, 2, swift.Config{StripeUnit: 1024})
+	fs := startCluster(t, 2, swift.Config{Unit: 1024})
 	f, err := fs.Create("seek")
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestFacadeRSDoubleFailureOverUDP(t *testing.T) {
 	}()
 	fs, err := swift.Dial(swift.Config{
 		Host: host, Agents: addrs,
-		StripeUnit: 4 * 1024, DataShards: 3, ParityShards: 2,
+		Unit: 4 * 1024, DataShards: 3, ParityShards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
