@@ -26,7 +26,7 @@ vet:
 # when either exceeds its ceiling. A PR that shrinks them lowers the
 # ceilings to its result; none raises them. It also prints the repo-wide
 # non-test Go line count (item 6's "down by >= 2k lines"), ungated.
-CORE_LINES_MAX := 5051
+CORE_LINES_MAX := 5048
 CORE_FILE_LINES_MAX := 959
 size:
 	@core=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l); \

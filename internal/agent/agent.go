@@ -41,9 +41,13 @@ const DefaultPort = "7070"
 type Config struct {
 	// Port is the well-known control port (default DefaultPort).
 	Port string
-	// ReadChunk is the number of bytes fetched from the store per
-	// operation while streaming a read (default 8192). It controls how
-	// disk and network time interleave.
+	// ReadChunk is the number of bytes fetched from the store per call
+	// while streaming a read. Zero (or less) means one default burst,
+	// wire.BurstPackets full payloads of the session: such a burst is one
+	// store read cut into full datagrams, and a longer one is read in
+	// chunks of that size, so disk service overlaps transmission from one
+	// chunk to the next. Only the modeled 1991 installation sets it, to
+	// the prototype's 8 KiB.
 	ReadChunk int
 	// ResendCheck is how often incomplete (open) write bursts are
 	// examined for stalls (default 25ms). It is also the session's
@@ -108,9 +112,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.Port == "" {
 		c.Port = DefaultPort
-	}
-	if c.ReadChunk == 0 {
-		c.ReadChunk = 8192
 	}
 	if c.ResendCheck == 0 {
 		c.ResendCheck = 25 * time.Millisecond
@@ -626,13 +627,21 @@ type session struct {
 	// served by a single goroutine, so its buffer is reused without
 	// locking (transports copy on send).
 	out *wire.Batch
+	// chunk is the bytes serveRead asks the store for per call:
+	// Config.ReadChunk, or one default burst of this session's payload.
+	chunk int64
 	// readFree recycles the two serve-loop chunk buffers: the reader
 	// goroutine fills one while the transmitter drains the other, so a
-	// burst of any length touches exactly two buffers.
+	// burst of any length touches at most two buffers. Each grows on
+	// demand, never past chunk.
 	readFree chan []byte
 }
 
 func newSession(a *Agent, handle uint64, obj store.Object, conn transport.PacketConn, payload int) *session {
+	chunk := int64(a.cfg.ReadChunk)
+	if chunk <= 0 {
+		chunk = wire.BurstPackets * int64(payload)
+	}
 	return &session{
 		agent:   a,
 		handle:  handle,
@@ -641,6 +650,7 @@ func newSession(a *Agent, handle uint64, obj store.Object, conn transport.Packet
 		payload: payload,
 		writes:  make(map[uint32]*writeState),
 		out:     wire.NewBatch(conn, wire.HeaderSize+payload+wire.TrailerSize),
+		chunk:   chunk,
 	}
 }
 
@@ -753,15 +763,15 @@ func (s *session) reply(from string, t wire.Type, reqID uint32) {
 }
 
 // serveRead streams [Offset, Offset+Length) to the client as data packets.
-// The store is consulted in ReadChunk pieces by a reader goroutine while
-// the session transmits, so disk service overlaps network transmission the
-// way the prototype's kernel read-ahead overlapped its sends. Bytes beyond
-// end-of-fragment are zero-filled, which is both the sparse-file
-// convention and what parity reconstruction expects.
+// The store is consulted in chunk pieces by a reader goroutine while the
+// session transmits, so on a burst longer than one chunk disk service
+// overlaps network transmission the way the prototype's kernel read-ahead
+// overlapped its sends. A default burst is one chunk: one store read.
+// Bytes beyond end-of-fragment are zero-filled, which is both the
+// sparse-file convention and what parity reconstruction expects.
 //
 //swift:hotpath
 func (s *session) serveRead(pkt *wire.Packet, from string) {
-	cfg := &s.agent.cfg
 	tel := s.agent.tel
 	tel.readReqs.Inc()
 	sp := s.agent.joinSpan(pkt.Trace, "agent_read_serve")
@@ -800,24 +810,26 @@ func (s *session) serveRead(pkt *wire.Packet, from string) {
 	}
 	if s.readFree == nil {
 		// One-time per-session pool: two chunk buffers recycled across
-		// every burst this session serves.
+		// every burst this session serves, each allocated by the first
+		// read that needs it larger.
 		//lint:allow hotalloc per-session buffer pool, built on the first read burst only
 		s.readFree = make(chan []byte, 2)
-		s.readFree <- make([]byte, cfg.ReadChunk) //lint:allow hotalloc per-session buffer pool, built on the first read burst only
-		s.readFree <- make([]byte, cfg.ReadChunk) //lint:allow hotalloc per-session buffer pool, built on the first read burst only
+		s.readFree <- nil
+		s.readFree <- nil
 	}
-	//lint:allow hotalloc one bounded channel per read burst, amortized over ReadChunk-sized transfers
+	//lint:allow hotalloc one bounded channel per read burst, amortized over chunk-sized transfers
 	chunks := make(chan chunk, 2)
-	go func() { //lint:allow hotalloc one reader goroutine and closure per burst, amortized over ReadChunk-sized transfers
+	go func() { //lint:allow hotalloc one reader goroutine and closure per burst, amortized over chunk-sized transfers
 		defer close(chunks)
 		remaining := int64(pkt.Length)
 		off := pkt.Offset
 		for remaining > 0 {
-			n := int64(cfg.ReadChunk)
-			if n > remaining {
-				n = remaining
+			n := min(s.chunk, remaining)
+			buf := <-s.readFree
+			if int64(cap(buf)) < n {
+				buf = make([]byte, n) //lint:allow hotalloc per-session buffer pool, each buffer grows to at most one chunk
 			}
-			buf := (<-s.readFree)[:n]
+			buf = buf[:n]
 			got, err := s.obj.ReadAt(buf, off)
 			if int64(got) < n && err != nil && !isEOF(err) {
 				s.readFree <- buf[:cap(buf)]

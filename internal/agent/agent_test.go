@@ -533,48 +533,3 @@ func TestQueueFullReadShed(t *testing.T) {
 		}
 	}
 }
-
-// TestRecycledChunkBufferZeroFills pins the serve-loop recycling
-// invariant: the chunk buffers live for the whole session, so a burst
-// that reads past EOF must see zeros even when an earlier burst filled
-// the same buffer with data.
-func TestRecycledChunkBufferZeroFills(t *testing.T) {
-	r := newRig(t, Config{})
-	obj, _ := r.st.Open("obj", true)
-	content := bytes.Repeat([]byte{0xAB}, 512)
-	obj.WriteAt(content, 0)
-
-	addr, h := r.open("obj", 0)
-
-	// First burst: fill the recycled buffer with non-zero bytes.
-	id := r.nextReq()
-	r.send(addr, &wire.Packet{Header: wire.Header{
-		Type: wire.TRead, ReqID: id, Handle: h, Offset: 0, Length: 512,
-	}})
-	for got := 0; got < 512; {
-		p := r.recv(time.Second)
-		if p == nil {
-			t.Fatalf("first burst stalled at %d/512", got)
-		}
-		if p.Type != wire.TData || p.ReqID != id {
-			continue
-		}
-		got += len(p.Payload)
-	}
-
-	// Second burst: entirely past EOF through the same session; the
-	// recycled buffer's stale 0xAB bytes must not leak.
-	id = r.nextReq()
-	r.send(addr, &wire.Packet{Header: wire.Header{
-		Type: wire.TRead, ReqID: id, Handle: h, Offset: 4096, Length: 256,
-	}})
-	p := r.recv(time.Second)
-	if p == nil || p.Type != wire.TData || len(p.Payload) != 256 {
-		t.Fatalf("bad read reply: %+v", p)
-	}
-	for i, b := range p.Payload {
-		if b != 0 {
-			t.Fatalf("byte %d = %#x, want zero-filled past EOF", i, b)
-		}
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,17 +53,24 @@ type offlineHost struct{}
 func (offlineHost) Listen(string) (transport.PacketConn, error) { return nil, transport.ErrClosed }
 func (offlineHost) Name() string                                { return "offline" }
 
-// failingObject refuses writes while fail is set.
-type failingObject struct {
+// rigObject is the rig's store object: it refuses writes while fail is
+// set and counts the reads made of it.
+type rigObject struct {
 	store.Object
-	fail bool
+	fail  bool
+	reads atomic.Int64
 }
 
-func (o *failingObject) WriteAt(p []byte, off int64) (int, error) {
+func (o *rigObject) WriteAt(p []byte, off int64) (int, error) {
 	if o.fail {
 		return 0, errors.New("store full")
 	}
 	return o.Object.WriteAt(p, off)
+}
+
+func (o *rigObject) ReadAt(p []byte, off int64) (int, error) {
+	o.reads.Add(1)
+	return o.Object.ReadAt(p, off)
 }
 
 const burstClient = "client:9"
@@ -73,11 +81,17 @@ type burstRig struct {
 	t    testing.TB
 	s    *session
 	conn *sinkConn
-	obj  *failingObject
+	obj  *rigObject
 	now  time.Time
 }
 
 func newBurstRig(t testing.TB, cfg Config) *burstRig {
+	return newPayloadRig(t, cfg, wire.MaxPayload)
+}
+
+// newPayloadRig is a rig whose session agreed on payload-byte data
+// packets at open.
+func newPayloadRig(t testing.TB, cfg Config, payload int) *burstRig {
 	t.Helper()
 	cfg.fill()
 	obj, err := store.NewMem().Open("obj", true)
@@ -85,8 +99,8 @@ func newBurstRig(t testing.TB, cfg Config) *burstRig {
 		t.Fatal(err)
 	}
 	a := &Agent{host: offlineHost{}, cfg: cfg, sessions: make(map[uint64]*session), tel: newAgentTelemetry(nil)}
-	r := &burstRig{t: t, conn: &sinkConn{}, obj: &failingObject{Object: obj}, now: time.Unix(1_000_000, 0)}
-	r.s = newSession(a, 7, r.obj, r.conn, wire.MaxPayload)
+	r := &burstRig{t: t, conn: &sinkConn{}, obj: &rigObject{Object: obj}, now: time.Unix(1_000_000, 0)}
+	r.s = newSession(a, 7, r.obj, r.conn, payload)
 	return r
 }
 

@@ -57,6 +57,21 @@ func (o *Options) fill() {
 	}
 }
 
+// agentConfig is every modeled storage agent's configuration: protocol
+// timers scaled like the network, the prototype's store reads, and the
+// client's logging and tracing.
+func (o *Options) agentConfig() agent.Config {
+	return agent.Config{
+		ReadChunk:   AgentReadChunk,
+		ResendCheck: scaled(60*time.Millisecond, o.Scale),
+		ResendAfter: scaled(120*time.Millisecond, o.Scale),
+		SessionIdle: scaled(120*time.Second, o.Scale),
+		Logf:        o.Client.Logf,
+		Verbose:     o.Client.Verbose,
+		Tracer:      o.Client.Tracer,
+	}
+}
+
 // SwiftCluster is a measured Swift installation: a client and N storage
 // agents with modeled SCSI disks on one or more modeled Ethernets.
 type SwiftCluster struct {
@@ -78,7 +93,7 @@ func scaled(d time.Duration, scale float64) time.Duration {
 // NewSwiftCluster builds the installation and dials the client.
 func NewSwiftCluster(opts Options) (*SwiftCluster, error) {
 	opts.fill()
-	n := memnet.New(opts.Scale)
+	n := memnet.NewModeled(opts.Scale)
 	c := &SwiftCluster{Net: n, opts: opts}
 
 	for s := 0; s < opts.Segments; s++ {
@@ -102,14 +117,7 @@ func NewSwiftCluster(opts Options) (*SwiftCluster, error) {
 			disk.WithSeed(opts.Seed+100+int64(i)))
 		st := store.NewDiskStore(store.NewMem(), dev)
 		st.SyncWrites = opts.SyncAgentWrites
-		a, err := agent.New(host, st, agent.Config{
-			ResendCheck: scaled(60*time.Millisecond, opts.Scale),
-			ResendAfter: scaled(120*time.Millisecond, opts.Scale),
-			SessionIdle: scaled(120*time.Second, opts.Scale),
-			Logf:        opts.Client.Logf,
-			Verbose:     opts.Client.Verbose,
-			Tracer:      opts.Client.Tracer,
-		})
+		a, err := agent.New(host, st, opts.agentConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -183,14 +191,7 @@ func (c *SwiftCluster) RestartAgent(i int) error {
 	if c.Agents[i] != nil {
 		return nil // still running
 	}
-	a, err := agent.New(c.AgentHosts[i], c.stores[i], agent.Config{
-		ResendCheck: scaled(60*time.Millisecond, c.opts.Scale),
-		ResendAfter: scaled(120*time.Millisecond, c.opts.Scale),
-		SessionIdle: scaled(120*time.Second, c.opts.Scale),
-		Logf:        c.opts.Client.Logf,
-		Verbose:     c.opts.Client.Verbose,
-		Tracer:      c.opts.Client.Tracer,
-	})
+	a, err := agent.New(c.AgentHosts[i], c.stores[i], c.opts.agentConfig())
 	if err != nil {
 		return err
 	}
@@ -222,7 +223,7 @@ type NFSCluster struct {
 // NewNFSCluster builds the NFS installation.
 func NewNFSCluster(opts Options) (*NFSCluster, error) {
 	opts.fill()
-	n := memnet.New(opts.Scale)
+	n := memnet.NewModeled(opts.Scale)
 	seg := n.NewSegment("dept", EthernetSegment(opts.Seed))
 
 	srvHost, err := n.NewHost("sun4-390", ServerHost(), seg)

@@ -63,6 +63,13 @@ const (
 	// its read-path turnaround gaps.
 	RequestBytes = 12 * 1364
 
+	// AgentReadChunk is the bytes a storage agent reads from its disk per
+	// call while serving a read: the prototype's 8 KB. Tables 1-4 were
+	// calibrated on the disk/network overlap these reads give and on
+	// their datagram train, a 1364-byte packet sequence restarted at each
+	// 8 KB boundary.
+	AgentReadChunk = 8192
+
 	// NFSServerCPU is the Sun 4/390's per-RPC processing cost.
 	NFSServerCPU = 1 * time.Millisecond
 

@@ -582,16 +582,13 @@ type agentSession struct {
 	cuts   []extent.Extent
 }
 
-// burstPackets is the default burst, in full data packets.
-const burstPackets = 42
-
 // requestBytes is the burst size of a session whose data packets carry
 // payload bytes each.
 func (c *Config) requestBytes(payload int) int64 {
 	if c.RequestBytes != 0 {
 		return c.RequestBytes
 	}
-	return burstPackets * int64(payload)
+	return wire.BurstPackets * int64(payload)
 }
 
 // cut splits fragment extents into bursts of at most reqBytes each, in

@@ -47,8 +47,10 @@ type clusterOpts struct {
 	reorder float64
 	// agentQueue is the agents' memnet PortQueue (0 = default).
 	agentQueue int
-	// maxBurst is the agents' MaxBurstBytes (0 = default).
-	maxBurst int64
+	// maxBurst is the agents' MaxBurstBytes (0 = default), readChunk
+	// their ReadChunk (0 = default).
+	maxBurst  int64
+	readChunk int
 	// retryTimeout overrides the client's 30 ms RetryTimeout, maxRetries
 	// its 100 retries.
 	retryTimeout time.Duration
@@ -92,6 +94,7 @@ func newCluster(t testing.TB, o clusterOpts) *cluster {
 			ResendCheck:   5 * time.Millisecond,
 			ResendAfter:   10 * time.Millisecond,
 			MaxBurstBytes: o.maxBurst,
+			ReadChunk:     o.readChunk,
 		})
 		if err != nil {
 			t.Fatalf("agent %d: %v", i, err)

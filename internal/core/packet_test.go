@@ -98,14 +98,15 @@ func (l *tapLog) record(dir string, p []byte) {
 }
 
 // unitReadTrace writes one 64 KiB striping unit to a one-agent cluster
-// on a segment of the given MTU and returns the client's datagram trace
-// of reading it back.
-func unitReadTrace(t *testing.T, mtu int) []string {
+// on a segment of the given MTU, its agent reading its store readChunk
+// bytes at a time (0 = the default), and returns the client's datagram
+// trace of reading it back.
+func unitReadTrace(t *testing.T, mtu, readChunk int) []string {
 	t.Helper()
 	const unit = 64 << 10
 	log := &tapLog{}
 	c := newCluster(t, clusterOpts{
-		agents: 1, unit: unit, mtu: mtu,
+		agents: 1, unit: unit, mtu: mtu, readChunk: readChunk,
 		// No datagram is lost here, so no timeout should ever fire; one
 		// that did on a stalled machine would add resubmissions to the
 		// trace. Keep it far away.
@@ -136,12 +137,14 @@ func unitReadTrace(t *testing.T, mtu int) []string {
 
 // TestJumboReadDatagramCount counts the datagrams of reading one 64 KiB
 // striping unit. Where the segment carries 8 KiB payloads it is one
-// request and eight full data packets; on a default segment the trace
-// is, line for line, the one the tree produced before sessions could
-// agree on a size — the paper profile did not move.
+// request and eight full data packets. On a default segment each burst
+// is full 1364-byte packets but its last, line for line the recorded
+// trace. An agent that reads its store in the prototype's 8 KiB pieces
+// sends, line for line, what every agent sent before a burst became one
+// store read, 8-byte runts and all: the paper profile did not move.
 func TestJumboReadDatagramCount(t *testing.T) {
 	t.Run("jumbo", func(t *testing.T) {
-		trace := unitReadTrace(t, jumboMTU)
+		trace := unitReadTrace(t, jumboMTU, 0)
 		want := []string{"> read off=0 len=65536 flags=0 payload=0 datagram=36"}
 		for i := 0; i < 8; i++ {
 			flags := 0
@@ -156,24 +159,36 @@ func TestJumboReadDatagramCount(t *testing.T) {
 		}
 	})
 	t.Run("base", func(t *testing.T) {
-		got := strings.Join(unitReadTrace(t, 0), "\n") + "\n"
-		golden := filepath.Join("testdata", "unit_read_base.golden")
-		if *updateGolden {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
+		matchGolden(t, "unit_read_base.golden", unitReadTrace(t, 0, 0), *updateGolden)
+	})
+	t.Run("base at 8 KiB store reads", func(t *testing.T) {
+		// Recorded before the agent read a burst in one call; never
+		// re-recorded.
+		matchGolden(t, "unit_read_chunk8k.golden", unitReadTrace(t, 0, 8192), false)
+	})
+}
+
+// matchGolden compares a datagram trace with testdata/name, first
+// rewriting the file from it when update is set.
+func matchGolden(t *testing.T, name string, trace []string, update bool) {
+	t.Helper()
+	got := strings.Join(trace, "\n") + "\n"
+	golden := filepath.Join("testdata", name)
+	if update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if got != string(want) {
-			t.Errorf("default-segment unit read differs from %s (recorded at the parent commit):\n%s", golden, got)
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
 		}
-	})
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("unit read differs from %s:\n%s", golden, got)
+	}
 }
 
 // openOn opens one session from a fresh client on clientHost to a fresh
@@ -255,8 +270,8 @@ func TestSessionPacketNegotiation(t *testing.T) {
 				t.Errorf("client session: payload %d, receive buffer %d; want %d, %d",
 					len(s.payload), len(s.buf), tc.payload, packet)
 			}
-			if want := int64(burstPackets * tc.payload); s.reqBytes != want {
-				t.Errorf("burst size %d, want %d (%d packets)", s.reqBytes, want, burstPackets)
+			if want := int64(wire.BurstPackets * tc.payload); s.reqBytes != want {
+				t.Errorf("burst size %d, want %d (%d packets)", s.reqBytes, want, wire.BurstPackets)
 			}
 			if want := fmt.Sprintf("%d-byte packets", packet); !strings.Contains(agentSaid, want) {
 				t.Errorf("agent logged %q, want it to say %s", agentSaid, want)
@@ -353,7 +368,7 @@ func TestSessionPacketNegotiation(t *testing.T) {
 // MaxBurstBytes set to exactly one default burst every announcement sits
 // at the limit. The object must come back byte for byte.
 func TestJumboLossDrill(t *testing.T) {
-	const burst = burstPackets * wire.JumboPayload
+	const burst = wire.BurstPackets * wire.JumboPayload
 	c := newCluster(t, clusterOpts{
 		unit: 64 << 10, mtu: jumboMTU,
 		loss: 0.05, reorder: 0.1,

@@ -10,7 +10,8 @@
 // modeled instant. A time-scale factor S runs the model S× faster than
 // wall-clock while keeping modeled rates exact: scheduling decisions are
 // made from the modeled timeline, so sleep jitter does not accumulate into
-// throughput error.
+// throughput error. A network built with NewModeled goes further: its
+// clock holds while the host is late to run a model goroutine (see clock).
 //
 // The same protocol code that runs over real UDP runs over memnet
 // unchanged; only capacities and costs differ.
@@ -19,7 +20,6 @@ package memnet
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -28,8 +28,7 @@ import (
 
 // Net is an in-memory network: a set of hosts attached to segments.
 type Net struct {
-	scale float64
-	epoch time.Time
+	clock
 
 	mu    sync.Mutex
 	hosts map[string]*Host
@@ -65,16 +64,22 @@ func (n *Net) releaseFrame(f *frame) { n.frames.Put(f) }
 
 // New creates a network whose modeled time runs scale× faster than real
 // time (scale >= 1; 1 means real time).
-func New(scale float64) *Net {
+func New(scale float64) *Net { return newNet(scale, false) }
+
+// NewModeled is New for modeled measurements, where the model's own
+// delays are the whole cost of a run and the real work between them is
+// meant to take no modeled time. Its clock holds while a model goroutine
+// that is due to act has not yet run (see clock), so a busy or slow
+// machine stretches a run's wall time instead of lowering its rates.
+func NewModeled(scale float64) *Net { return newNet(scale, true) }
+
+func newNet(scale float64, holding bool) *Net {
 	if scale <= 0 {
 		scale = 1
 	}
-	return &Net{
-		scale: scale,
-		//lint:allow clockcheck the epoch anchors modeled time to the wall clock; every other timestamp derives from it
-		epoch: time.Now(),
-		hosts: make(map[string]*Host),
-	}
+	n := &Net{hosts: make(map[string]*Host)}
+	n.clock.init(scale, holding)
+	return n
 }
 
 // Scale returns the time-scale factor.
@@ -97,13 +102,9 @@ func (n *Net) Close() {
 
 // Now returns the current modeled time since the network's epoch. This
 // is the clock seam itself: all model code reads time through it.
-func (n *Net) Now() time.Duration {
-	//lint:allow clockcheck this is the injected clock's implementation: modeled time is scaled wall time since the epoch
-	return time.Duration(float64(time.Since(n.epoch)) * n.scale)
-}
+func (n *Net) Now() time.Duration { return time.Duration(n.now()) }
 
-// Sleep blocks for a modeled duration. It funnels through sleepUntil so
-// the wall clock is only read via the Now seam.
+// Sleep blocks for a modeled duration.
 func (n *Net) Sleep(d time.Duration) {
 	if d > 0 {
 		n.sleepUntil(n.Now() + d)
@@ -115,30 +116,7 @@ func (n *Net) Sleep(d time.Duration) {
 func (n *Net) Sleeper() func(time.Duration) { return n.Sleep }
 
 // sleepUntil blocks until the modeled instant t (since epoch).
-func (n *Net) sleepUntil(t time.Duration) {
-	sleepReal(n.epoch.Add(time.Duration(float64(t) / n.scale)))
-}
-
-// sleepReal blocks until the real instant target. The kernel timer floor
-// can exceed a millisecond, which would turn into large modeled idle gaps
-// at high time scales; so the tail of every wait is spun cooperatively
-// (Gosched keeps other model goroutines running on small machines).
-func sleepReal(target time.Time) {
-	const spinWindow = 2 * time.Millisecond
-	for {
-		//lint:allow clockcheck sleepReal is the pacing primitive: it burns real time to realize modeled delays
-		d := time.Until(target)
-		if d <= 0 {
-			return
-		}
-		if d > spinWindow {
-			//lint:allow clockcheck sleepReal is the pacing primitive: it burns real time to realize modeled delays
-			time.Sleep(d - spinWindow)
-			continue
-		}
-		runtime.Gosched()
-	}
-}
+func (n *Net) sleepUntil(t time.Duration) { n.clock.sleepUntil(int64(t)) }
 
 // SegmentConfig parameterizes a shared-bus medium.
 type SegmentConfig struct {
@@ -360,6 +338,11 @@ type Host struct {
 
 	ingress chan inPacket
 	done    chan struct{} // closed by Host.Close; stops the receive loop
+	// rxIdle is set while the receive loop waits on an empty ingress
+	// queue; rxHold is the hold a sender placed on a holding clock when
+	// it handed a frame to the waiting loop.
+	rxIdle bool
+	rxHold handoff
 
 	drops int64 // ingress + port queue drops
 }
@@ -446,10 +429,8 @@ func (h *Host) Paused() bool {
 func (h *Host) receiveLoop() {
 	var cpuUntil time.Duration
 	for {
-		var pkt inPacket
-		select {
-		case pkt = <-h.ingress:
-		case <-h.done:
+		pkt, ok := h.next()
+		if !ok {
 			return
 		}
 		h.net.sleepUntil(pkt.arrival)
@@ -477,6 +458,7 @@ func (h *Host) receiveLoop() {
 			h.net.releaseFrame(pkt.frame)
 			continue // no listener: silently dropped, like UDP
 		}
+		c.handOff()
 		select {
 		case c.queue <- pkt:
 		default:
@@ -485,6 +467,74 @@ func (h *Host) receiveLoop() {
 			h.drops++
 			h.mu.Unlock()
 		}
+	}
+}
+
+// next takes the next frame off the ingress queue, waiting for one, and
+// reports false once the host is closed.
+func (h *Host) next() (inPacket, bool) {
+	select {
+	case pkt := <-h.ingress:
+		return pkt, true
+	default:
+	}
+	if h.net.holding {
+		h.mu.Lock()
+		h.rxIdle = true
+		h.mu.Unlock()
+		defer h.woke()
+	}
+	select {
+	case pkt := <-h.ingress:
+		return pkt, true
+	case <-h.done:
+		return inPacket{}, false
+	}
+}
+
+// woke ends the receive loop's wait, dropping the hold a sender placed.
+func (h *Host) woke() {
+	h.mu.Lock()
+	h.rxIdle = false
+	h.rxHold.release(&h.net.clock)
+	h.mu.Unlock()
+}
+
+// handOff is called as a frame due at t is queued for the receive loop.
+// On a holding clock, a loop waiting for it holds the clock at t until it
+// has run.
+func (h *Host) handOff(t time.Duration) {
+	if !h.net.holding {
+		return
+	}
+	h.mu.Lock()
+	if h.rxIdle {
+		h.rxHold.place(&h.net.clock, int64(t))
+	}
+	h.mu.Unlock()
+}
+
+// handoff is a clock hold placed when a frame is handed to a goroutine
+// parked waiting for one, released once that goroutine runs. One pending
+// hold per waiting side is enough: the first waiter to run releases it.
+type handoff struct {
+	held bool
+	at   int64
+}
+
+// place holds the clock at t unless a hold is already pending.
+func (h *handoff) place(c *clock, t int64) {
+	if !h.held {
+		h.held, h.at = true, t
+		c.hold(t)
+	}
+}
+
+// release drops the pending hold, if any.
+func (h *handoff) release(c *clock) {
+	if h.held {
+		h.held = false
+		c.release(h.at)
 	}
 }
 
@@ -665,6 +715,7 @@ func (h *Host) send(p []byte, dstHost *Host, dstPort, from string) error {
 // deliver hands a frame to the destination host's ingress queue, counting
 // a drop on overflow.
 func deliver(dst *Host, pkt inPacket) {
+	dst.handOff(pkt.arrival)
 	select {
 	case dst.ingress <- pkt:
 	default:
@@ -686,6 +737,10 @@ type conn struct {
 	deadline time.Time
 	closed   bool
 	done     chan struct{}
+	// waiting counts readers parked in ReadFrom on a holding clock; hold
+	// is the hold a delivery to them placed.
+	waiting int
+	hold    handoff
 	// timer is the read-deadline timer parked between blocking reads. A
 	// reader takes it (leaving nil) and puts it back stopped and drained,
 	// so concurrent readers never share one.
@@ -767,6 +822,12 @@ func (c *conn) ReadFrom(p []byte) (int, string, error) {
 		timeout = t.C
 	}
 
+	if c.host.net.holding {
+		c.mu.Lock()
+		c.waiting++
+		c.mu.Unlock()
+		defer c.woke()
+	}
 	select {
 	case pkt := <-c.queue:
 		return c.receive(p, pkt)
@@ -775,6 +836,28 @@ func (c *conn) ReadFrom(p []byte) (int, string, error) {
 	case <-c.done:
 		return 0, "", transport.ErrClosed
 	}
+}
+
+// handOff is called as a frame is queued. On a holding clock, a reader
+// parked waiting for it holds the clock where it stands until it has run.
+func (c *conn) handOff() {
+	if !c.host.net.holding {
+		return
+	}
+	now := c.host.net.now()
+	c.mu.Lock()
+	if c.waiting > 0 {
+		c.hold.place(&c.host.net.clock, now)
+	}
+	c.mu.Unlock()
+}
+
+// woke ends a parked read, dropping the hold a delivery placed.
+func (c *conn) woke() {
+	c.mu.Lock()
+	c.waiting--
+	c.hold.release(&c.host.net.clock)
+	c.mu.Unlock()
 }
 
 // takeTimer returns a timer that fires after d: the parked one when this

@@ -109,13 +109,18 @@ const (
 
 	// JumboPayload is the data payload of a session whose two ends agreed
 	// at open that the medium between them carries large datagrams: two
-	// 4 KiB atoms, the agent's read chunk, and small enough for a
-	// 9000-byte jumbo frame. Only TData packets ever grow to it; every
-	// control packet, and every data packet of a session that did not
-	// agree, stays within MaxPacket.
+	// 4 KiB atoms, and small enough for a 9000-byte jumbo frame. Only
+	// TData packets ever grow to it; every control packet, and every data
+	// packet of a session that did not agree, stays within MaxPacket.
 	JumboPayload = 8192
 	// JumboPacket is the datagram that carries a JumboPayload.
 	JumboPacket = HeaderSize + JumboPayload + TrailerSize
+
+	// BurstPackets is the default burst, in full data packets of the
+	// session: what a client asks of one agent at a time unless it is
+	// configured otherwise, and what the agent reads from its store in
+	// one call while serving a read.
+	BurstPackets = 42
 )
 
 // SessionPacket returns the data-packet size one end of a session can
