@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"swift/internal/extent"
@@ -48,10 +47,7 @@ func (c *Client) expire(rc *retryClock, now time.Time, agent int) (spent bool) {
 		return true
 	}
 	if rc.level > 0 {
-		c.metrics.Backoffs.Add(1)
-		if agent >= 0 {
-			c.tel.agent(agent).backoffs.Inc()
-		}
+		c.tel.count(evBackoff, agent)
 	}
 	rc.next = now.Add(c.bo.Delay(rc.level)) // capped exponential, ±25% jitter
 	rc.level++
@@ -107,8 +103,8 @@ type burstRun struct {
 	dir   direction
 	x     *xfer
 	sp    *obs.Span
-	at    *agentTelemetry
-	opDl  time.Time // the operation's deadline; zero when OpTimeout is off
+	lat   *obs.Histogram // the direction's burst latency on this agent
+	opDl  time.Time      // the operation's deadline; zero when OpTimeout is off
 	hedge bool
 	// live are the outstanding bursts, at most window of them; a prefix
 	// of s.bursts.
@@ -165,7 +161,7 @@ func (f *File) runBursts(s *agentSession, dir direction, ranges []extent.Extent,
 
 func (f *File) newBurstRun(s *agentSession, dir direction, x *xfer, sp *obs.Span, allowHedge bool) burstRun {
 	cfg := &f.c.cfg
-	d := burstRun{f: f, s: s, dir: dir, x: x, sp: sp, at: f.c.tel.agent(s.idx), opDl: f.opDeadline, live: s.bursts[:0], window: readWindow}
+	d := burstRun{f: f, s: s, dir: dir, x: x, sp: sp, lat: f.c.tel.agents[s.idx].burstLat[dir], opDl: f.opDeadline, live: s.bursts[:0], window: readWindow}
 	if dir == writing {
 		d.window = cfg.WriteWindow
 	} else {
@@ -184,8 +180,7 @@ func (d *burstRun) launch(r extent.Extent, now time.Time) error {
 	if d.hedge {
 		b.hedgeAt = now.Add(c.hedgeDelay(d.s.idx))
 	}
-	c.metrics.Bursts[d.dir].Add(1)
-	d.at.bursts[d.dir].Inc()
+	c.tel.count(evReadBurst+event(d.dir), d.s.idx)
 	if d.dir == writing {
 		b.ids = append(b.ids, c.nextReq())
 	}
@@ -251,8 +246,7 @@ func (d *burstRun) sendData(id uint32, off, n int64) error {
 		if err := s.out.Send(&p, s.dataAddr); err != nil {
 			return err
 		}
-		f.c.metrics.DataPackets.Add(1)
-		d.at.dataPackets.Inc()
+		f.c.tel.count(evDataPacket, s.idx)
 		if cfg.WritePace > 0 {
 			if err := s.out.Flush(); err != nil {
 				return err
@@ -309,7 +303,7 @@ func (d *burstRun) receive(dgram []byte, now time.Time) error {
 	if done {
 		// A finished burst, in either direction, is the breaker's success.
 		d.f.c.noteAgentOK(d.s.idx)
-		observeDur(d.at.burstLat[d.dir], now.Sub(b.start), d.sp)
+		observeDur(d.lat, now.Sub(b.start), d.sp)
 		last := len(d.live) - 1
 		d.live[i], d.live[last] = d.live[last], d.live[i]
 		d.live = d.live[:last]
@@ -337,15 +331,9 @@ func (d *burstRun) takeData(b *burst, pkt *wire.Packet, now time.Time) (whole bo
 	return b.got.Contains(b.lo, b.n)
 }
 
-// incident reports one recovery event of burst b everywhere it is
-// observed — global and per-agent counter, trace ring, agent span.
-func (d *burstRun) incident(n *atomic.Int64, a *obs.Counter, what string, b *burst, format string, args ...any) {
-	n.Add(1)
-	a.Inc()
-	msg := fmt.Sprintf(format, args...)
-	d.f.c.traceEvent(dirName[d.dir]+"_"+what, d.s.idx, "%s[%d:%d] %s", d.f.name, b.lo, b.lo+b.n, msg)
-	d.sp.MarkRetry()
-	d.sp.Annotate("%s %s [%d:%d) agent %d: %s", dirName[d.dir], what, b.lo, b.lo+b.n, d.s.idx, msg)
+// note reports event k of burst b (see telemetry.note).
+func (d *burstRun) note(k event, b *burst, format string, args ...any) {
+	d.f.c.tel.note(k, d.s.idx, d.sp, "%s[%d:%d] %s", d.f.name, b.lo, b.lo+b.n, fmt.Sprintf(format, args...))
 }
 
 // resend honours the agent's request for the ranges of write burst b it
@@ -357,7 +345,7 @@ func (d *burstRun) resend(b *burst, pkt *wire.Packet, now time.Time) error {
 	}
 	c := d.f.c
 	b.clock = c.startClock(now, c.cfg.MaxRetries)
-	d.incident(&c.metrics.ResendAsks, d.at.resendAsks, "resend", b, "%d ranges asked", len(ranges))
+	d.note(evResend, b, "%d ranges asked", len(ranges))
 	for _, r := range ranges {
 		// The ranges are wire input: send only what lies inside the burst.
 		if lo, hi := max(r.Off, b.lo), min(r.Off+r.Len, b.lo+b.n); lo < hi {
@@ -380,7 +368,7 @@ func (d *burstRun) pushback(b *burst, pkt *wire.Packet, now time.Time) error {
 	}
 	c, idx := d.f.c, d.s.idx
 	b.pushbacks++
-	d.incident(&c.metrics.Pushbacks, d.at.pushbacks, "pushback", b, "%v (retry after %v)", info.Reason, info.RetryAfter)
+	d.note(evReadPushback+event(d.dir), b, "%v (retry after %v)", info.Reason, info.RetryAfter)
 	c.noteOverload(idx, "pushback: "+info.Reason.String())
 	switch {
 	case info.Reason == wire.PushDeadlineExpired:
@@ -408,10 +396,10 @@ func (d *burstRun) expire(now time.Time) error {
 		b := &d.live[i]
 		if !b.hedgeAt.IsZero() && !now.Before(b.hedgeAt) {
 			if c.budget.spend() {
-				d.incident(&c.metrics.Hedges, d.at.hedges, "hedge", b, "stalled %v, racing reconstruction", now.Sub(b.start))
+				d.note(evHedge, b, "stalled %v, racing reconstruction", now.Sub(b.start))
 				return fmt.Errorf("%w: agent %d read %s[%d:%d]", errHedged, idx, f.name, b.lo, b.lo+b.n)
 			}
-			c.metrics.BudgetDenials.Add(1)
+			c.tel.count(evBudgetDenied, idx)
 			b.hedgeAt = time.Time{} // budget empty: wait the burst out
 		}
 		if now.Before(b.clock.next) {
@@ -419,11 +407,11 @@ func (d *burstRun) expire(now time.Time) error {
 		}
 		level := b.clock.level
 		if c.expire(&b.clock, now, idx) {
-			d.incident(&c.metrics.Timeouts[d.dir], d.at.timeouts[d.dir], "giveup", b, "retries exhausted")
+			d.note(evReadGiveUp+event(d.dir), b, "retries exhausted")
 			c.noteOverload(idx, name+" retry give-up")
 			return fmt.Errorf("%w: %s %s[%d:%d] agent %d", ErrRetriesSpent, name, f.name, b.lo, b.lo+b.n, idx)
 		}
-		d.incident(&c.metrics.Timeouts[d.dir], d.at.timeouts[d.dir], "timeout", b, "retransmitting (level %d)", level)
+		d.note(evReadTimeout+event(d.dir), b, "retransmitting (level %d)", level)
 		if err := d.transmit(b, now); err != nil {
 			return err
 		}

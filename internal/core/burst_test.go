@@ -211,7 +211,7 @@ func TestBurstLaunch(t *testing.T) {
 				}
 			}
 			m := r.c.MetricsSnapshot()
-			if got := m.ReadBursts + m.WriteBursts; got != 1 || r.c.metrics.Bursts[dir].Load() != 1 {
+			if got := m.ReadBursts + m.WriteBursts; got != 1 || r.c.tel.total(evReadBurst+event(dir)) != 1 {
 				t.Fatalf("bursts counted = %+v, want one %s burst", m, dirName[dir])
 			}
 			if got := r.d.wake().Sub(r.now); got != rigTimeout {
@@ -266,7 +266,7 @@ func TestBurstTimeoutRetransmits(t *testing.T) {
 		if m := r.c.MetricsSnapshot(); m.ReadTimeouts != 2 || m.Backoffs != 0 {
 			t.Fatalf("timeouts = %d, backoffs = %d, want 2 and 0 (progress between them)", m.ReadTimeouts, m.Backoffs)
 		}
-		if r.c.tel.agent(0).burstLat[reading].Snapshot().Count != 1 {
+		if r.c.tel.agents[0].burstLat[reading].Snapshot().Count != 1 {
 			t.Fatal("completed burst's latency not observed")
 		}
 	})
@@ -292,10 +292,10 @@ func TestBurstTimeoutRetransmits(t *testing.T) {
 				t.Fatalf("waits = %v, want base, ~base, ~2×base", waits)
 			}
 			m := r.c.MetricsSnapshot()
-			if m.ReadTimeouts+m.WriteTimeouts != 3 || r.c.metrics.Timeouts[dir].Load() != 3 || m.Backoffs != 2 {
+			if m.ReadTimeouts+m.WriteTimeouts != 3 || r.c.tel.total(evReadTimeout+event(dir)) != 3 || m.Backoffs != 2 {
 				t.Fatalf("counters %+v, want 3 %s timeouts and 2 backoffs", m, dirName[dir])
 			}
-			if at := r.c.tel.agent(0); at.timeouts[dir].Load() != 3 || at.backoffs.Load() != 2 {
+			if r.c.tel.slot(evReadTimeout+event(dir), 0) != 3 || r.c.tel.slot(evBackoff, 0) != 2 {
 				t.Fatal("per-agent timeout/backoff counters disagree with the global ones")
 			}
 			// Progress resets the schedule.
@@ -421,7 +421,7 @@ func TestBurstPushback(t *testing.T) {
 				t.Fatalf("second pushback = %v, want ErrAgentBusy", err)
 			}
 			m := r.c.MetricsSnapshot()
-			if m.Pushbacks != 2 || r.c.tel.agent(0).pushbacks.Load() != 2 {
+			if m.Pushbacks != 2 || r.c.tel.slot(evReadPushback, 0) != 2 {
 				t.Fatalf("pushbacks counted = %d, want 2", m.Pushbacks)
 			}
 			if r.c.BreakerStates()[0] != BreakerOpen || m.BreakerTrips != 1 {
@@ -472,7 +472,7 @@ func TestBurstResendAsk(t *testing.T) {
 		}
 	}
 	m := r.c.MetricsSnapshot()
-	if m.ResendAsks != 1 || m.DataPackets != 10+3 || r.c.tel.agent(0).resendAsks.Load() != 1 {
+	if m.ResendAsks != 1 || m.DataPackets != 10+3 || r.c.tel.slot(evResend, 0) != 1 {
 		t.Fatalf("resend asks = %d, data packets = %d; want 1 and 13", m.ResendAsks, m.DataPackets)
 	}
 	if _, err := r.deliver(time.Millisecond, &wire.Packet{Header: wire.Header{Type: wire.TWriteAck, ReqID: id}}); err != nil || len(r.d.live) != 0 {
@@ -563,7 +563,7 @@ func TestBurstHedge(t *testing.T) {
 		if !errors.Is(err, errHedged) || wait != rigTimeout || len(sent) != 0 {
 			t.Fatalf("stall: waited %v, sent %v, err %v; want errHedged at the hedge delay", wait, sent, err)
 		}
-		if m := r.c.MetricsSnapshot(); m.Hedges != 1 || m.ReadTimeouts != 0 || r.c.tel.agent(0).hedges.Load() != 1 {
+		if m := r.c.MetricsSnapshot(); m.Hedges != 1 || m.ReadTimeouts != 0 || r.c.tel.slot(evHedge, 0) != 1 {
 			t.Fatalf("hedges = %d, read timeouts = %d; want 1 and 0", m.Hedges, m.ReadTimeouts)
 		}
 	})
@@ -582,4 +582,42 @@ func TestBurstHedge(t *testing.T) {
 			t.Fatalf("hedges = %d, denials = %d; want the hedge denied once and disarmed", m.Hedges, m.BudgetDenials)
 		}
 	})
+}
+
+// TestBurstCountersReconcile: after a drill of a resend ask, silent
+// timeouts with a backoff, pushbacks that trip the breaker and an
+// unattributed control-RPC backoff, every event kind exported both
+// globally and per agent reconciles exactly.
+func TestBurstCountersReconcile(t *testing.T) {
+	r := newBurstRig(t, writing, false, nil)
+	id := r.launch()[0].ReqID
+	if _, err := r.deliver(time.Millisecond, &wire.Packet{
+		Header:  wire.Header{Type: wire.TResend, ReqID: id},
+		Payload: wire.AppendResend(nil, []wire.Range{{Off: 0, Len: 100}}),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := r.timeout(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.deliver(time.Millisecond, pushback(id, wire.PushQueueFull, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.deliver(time.Millisecond, pushback(id, wire.PushQueueFull, 0)); !errors.Is(err, ErrAgentBusy) {
+		t.Fatalf("second pushback = %v, want ErrAgentBusy", err)
+	}
+	rc := r.c.startClock(r.now, rigRetries)
+	rc.level = 1
+	r.c.expire(&rc, r.now, -1)
+
+	m := r.c.MetricsSnapshot()
+	if m.WriteBursts != 1 || m.ResendAsks != 1 || m.WriteTimeouts != 2 || m.Backoffs != 2 || m.Pushbacks != 2 || m.BreakerTrips != 1 {
+		t.Fatalf("drill counted %+v", m)
+	}
+	if r.c.tel.slot(evBackoff, -1) != 1 || r.c.Stats().Agents[0].BreakerTransitions != 1 {
+		t.Fatal("unattributed backoff or breaker transition not counted where it belongs")
+	}
+	assertReconciled(t, r.c)
 }

@@ -425,7 +425,7 @@ func (f *File) invalidateCoherent(gen uint64) {
 		// The flush error re-parks for the next write or Sync; the
 		// invalidation still proceeds — remaining dirty blocks drop, and
 		// correctness defers to the agents' (newer) bytes.
-		f.c.cfg.Logf("core: coherence flush %s: %v", f.name, err)
+		f.c.tel.note(evFlushFail, -1, sp, "%s: %v", f.name, err)
 		f.cobj.FlushFail(err)
 	}
 	f.cobj.InvalidateAll(gen)

@@ -106,7 +106,7 @@ func TestFormerKnobConstants(t *testing.T) {
 	if got := cl.hedgeDelay(0); got != rto {
 		t.Errorf("cold hedge delay = %v, want RetryTimeout %v", got, rto)
 	}
-	h := cl.tel.agent(0).burstLat[reading]
+	h := cl.tel.agents[0].burstLat[reading]
 	for i := 0; i < 100; i++ {
 		h.Observe(50 * time.Millisecond)
 	}

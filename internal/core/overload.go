@@ -232,9 +232,9 @@ func (c *Client) noteOverload(i int, why string) {
 	from, to, changed := c.breakers[i].strike(time.Now(), c.cfg.BreakerThreshold, breakerCooldown)
 	if changed {
 		if to == BreakerOpen && from == BreakerClosed {
-			c.metrics.BreakerTrips.Add(1)
+			c.tel.count(evBreakerTrip, i)
 		}
-		c.breakerMoved(i, from, to, why)
+		c.tel.note(evBreaker, i, nil, "%v -> %v (%s)", from, to, why)
 	}
 }
 
@@ -244,18 +244,8 @@ func (c *Client) noteAgentOK(i int) {
 		return
 	}
 	if from, to, changed := c.breakers[i].success(); changed {
-		c.breakerMoved(i, from, to, "trial burst completed")
+		c.tel.note(evBreaker, i, nil, "%v -> %v (trial burst completed)", from, to)
 	}
-}
-
-// breakerMoved records a breaker transition in telemetry, the trace ring
-// and the log.
-func (c *Client) breakerMoved(i int, from, to BreakerState, why string) {
-	at := c.tel.agent(i)
-	at.breakerTransitions.Inc()
-	at.breakerState.Set(int64(to))
-	c.traceEvent("breaker", i, "%v -> %v (%s)", from, to, why)
-	c.cfg.Logf("core: agent %d breaker %v -> %v (%s)", i, from, to, why)
 }
 
 // hedgeDelay is how long a read burst on agent i may stall before the
@@ -263,7 +253,7 @@ func (c *Client) breakerMoved(i int, from, to BreakerState, why string) {
 // floored at the base retry timeout so a cold histogram cannot cause
 // hair-trigger hedging.
 func (c *Client) hedgeDelay(i int) time.Duration {
-	return max(hedgeMultiplier*c.tel.agent(i).burstLat[reading].Percentile(99), c.cfg.RetryTimeout)
+	return max(hedgeMultiplier*c.tel.agents[i].burstLat[reading].Percentile(99), c.cfg.RetryTimeout)
 }
 
 // isOverloadSignal reports whether err is backpressure (pushback, hedge,

@@ -365,7 +365,7 @@ func (f *File) healRow(jb rowJob, held [][]byte, what string, sp *obs.Span) (hea
 		}
 		healed++
 		if what != "" {
-			f.noteRepair(agent, jb.row, what, sp)
+			f.c.tel.note(evRepair, agent, sp, "%s row %d %s", f.name, jb.row, what)
 		}
 	}
 	return healed, nil

@@ -17,33 +17,6 @@ import (
 // alive and answering — only its media is bad — so demoting it would
 // trade a repairable fragment for a degraded stripe.
 
-// noteCorrupt records a corruption report attributed to agent i.
-func (f *File) noteCorrupt(i int, err error) {
-	f.c.metrics.Corruptions.Add(1)
-	if i >= 0 {
-		f.c.tel.agent(i).corruptions.Inc()
-	}
-	f.c.traceEvent("corrupt", i, "%s: %v", f.name, err)
-	f.c.cfg.Logf("core: corruption reported by agent %d: %s: %v", i, f.name, err)
-}
-
-// noteUnrepairable records a corruption event that parity could not mask.
-func (f *File) noteUnrepairable(i int, err error) {
-	f.c.metrics.Unrepairable.Add(1)
-	f.c.traceEvent("unrepairable", i, "%s: %v", f.name, err)
-	f.c.cfg.Logf("core: unrepairable corruption on agent %d: %s: %v", i, f.name, err)
-}
-
-// noteRepair records one unit of agent i rewritten through the codec,
-// everywhere a repair is observed; what says which kind.
-func (f *File) noteRepair(i int, r int64, what string, sp *obs.Span) {
-	f.c.metrics.Repairs.Add(1)
-	f.c.tel.agent(i).repairs.Inc()
-	f.c.traceEvent("repair", i, "%s row %d %s", f.name, r, what)
-	sp.Annotate("agent %d row %d %s", i, r, what)
-	f.c.cfg.Logf("core: repaired %s row %d on agent %d: %s", f.name, r, i, what)
-}
-
 // corruptRows maps a corruption error to the stripe rows [r0, r1) to
 // repair. Preferred source is the error's own corrupt range — the agent
 // reports fragment-local byte offsets, and a fragment's row index equals

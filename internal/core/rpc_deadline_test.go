@@ -55,6 +55,7 @@ func TestRPCCarriesDeadlineBudget(t *testing.T) {
 		cfg: Config{RetryTimeout: 20 * time.Millisecond, MaxRetries: 5},
 		bo:  backoff.New(20*time.Millisecond, 80*time.Millisecond),
 	}
+	c.tel = newTelemetry(c)
 	conn, err := ch.Listen("0")
 	if err != nil {
 		t.Fatal(err)

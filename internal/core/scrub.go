@@ -153,7 +153,7 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 		if integrity.IsCorrupt(e) {
 			corrupt = append(corrupt, i)
 			rep.Corruptions++
-			f.noteCorrupt(i, e)
+			f.c.tel.note(evCorrupt, i, sp, "%s: %v", f.name, e)
 			continue
 		}
 		failed = append(failed, i)
@@ -175,14 +175,14 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 	}
 	rep.Rows++
 	rep.Bytes += l.Unit * int64(len(f.sessions))
-	f.c.metrics.ScrubRows.Add(1)
+	f.c.tel.count(evScrubRow, -1)
 
 	if !f.c.cfg.Parity || len(corrupt) > k {
 		// No parity, or more corrupt units in one row than the scheme has
 		// parity units: the codec cannot reconstruct them.
 		rep.Unrepairable += int64(len(corrupt))
 		for _, i := range corrupt {
-			f.noteUnrepairable(i, errs[i])
+			f.c.tel.note(evUnrepairable, i, sp, "%s: %v", f.name, errs[i])
 		}
 		return false, nil
 	}
@@ -211,8 +211,7 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 			return false, nil
 		}
 		rep.ParityMismatches++
-		f.c.traceEvent("scrub_mismatch", -1, "%s row %d parity disagrees with data", f.name, r)
-		f.c.cfg.Logf("core: scrub: %s row %d parity mismatch", f.name, r)
+		f.c.tel.note(evScrubMismatch, -1, sp, "%s row %d parity disagrees with data", f.name, r)
 		// The data units are clean, so the parity units are the liars (a
 		// crash between data and parity writes leaves exactly this).
 		// Re-encode them from the data; held lets the heal rewrite only
@@ -257,7 +256,7 @@ func (c *Client) ScrubOnce() ScrubReport {
 		rep.add(r)
 		rep.Objects++
 		if err != nil {
-			c.cfg.Logf("core: scrub %s: %v", f.Name(), err)
+			c.tel.note(evScrubFail, -1, nil, "%s: %v", f.Name(), err)
 		}
 	}
 	return rep
