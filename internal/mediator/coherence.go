@@ -19,9 +19,11 @@ package mediator
 // counters monotonic and the next declaration from either writer moves
 // the generation past both, so staleness is bounded by one heartbeat.
 //
-// Generation bumps ride the federation mirror channel (MirrorInvalidate)
-// so a reader homed on a peer replica hears about a writer homed here.
-// The generation map is deliberately not rebuilt on restart: a restarted
+// Generation bumps travel to the peers as MirrorInvalidate updates, so a
+// reader homed on a peer replica hears about a writer homed here. The
+// writer's round delivers them before it returns (see publish): a reader
+// round that starts after the writer's returned sees the write, wherever
+// the two sessions are homed. The generation map is deliberately not rebuilt on restart: a restarted
 // replica max-merges generations back from its peers' mirrors, and a
 // client whose sync round fails conservatively keeps redeclaring its
 // written set until a round succeeds.
@@ -44,18 +46,31 @@ type CachedObject struct {
 // and with it any claim to coherent caching.
 func (m *Mediator) CacheSync(id uint64, cached []CachedObject, written []string) ([]CachedObject, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	out, bumps, err := m.cacheSyncLocked(id, cached, written)
+	links := m.links
+	m.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	m.publish(links, bumps)
+	return out, nil
+}
+
+// cacheSyncLocked is CacheSync's bookkeeping; m.mu held. It returns the
+// reply and the generation bumps the round minted, for publish.
+func (m *Mediator) cacheSyncLocked(id uint64, cached []CachedObject, written []string) ([]CachedObject, []MirrorUpdate, error) {
 	if m.killed {
-		return nil, ErrReplicaDown
+		return nil, nil, ErrReplicaDown
 	}
 	m.expireLocked()
 	s := m.sessions[id]
 	if s == nil {
-		return nil, ErrUnknownSession
+		return nil, nil, ErrUnknownSession
 	}
 	m.tel.cacheSyncs.Inc()
 
 	wrote := make(map[string]bool, len(written))
+	var bumps []MirrorUpdate
 	for _, name := range written {
 		wrote[name] = true
 		if m.objGen == nil {
@@ -63,10 +78,8 @@ func (m *Mediator) CacheSync(id uint64, cached []CachedObject, written []string)
 		}
 		m.objGen[name]++
 		m.tel.writesDeclared.Inc()
-		// The bump rides the mirror channel so peer-homed readers hear it.
-		m.mirrorLocked(MirrorInvalidate, SessionRecord{
-			ID: m.objGen[name], Key: name, Home: m.selfName(),
-		})
+		bumps = append(bumps, MirrorUpdate{Op: MirrorInvalidate, From: m.self,
+			Rec: SessionRecord{ID: m.objGen[name], Key: name, Home: m.selfName()}})
 	}
 
 	// Refresh the session's interest set (what it caches), for operators.
@@ -89,7 +102,23 @@ func (m *Mediator) CacheSync(id uint64, cached []CachedObject, written []string)
 			out = append(out, CachedObject{Name: name, Gen: g})
 		}
 	}
-	return out, nil
+	return out, bumps, nil
+}
+
+// publish delivers a writer round's generation bumps to every peer before
+// the round returns, outside m.mu (a peer may be publishing to this
+// replica at the same time). A peer whose latest delivery failed is not
+// waited on, so a dead peer costs a writer at most one delivery attempt:
+// the bump is queued on its link like any other mirror, and a restarted
+// replica reconciles generations from a live peer (Federation.Restart).
+func (m *Mediator) publish(links []*peerLink, bumps []MirrorUpdate) {
+	for _, l := range links {
+		for _, u := range bumps {
+			if l.down.Load() || !m.deliver(l, u) {
+				m.enqueue(l, u)
+			}
+		}
+	}
 }
 
 // containsObject reports whether out already names the object.

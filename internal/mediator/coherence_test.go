@@ -106,8 +106,9 @@ func TestCacheSyncUnknownSession(t *testing.T) {
 }
 
 // TestGenerationBumpCrossesFederation pins the mirror ride: a write
-// declared on one replica moves the generation on its peers, so a
-// reader homed elsewhere still hears about it.
+// declared on one replica has moved the generation on its peers by the
+// time the writer's round returns, so a reader homed elsewhere hears
+// about it on its next round.
 func TestGenerationBumpCrossesFederation(t *testing.T) {
 	f := fedInstall(t, 0, nil)
 	w, err := f.Mediator(0).OpenSession(Requirements{Rate: 100e3})
@@ -117,7 +118,6 @@ func TestGenerationBumpCrossesFederation(t *testing.T) {
 	if _, err := f.Mediator(0).CacheSync(w.SessionID, nil, []string{"shared"}); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
-	f.WaitMirrors()
 	for i := 0; i < 3; i++ {
 		if g := f.Mediator(i).ObjectGen("shared"); g != 1 {
 			t.Fatalf("replica %d gen = %d, want 1", i, g)
@@ -170,5 +170,68 @@ func TestSyncGensMaxMerges(t *testing.T) {
 	}
 	if len(snap) != 2 || snap["a"] != 5 || snap["b"] != 7 {
 		t.Fatalf("snapshot = %v", snap)
+	}
+}
+
+// TestWriterRoundPublishesBeforeReturning pins the writer side of the
+// cross-replica contract: a round that declared a write returns only
+// after its generation bump was offered to every peer, so a reader homed
+// on a peer sees it on its next round. A peer whose latest delivery
+// failed is not waited on; the bump rides its link queue instead, and
+// the first delivery that succeeds puts the peer back in the round.
+func TestWriterRoundPublishesBeforeReturning(t *testing.T) {
+	cfg := testInstall()
+	cfg.Self = "med-a"
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
+	defer m.Close()
+	peer := &failingPeer{name: "med-b"}
+	m.SetPeers([]Peer{peer})
+	p, err := m.OpenSession(Requirements{Rate: 100e3})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	m.WaitMirrors()
+	round := func(gen uint64) {
+		t.Helper()
+		if out, err := m.CacheSync(p.SessionID, nil, []string{"v"}); err != nil || len(out) != 1 || out[0].Gen != gen {
+			t.Fatalf("round = %+v, %v; want v@%d", out, err, gen)
+		}
+	}
+	published := func(gen uint64) bool {
+		for _, u := range peer.Got() {
+			if u.Op == MirrorInvalidate && u.Rec.Key == "v" && u.Rec.ID == gen {
+				return true
+			}
+		}
+		return false
+	}
+	round(1)
+	if !published(1) {
+		t.Fatal("the writer's round returned before its bump reached the peer")
+	}
+
+	peer.SetFailing(true)
+	tries := peer.Tries()
+	round(2) // the direct delivery fails and marks the peer down
+	m.WaitMirrors()
+	if n := peer.Tries() - tries; n != 2 {
+		t.Fatalf("refusing peer offered the bump %d times, want 2 (the round's and the queue's)", n)
+	}
+	tries = peer.Tries()
+	round(3)
+	m.WaitMirrors()
+	if n := peer.Tries() - tries; n != 1 {
+		t.Fatalf("down peer offered the bump %d times, want 1 (the queue's only)", n)
+	}
+
+	peer.SetFailing(false)
+	round(4) // still down for the round; the queue's delivery succeeds
+	m.WaitMirrors()
+	round(5)
+	if !published(4) || !published(5) {
+		t.Fatal("a recovered peer did not rejoin the writer's round")
 	}
 }

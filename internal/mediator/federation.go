@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -107,6 +108,7 @@ type mirrorMsg struct {
 type peerLink struct {
 	peer  Peer
 	queue chan mirrorMsg
+	down  atomic.Bool // the latest delivery to this peer failed
 
 	mu      sync.Mutex
 	pending map[uint64]MirrorUpdate // deletes awaiting delivery to this peer
@@ -160,14 +162,6 @@ func (m *Mediator) SetPeers(peers []Peer) {
 // barriers included) it retries the peer's parked deletes.
 func (m *Mediator) linkLoop(l *peerLink, stop <-chan struct{}) {
 	defer m.mirWG.Done()
-	deliver := func(u MirrorUpdate) bool {
-		if err := l.peer.Mirror(u); err != nil {
-			m.tel.mirrorDrops.Inc()
-			return false
-		}
-		m.tel.mirrorsSent.Inc()
-		return true
-	}
 	for {
 		select {
 		case <-stop:
@@ -177,7 +171,7 @@ func (m *Mediator) linkLoop(l *peerLink, stop <-chan struct{}) {
 			// removing an unknown session is a no-op — so a peer that
 			// already applied one tolerates the repeat.
 			for _, u := range l.takePending() {
-				if !deliver(u) {
+				if !m.deliver(l, u) {
 					l.park(u)
 				}
 			}
@@ -185,7 +179,7 @@ func (m *Mediator) linkLoop(l *peerLink, stop <-chan struct{}) {
 				close(msg.done)
 				continue
 			}
-			if !deliver(msg.u) && msg.u.Op == MirrorDelete {
+			if !m.deliver(l, msg.u) && msg.u.Op == MirrorDelete {
 				l.park(msg.u)
 			}
 		}
@@ -199,15 +193,34 @@ func (m *Mediator) linkLoop(l *peerLink, stop <-chan struct{}) {
 func (m *Mediator) mirrorLocked(op MirrorOp, rec SessionRecord) {
 	u := MirrorUpdate{Op: op, Rec: rec, From: m.self}
 	for _, l := range m.links {
-		select {
-		case l.queue <- mirrorMsg{u: u}:
-		default:
-			m.tel.mirrorDrops.Inc()
-			if op == MirrorDelete {
-				l.park(u)
-			}
+		m.enqueue(l, u)
+	}
+}
+
+// enqueue queues one update on a peer link without blocking (see
+// mirrorLocked).
+func (m *Mediator) enqueue(l *peerLink, u MirrorUpdate) {
+	select {
+	case l.queue <- mirrorMsg{u: u}:
+	default:
+		m.tel.mirrorDrops.Inc()
+		if u.Op == MirrorDelete {
+			l.park(u)
 		}
 	}
+}
+
+// deliver offers one update to a link's peer, counting the outcome and
+// recording whether the peer answered.
+func (m *Mediator) deliver(l *peerLink, u MirrorUpdate) bool {
+	if err := l.peer.Mirror(u); err != nil {
+		m.tel.mirrorDrops.Inc()
+		l.down.Store(true)
+		return false
+	}
+	m.tel.mirrorsSent.Inc()
+	l.down.Store(false)
+	return true
 }
 
 // WaitMirrors blocks until every update queued before the call has been

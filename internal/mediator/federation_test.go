@@ -450,6 +450,7 @@ type failingPeer struct {
 	mu      sync.Mutex
 	name    string
 	failing bool
+	tries   int // Mirror calls, refused ones included
 	got     []MirrorUpdate
 }
 
@@ -467,9 +468,16 @@ func (p *failingPeer) Got() []MirrorUpdate {
 	return append([]MirrorUpdate(nil), p.got...)
 }
 
+func (p *failingPeer) Tries() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.tries
+}
+
 func (p *failingPeer) Mirror(u MirrorUpdate) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.tries++
 	if p.failing {
 		return errors.New("peer unreachable")
 	}

@@ -2,6 +2,8 @@ package medrpc
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -401,6 +403,46 @@ func TestParseRetryAfter(t *testing.T) {
 	for _, tc := range cases {
 		if got := parseRetryAfter(tc.msg); got != tc.want {
 			t.Errorf("parseRetryAfter(%q) = %v, want %v", tc.msg, got, tc.want)
+		}
+	}
+}
+
+// TestWireWriterRoundsCrossHomes: two writers homed on different
+// replicas declare writes at the same moment. Each round delivers its
+// generation bump to the other replica before it answers, so once both
+// have returned each replica knows both writes; and neither round waits
+// out the other's RPC budget, since a replica serves coherence rounds off
+// its receive loop and keeps applying mirrors meanwhile.
+func TestWireWriterRoundsCrossHomes(t *testing.T) {
+	tier := newTestTier(t, 2, time.Minute)
+	var ids [2]uint64
+	for i := range ids {
+		rec, err := tier.clients[i].Admit(mediator.Requirements{Rate: 100e3})
+		if err != nil {
+			t.Fatalf("admit on %s: %v", tier.meds[i].Name(), err)
+		}
+		ids[i] = rec.ID
+	}
+	for round := uint64(1); round <= 5; round++ {
+		var wg sync.WaitGroup
+		errs := make([]error, len(ids))
+		for i := range ids {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = tier.clients[i].CacheSync(ids[i], nil, []string{fmt.Sprint("obj-", i)})
+			}()
+		}
+		wg.Wait()
+		for i, med := range tier.meds {
+			if errs[i] != nil {
+				t.Fatalf("round %d: writer on %s: %v", round, med.Name(), errs[i])
+			}
+			for j := range ids {
+				if g := med.ObjectGen(fmt.Sprint("obj-", j)); g != round {
+					t.Fatalf("round %d: %s has obj-%d at generation %d", round, med.Name(), j, g)
+				}
+			}
 		}
 	}
 }

@@ -157,6 +157,21 @@ func (s *Server) loop() {
 			s.cfg.Logf("medrpc %s: bad packet from %s: %v", s.Addr(), from, err)
 			continue
 		}
+		if pkt.Type == wire.TMedInvalidate {
+			// A coherence round with declared writes delivers its
+			// generation bumps to the peers before it answers. It runs off
+			// the loop so this replica keeps applying the peers' mirrors
+			// meanwhile: two replicas publishing to each other would
+			// otherwise each wait out the other's RPC budget.
+			req := pkt
+			req.Payload = append([]byte(nil), pkt.Payload...)
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				s.handle(from, &req)
+			}()
+			continue
+		}
 		s.handle(from, &pkt)
 	}
 }

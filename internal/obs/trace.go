@@ -17,6 +17,9 @@ type Event struct {
 	Kind  string // event class: "read_timeout", "health", "failover", ...
 	Agent int    // agent index when attributable, else -1
 	Msg   string
+	// Logged marks an event its emitter also printed to its log, so a
+	// sink teeing events to that log skips it.
+	Logged bool
 }
 
 // String renders the event as one log line.
