@@ -26,7 +26,7 @@ vet:
 # when either exceeds its ceiling. A PR that shrinks them lowers the
 # ceilings to its result; none raises them. It also prints the repo-wide
 # non-test Go line count (item 6's "down by >= 2k lines"), ungated.
-CORE_LINES_MAX := 5037
+CORE_LINES_MAX := 4934
 CORE_FILE_LINES_MAX := 954
 size:
 	@core=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l); \

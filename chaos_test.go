@@ -1029,7 +1029,7 @@ func chaosTraceSpans(t *testing.T) {
 
 	clientHost := n.MustHost("trace-client", memnet.HostConfig{}, seg)
 	stub, err := medrpc.NewClient(medrpc.ClientConfig{
-		Host: clientHost, Name: "trace-med", Addr: "trace-med:7060", Logf: t.Logf,
+		Host: clientHost, Name: "trace-med", Addr: "trace-med:7060",
 	})
 	if err != nil {
 		t.Fatalf("drill8: medrpc client: %v", err)

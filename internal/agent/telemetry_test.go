@@ -44,7 +44,12 @@ func TestAgentTelemetryAdvance(t *testing.T) {
 		t.Fatalf("no read data: %+v", pkt)
 	}
 
+	// The agent records a read's telemetry as the serve returns, which
+	// races the data packet to this goroutine: let the serve finish.
 	tel := r.agent.tel
+	for end := time.Now().Add(time.Second); tel.readServeLat.Count() == 0 && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
 	if tel.opens.Load() != 1 {
 		t.Errorf("opens = %d, want 1", tel.opens.Load())
 	}

@@ -1,7 +1,6 @@
-// Package backoff implements the capped exponential retransmission
-// backoff with jitter that every Swift retry path shares: the data-path
-// client's burst retransmissions, the mediator broker's replica walks,
-// and medrpc's RPC retransmits.
+// Package backoff is the retry discipline every Swift client-side
+// request/reply path shares: the data-path client's bursts, its control
+// RPCs, medrpc's mediator RPCs, and the mediator broker's replica walk.
 //
 // A Policy doubles a base delay per backoff level, caps it at a
 // maximum, and adds ±25% jitter so independent clients that timed out
@@ -10,6 +9,11 @@
 // per instance: policies created in the same process never share a
 // generator, so one client's draw order cannot skew another's, and a
 // test can pin the stream with NewSeeded.
+//
+// A Clock is one outstanding exchange on a Policy: when silence next
+// counts as a timeout, when the exchange is given up for want of
+// progress, and how far the wait has backed off. wire.Exchange runs
+// every control RPC on one; the data-path client keeps one per burst.
 package backoff
 
 import (
@@ -88,4 +92,37 @@ func (p *Policy) Jitter(d time.Duration) time.Duration {
 		p.mu.Unlock()
 	}
 	return d
+}
+
+// Clock is the retry discipline of one outstanding exchange. Silence
+// until Next is a timeout: the exchange retransmits and waits one backoff
+// level longer, so a silent peer is not hammered on the shared medium.
+// Any progress starts the clock over (Policy.Start), so deep loss is
+// survived while a dead peer is given up on in bounded time. Callers pass
+// the time in; the clock never reads it.
+type Clock struct {
+	Next   time.Time // silence until then is a timeout
+	GiveUp time.Time // no progress until then ends the exchange
+	Level  int       // backoff level of the wait after the next timeout
+	p      *Policy
+}
+
+// Start returns the clock of an exchange that began, or made progress, at
+// now: the first timeout is the base delay away, unjittered, and give-up
+// is budget away.
+func (p *Policy) Start(now time.Time, budget time.Duration) Clock {
+	return Clock{Next: now.Add(p.base), GiveUp: now.Add(budget), p: p}
+}
+
+// Expire is called when c.Next has passed in silence at now. It reports
+// spent when give-up has passed too; otherwise the caller retransmits and
+// the clock waits the policy's delay for its level, one level longer than
+// the last wait.
+func (c *Clock) Expire(now time.Time) (spent bool) {
+	if !now.Before(c.GiveUp) {
+		return true
+	}
+	c.Next = now.Add(c.p.Delay(c.Level))
+	c.Level++
+	return false
 }

@@ -19,6 +19,8 @@ type MediatorEndpoint interface {
 	Admit(req mediator.Requirements) (*mediator.SessionRecord, error)
 	RenewSession(rec mediator.SessionRecord) (string, error)
 	CloseSession(id uint64) error
+	// CacheSync runs one cache-coherence round for session id.
+	CacheSync(id uint64, cached []mediator.CachedObject, written []string) ([]mediator.CachedObject, error)
 	Status() (mediator.ReplicaStatus, error)
 }
 
@@ -51,7 +53,8 @@ type BrokerConfig struct {
 	// inject a fake.
 	Sleep func(time.Duration)
 	Logf  func(format string, args ...any)
-	// Obs, when non-nil, receives the broker's failover counters.
+	// Obs, when non-nil, receives the broker's failover counters; nil
+	// keeps them in a private registry.
 	Obs *obs.Registry
 	// Tracer, when non-nil, mints spans for the admit/renew/close walks,
 	// so mediator failovers show up in the client's op traces.
@@ -82,15 +85,14 @@ type MediatorBroker struct {
 	bo    *backoff.Policy    // walk-retry backoff schedule
 	order []MediatorEndpoint // placement order for cfg.Key
 
-	mu        sync.Mutex
-	rec       *mediator.SessionRecord // guarded by mu
-	home      string                  // guarded by mu
-	failovers int64                   // guarded by mu
-	renewErrs int64                   // guarded by mu
+	mu   sync.Mutex
+	rec  *mediator.SessionRecord // guarded by mu
+	home string                  // guarded by mu
 
-	telFailovers *obs.Counter
-	telRetries   *obs.Counter
-	telPaced     *obs.Counter
+	failovers  *obs.Counter // the session re-targeted to another replica
+	retries    *obs.Counter // full walks repeated
+	paced      *obs.Counter // replies paced by an overload hint
+	renewFails obs.Counter  // renew walks that exhausted every replica
 }
 
 // NewMediatorBroker validates the replica set and derives the placement
@@ -130,14 +132,16 @@ func NewMediatorBroker(cfg BrokerConfig) (*MediatorBroker, error) {
 	for _, name := range mediator.PlaceOrder(cfg.Key, names) {
 		b.order = append(b.order, byName[name])
 	}
-	if reg := cfg.Obs; reg != nil {
-		b.telFailovers = reg.Counter("swift_client_mediator_failovers_total",
-			"Times the client re-targeted its mediator session to a different replica.", nil)
-		b.telRetries = reg.Counter("swift_client_mediator_retries_total",
-			"Full replica-set walks repeated after every replica failed once.", nil)
-		b.telPaced = reg.Counter("swift_client_mediator_paced_total",
-			"Admission attempts paced by a mediator's overload retry-after hint.", nil)
+	reg := cfg.Obs
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
+	b.failovers = reg.Counter("swift_client_mediator_failovers_total",
+		"Times the client re-targeted its mediator session to a different replica.", nil)
+	b.retries = reg.Counter("swift_client_mediator_retries_total",
+		"Full replica-set walks repeated after every replica failed once.", nil)
+	b.paced = reg.Counter("swift_client_mediator_paced_total",
+		"Admission attempts paced by a mediator's overload retry-after hint.", nil)
 	return b, nil
 }
 
@@ -172,15 +176,6 @@ func renewVia(ep MediatorEndpoint, rec mediator.SessionRecord, sp *obs.Span) (st
 	return ep.RenewSession(rec)
 }
 
-// backoff is the pause before retry walk number attempt (1-based):
-// capped exponential with ±25% jitter.
-func (b *MediatorBroker) backoff(attempt int) time.Duration {
-	if attempt < 1 {
-		attempt = 1
-	}
-	return b.bo.Delay(attempt - 1)
-}
-
 // candidates returns the endpoints to try, the current home first and
 // the rest in placement order.
 func (b *MediatorBroker) candidates(home string) []MediatorEndpoint {
@@ -201,19 +196,82 @@ func (b *MediatorBroker) candidates(home string) []MediatorEndpoint {
 	return out
 }
 
+// walk runs one broker operation over the replica set: home first (the
+// key's placement home before there is a session), then the others in
+// placement order, up to Attempts full walks, each repeat counted and
+// preceded by a backed-off pause. try is the operation on one endpoint;
+// nil ends the walk. What a failed try means is decided here, once for
+// every operation:
+//
+//   - ErrUnsatisfiable and ErrUnknownSession end the walk with that
+//     error: every replica runs the same admission arithmetic, and a
+//     session the federation has forgotten is gone from all of it.
+//   - ErrOverloaded is pacing, not failure: the replica is up but
+//     shedding, so the walk sleeps its retry-after hint (jittered, so
+//     paced clients do not re-converge; the walk's backoff when there is
+//     none) and asks the same endpoint again, rather than rotating away
+//     from the session's home for a transient surge.
+//   - Anything else is noted on sp and logged (a draining replica's
+//     refusal is only noted), and the walk moves on.
+//
+// A walk that runs out ends with ErrMediatorsDown wrapping the last
+// failure; sp carries the error a walk ends with.
+func (b *MediatorBroker) walk(home, op string, sp *obs.Span, try func(MediatorEndpoint) error) error {
+	var err error
+	for pass := 1; pass <= b.cfg.Attempts; pass++ {
+		if pass > 1 {
+			b.retries.Inc()
+			b.cfg.Sleep(b.bo.Delay(pass - 1))
+		}
+		for _, ep := range b.candidates(home) {
+			err = try(ep)
+			if errors.Is(err, mediator.ErrOverloaded) {
+				pause := b.bo.Delay(pass - 1)
+				var oe *mediator.OverloadedError
+				if errors.As(err, &oe) && oe.RetryAfter > 0 {
+					pause = b.bo.Jitter(oe.RetryAfter)
+				}
+				b.paced.Inc()
+				b.note(sp, true, "%s on %s paced %v: %v", op, ep.Name(), pause, err)
+				b.cfg.Sleep(pause)
+				err = try(ep)
+			}
+			switch {
+			case err == nil:
+				return nil
+			case errors.Is(err, mediator.ErrUnsatisfiable), errors.Is(err, mediator.ErrUnknownSession):
+				sp.SetError(err)
+				return err
+			}
+			b.note(sp, !errors.Is(err, mediator.ErrDraining), "%s on %s: %v", op, ep.Name(), err)
+		}
+	}
+	err = fmt.Errorf("%w: %s: %w", ErrMediatorsDown, op, err)
+	sp.SetError(err)
+	return err
+}
+
+// note marks sp retried and annotates it, and logs the same line when
+// logged is set.
+func (b *MediatorBroker) note(sp *obs.Span, logged bool, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	sp.MarkRetry()
+	sp.Annotate("%s", msg)
+	if logged {
+		b.cfg.Logf("swift: mediator %s", msg)
+	}
+}
+
 // setHome records the session's home, counting a failover when it moved.
 func (b *MediatorBroker) setHome(home string, viaFailure bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.home != "" && home != b.home {
-		b.failovers++
+		b.failovers.Inc()
 		if viaFailure {
 			b.cfg.Logf("swift: mediator failover: %s -> %s", b.home, home)
 		} else {
 			b.cfg.Logf("swift: mediator handoff: %s -> %s", b.home, home)
-		}
-		if b.telFailovers != nil {
-			b.telFailovers.Inc()
 		}
 	}
 	b.home = home
@@ -239,61 +297,28 @@ func (b *MediatorBroker) OpenSessionTraced(req mediator.Requirements, parent obs
 	if req.Key == "" {
 		req.Key = b.cfg.Key
 	}
-	var lastErr error
-	for attempt := 1; attempt <= b.cfg.Attempts; attempt++ {
-		if attempt > 1 {
-			if b.telRetries != nil {
-				b.telRetries.Inc()
-			}
-			b.cfg.Sleep(b.backoff(attempt))
+	var out mediator.SessionRecord
+	err := b.walk("", "open", sp, func(ep MediatorEndpoint) error {
+		rec, err := admitVia(ep, req, sp)
+		if err != nil {
+			return err
 		}
-		for _, ep := range b.order {
-			rec, err := admitVia(ep, req, sp)
-			if err == nil {
-				sp.Annotate("admitted by %s", ep.Name())
-				b.mu.Lock()
-				cp := *rec
-				b.rec = &cp
-				b.home = rec.Home
-				if b.home == "" {
-					b.home = ep.Name()
-				}
-				b.mu.Unlock()
-				out := *rec
-				return &out, nil
-			}
-			if errors.Is(err, mediator.ErrUnsatisfiable) {
-				sp.SetError(err)
-				return nil, err
-			}
-			lastErr = err
-			if errors.Is(err, mediator.ErrOverloaded) {
-				// The replica is up but shedding: honor its pacing hint
-				// (jittered, so paced clients don't re-converge) and try
-				// again. Not a replica failure — don't rotate away from
-				// the session's placement home for a transient surge.
-				pause := b.backoff(attempt)
-				var oe *mediator.OverloadedError
-				if errors.As(err, &oe) && oe.RetryAfter > 0 {
-					pause = b.bo.Jitter(oe.RetryAfter)
-				}
-				if b.telPaced != nil {
-					b.telPaced.Inc()
-				}
-				sp.MarkRetry()
-				sp.Annotate("admit on %s paced %v: %v", ep.Name(), pause, err)
-				b.cfg.Logf("swift: mediator open on %s paced %v: %v", ep.Name(), pause, err)
-				b.cfg.Sleep(pause)
-				continue
-			}
-			sp.MarkRetry()
-			sp.Annotate("admit on %s failed: %v", ep.Name(), err)
-			b.cfg.Logf("swift: mediator open on %s: %v", ep.Name(), err)
+		sp.Annotate("admitted by %s", ep.Name())
+		out = *rec
+		if out.Home == "" {
+			out.Home = ep.Name()
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	err := fmt.Errorf("%w: open: %w", ErrMediatorsDown, lastErr)
-	sp.SetError(err)
-	return nil, err
+	b.mu.Lock()
+	cp := out
+	b.rec = &cp
+	b.home = out.Home
+	b.mu.Unlock()
+	return &out, nil
 }
 
 // Renew heartbeats the session: the home replica first, then — on any
@@ -303,55 +328,45 @@ func (b *MediatorBroker) OpenSessionTraced(req mediator.Requirements, parent obs
 // different replica name (because it is draining and handed the session
 // off) re-targets the broker without counting a failover.
 func (b *MediatorBroker) Renew() error {
-	b.mu.Lock()
-	rec := b.rec
-	home := b.home
-	var recCopy mediator.SessionRecord
-	if rec != nil {
-		recCopy = *rec
-	}
-	b.mu.Unlock()
+	rec, home := b.session()
 	if rec == nil {
 		return ErrNoMediatorSession
 	}
 	sp := b.span(obs.SpanContext{}, "med_renew")
 	defer sp.Finish()
-	var lastErr error
-	for attempt := 1; attempt <= b.cfg.Attempts; attempt++ {
-		if attempt > 1 {
-			if b.telRetries != nil {
-				b.telRetries.Inc()
-			}
-			b.cfg.Sleep(b.backoff(attempt))
+	err := b.walk(home, fmt.Sprintf("renew session %d", rec.ID), sp, func(ep MediatorEndpoint) error {
+		newHome, err := renewVia(ep, *rec, sp)
+		if err != nil {
+			return err
 		}
-		for _, ep := range b.candidates(home) {
-			newHome, err := renewVia(ep, recCopy, sp)
-			if err == nil {
-				if newHome == "" {
-					newHome = ep.Name()
-				}
-				if ep.Name() != home {
-					// The session re-targeted: a failover (dead home) or a
-					// drain handoff — either way worth keeping the trace.
-					sp.MarkRetry()
-					sp.Annotate("failover %s -> %s", home, newHome)
-				}
-				b.setHome(newHome, ep.Name() != home)
-				return nil
-			}
-			lastErr = err
-			sp.Annotate("renew on %s failed: %v", ep.Name(), err)
-			if !errors.Is(err, mediator.ErrDraining) {
-				b.cfg.Logf("swift: mediator renew on %s: %v", ep.Name(), err)
-			}
+		if newHome == "" {
+			newHome = ep.Name()
 		}
+		if ep.Name() != home {
+			// The session re-targeted: a failover (dead home) or a
+			// drain handoff — either way worth keeping the trace.
+			sp.MarkRetry()
+			sp.Annotate("failover %s -> %s", home, newHome)
+		}
+		b.setHome(newHome, ep.Name() != home)
+		return nil
+	})
+	if err != nil {
+		b.renewFails.Inc()
 	}
-	b.mu.Lock()
-	b.renewErrs++
-	b.mu.Unlock()
-	err := fmt.Errorf("%w: renew session %d: %w", ErrMediatorsDown, recCopy.ID, lastErr)
-	sp.SetError(err)
 	return err
+}
+
+// session returns a copy of the session record and its home, or nil
+// before OpenSession.
+func (b *MediatorBroker) session() (*mediator.SessionRecord, string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.rec == nil {
+		return nil, ""
+	}
+	cp := *b.rec
+	return &cp, b.home
 }
 
 // Heartbeat is Renew shaped for MonitorConfig.Heartbeat: failures are logged
@@ -364,47 +379,26 @@ func (b *MediatorBroker) Heartbeat() {
 
 // CloseSession releases the session, rotating to a survivor when the
 // home replica is gone (the survivor holds a mirrored copy). Closing
-// with no session open is a no-op.
+// with no session open is a no-op. A close that fails everywhere is left
+// to the lease janitor, which reaps the reservations within one TTL.
 func (b *MediatorBroker) CloseSession() error {
 	b.mu.Lock()
-	rec := b.rec
-	home := b.home
-	b.rec = nil
-	b.home = ""
+	rec, home := b.rec, b.home
+	b.rec, b.home = nil, ""
 	b.mu.Unlock()
 	if rec == nil {
 		return nil
 	}
 	sp := b.span(obs.SpanContext{}, "med_close")
 	defer sp.Finish()
-	var lastErr error
-	for attempt := 1; attempt <= b.cfg.Attempts; attempt++ {
-		if attempt > 1 {
-			b.cfg.Sleep(b.backoff(attempt))
+	return b.walk(home, fmt.Sprintf("close session %d", rec.ID), sp, func(ep MediatorEndpoint) error {
+		err := ep.CloseSession(rec.ID)
+		if err == nil && ep.Name() != home {
+			sp.MarkRetry()
+			sp.Annotate("closed via survivor %s", ep.Name())
 		}
-		for _, ep := range b.candidates(home) {
-			err := ep.CloseSession(rec.ID)
-			if err == nil {
-				if ep.Name() != home {
-					sp.MarkRetry()
-					sp.Annotate("closed via survivor %s", ep.Name())
-				}
-				return nil
-			}
-			lastErr = err
-		}
-	}
-	// The lease janitor will reap the reservations within one TTL.
-	err := fmt.Errorf("%w: close session %d: %w", ErrMediatorsDown, rec.ID, lastErr)
-	sp.SetError(err)
-	return err
-}
-
-// coherenceSyncer is the optional endpoint upgrade for the cache
-// coherence round: *mediator.Mediator (in-process) and *medrpc.Client
-// (wire) both implement it; endpoints that don't are skipped.
-type coherenceSyncer interface {
-	CacheSync(id uint64, cached []mediator.CachedObject, written []string) ([]mediator.CachedObject, error)
+		return err
+	})
 }
 
 // CacheSync runs one cache-coherence round for the broker's session,
@@ -414,48 +408,23 @@ type coherenceSyncer interface {
 // nobody knows surfaces ErrUnknownSession so the client drops its lease
 // (and its cached bytes with it).
 func (b *MediatorBroker) CacheSync(cached []mediator.CachedObject, written []string) ([]mediator.CachedObject, error) {
-	b.mu.Lock()
-	rec := b.rec
-	home := b.home
-	var id uint64
-	if rec != nil {
-		id = rec.ID
-	}
-	b.mu.Unlock()
+	rec, home := b.session()
 	if rec == nil {
 		return nil, ErrNoMediatorSession
 	}
-	var lastErr error
-	for _, ep := range b.candidates(home) {
-		cs, ok := ep.(coherenceSyncer)
-		if !ok {
-			continue
-		}
-		stale, err := cs.CacheSync(id, cached, written)
-		if err == nil {
-			return stale, nil
-		}
-		if errors.Is(err, mediator.ErrUnknownSession) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		return nil, ErrNoMediatorSession // no endpoint speaks coherence
-	}
-	return nil, fmt.Errorf("%w: cache sync session %d: %w", ErrMediatorsDown, id, lastErr)
+	var stale []mediator.CachedObject
+	err := b.walk(home, fmt.Sprintf("cache sync session %d", rec.ID), nil, func(ep MediatorEndpoint) (err error) {
+		stale, err = ep.CacheSync(rec.ID, cached, written)
+		return err
+	})
+	return stale, err
 }
 
 // Record returns a copy of the session record the broker holds, or nil
 // before OpenSession.
 func (b *MediatorBroker) Record() *mediator.SessionRecord {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.rec == nil {
-		return nil
-	}
-	cp := *b.rec
-	return &cp
+	rec, _ := b.session()
+	return rec
 }
 
 // Home returns the replica currently holding the session's lease.
@@ -467,18 +436,10 @@ func (b *MediatorBroker) Home() string {
 
 // Failovers returns how many times the session re-targeted to a
 // different replica (failovers and drain handoffs).
-func (b *MediatorBroker) Failovers() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.failovers
-}
+func (b *MediatorBroker) Failovers() int64 { return b.failovers.Load() }
 
 // RenewFailures returns how many renew rounds exhausted every replica.
-func (b *MediatorBroker) RenewFailures() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.renewErrs
-}
+func (b *MediatorBroker) RenewFailures() int64 { return b.renewFails.Load() }
 
 // Endpoints returns the replicas in placement order for the broker's key.
 func (b *MediatorBroker) Endpoints() []MediatorEndpoint {

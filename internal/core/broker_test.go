@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"swift/internal/mediator"
+	"swift/internal/obs"
 )
 
 // brokerFed builds a 3-replica in-process federation with leases on a
@@ -313,5 +316,76 @@ func TestBrokerRenewWithoutSession(t *testing.T) {
 	}
 	if err := b.CloseSession(); err != nil {
 		t.Fatalf("close without session: %v", err)
+	}
+}
+
+// fakeEndpoint is a replica that refuses its first admissions with the
+// scripted errors and admits every one after.
+type fakeEndpoint struct {
+	name   string
+	refuse []error
+	admits int
+}
+
+func (e *fakeEndpoint) Name() string { return e.name }
+
+func (e *fakeEndpoint) Admit(req mediator.Requirements) (*mediator.SessionRecord, error) {
+	e.admits++
+	if len(e.refuse) > 0 {
+		err := e.refuse[0]
+		e.refuse = e.refuse[1:]
+		return nil, err
+	}
+	return &mediator.SessionRecord{ID: 1, Key: req.Key, Home: e.name}, nil
+}
+
+func (e *fakeEndpoint) RenewSession(mediator.SessionRecord) (string, error) { return e.name, nil }
+func (e *fakeEndpoint) CloseSession(uint64) error                           { return nil }
+func (e *fakeEndpoint) Status() (mediator.ReplicaStatus, error)             { return mediator.ReplicaStatus{}, nil }
+func (e *fakeEndpoint) CacheSync(uint64, []mediator.CachedObject, []string) ([]mediator.CachedObject, error) {
+	return nil, nil
+}
+
+// TestBrokerPacedAdmitStaysHome: a home replica that answers an admission
+// with an overload rejection is paced by its retry-after hint and asked
+// again — the session is admitted by the home, not by the next replica in
+// placement order — and the pause is counted once.
+func TestBrokerPacedAdmitStaysHome(t *testing.T) {
+	const key = "paced"
+	a, b := &fakeEndpoint{name: "a"}, &fakeEndpoint{name: "b"}
+	home, other := a, b
+	if mediator.Place(key, []string{"a", "b"}) == "b" {
+		home, other = b, a
+	}
+	const hint = 80 * time.Millisecond
+	home.refuse = []error{&mediator.OverloadedError{RetryAfter: hint}}
+	reg := obs.NewRegistry()
+	var slept []time.Duration
+	br, err := NewMediatorBroker(BrokerConfig{
+		Endpoints: []MediatorEndpoint{a, b},
+		Key:       key,
+		Sleep:     func(d time.Duration) { slept = append(slept, d) },
+		Obs:       reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := br.OpenSession(mediator.Requirements{Rate: 1e3})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if rec.Home != home.name || br.Home() != home.name || other.admits != 0 {
+		t.Fatalf("admitted by %q (broker home %q, %d admits on %q); want the paced home %q",
+			rec.Home, br.Home(), other.admits, other.name, home.name)
+	}
+	if len(slept) != 1 || slept[0] < hint-hint/4 || slept[0] > hint+hint/4 {
+		t.Fatalf("paused %v, want one pause of the jittered %v hint", slept, hint)
+	}
+	var out bytes.Buffer
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "\nswift_client_mediator_paced_total 1\n") {
+		t.Fatalf("paced counter not 1:\n%s", out.String())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"swift/internal/backoff"
 	"swift/internal/extent"
 	"swift/internal/obs"
 	"swift/internal/transport"
@@ -13,45 +14,14 @@ import (
 
 // This file is the client's one transfer engine — §3.1's "the client keeps
 // sufficient state to determine what packets have been received and thus
-// can resubmit requests when packets are lost": the retry clock every
-// request/reply exchange runs on, and the burst driver that moves fragment
-// ranges between an agent session and memory in either direction.
+// can resubmit requests when packets are lost": the burst driver that moves
+// fragment ranges between an agent session and memory in either direction,
+// each burst on its own retry clock.
 
-// retryClock is the retry discipline of one outstanding exchange, a burst
-// or a control RPC. Silence until next is a timeout: the exchange
-// retransmits and waits one backoff level longer (capped exponential with
-// jitter, so a silent agent is not hammered on the shared medium). Any
-// progress starts the clock over, so deep loss is survived while a dead
-// agent is given up on in bounded time. Callers pass the time in.
-type retryClock struct {
-	next   time.Time // silence until then is a timeout
-	giveUp time.Time // no progress until then ends the exchange
-	level  int       // backoff level of the wait after the next timeout
-}
-
-// startClock returns the clock of an exchange that began, or made
-// progress, at now: give-up is retries base timeouts away.
-func (c *Client) startClock(now time.Time, retries int) retryClock {
-	return retryClock{
-		next:   now.Add(c.cfg.RetryTimeout),
-		giveUp: now.Add(time.Duration(retries) * c.cfg.RetryTimeout),
-	}
-}
-
-// expire is called when rc.next has passed in silence. It reports spent
-// when give-up has passed too; otherwise the caller retransmits and the
-// clock waits one level longer. A wait grown beyond the base timeout
-// counts as a backoff, against agent when there is one.
-func (c *Client) expire(rc *retryClock, now time.Time, agent int) (spent bool) {
-	if !now.Before(rc.giveUp) {
-		return true
-	}
-	if rc.level > 0 {
-		c.tel.count(evBackoff, agent)
-	}
-	rc.next = now.Add(c.bo.Delay(rc.level)) // capped exponential, ±25% jitter
-	rc.level++
-	return false
+// burstClock is a burst's retry clock, started, or restarted by progress,
+// at now: give-up is MaxRetries base timeouts away.
+func (c *Client) burstClock(now time.Time) backoff.Clock {
+	return c.bo.Start(now, time.Duration(c.cfg.MaxRetries)*c.cfg.RetryTimeout)
 }
 
 // xfer is the memory a burst run moves, in whichever direction: a logical
@@ -89,7 +59,7 @@ type burst struct {
 	ids       []uint32
 	got       extent.Set // reads: the bytes that have arrived
 	start     time.Time
-	clock     retryClock
+	clock     backoff.Clock
 	hedgeAt   time.Time // reads: when a stall is hedged; zero when not armed
 	pushbacks int
 }
@@ -176,7 +146,7 @@ func (d *burstRun) launch(r extent.Extent, now time.Time) error {
 	d.live = d.live[:len(d.live)+1]
 	b := &d.live[len(d.live)-1]
 	b.got.Reset()
-	*b = burst{lo: r.Off, n: r.Len, ids: b.ids[:0], got: b.got, start: now, clock: c.startClock(now, c.cfg.MaxRetries)}
+	*b = burst{lo: r.Off, n: r.Len, ids: b.ids[:0], got: b.got, start: now, clock: c.burstClock(now)}
 	if d.hedge {
 		b.hedgeAt = now.Add(c.hedgeDelay(d.s.idx))
 	}
@@ -264,8 +234,8 @@ func (d *burstRun) wake() time.Time {
 	w := d.opDl
 	for i := range d.live {
 		b := &d.live[i]
-		if w.IsZero() || b.clock.next.Before(w) {
-			w = b.clock.next
+		if w.IsZero() || b.clock.Next.Before(w) {
+			w = b.clock.Next
 		}
 		if !b.hedgeAt.IsZero() && b.hedgeAt.Before(w) {
 			w = b.hedgeAt
@@ -327,7 +297,7 @@ func (d *burstRun) takeData(b *burst, pkt *wire.Packet, now time.Time) (whole bo
 		d.f.placeGlobal(d.s.idx, off, pkt.Payload, x.buf, x.base)
 	}
 	b.got.Add(off, n)
-	b.clock = d.f.c.startClock(now, d.f.c.cfg.MaxRetries) // progress
+	b.clock = d.f.c.burstClock(now) // progress
 	return b.got.Contains(b.lo, b.n)
 }
 
@@ -344,7 +314,7 @@ func (d *burstRun) resend(b *burst, pkt *wire.Packet, now time.Time) error {
 		return nil
 	}
 	c := d.f.c
-	b.clock = c.startClock(now, c.cfg.MaxRetries)
+	b.clock = c.burstClock(now)
 	d.note(evResend, b, "%d ranges asked", len(ranges))
 	for _, r := range ranges {
 		// The ranges are wire input: send only what lies inside the burst.
@@ -377,9 +347,9 @@ func (d *burstRun) pushback(b *burst, pkt *wire.Packet, now time.Time) error {
 	case b.pushbacks >= 2:
 		return agentBusy(idx)
 	case info.RetryAfter > 0:
-		b.clock.next = now.Add(info.RetryAfter)
+		b.clock.Next = now.Add(info.RetryAfter)
 	default:
-		b.clock.next = now.Add(c.cfg.RetryTimeout)
+		b.clock.Next = now.Add(c.cfg.RetryTimeout)
 	}
 	return nil
 }
@@ -402,14 +372,18 @@ func (d *burstRun) expire(now time.Time) error {
 			c.tel.count(evBudgetDenied, idx)
 			b.hedgeAt = time.Time{} // budget empty: wait the burst out
 		}
-		if now.Before(b.clock.next) {
+		if now.Before(b.clock.Next) {
 			continue
 		}
-		level := b.clock.level
-		if c.expire(&b.clock, now, idx) {
+		level := b.clock.Level
+		if b.clock.Expire(now) {
 			d.note(evReadGiveUp+event(d.dir), b, "retries exhausted")
 			c.noteOverload(idx, name+" retry give-up")
 			return fmt.Errorf("%w: %s %s[%d:%d] agent %d", ErrRetriesSpent, name, f.name, b.lo, b.lo+b.n, idx)
+		}
+		if level > 0 {
+			// The wait just armed has grown beyond the base timeout.
+			c.tel.count(evBackoff, idx)
 		}
 		d.note(evReadTimeout+event(d.dir), b, "retransmitting (level %d)", level)
 		if err := d.transmit(b, now); err != nil {

@@ -37,6 +37,18 @@ func (c *recConn) SetReadDeadline(time.Time) error      { return nil }
 func (c *recConn) LocalAddr() string                    { return "rec:1" }
 func (c *recConn) Close() error                         { return nil }
 
+// silentOnceConn answers a control request's second transmission: the
+// first meets silence, so the exchange retransmits once, backed off.
+type silentOnceConn struct{ recConn }
+
+func (c *silentOnceConn) ReadFrom(p []byte) (int, string, error) {
+	if len(c.sent) < 2 {
+		return 0, "", transport.ErrTimeout
+	}
+	reply, err := wire.Marshal(&wire.Packet{Header: wire.Header{Type: wire.TStatReply, ReqID: c.sent[len(c.sent)-1].ReqID}})
+	return copy(p, reply), "a:1", err
+}
+
 // recHost hands out recording conns; nothing listens behind them.
 type recHost struct{}
 
@@ -608,9 +620,9 @@ func TestBurstCountersReconcile(t *testing.T) {
 	if _, err := r.deliver(time.Millisecond, pushback(id, wire.PushQueueFull, 0)); !errors.Is(err, ErrAgentBusy) {
 		t.Fatalf("second pushback = %v, want ErrAgentBusy", err)
 	}
-	rc := r.c.startClock(r.now, rigRetries)
-	rc.level = 1
-	r.c.expire(&rc, r.now, -1)
+	if _, err := r.c.rpc(&silentOnceConn{}, "a:1", &wire.Packet{Header: wire.Header{Type: wire.TStat}}); err != nil {
+		t.Fatal(err)
+	}
 
 	m := r.c.MetricsSnapshot()
 	if m.WriteBursts != 1 || m.ResendAsks != 1 || m.WriteTimeouts != 2 || m.Backoffs != 2 || m.Pushbacks != 2 || m.BreakerTrips != 1 {
@@ -620,4 +632,31 @@ func TestBurstCountersReconcile(t *testing.T) {
 		t.Fatal("unattributed backoff or breaker transition not counted where it belongs")
 	}
 	assertReconciled(t, r.c)
+}
+
+// TestReadDataPacketAllocs guards the per-packet hot path: a read data
+// packet delivered to the driver — decoded, placed, and its burst's clock
+// restarted as progress — allocates nothing.
+func TestReadDataPacketAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	r := newBurstRig(t, reading, false, nil)
+	id := r.launch()[0].ReqID
+	dgram, err := wire.Marshal(&wire.Packet{
+		Header:  wire.Header{Type: wire.TData, ReqID: id, Length: rigPayload},
+		Payload: make([]byte, rigPayload),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.now = r.now.Add(time.Millisecond)
+		if err := r.d.receive(dgram, r.now); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("one read data packet allocated %v times, want 0", allocs)
+	}
 }

@@ -675,57 +675,19 @@ func (c *Client) rpcAttempts(conn transport.PacketConn, addr string, req *wire.P
 	return out, err
 }
 
-// exchange is the control plane's request/reply loop: it sends req to addr
-// on conn, hands every reply that carries req's id to take until take
-// reports the answer complete, and retransmits on the data path's retry
-// clock, giving up (ErrAgentDown) after roughly retries×RetryTimeout. Each
-// transmission carries what is left of that budget in the deadline
-// extension — the same contract as medrpc — so an agent that dequeues a
-// retransmit after the client's give-up point sheds it instead of serving
-// a reply nobody reads. TError replies are converted to errors.
+// exchange runs one control RPC on wire.Exchange with a budget of
+// retries×RetryTimeout; every retransmission counts as a backoff, and a
+// spent budget is ErrAgentDown.
 func (c *Client) exchange(conn transport.PacketConn, addr string, req *wire.Packet, retries int, take func(*wire.Packet) (done bool)) error {
-	rbuf := make([]byte, wire.MaxPacket)
-	var pkt wire.Packet
-	now := time.Now()
-	rc := c.startClock(now, retries)
-	// A control request is one small datagram each way, so silence
-	// already means a lost exchange and the first retransmission backs
-	// off; a burst's first timeout resubmits at the base rate because
-	// losing part of forty packets is the common case there.
-	rc.level = 1
-	for {
-		req.Deadline = max(0, rc.giveUp.Sub(now))
-		buf, err := wire.Marshal(req)
-		if err != nil {
-			return err
-		}
-		if err := conn.WriteTo(buf, addr); err != nil {
-			return err
-		}
-		for {
-			conn.SetReadDeadline(rc.next)
-			n, _, err := conn.ReadFrom(rbuf)
-			if err != nil {
-				if transport.IsTimeout(err) {
-					break // retransmit
-				}
-				return err
-			}
-			if wire.Unmarshal(rbuf[:n], &pkt) != nil || pkt.ReqID != req.ReqID {
-				continue // damaged or stale
-			}
-			if pkt.Type == wire.TError {
-				return wire.ParseError(pkt.Payload)
-			}
-			if take(&pkt) {
-				return nil
-			}
-		}
-		now = time.Now()
-		if c.expire(&rc, now, -1) {
-			return ErrAgentDown
-		}
+	rc := c.bo.Start(time.Now(), time.Duration(retries)*c.cfg.RetryTimeout)
+	err := wire.Exchange(conn, addr, req, &rc, take)
+	for range rc.Level - 1 { // each retransmission waited beyond the base
+		c.tel.count(evBackoff, -1)
 	}
+	if errors.Is(err, wire.ErrNoReply) {
+		return ErrAgentDown
+	}
+	return err
 }
 
 // Stat returns the logical size of the named object, or store.ErrNotExist

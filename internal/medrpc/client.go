@@ -27,13 +27,13 @@ type ClientConfig struct {
 
 	// RetryTimeout is the initial retransmission timeout (default 50ms);
 	// it backs off exponentially, capped at MaxRetryTimeout (default
-	// 400ms), with Retries (default 4) retransmissions before giving up.
-	// Mediator RPCs fail fast by design: a dead replica must be detected
-	// well inside a lease TTL so the broker can rotate to a peer.
+	// 400ms). An RPC gives up once the sum of the first Retries+1
+	// (default 5) unjittered waits has passed. Mediator RPCs fail fast by
+	// design: a dead replica must be detected well inside a lease TTL so
+	// the broker can rotate to a peer.
 	RetryTimeout    time.Duration
 	MaxRetryTimeout time.Duration
 	Retries         int
-	Logf            func(format string, args ...any)
 }
 
 // Client is the wire stub for one mediator replica. It satisfies the
@@ -46,9 +46,10 @@ type Client struct {
 	reqID atomic.Uint32
 
 	// rpcBudget is the deterministic total retry budget (unjittered sum
-	// of the per-attempt timeouts): each attempt's request carries the
-	// remaining fraction as its deadline so the replica can skip work and
-	// suppress replies the client has already given up on.
+	// of the per-attempt timeouts): an RPC gives up when it has passed,
+	// and each transmission carries what is left of it as its deadline so
+	// the replica can skip work and suppress replies the client has
+	// already given up on.
 	rpcBudget time.Duration
 }
 
@@ -65,19 +66,15 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Retries <= 0 {
 		cfg.Retries = 4
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	if cfg.Name == "" {
 		cfg.Name = cfg.Addr
 	}
 	c := &Client{cfg: cfg, bo: backoff.New(cfg.RetryTimeout, cfg.MaxRetryTimeout)}
-	for attempt := 0; attempt <= cfg.Retries; attempt++ {
-		d := cfg.RetryTimeout << uint(attempt)
-		if d > cfg.MaxRetryTimeout {
-			d = cfg.MaxRetryTimeout
-		}
+	d := cfg.RetryTimeout
+	for range cfg.Retries + 1 {
+		d = min(d, cfg.MaxRetryTimeout)
 		c.rpcBudget += d
+		d *= 2
 	}
 	return c, nil
 }
@@ -92,64 +89,31 @@ func (c *Client) Addr() string { return c.cfg.Addr }
 // nothing persistent to tear down; Close exists for lifecycle symmetry.
 func (c *Client) Close() error { return nil }
 
-// backoff is the retransmission timeout for the given attempt: capped
-// exponential with ±25% jitter, like the data-path client's.
-func (c *Client) backoff(attempt int) time.Duration { return c.bo.Delay(attempt) }
-
-// rpc sends one request and waits for its reply, retransmitting on
-// timeout until the retry budget is spent.
+// rpc sends one request under a fresh id on a fresh endpoint and waits
+// for its reply, retransmitting on wire.Exchange's control schedule —
+// the base wait, then doubling up to MaxRetryTimeout — until rpcBudget
+// has passed.
 func (c *Client) rpc(req *wire.Packet) (*wire.Packet, error) {
-	reqID := c.reqID.Add(1)
-	req.ReqID = reqID
 	conn, err := c.cfg.Host.Listen("0")
 	if err != nil {
 		return nil, fmt.Errorf("medrpc: open endpoint: %w", err)
 	}
 	defer conn.Close()
-	giveUp := time.Now().Add(c.rpcBudget)
-	rbuf := make([]byte, wire.MaxPacket)
-	var pkt wire.Packet
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
-		// Each attempt carries the remaining budget: a replica that
-		// dequeues the request after the client's final give-up sheds it
-		// instead of doing admission work for a reply nobody reads.
-		if rem := time.Until(giveUp); rem > 0 {
-			req.Deadline = rem
-		} else {
-			req.Deadline = 0
-		}
-		buf, err := wire.Marshal(req)
-		if err != nil {
-			return nil, fmt.Errorf("medrpc: marshal %v: %w", req.Type, err)
-		}
-		if err := conn.WriteTo(buf, c.cfg.Addr); err != nil {
-			return nil, fmt.Errorf("medrpc: send %v to %s: %w", req.Type, c.cfg.Addr, err)
-		}
-		deadline := time.Now().Add(c.backoff(attempt))
-		for {
-			conn.SetReadDeadline(deadline)
-			n, _, err := conn.ReadFrom(rbuf)
-			if err != nil {
-				if transport.IsTimeout(err) {
-					break // retransmit
-				}
-				return nil, fmt.Errorf("medrpc: recv from %s: %w", c.cfg.Addr, err)
-			}
-			if err := wire.Unmarshal(rbuf[:n], &pkt); err != nil {
-				continue
-			}
-			if pkt.ReqID != reqID {
-				continue // stale reply from an earlier attempt
-			}
-			if pkt.Type == wire.TError {
-				return nil, mapRemote(wire.ParseError(pkt.Payload))
-			}
-			out := pkt
-			out.Payload = append([]byte(nil), pkt.Payload...)
-			return &out, nil
-		}
+	req.ReqID = c.reqID.Add(1)
+	var out wire.Packet
+	rc := c.bo.Start(time.Now(), c.rpcBudget)
+	err = wire.Exchange(conn, c.cfg.Addr, req, &rc, func(pkt *wire.Packet) bool {
+		out = *pkt
+		out.Payload = append([]byte(nil), pkt.Payload...)
+		return true
+	})
+	if errors.Is(err, wire.ErrNoReply) {
+		return nil, fmt.Errorf("%w: %s (%s)", ErrMediatorDown, c.cfg.Name, c.cfg.Addr)
 	}
-	return nil, fmt.Errorf("%w: %s (%s)", ErrMediatorDown, c.cfg.Name, c.cfg.Addr)
+	if err != nil {
+		return nil, mapRemote(err)
+	}
+	return &out, nil
 }
 
 // mapRemote re-sentinels mediator errors that crossed the wire as text,

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"swift/internal/mediator"
+	"swift/internal/transport"
 	"swift/internal/transport/memnet"
 	"swift/internal/wire"
 )
@@ -75,7 +76,6 @@ func newTestTier(t *testing.T, nReplicas int, ttl time.Duration) *testTier {
 				Host: n.MustHost(names[i]+"-to-"+name, memnet.HostConfig{}, seg),
 				Name: name,
 				Addr: name + ":7060",
-				Logf: t.Logf,
 			})
 			if err != nil {
 				t.Fatalf("peer stub %s->%s: %v", names[i], name, err)
@@ -86,7 +86,7 @@ func newTestTier(t *testing.T, nReplicas int, ttl time.Duration) *testTier {
 	}
 	ch := n.MustHost("client", memnet.HostConfig{}, seg)
 	for _, name := range names {
-		c, err := NewClient(ClientConfig{Host: ch, Name: name, Addr: name + ":7060", Logf: t.Logf})
+		c, err := NewClient(ClientConfig{Host: ch, Name: name, Addr: name + ":7060"})
 		if err != nil {
 			t.Fatalf("client stub %s: %v", name, err)
 		}
@@ -323,7 +323,6 @@ func TestClientRetransmitsThroughLoss(t *testing.T) {
 		Name:    "med-a",
 		Addr:    "med-a:7060",
 		Retries: 10,
-		Logf:    t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("client: %v", err)
@@ -370,7 +369,6 @@ func TestOverloadRejectionSurvivesTheWire(t *testing.T) {
 		Host: n.MustHost("client", memnet.HostConfig{}, seg),
 		Name: "med",
 		Addr: "med:7060",
-		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("client: %v", err)
@@ -444,5 +442,58 @@ func TestWireWriterRoundsCrossHomes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLateShedReleasesAdmission pins the server half of the deadline
+// contract: a TMedOpen whose budget has elapsed by the time admission is
+// done is shed — counted, unanswered — and the session it admitted is
+// released rather than left for nobody to renew or close.
+func TestLateShedReleasesAdmission(t *testing.T) {
+	n := memnet.New(1)
+	defer n.Close()
+	seg := n.NewSegment("lab", memnet.SegmentConfig{BandwidthBps: 1e9})
+	med, err := mediator.New(mediator.Config{
+		Agents: []mediator.AgentInfo{{Addr: "agent:7070", Rate: 400e3, Net: 0}},
+		Nets:   []mediator.NetInfo{{Name: "lab", Capacity: 1e9}},
+	})
+	if err != nil {
+		t.Fatalf("mediator: %v", err)
+	}
+	defer med.Close()
+	srv, err := Serve(ServerConfig{Host: n.MustHost("med", memnet.HostConfig{}, seg), Port: "7060", Med: med, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	defer srv.Close()
+	conn, err := n.MustHost("client", memnet.HostConfig{}, seg).Listen("0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	req, err := wire.Marshal(&wire.Packet{
+		Header:   wire.Header{Type: wire.TMedOpen, ReqID: 1},
+		Deadline: time.Nanosecond,
+		Payload:  wire.AppendMedOpenRequest(nil, &wire.MedOpenRequest{Rate: 100e3, Key: "late"}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.WriteTo(req, "med:7060"); err != nil {
+		t.Fatal(err)
+	}
+	for end := time.Now().Add(5 * time.Second); srv.LateSheds() == 0 && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := srv.LateSheds(); got != 1 {
+		t.Fatalf("late sheds = %d, want 1", got)
+	}
+	conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if _, _, err := conn.ReadFrom(make([]byte, wire.MaxPacket)); !transport.IsTimeout(err) {
+		t.Fatalf("a shed request was answered (read err %v)", err)
+	}
+	if got := med.Sessions(); got != 0 {
+		t.Fatalf("mediator holds %d sessions after the shed, want 0", got)
 	}
 }

@@ -10,7 +10,7 @@
 //
 //	offset size field
 //	0      2    magic 0x5357 ("SW")
-//	2      1    version (1 untraced, 2 traced)
+//	2      1    version: 1, +1 with the trace extension, +2 with the deadline extension
 //	3      1    type
 //	4      4    request id
 //	8      8    file handle
@@ -84,6 +84,11 @@ const (
 	// VersionTracedDeadline marks a packet carrying both extensions
 	// (trace first, then deadline).
 	VersionTracedDeadline = 4
+
+	// A version byte is Version plus one flag per extension it carries,
+	// so versions 1–4 are the four combinations.
+	extTrace    = VersionTraced - Version
+	extDeadline = VersionDeadline - Version
 
 	// HeaderSize is the fixed header length in bytes.
 	HeaderSize = 32
@@ -292,15 +297,12 @@ func AppendPacket(dst []byte, p *Packet) ([]byte, error) {
 	if p.Type == TData {
 		limit = JumboPayload
 	}
-	switch {
-	case traced && deadlined:
-		version = VersionTracedDeadline
-		limit -= TraceExtSize + DeadlineExtSize
-	case traced:
-		version = VersionTraced
+	if traced {
+		version += extTrace
 		limit -= TraceExtSize
-	case deadlined:
-		version = VersionDeadline
+	}
+	if deadlined {
+		version += extDeadline
 		limit -= DeadlineExtSize
 	}
 	if len(p.Payload) > limit {
@@ -436,17 +438,16 @@ func Unmarshal(buf []byte, p *Packet) error {
 	if binary.BigEndian.Uint16(buf[0:2]) != Magic {
 		return ErrBadMagic
 	}
-	traceExt, dlExt := 0, 0
-	switch buf[2] {
-	case Version:
-	case VersionTraced:
-		traceExt = TraceExtSize
-	case VersionDeadline:
-		dlExt = DeadlineExtSize
-	case VersionTracedDeadline:
-		traceExt, dlExt = TraceExtSize, DeadlineExtSize
-	default:
+	exts := buf[2] - Version // wraps past the flags for a version byte of 0
+	if exts > extTrace|extDeadline {
 		return ErrBadVersion
+	}
+	traceExt, dlExt := 0, 0
+	if exts&extTrace != 0 {
+		traceExt = TraceExtSize
+	}
+	if exts&extDeadline != 0 {
+		dlExt = DeadlineExtSize
 	}
 	ext := traceExt + dlExt
 	if len(buf) < HeaderSize+ext+TrailerSize {
