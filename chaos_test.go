@@ -46,7 +46,9 @@ func TestChaosSoak(t *testing.T) {
 	)
 	n := memnet.New(1)
 	seg := n.NewSegment("lab", memnet.SegmentConfig{
-		BandwidthBps:  1e10, // fast medium: the soak exercises faults, not timing
+		// Unthrottled: the soak exercises faults, not timing, and a burst
+		// crosses as runs that loss and corruption still hit per datagram.
+		BandwidthBps:  1e15,
 		FrameOverhead: 46,
 		Seed:          3,
 	})
@@ -434,7 +436,7 @@ func chaosDoubleKillK2(t *testing.T) {
 	)
 	n := memnet.New(2)
 	seg := n.NewSegment("rs-lab", memnet.SegmentConfig{
-		BandwidthBps:  1e10,
+		BandwidthBps:  1e15,
 		FrameOverhead: 46,
 		Seed:          7,
 	})
@@ -650,7 +652,7 @@ func chaosMediatorFailover(t *testing.T) {
 	)
 	n := memnet.New(2)
 	seg := n.NewSegment("fed-lab", memnet.SegmentConfig{
-		BandwidthBps:  1e10,
+		BandwidthBps:  1e15,
 		FrameOverhead: 46,
 		Seed:          23,
 	})
@@ -968,7 +970,7 @@ func chaosTraceSpans(t *testing.T) {
 	)
 	n := memnet.New(1)
 	seg := n.NewSegment("trace-lab", memnet.SegmentConfig{
-		BandwidthBps:  1e10,
+		BandwidthBps:  1e15,
 		FrameOverhead: 46,
 		Seed:          31,
 	})
@@ -1305,7 +1307,7 @@ func chaosOverload(t *testing.T) {
 	n := memnet.New(1)
 	defer n.Close()
 	seg := n.NewSegment("overload-lab", memnet.SegmentConfig{
-		BandwidthBps:  1e10,
+		BandwidthBps:  1e15,
 		FrameOverhead: 46,
 		Seed:          21,
 	})
@@ -1569,7 +1571,7 @@ func chaosCacheCoherence(t *testing.T) {
 	)
 	n := memnet.New(2)
 	seg := n.NewSegment("cc-lab", memnet.SegmentConfig{
-		BandwidthBps:  1e10,
+		BandwidthBps:  1e15,
 		FrameOverhead: 46,
 		Seed:          31,
 	})

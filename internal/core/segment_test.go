@@ -9,6 +9,7 @@ import (
 	"swift/internal/agent"
 	"swift/internal/store"
 	"swift/internal/transport"
+	"swift/internal/transport/memnet"
 	"swift/internal/transport/udpnet"
 	"swift/internal/wire"
 )
@@ -185,7 +186,19 @@ func (c *countConn) WriteTo(p []byte, addr string) error {
 	return c.PacketConn.WriteTo(p, addr)
 }
 
+// WriteSegments counts the sends the conn beneath makes: one for the run
+// when it takes runs, one per datagram otherwise.
 func (c *countConn) WriteSegments(b []byte, seg int, addr string) error {
+	if _, ok := c.PacketConn.(transport.SegmentWriter); !ok {
+		for len(b) > 0 {
+			var dgram []byte
+			dgram, b = transport.NextSegment(b, seg)
+			if err := c.WriteTo(dgram, addr); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	c.tally.note(b, seg, addr)
 	return transport.WriteSegments(c.PacketConn, b, seg, addr)
 }
@@ -230,16 +243,30 @@ func (t *sendTally) check(tb testing.TB, who string) int {
 	return total
 }
 
-// TestSegmentedBurstOverUDP writes and reads 256 KiB striped over three
-// agents on UDP loopback: the bytes come back exact, and each side's data
-// leaves in runs, at most one send per seven datagrams.
-func TestSegmentedBurstOverUDP(t *testing.T) {
+// TestSegmentedBurst writes and reads 256 KiB striped over three agents,
+// on UDP loopback and on unthrottled memnet with a jumbo MTU: the bytes
+// come back exact, and each side's data leaves in runs, at most one
+// transport send per seven datagrams.
+func TestSegmentedBurst(t *testing.T) {
+	t.Run("udpnet", func(t *testing.T) {
+		segmentedBurst(t, func(string) transport.Host { return udpnet.NewHost("127.0.0.1") })
+	})
+	t.Run("memnet", func(t *testing.T) {
+		n := memnet.New(1)
+		t.Cleanup(n.Close)
+		seg := n.NewSegment("bus", memnet.SegmentConfig{BandwidthBps: 1e15, MTU: jumboMTU})
+		segmentedBurst(t, func(name string) transport.Host { return n.MustHost(name, memnet.HostConfig{}, seg) })
+	})
+}
+
+// segmentedBurst runs TestSegmentedBurst on the hosts newHost makes.
+func segmentedBurst(t *testing.T, newHost func(name string) transport.Host) {
 	const unit, size = 64 << 10, 256 << 10
 	var addrs []string
 	var agentTallies []*sendTally
 	for i := 0; i < 3; i++ {
 		tally := newSendTally()
-		a, err := agent.New(countHost{Host: udpnet.NewHost("127.0.0.1"), tally: tally}, store.NewMem(), agent.Config{Port: "0"})
+		a, err := agent.New(countHost{Host: newHost(agentName(i)), tally: tally}, store.NewMem(), agent.Config{Port: "0"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +275,7 @@ func TestSegmentedBurstOverUDP(t *testing.T) {
 		agentTallies = append(agentTallies, tally)
 	}
 	clientTally := newSendTally()
-	cl, err := Dial(Config{Host: countHost{Host: udpnet.NewHost("127.0.0.1"), tally: clientTally}, Agents: addrs, Unit: unit})
+	cl, err := Dial(Config{Host: countHost{Host: newHost("client"), tally: clientTally}, Agents: addrs, Unit: unit})
 	if err != nil {
 		t.Fatal(err)
 	}

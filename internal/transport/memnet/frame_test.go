@@ -5,12 +5,16 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"swift/internal/transport"
 )
 
 // TestDatagramAllocs pins the transport rung: once a conn pair has
 // exchanged a few datagrams, a WriteTo+ReadFrom pair allocates nothing —
 // not the frame (pooled), not the source address (fixed at Listen), not a
-// deadline timer (parked on the conn between blocking reads).
+// deadline timer (kept on the conn between blocking reads) — and neither
+// does a WriteSegments+ReadSegments pair moving a run of seven jumbo
+// datagrams as one frame.
 func TestDatagramAllocs(t *testing.T) {
 	n := New(1)
 	defer n.Close()
@@ -35,6 +39,27 @@ func TestDatagramAllocs(t *testing.T) {
 		t.Fatalf("%v allocations per WriteTo+ReadFrom pair, want <= 1 (target 0)", allocs)
 	} else if allocs > 0 {
 		t.Logf("%v allocations per WriteTo+ReadFrom pair (target 0)", allocs)
+	}
+
+	jseg := n.NewSegment("jumbo", SegmentConfig{BandwidthBps: 1e15, MTU: 9000})
+	rsrc, _ := n.MustHost("c", HostConfig{}, jseg).Listen("1")
+	rdst, _ := n.MustHost("d", HostConfig{}, jseg).Listen("2")
+	run := make([]byte, 7*jumbo)
+	rin := make([]byte, transport.RunBytes)
+	runPair := func() {
+		if err := transport.WriteSegments(rsrc, run, jumbo, "d:2"); err != nil {
+			t.Fatal(err)
+		}
+		rdst.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, seg, from, err := transport.ReadSegments(rdst, rin); err != nil || n != len(run) || seg != jumbo || from != "c:1" {
+			t.Fatalf("read %d bytes of %d-byte datagrams from %q: %v", n, seg, from, err)
+		}
+	}
+	allocs := testing.AllocsPerRun(500, runPair)
+	if raceEnabled && allocs > 1 {
+		t.Fatalf("%v allocations per WriteSegments+ReadSegments pair under the race detector, want <= 1", allocs)
+	} else if !raceEnabled && allocs > 0 {
+		t.Fatalf("%v allocations per WriteSegments+ReadSegments pair, want 0", allocs)
 	}
 }
 

@@ -14,7 +14,11 @@
 // clock holds while the host is late to run a model goroutine (see clock).
 //
 // The same protocol code that runs over real UDP runs over memnet
-// unchanged; only capacities and costs differ.
+// unchanged; only capacities and costs differ. Like udpnet, a conn sends
+// and receives runs of datagrams (transport.SegmentWriter and
+// SegmentReader). Every datagram of a run is still modeled, faulted and
+// counted as a WriteTo of it would be; a run crosses as one frame only
+// where the model charges it no time (see Host.sendRun).
 package memnet
 
 import (
@@ -33,26 +37,40 @@ type Net struct {
 	mu    sync.Mutex
 	hosts map[string]*Host
 
-	// frames recycles datagram buffers: WriteTo copies the caller's
-	// bytes into one, ReadFrom copies them out and hands it back.
+	// frames recycles datagram buffers: a send copies the caller's
+	// bytes into one, a read copies them out and hands it back.
 	frames sync.Pool
 }
 
-// frame is one datagram in flight. The pool holds *frame rather than
-// []byte so that returning one does not itself allocate.
-type frame struct{ b []byte }
+// frame is a run of datagrams in flight: b holds them end to end, every
+// one seg bytes except the last, which may be shorter. A lone datagram is
+// a run of one. The pool holds *frame rather than []byte so that
+// returning one does not itself allocate.
+type frame struct {
+	b   []byte
+	seg int
+}
 
-// acquireFrame returns a frame holding a copy of p. Exactly one holder
-// owns it from here on — the queue it sits in, then the ReadFrom that
-// dequeues it — until releaseFrame.
+// datagrams is how many datagrams the frame carries.
+func (f *frame) datagrams() int64 {
+	if len(f.b) <= f.seg {
+		return 1
+	}
+	return int64((len(f.b) + f.seg - 1) / f.seg)
+}
+
+// acquireFrame returns a frame holding a copy of the run p of seg-byte
+// datagrams. Exactly one holder owns it from here on — the queue it sits
+// in, then the conn that dequeues it — until releaseFrame.
 //
 //swift:pool acquire
-func (n *Net) acquireFrame(p []byte) *frame {
+func (n *Net) acquireFrame(p []byte, seg int) *frame {
 	f, _ := n.frames.Get().(*frame)
 	if f == nil {
 		f = new(frame) //lint:allow hotalloc the pool is empty only until the first frames have been read and returned
 	}
-	f.b = append(f.b[:0], p...) //lint:allow hotalloc grows only until the frame has carried a datagram this large
+	f.b = append(f.b[:0], p...) //lint:allow hotalloc grows only until the frame has carried a run this large
+	f.seg = min(seg, len(p))
 	return f
 }
 
@@ -262,6 +280,51 @@ func (s *Segment) frameTime(n int) time.Duration {
 	return time.Duration(bits / s.cfg.BandwidthBps * float64(time.Second))
 }
 
+// fate is what the segment does to one datagram: loses it, or delivers
+// it with the byte at flipped by mask (mask 0: intact).
+type fate struct {
+	lost bool
+	at   int
+	mask byte
+}
+
+// carryLocked counts one n-byte datagram from host src to host dst and
+// draws its fate. Every datagram, sent alone or in a run, takes the same
+// draws in the same order, so a seeded segment hits the same datagrams
+// whichever call sent them.
+func (s *Segment) carryLocked(src, dst string, n int) fate {
+	s.frames++
+	s.bytes += int64(n)
+	lost := s.lossRate > 0 && s.rng.Float64() < s.lossRate
+	if !lost && s.isolated != nil && (s.isolated[src] || s.isolated[dst]) {
+		lost = true // partitioned: the frame never reaches the far side
+	}
+	if !lost && s.linkLoss != nil {
+		//lint:allow hotalloc the per-link key is built only while a link fault is injected
+		if lp, ok := s.linkLoss[src+">"+dst]; ok && s.rng.Float64() < lp {
+			lost = true
+		}
+	}
+	if lost {
+		s.lost++
+		return fate{lost: true}
+	}
+	var f fate
+	if s.corruptRate > 0 && n > 0 && s.rng.Float64() < s.corruptRate {
+		f.at = s.rng.Intn(n)
+		f.mask = byte(1 + s.rng.Intn(255)) // never a no-op flip
+		s.corrupted++
+	}
+	return f
+}
+
+// corrupt applies f to the datagram d.
+func (f fate) corrupt(d []byte) {
+	if f.mask != 0 {
+		d[f.at] ^= f.mask
+	}
+}
+
 // Stats reports the segment's cumulative traffic counters.
 type Stats struct {
 	Frames       int64
@@ -462,12 +525,27 @@ func (h *Host) receiveLoop() {
 		select {
 		case c.queue <- pkt:
 		default:
-			h.net.releaseFrame(pkt.frame)
-			h.mu.Lock()
-			h.drops++
-			h.mu.Unlock()
+			h.drop(pkt.frame)
 		}
 	}
+}
+
+// drop discards a frame a full queue refused, counting each of its
+// datagrams: a run takes one queue slot, as a coalesced skb does in a
+// kernel, and is lost whole.
+func (h *Host) drop(f *frame) {
+	n := f.datagrams()
+	h.net.releaseFrame(f)
+	h.mu.Lock()
+	h.drops += n
+	h.mu.Unlock()
+}
+
+// isClosed reports whether Close has been called.
+func (h *Host) isClosed() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.closed
 }
 
 // next takes the next frame off the ingress queue, waiting for one, and
@@ -645,47 +723,20 @@ func (h *Host) send(p []byte, dstHost *Host, dstPort, from string) error {
 	txEnd := busStart + ft
 	seg.busyUntil = txEnd
 	seg.busyAccum += ft
-	seg.frames++
-	seg.bytes += int64(len(p))
-	lost := seg.lossRate > 0 && seg.rng.Float64() < seg.lossRate
-	if !lost && seg.isolated != nil && (seg.isolated[h.name] || seg.isolated[dstHost.name]) {
-		lost = true // partitioned: the frame never reaches the far side
-	}
-	if !lost && seg.linkLoss != nil {
-		//lint:allow hotalloc the per-link key is built only while a link fault is injected
-		if lp, ok := seg.linkLoss[h.name+">"+dstHost.name]; ok && seg.rng.Float64() < lp {
-			lost = true
-		}
-	}
-	if lost {
-		seg.lost++
-	}
-	corruptAt := -1
-	var corruptMask byte
-	if !lost && seg.corruptRate > 0 && len(p) > 0 && seg.rng.Float64() < seg.corruptRate {
-		corruptAt = seg.rng.Intn(len(p))
-		corruptMask = byte(1 + seg.rng.Intn(255)) // never a no-op flip
-		seg.corrupted++
-	}
+	hit := seg.carryLocked(h.name, dstHost.name, len(p))
 	extraLat := seg.extraLatency
-	reordered := !lost && seg.cfg.ReorderRate > 0 && seg.rng.Float64() < seg.cfg.ReorderRate
+	reordered := !hit.lost && seg.cfg.ReorderRate > 0 && seg.rng.Float64() < seg.cfg.ReorderRate
 	seg.mu.Unlock()
 
 	h.net.sleepUntil(txEnd)
-	if lost {
+	if hit.lost {
 		return nil // dropped on the wire; sender cannot tell
 	}
-
-	dstHost.mu.Lock()
-	dstClosed := dstHost.closed
-	dstHost.mu.Unlock()
-	if dstClosed {
+	if dstHost.isClosed() {
 		return nil // like sending to a powered-off machine
 	}
-	f := h.net.acquireFrame(p)
-	if corruptAt >= 0 {
-		f.b[corruptAt] ^= corruptMask
-	}
+	f := h.net.acquireFrame(p, len(p))
+	hit.corrupt(f.b)
 	pkt := inPacket{
 		from:    from,
 		port:    dstPort,
@@ -719,11 +770,105 @@ func deliver(dst *Host, pkt inPacket) {
 	select {
 	case dst.ingress <- pkt:
 	default:
-		dst.net.releaseFrame(pkt.frame)
-		dst.mu.Lock()
-		dst.drops++
-		dst.mu.Unlock()
+		dst.drop(pkt.frame)
 	}
+}
+
+// sendRun sends the run b of seg-byte datagrams, the last possibly
+// shorter. Where the model charges the run no time — no send cost at h,
+// no receive cost at dst, no transmission time on the segment, no
+// latency and no reordering — it crosses as frames: one clock read, one
+// pass under each lock and one hand-off to each queue for the run, not
+// for each datagram. Elsewhere every datagram goes through send, exactly
+// as a WriteTo of it would, so modeled segments keep their per-datagram
+// timeline.
+func (h *Host) sendRun(b []byte, seg int, dst *Host, dstPort, from string) error {
+	s := h.route(dst)
+	if s == nil {
+		return transport.ErrNoRoute
+	}
+	if seg > s.cfg.MTU {
+		return transport.ErrTooLarge
+	}
+	free := h.cfg.SendCPU == 0 && h.cfg.SendPerByte == 0 && dst.cfg.RecvCPU == 0 && dst.cfg.RecvPerByte == 0 &&
+		s.frameTime(len(b)) == 0 && s.cfg.Latency == 0 && s.cfg.ReorderRate == 0
+	if free && h.moveRun(b, seg, s, dst, dstPort, from) {
+		return nil
+	}
+	for len(b) > 0 {
+		var dgram []byte
+		dgram, b = transport.NextSegment(b, seg)
+		if err := h.send(dgram, dst, dstPort, from); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// moveRun is sendRun's path for a run the model charges no time. Each
+// datagram is counted and takes its fate as send would give it, a
+// corrupted one with its byte flipped inside the frame; the survivors
+// travel as frames cut at each lost datagram. It reports false, having
+// sent nothing, when the segment carries an extra latency.
+func (h *Host) moveRun(b []byte, seg int, s *Segment, dst *Host, dstPort, from string) bool {
+	if h.Paused() {
+		return true // a stopped machine transmits nothing
+	}
+	f := h.net.acquireFrame(b, seg)
+	var lost uint64 // bit i: datagram i was lost (a run holds at most MaxSegments)
+	s.mu.Lock()
+	if s.extraLatency != 0 {
+		s.mu.Unlock()
+		h.net.releaseFrame(f)
+		return false
+	}
+	now := h.net.Now()
+	at := now
+	if at < s.busyUntil {
+		s.deferrals++ // the first datagram defers; the rest follow it
+		s.deferredTime += s.busyUntil - at
+		at = s.busyUntil
+	}
+	s.busyUntil = at
+	for i, rest := 0, f.b; len(rest) > 0; i++ {
+		var dgram []byte
+		dgram, rest = transport.NextSegment(rest, seg)
+		hit := s.carryLocked(h.name, dst.name, len(dgram))
+		if hit.lost {
+			lost |= 1 << i
+		}
+		hit.corrupt(dgram)
+	}
+	s.mu.Unlock()
+
+	if at > now {
+		h.net.sleepUntil(at)
+	}
+	if dst.isClosed() {
+		h.net.releaseFrame(f) // like sending to a powered-off machine
+		return true
+	}
+	pkt := inPacket{from: from, port: dstPort, arrival: at}
+	if lost == 0 {
+		pkt.frame = f // the queued packet owns the frame from here
+		deliver(dst, pkt)
+		return true
+	}
+	n := (len(b) + seg - 1) / seg
+	first := 0 // the first datagram of the frame being gathered
+	for i := 0; i <= n; i++ {
+		if i < n && lost&(1<<i) == 0 {
+			continue
+		}
+		if i > first {
+			part := pkt
+			part.frame = h.net.acquireFrame(f.b[first*seg:min(i*seg, len(f.b))], seg)
+			deliver(dst, part)
+		}
+		first = i + 1
+	}
+	h.net.releaseFrame(f)
+	return true
 }
 
 // conn is a memnet datagram endpoint.
@@ -737,21 +882,29 @@ type conn struct {
 	deadline time.Time
 	closed   bool
 	done     chan struct{}
-	// waiting counts readers parked in ReadFrom on a holding clock; hold
-	// is the hold a delivery to them placed.
+	// waiting counts readers parked in a read on a holding clock; hold is
+	// the hold a delivery to them placed.
 	waiting int
 	hold    handoff
-	// timer is the read-deadline timer parked between blocking reads. A
-	// reader takes it (leaving nil) and puts it back stopped and drained,
-	// so concurrent readers never share one.
-	timer *time.Timer
+
+	// rmu serializes readers, as udpnet's does. A read that hands a run
+	// out one datagram at a time keeps the frame in held, off bytes of it
+	// handed out, until its last datagram is read or the conn closes.
+	rmu  sync.Mutex
+	held inPacket // guarded by rmu
+	off  int      // guarded by rmu
+	// timer is the read-deadline timer, kept stopped and drained between
+	// blocking reads.
+	timer *time.Timer // guarded by rmu
 }
 
 func (c *conn) LocalAddr() string { return c.addr }
 
 // Medium reports the smallest MTU among the host's segments — whichever
 // one a destination routes over carries at least that — and the port
-// queue's capacity in datagrams of that size.
+// queue's capacity in datagrams of that size. A run takes one queue slot,
+// so the queue can hold more than that; the figure is the conservative
+// one, what it holds when every sender goes datagram by datagram.
 func (c *conn) Medium() transport.Medium {
 	mtu := c.host.segs[0].cfg.MTU
 	for _, s := range c.host.segs[1:] {
@@ -760,53 +913,129 @@ func (c *conn) Medium() transport.Medium {
 	return transport.Medium{MaxDatagram: mtu, RecvBuffer: cap(c.queue) * mtu}
 }
 
-// WriteTo copies p into a pooled frame and queues it for the destination;
-// the caller may reuse p as soon as it returns.
-//
-//swift:hotpath
-func (c *conn) WriteTo(p []byte, addr string) error {
+// dest resolves a send's destination address to its host and port.
+func (c *conn) dest(addr string) (*Host, string, error) {
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
 	if closed {
-		return transport.ErrClosed
+		return nil, "", transport.ErrClosed
 	}
 	dhost, dport, ok := transport.SplitAddr(addr)
 	if !ok {
-		return fmt.Errorf("memnet: bad address %q", addr) //lint:allow hotalloc malformed destination addresses are the cold path
+		return nil, "", fmt.Errorf("memnet: bad address %q", addr) //lint:allow hotalloc malformed destination addresses are the cold path
 	}
 	c.host.net.mu.Lock()
 	dst := c.host.net.hosts[dhost]
 	c.host.net.mu.Unlock()
 	if dst == nil {
-		return transport.ErrNoRoute
+		return nil, "", transport.ErrNoRoute
+	}
+	return dst, dport, nil
+}
+
+// WriteTo copies p into a pooled frame and queues it for the destination;
+// the caller may reuse p as soon as it returns.
+//
+//swift:hotpath
+func (c *conn) WriteTo(p []byte, addr string) error {
+	dst, dport, err := c.dest(addr)
+	if err != nil {
+		return err
 	}
 	return c.host.send(p, dst, dport, c.addr)
 }
 
-// receive copies a dequeued frame into the caller's buffer and hands the
-// frame back to the pool before returning.
-func (c *conn) receive(p []byte, pkt inPacket) (int, string, error) {
-	n := copy(p, pkt.frame.b)
-	c.host.net.releaseFrame(pkt.frame)
-	return n, pkt.from, nil
+// WriteSegments sends b to addr as datagrams of seg bytes, the last
+// possibly shorter, in runs of at most transport.MaxRun bytes and
+// transport.MaxSegments datagrams, as udpnet's sends are cut. See
+// Host.sendRun for when a run crosses as one frame.
+//
+//swift:hotpath
+func (c *conn) WriteSegments(b []byte, seg int, addr string) error {
+	if seg <= 0 || seg >= len(b) {
+		return c.WriteTo(b, addr)
+	}
+	dst, dport, err := c.dest(addr)
+	if err != nil {
+		return err
+	}
+	whole := max(min(transport.MaxRun/seg, transport.MaxSegments), 1) * seg
+	for len(b) > 0 {
+		run := b[:min(whole, len(b))]
+		if err := c.host.sendRun(run, seg, dst, dport, c.addr); err != nil {
+			return err
+		}
+		b = b[len(run):]
+	}
+	return nil
 }
 
+// ReadFrom receives one datagram: the next of a run a read has begun to
+// hand out, else the first of the next queued frame, with the run's
+// source.
+//
 //swift:hotpath
 func (c *conn) ReadFrom(p []byte) (int, string, error) {
+	n, _, from, err := c.read(p, false)
+	return n, from, err
+}
+
+// ReadSegments receives, when p holds transport.RunBytes, what is left of
+// a run a read has begun to hand out, else the next queued frame whole. A
+// shorter p receives one datagram, as ReadFrom does.
+//
+//swift:hotpath
+func (c *conn) ReadSegments(p []byte) (int, int, string, error) {
+	return c.read(p, len(p) >= transport.RunBytes)
+}
+
+// read copies into p from the held frame, first taking the next frame off
+// the queue when none is held: the rest of it when whole, else its next
+// datagram, as a run of one. The frame goes back to the pool once all of
+// it has been read.
+//
+//swift:hotpath
+func (c *conn) read(p []byte, whole bool) (n, seg int, from string, err error) {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if c.held.frame == nil {
+		if c.held, err = c.nextLocked(); err != nil {
+			return 0, 0, "", err
+		}
+		c.off = 0
+	}
+	f := c.held.frame
+	seg, from = f.seg, c.held.from
+	end := len(f.b)
+	if !whole {
+		end = min(c.off+seg, end)
+	}
+	n = copy(p, f.b[c.off:end])
+	if !whole {
+		seg = n
+	}
+	if c.off = end; end == len(f.b) {
+		c.held = inPacket{}
+		c.host.net.releaseFrame(f)
+	}
+	return n, seg, from, nil
+}
+
+// nextLocked takes the next frame off the queue, waiting for one until
+// the read deadline. A queued frame is served without touching the clock
+// or the timer — also when the deadline has passed, like the socket API.
+func (c *conn) nextLocked() (inPacket, error) {
 	c.mu.Lock()
 	deadline := c.deadline
 	closed := c.closed
 	c.mu.Unlock()
 	if closed {
-		return 0, "", transport.ErrClosed
+		return inPacket{}, transport.ErrClosed
 	}
-
-	// A queued frame is served without touching the clock or a timer —
-	// also when the deadline has passed, like the socket API.
 	select {
 	case pkt := <-c.queue:
-		return c.receive(p, pkt)
+		return pkt, nil
 	default:
 	}
 
@@ -815,11 +1044,16 @@ func (c *conn) ReadFrom(p []byte) (int, string, error) {
 		//lint:allow clockcheck SetReadDeadline takes a wall-clock time.Time by the transport.PacketConn contract
 		d := time.Until(deadline)
 		if d <= 0 {
-			return 0, "", transport.ErrTimeout
+			return inPacket{}, transport.ErrTimeout
 		}
-		t := c.takeTimer(d)
-		defer c.parkTimer(t)
-		timeout = t.C
+		if c.timer == nil {
+			//lint:allow clockcheck the read-deadline timer measures real waiting, mirroring the socket API
+			c.timer = time.NewTimer(d)
+		} else {
+			c.timer.Reset(d)
+		}
+		defer stopTimer(c.timer)
+		timeout = c.timer.C
 	}
 
 	if c.host.net.holding {
@@ -830,11 +1064,23 @@ func (c *conn) ReadFrom(p []byte) (int, string, error) {
 	}
 	select {
 	case pkt := <-c.queue:
-		return c.receive(p, pkt)
+		return pkt, nil
 	case <-timeout:
-		return 0, "", transport.ErrTimeout
+		return inPacket{}, transport.ErrTimeout
 	case <-c.done:
-		return 0, "", transport.ErrClosed
+		return inPacket{}, transport.ErrClosed
+	}
+}
+
+// stopTimer stops t and leaves its channel empty (go.mod says go 1.22: a
+// stopped timer can still hold its tick), ready for the next blocking
+// read.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
 	}
 }
 
@@ -860,38 +1106,6 @@ func (c *conn) woke() {
 	c.mu.Unlock()
 }
 
-// takeTimer returns a timer that fires after d: the parked one when this
-// reader is the only one blocked on the conn, a new one otherwise.
-func (c *conn) takeTimer(d time.Duration) *time.Timer {
-	c.mu.Lock()
-	t := c.timer
-	c.timer = nil
-	c.mu.Unlock()
-	if t == nil {
-		//lint:allow clockcheck the read-deadline timer measures real waiting, mirroring the socket API
-		return time.NewTimer(d)
-	}
-	t.Reset(d)
-	return t
-}
-
-// parkTimer stops t and leaves its channel empty (go.mod says go 1.22:
-// a stopped timer can still hold its tick), then parks it for the next
-// blocking read.
-func (c *conn) parkTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	c.mu.Lock()
-	if c.timer == nil {
-		c.timer = t
-	}
-	c.mu.Unlock()
-}
-
 func (c *conn) SetReadDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.deadline = t
@@ -909,12 +1123,19 @@ func (c *conn) Close() error {
 	return nil
 }
 
-// markClosed marks the conn closed and wakes blocked readers.
+// markClosed marks the conn closed and wakes blocked readers, then hands
+// back the frame a read had begun to hand out.
 func (c *conn) markClosed() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.closed {
 		c.closed = true
 		close(c.done)
+	}
+	c.mu.Unlock()
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if f := c.held.frame; f != nil {
+		c.held = inPacket{}
+		c.host.net.releaseFrame(f)
 	}
 }

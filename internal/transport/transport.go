@@ -100,9 +100,10 @@ func embeddedConn(c PacketConn) PacketConn {
 // A run is consecutive datagrams to or from one peer, laid end to end in
 // one buffer: every datagram seg bytes long except the last, which may be
 // shorter. A conn that can move a run in one call — udpnet, through UDP
-// segmentation offload and receive coalescing — implements SegmentWriter
-// and SegmentReader; WriteSegments and ReadSegments use those methods when
-// the conn has them and otherwise go datagram by datagram. Either way the
+// segmentation offload and receive coalescing, and memnet, as one frame
+// where its model charges the run no time — implements SegmentWriter and
+// SegmentReader; WriteSegments and ReadSegments use those methods when the
+// conn has them and otherwise go datagram by datagram. Either way the
 // datagrams on the wire are the ones a WriteTo per datagram would send.
 const (
 	// MaxRun is the most bytes one segment call carries: the largest UDP
