@@ -22,20 +22,25 @@ vet:
 	$(GO) run ./cmd/swiftvet -time ./...
 
 # size = the ratchet on ROADMAP item 6's targets (internal/core <= 3.8k
-# non-test Go lines, core/file.go < 600): it prints both counts and fails
-# when either exceeds its ceiling. A PR that shrinks them lowers the
-# ceilings to its result; none raises them. It also prints the repo-wide
-# non-test Go line count (item 6's "down by >= 2k lines"), ungated.
-CORE_LINES_MAX := 4934
+# non-test Go lines, core/file.go < 600, and internal/agent's size): it
+# prints the counts and fails when one exceeds its ceiling. A PR that
+# shrinks them lowers the ceilings to its result; none raises them. It
+# also prints the repo-wide non-test Go line count (item 6's "down by
+# >= 2k lines"), ungated.
+CORE_LINES_MAX := 4814
 CORE_FILE_LINES_MAX := 954
+AGENT_LINES_MAX := 1245
 size:
 	@core=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l); \
 	file=$$(cat internal/core/file.go | wc -l); \
+	agent=$$(cat $$(ls internal/agent/*.go | grep -v _test.go) | wc -l); \
 	repo=$$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "internal/core non-test Go lines: $$core (ceiling $(CORE_LINES_MAX))"; \
 	echo "internal/core/file.go lines: $$file (ceiling $(CORE_FILE_LINES_MAX))"; \
+	echo "internal/agent non-test Go lines: $$agent (ceiling $(AGENT_LINES_MAX))"; \
 	echo "repo-wide non-test Go lines: $$repo (reported, not gated)"; \
-	[ "$$core" -le $(CORE_LINES_MAX) ] && [ "$$file" -le $(CORE_FILE_LINES_MAX) ]
+	[ "$$core" -le $(CORE_LINES_MAX) ] && [ "$$file" -le $(CORE_FILE_LINES_MAX) ] && \
+		[ "$$agent" -le $(AGENT_LINES_MAX) ]
 
 # lint = the full static gate run by CI's lint job: swiftvet, gofmt
 # cleanliness, the size ratchet, and (when the tool is on PATH, e.g.
@@ -62,8 +67,8 @@ race:
 # exporter goldens, and the instrumentation hooks in every layer.
 obs-test:
 	$(GO) test -race ./internal/obs/ ./internal/mediator/ ./internal/transport/...
-	$(GO) test -race ./internal/core/ -run 'Stats|Telemetry|HealthTransitionsObserved|SharedRegistry'
-	$(GO) test -race ./internal/agent/ -run 'Telemetry|RejectCounted'
+	$(GO) test -race ./internal/core/ -run 'Stats|Telemetry|HealthTransitionsObserved|SharedRegistry|EventTable|LoggedEvent'
+	$(GO) test -race ./internal/agent/ -run 'Telemetry|RejectCounted|EventTable|LoggedEvent'
 
 # End-to-end observability smoke: live /metrics, /trace and pprof on
 # swift-load and swiftd while traffic flows.

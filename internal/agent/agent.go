@@ -180,13 +180,9 @@ func New(host transport.Host, st store.Store, cfg Config) (*Agent, error) {
 		cfg:      cfg,
 		ctl:      ctl,
 		sessions: make(map[uint64]*session),
-		tel:      newAgentTelemetry(cfg.Obs),
+		tel:      newAgentTelemetry(&cfg),
 	}
 	a.readDelay.Store(int64(cfg.ReadDelay))
-	if cfg.Verbose {
-		logf := a.cfg.Logf
-		a.tel.trace.SetSink(func(e obs.Event) { logf("trace: %s", e.String()) })
-	}
 	a.wg.Add(1)
 	go a.controlLoop()
 	return a, nil
@@ -213,6 +209,7 @@ func (a *Agent) Close() error {
 		s.conn.Close()
 	}
 	a.wg.Wait()
+	a.tel.Close()
 	return nil
 }
 
@@ -249,8 +246,7 @@ func (a *Agent) joinSpan(ctx obs.SpanContext, name string) *obs.Span {
 // at rest and refused to serve them.
 func (a *Agent) sendError(c transport.PacketConn, to string, req *wire.Packet, err error) {
 	if integrity.IsCorrupt(err) {
-		a.tel.corruptErrs.Inc()
-		a.traceEvent("corrupt", "req %d: %v", req.ReqID, err) //lint:allow hotalloc error replies are the cold path
+		a.tel.Note(evCorrupt, -1, nil, "req %d: %v", req.ReqID, err) //lint:allow hotalloc error replies are the cold path
 	}
 	a.send(c, to, &wire.Packet{ //lint:allow hotalloc error replies are the cold path
 		Header:  wire.Header{Type: wire.TError, ReqID: req.ReqID, Handle: req.Handle},
@@ -283,18 +279,13 @@ func (a *Agent) releaseRead() { a.inflightReads.Add(-1) }
 // and must not count the refusal against the agent's health lifecycle.
 func (a *Agent) shed(c transport.PacketConn, to string, req *wire.Packet, sp *obs.Span, reason wire.PushbackReason) {
 	info := wire.PushbackInfo{Reason: reason}
-	switch reason {
-	case wire.PushDeadlineExpired:
-		a.tel.shedDeadline.Inc()
-	default:
+	k := evShedDeadline
+	if reason != wire.PushDeadlineExpired {
 		info.RetryAfter = a.cfg.PushbackRetryAfter
-		a.tel.shedQueue.Inc()
+		k = evShedQueue
 	}
-	a.tel.pushbacks.Inc()
-	sp.Annotate("shed: %s", reason) //lint:allow hotalloc pushback is the overload path, already shedding work
-	sp.MarkFault()
-	a.traceEvent("shed", "req %d: %s", req.ReqID, reason) //lint:allow hotalloc pushback is the overload path, already shedding work
-	a.send(c, to, &wire.Packet{                           //lint:allow hotalloc pushback is the overload path, already shedding work
+	a.tel.Note(k, -1, sp, "req %d: %s", req.ReqID, reason) //lint:allow hotalloc pushback is the overload path, already shedding work
+	a.send(c, to, &wire.Packet{                            //lint:allow hotalloc pushback is the overload path, already shedding work
 		Header:  wire.Header{Type: wire.TPushback, ReqID: req.ReqID, Handle: req.Handle},
 		Payload: wire.AppendPushback(nil, &info),
 	})
@@ -318,8 +309,7 @@ func (a *Agent) controlLoop() {
 			return // closed
 		}
 		if err := wire.Unmarshal(buf[:n], &pkt); err != nil {
-			a.tel.badPackets.Inc()
-			a.cfg.Logf("agent %s: bad packet from %s: %v", a.host.Name(), from, err)
+			a.tel.Note(evBadPacket, -1, nil, "%s: from %s: %v", a.host.Name(), from, err)
 			continue
 		}
 		switch pkt.Type {
@@ -342,19 +332,19 @@ func (a *Agent) controlLoop() {
 func (a *Agent) handleOpen(pkt *wire.Packet, from string) {
 	sp := a.joinSpan(pkt.Trace, "agent_open")
 	defer sp.Finish()
+	var req wire.OpenRequest
 	fail := func(err error) {
 		sp.SetError(err)
+		a.tel.Note(evOpenReject, -1, sp, "%s: %v", req.Name, err)
 		a.sendError(a.ctl, from, pkt, err)
 	}
 	req, err := wire.ParseOpenRequest(pkt.Payload)
 	if err != nil {
-		a.tel.openRejects.Inc()
 		fail(err)
 		return
 	}
 	obj, err := a.st.Open(req.Name, pkt.Flags&wire.FCreate != 0)
 	if err != nil {
-		a.tel.openRejects.Inc()
 		fail(err)
 		return
 	}
@@ -375,8 +365,6 @@ func (a *Agent) handleOpen(pkt *wire.Packet, from string) {
 	if len(a.sessions) >= a.cfg.MaxSessions {
 		a.mu.Unlock()
 		obj.Close()
-		a.tel.openRejects.Inc()
-		a.traceEvent("open_reject", "%s: too many open files (%d)", req.Name, a.cfg.MaxSessions)
 		fail(fmt.Errorf("too many open files (%d)", a.cfg.MaxSessions))
 		return
 	}
@@ -412,10 +400,8 @@ func (a *Agent) handleOpen(pkt *wire.Packet, from string) {
 	a.sessions[h] = s
 	live := len(a.sessions)
 	a.mu.Unlock()
-	a.tel.opens.Inc()
 	a.tel.sessions.Set(int64(live))
-	a.traceEvent("open", "%s: session %d opened, %d-byte packets (%d live)", req.Name, h, packet, live)
-	sp.Annotate("%s: session %d, %d-byte packets (%d live)", req.Name, h, packet, live)
+	a.tel.Note(evOpen, -1, sp, "%s: session %d opened, %d-byte packets (%d live)", req.Name, h, packet, live)
 	a.wg.Add(1)
 	go s.run()
 
@@ -689,8 +675,7 @@ func (s *session) run() {
 				var dgram []byte
 				dgram, run = transport.NextSegment(run, seg)
 				if uerr := wire.Unmarshal(dgram, &pkt); uerr != nil {
-					s.agent.tel.badPackets.Inc()
-					cfg.Logf("agent %s session %d: bad packet: %v", s.agent.host.Name(), s.handle, uerr)
+					s.agent.tel.Note(evBadPacket, -1, nil, "%s: session %d: %v", s.agent.host.Name(), s.handle, uerr)
 					continue
 				}
 				if s.dispatch(&pkt, from, now) {
@@ -701,8 +686,7 @@ func (s *session) run() {
 		case transport.IsTimeout(err):
 			if now.Sub(s.lastSeen) > cfg.SessionIdle || s.agent.isClosed() {
 				if !s.agent.isClosed() {
-					s.agent.tel.idleReaps.Inc()
-					s.agent.traceEvent("idle_reap", "session %d idle for %v, reaped", s.handle, now.Sub(s.lastSeen))
+					s.agent.tel.Note(evIdleReap, -1, nil, "session %d idle for %v, reaped", s.handle, now.Sub(s.lastSeen))
 				}
 				s.agent.dropSession(s)
 				return
@@ -773,7 +757,7 @@ func (s *session) reply(from string, t wire.Type, reqID uint32) {
 //swift:hotpath
 func (s *session) serveRead(pkt *wire.Packet, from string) {
 	tel := s.agent.tel
-	tel.readReqs.Inc()
+	tel.Count(evReadRequest, -1)
 	sp := s.agent.joinSpan(pkt.Trace, "agent_read_serve")
 	defer sp.Finish()
 	sp.Annotate("[%d:%d)", pkt.Offset, pkt.Offset+int64(pkt.Length)) //lint:allow hotalloc one span note per burst, not per packet
@@ -873,7 +857,7 @@ func (s *session) serveRead(pkt *wire.Packet, from string) {
 				}
 				dp.Payload = c.data[sent : sent+p]
 				s.send(from, &dp)
-				tel.readBytes.Add(p)
+				tel.Add(evReadBytes, -1, p)
 				sent += p
 			}
 		}
@@ -999,14 +983,13 @@ func (s *session) handleWriteAnnounce(pkt *wire.Packet, from string, now time.Ti
 func (s *session) bufferData(w *writeState, off int64, payload []byte, now time.Time) bool {
 	rel := off - w.off
 	if rel < 0 || rel+int64(len(payload)) > w.length {
-		s.agent.tel.badPackets.Inc()
-		s.agent.cfg.Logf("agent %s session %d: data [%d,+%d) outside burst [%d,+%d)",
+		s.agent.tel.Note(evBadPacket, -1, nil, "%s: session %d: data [%d,+%d) outside burst [%d,+%d)",
 			s.agent.host.Name(), s.handle, off, len(payload), w.off, w.length) //lint:allow hotalloc out-of-burst rejects are the cold path
 		return false
 	}
 	copy(w.data[rel:], payload)
-	s.agent.tel.dataPackets.Inc()
-	s.agent.tel.writeBytes.Add(int64(len(payload)))
+	s.agent.tel.Count(evDataPacket, -1)
+	s.agent.tel.Add(evWriteBytes, -1, int64(len(payload)))
 	w.received.Add(off, int64(len(payload)))
 	w.progress = now
 	return true
@@ -1031,7 +1014,7 @@ func (s *session) handleData(pkt *wire.Packet, from string, now time.Time) {
 	}
 	if !w.announced {
 		if w.earlyBytes+int64(len(pkt.Payload)) > s.agent.cfg.MaxBurstBytes {
-			s.agent.tel.earlyData.Inc()
+			s.agent.tel.Count(evEarlyData, -1)
 			return
 		}
 		b := make([]byte, len(pkt.Payload)) //lint:allow hotalloc overtaking-data stash, bounded by MaxBurstBytes
@@ -1078,7 +1061,7 @@ func (s *session) completeIfReady(w *writeState, from string, now time.Time) {
 	w.doneAt = now
 	s.done = append(s.done, w)
 	w.finishSpan(nil)
-	s.agent.tel.writeBursts.Inc()
+	s.agent.tel.Count(evWriteBurst, -1)
 	s.agent.tel.writeLat.Observe(now.Sub(w.first) + time.Since(applyStart))
 	s.ackWrite(w, from)
 }
@@ -1158,8 +1141,7 @@ func (s *session) sweepBurst(w *writeState, now time.Time) {
 	idle := now.Sub(w.progress)
 	if !w.announced {
 		if idle > cfg.DoneTTL {
-			s.agent.tel.orphanBursts.Inc()
-			s.agent.traceEvent("orphan_burst", "session %d req %d: %d bytes never announced, dropped after %v",
+			s.agent.tel.Note(evOrphanBurst, -1, nil, "session %d req %d: %d bytes never announced, dropped after %v",
 				s.handle, w.reqID, w.earlyBytes, idle)
 			s.dropWrite(w, errors.New("burst data never announced"))
 		}
@@ -1178,10 +1160,7 @@ func (s *session) sweepBurst(w *writeState, now time.Time) {
 		ranges = append(ranges, wire.Range{Off: m.Off, Len: m.Len})
 	}
 	w.prompted = now
-	s.agent.tel.resendReqs.Inc()
-	w.sp.MarkRetry()
-	w.sp.Annotate("resend prompt: %d missing ranges after %v stall", len(ranges), idle)
-	s.agent.traceEvent("resend_prompt", "session %d req %d: %d missing ranges after %v stall",
+	s.agent.tel.Note(evResendPrompt, -1, w.sp, "session %d req %d: %d missing ranges after %v stall",
 		s.handle, w.reqID, len(ranges), idle)
 	s.agent.send(s.conn, w.from, &wire.Packet{
 		Header: wire.Header{

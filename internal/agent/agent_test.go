@@ -18,19 +18,21 @@ import (
 type testRig struct {
 	t     *testing.T
 	agent *Agent
-	st    *store.Mem
+	st    store.Store
 	conn  transport.PacketConn
 	buf   []byte
 	req   uint32
 }
 
-func newRig(t *testing.T, cfg Config) *testRig {
+func newRig(t *testing.T, cfg Config) *testRig { return newRigOn(t, cfg, store.NewMem()) }
+
+// newRigOn is newRig serving st.
+func newRigOn(t *testing.T, cfg Config, st store.Store) *testRig {
 	t.Helper()
 	n := memnet.New(1)
 	seg := n.NewSegment("s", memnet.SegmentConfig{BandwidthBps: 1e10, FrameOverhead: 46})
 	ah := n.MustHost("agent", memnet.HostConfig{}, seg)
 	ch := n.MustHost("client", memnet.HostConfig{}, seg)
-	st := store.NewMem()
 	if cfg.ResendCheck == 0 {
 		cfg.ResendCheck = 5 * time.Millisecond
 	}

@@ -98,7 +98,7 @@ func newPayloadRig(t testing.TB, cfg Config, payload int) *burstRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &Agent{host: offlineHost{}, cfg: cfg, sessions: make(map[uint64]*session), tel: newAgentTelemetry(nil)}
+	a := &Agent{host: offlineHost{}, cfg: cfg, sessions: make(map[uint64]*session), tel: newAgentTelemetry(&cfg)}
 	r := &burstRig{t: t, conn: &sinkConn{}, obj: &rigObject{Object: obj}, now: time.Unix(1_000_000, 0)}
 	r.s = newSession(a, 7, r.obj, r.conn, payload)
 	return r
@@ -271,7 +271,7 @@ func TestWriteBurstLifecycle(t *testing.T) {
 			if want := []wire.Range{{Off: 2000, Len: 1000}}; !slices.Equal(ranges, want) {
 				t.Fatalf("second resend ranges = %v, want %v", ranges, want)
 			}
-			if got := r.s.agent.tel.resendReqs.Load(); got != 2 {
+			if got := r.s.agent.tel.Load(evResendPrompt, -1); got != 2 {
 				t.Fatalf("resend requests counted = %d, want 2", got)
 			}
 			wantSent(t, "last third", r.data(1, 2000, fill('l', 1000)), wire.TWriteAck)
@@ -342,7 +342,7 @@ func TestWriteBurstLifecycle(t *testing.T) {
 			if len(r.s.writes) != 0 || len(r.s.open) != 0 {
 				t.Fatalf("orphan kept: %d remembered, %d open", len(r.s.writes), len(r.s.open))
 			}
-			if got := r.s.agent.tel.orphanBursts.Load(); got != 1 {
+			if got := r.s.agent.tel.Load(evOrphanBurst, -1); got != 1 {
 				t.Fatalf("orphan bursts counted = %d, want 1", got)
 			}
 			if len(r.content()) != 0 {

@@ -89,11 +89,23 @@ type MediatorBroker struct {
 	rec  *mediator.SessionRecord // guarded by mu
 	home string                  // guarded by mu
 
-	failovers  *obs.Counter // the session re-targeted to another replica
-	retries    *obs.Counter // full walks repeated
-	paced      *obs.Counter // replies paced by an overload hint
-	renewFails obs.Counter  // renew walks that exhausted every replica
+	ev *obs.Events // from brokerEvents; no trace ring, no agent slots
 }
+
+// brokerEvents is the broker's event table. Its log lines read "swift:
+// mediator failover: med-a -> med-b". A drain handoff counts as a
+// failover; a draining replica's refusal is only noted on the span.
+var (
+	brokerEvents   obs.EventTable
+	evMedRetry     = brokerEvents.Kind(obs.EventKind{Series: "swift_client_mediator_retries_total", Help: "Full replica-set walks repeated after every replica failed once."})
+	evMedPaced     = brokerEvents.Kind(obs.EventKind{Trace: "mediator_paced", Retry: true, Logged: true, Series: "swift_client_mediator_paced_total", Help: "Admission attempts paced by a mediator's overload retry-after hint."})
+	evMedFailover  = brokerEvents.Kind(obs.EventKind{Trace: "mediator_failover", Retry: true, Logged: true, Series: "swift_client_mediator_failovers_total", Help: "Times the client re-targeted its mediator session to a different replica."})
+	evMedHandoff   = brokerEvents.Kind(obs.EventKind{Trace: "mediator_handoff", Retry: true, Logged: true, Also: evMedFailover})
+	evMedError     = brokerEvents.Kind(obs.EventKind{Trace: "mediator_error", Retry: true, Logged: true})
+	evMedDraining  = brokerEvents.Kind(obs.EventKind{Trace: "mediator_draining", Retry: true})
+	evMedSurvivor  = brokerEvents.Kind(obs.EventKind{Trace: "mediator_survivor", Retry: true})
+	evMedRenewFail = brokerEvents.Kind(obs.EventKind{Trace: "mediator_heartbeat", Logged: true})
+)
 
 // NewMediatorBroker validates the replica set and derives the placement
 // order for the broker's key.
@@ -116,9 +128,6 @@ func NewMediatorBroker(cfg BrokerConfig) (*MediatorBroker, error) {
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	byName := make(map[string]MediatorEndpoint, len(cfg.Endpoints))
 	names := make([]string, 0, len(cfg.Endpoints))
 	for _, ep := range cfg.Endpoints {
@@ -136,12 +145,7 @@ func NewMediatorBroker(cfg BrokerConfig) (*MediatorBroker, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	b.failovers = reg.Counter("swift_client_mediator_failovers_total",
-		"Times the client re-targeted its mediator session to a different replica.", nil)
-	b.retries = reg.Counter("swift_client_mediator_retries_total",
-		"Full replica-set walks repeated after every replica failed once.", nil)
-	b.paced = reg.Counter("swift_client_mediator_paced_total",
-		"Admission attempts paced by a mediator's overload retry-after hint.", nil)
+	b.ev = obs.NewEvents(reg, obs.EventConfig{Layer: "swift", Table: &brokerEvents, Logf: cfg.Logf})
 	return b, nil
 }
 
@@ -211,8 +215,8 @@ func (b *MediatorBroker) candidates(home string) []MediatorEndpoint {
 //     paced clients do not re-converge; the walk's backoff when there is
 //     none) and asks the same endpoint again, rather than rotating away
 //     from the session's home for a transient surge.
-//   - Anything else is noted on sp and logged (a draining replica's
-//     refusal is only noted), and the walk moves on.
+//   - Anything else is noted (logged, but for a draining replica's
+//     refusal), and the walk moves on.
 //
 // A walk that runs out ends with ErrMediatorsDown wrapping the last
 // failure; sp carries the error a walk ends with.
@@ -220,7 +224,7 @@ func (b *MediatorBroker) walk(home, op string, sp *obs.Span, try func(MediatorEn
 	var err error
 	for pass := 1; pass <= b.cfg.Attempts; pass++ {
 		if pass > 1 {
-			b.retries.Inc()
+			b.ev.Count(evMedRetry, -1)
 			b.cfg.Sleep(b.bo.Delay(pass - 1))
 		}
 		for _, ep := range b.candidates(home) {
@@ -231,8 +235,7 @@ func (b *MediatorBroker) walk(home, op string, sp *obs.Span, try func(MediatorEn
 				if errors.As(err, &oe) && oe.RetryAfter > 0 {
 					pause = b.bo.Jitter(oe.RetryAfter)
 				}
-				b.paced.Inc()
-				b.note(sp, true, "%s on %s paced %v: %v", op, ep.Name(), pause, err)
+				b.ev.Note(evMedPaced, -1, sp, "%s on %s for %v: %v", op, ep.Name(), pause, err)
 				b.cfg.Sleep(pause)
 				err = try(ep)
 			}
@@ -243,7 +246,11 @@ func (b *MediatorBroker) walk(home, op string, sp *obs.Span, try func(MediatorEn
 				sp.SetError(err)
 				return err
 			}
-			b.note(sp, !errors.Is(err, mediator.ErrDraining), "%s on %s: %v", op, ep.Name(), err)
+			k := evMedError
+			if errors.Is(err, mediator.ErrDraining) {
+				k = evMedDraining
+			}
+			b.ev.Note(k, -1, sp, "%s on %s: %v", op, ep.Name(), err)
 		}
 	}
 	err = fmt.Errorf("%w: %s: %w", ErrMediatorsDown, op, err)
@@ -251,28 +258,17 @@ func (b *MediatorBroker) walk(home, op string, sp *obs.Span, try func(MediatorEn
 	return err
 }
 
-// note marks sp retried and annotates it, and logs the same line when
-// logged is set.
-func (b *MediatorBroker) note(sp *obs.Span, logged bool, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	sp.MarkRetry()
-	sp.Annotate("%s", msg)
-	if logged {
-		b.cfg.Logf("swift: mediator %s", msg)
-	}
-}
-
-// setHome records the session's home, counting a failover when it moved.
-func (b *MediatorBroker) setHome(home string, viaFailure bool) {
+// setHome records the session's home, noting a failover (or, when the
+// old home answered, a drain handoff) on sp when it moved.
+func (b *MediatorBroker) setHome(sp *obs.Span, home string, viaFailure bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.home != "" && home != b.home {
-		b.failovers.Inc()
+		k := evMedHandoff
 		if viaFailure {
-			b.cfg.Logf("swift: mediator failover: %s -> %s", b.home, home)
-		} else {
-			b.cfg.Logf("swift: mediator handoff: %s -> %s", b.home, home)
+			k = evMedFailover
 		}
+		b.ev.Note(k, -1, sp, "%s -> %s", b.home, home)
 	}
 	b.home = home
 	if b.rec != nil {
@@ -342,17 +338,11 @@ func (b *MediatorBroker) Renew() error {
 		if newHome == "" {
 			newHome = ep.Name()
 		}
-		if ep.Name() != home {
-			// The session re-targeted: a failover (dead home) or a
-			// drain handoff — either way worth keeping the trace.
-			sp.MarkRetry()
-			sp.Annotate("failover %s -> %s", home, newHome)
-		}
-		b.setHome(newHome, ep.Name() != home)
+		b.setHome(sp, newHome, ep.Name() != home)
 		return nil
 	})
 	if err != nil {
-		b.renewFails.Inc()
+		b.ev.Note(evMedRenewFail, -1, sp, "%v", err)
 	}
 	return err
 }
@@ -369,13 +359,9 @@ func (b *MediatorBroker) session() (*mediator.SessionRecord, string) {
 	return &cp, b.home
 }
 
-// Heartbeat is Renew shaped for MonitorConfig.Heartbeat: failures are logged
-// and counted (RenewFailures) rather than returned.
-func (b *MediatorBroker) Heartbeat() {
-	if err := b.Renew(); err != nil && !errors.Is(err, ErrNoMediatorSession) {
-		b.cfg.Logf("swift: mediator heartbeat: %v", err)
-	}
-}
+// Heartbeat is Renew shaped for MonitorConfig.Heartbeat: failures are
+// logged and counted (RenewFailures) by Renew rather than returned.
+func (b *MediatorBroker) Heartbeat() { _ = b.Renew() }
 
 // CloseSession releases the session, rotating to a survivor when the
 // home replica is gone (the survivor holds a mirrored copy). Closing
@@ -394,8 +380,7 @@ func (b *MediatorBroker) CloseSession() error {
 	return b.walk(home, fmt.Sprintf("close session %d", rec.ID), sp, func(ep MediatorEndpoint) error {
 		err := ep.CloseSession(rec.ID)
 		if err == nil && ep.Name() != home {
-			sp.MarkRetry()
-			sp.Annotate("closed via survivor %s", ep.Name())
+			b.ev.Note(evMedSurvivor, -1, sp, "session %d closed via %s", rec.ID, ep.Name())
 		}
 		return err
 	})
@@ -436,10 +421,10 @@ func (b *MediatorBroker) Home() string {
 
 // Failovers returns how many times the session re-targeted to a
 // different replica (failovers and drain handoffs).
-func (b *MediatorBroker) Failovers() int64 { return b.failovers.Load() }
+func (b *MediatorBroker) Failovers() int64 { return b.ev.Load(evMedFailover, -1) }
 
 // RenewFailures returns how many renew rounds exhausted every replica.
-func (b *MediatorBroker) RenewFailures() int64 { return b.renewFails.Load() }
+func (b *MediatorBroker) RenewFailures() int64 { return b.ev.Load(evMedRenewFail, -1) }
 
 // Endpoints returns the replicas in placement order for the broker's key.
 func (b *MediatorBroker) Endpoints() []MediatorEndpoint {

@@ -150,7 +150,7 @@ func (d *burstRun) launch(r extent.Extent, now time.Time) error {
 	if d.hedge {
 		b.hedgeAt = now.Add(c.hedgeDelay(d.s.idx))
 	}
-	c.tel.count(evReadBurst+event(d.dir), d.s.idx)
+	c.tel.Count(evBurst[d.dir], d.s.idx)
 	if d.dir == writing {
 		b.ids = append(b.ids, c.nextReq())
 	}
@@ -216,7 +216,7 @@ func (d *burstRun) sendData(id uint32, off, n int64) error {
 		if err := s.out.Send(&p, s.dataAddr); err != nil {
 			return err
 		}
-		f.c.tel.count(evDataPacket, s.idx)
+		f.c.tel.Count(evDataPacket, s.idx)
 		if cfg.WritePace > 0 {
 			if err := s.out.Flush(); err != nil {
 				return err
@@ -302,8 +302,8 @@ func (d *burstRun) takeData(b *burst, pkt *wire.Packet, now time.Time) (whole bo
 }
 
 // note reports event k of burst b (see telemetry.note).
-func (d *burstRun) note(k event, b *burst, format string, args ...any) {
-	d.f.c.tel.note(k, d.s.idx, d.sp, "%s[%d:%d] %s", d.f.name, b.lo, b.lo+b.n, fmt.Sprintf(format, args...))
+func (d *burstRun) note(k *obs.EventKind, b *burst, format string, args ...any) {
+	d.f.c.tel.Note(k, d.s.idx, d.sp, "%s[%d:%d] %s", d.f.name, b.lo, b.lo+b.n, fmt.Sprintf(format, args...))
 }
 
 // resend honours the agent's request for the ranges of write burst b it
@@ -338,7 +338,7 @@ func (d *burstRun) pushback(b *burst, pkt *wire.Packet, now time.Time) error {
 	}
 	c, idx := d.f.c, d.s.idx
 	b.pushbacks++
-	d.note(evReadPushback+event(d.dir), b, "%v (retry after %v)", info.Reason, info.RetryAfter)
+	d.note(evPushback[d.dir], b, "%v (retry after %v)", info.Reason, info.RetryAfter)
 	c.noteOverload(idx, "pushback: "+info.Reason.String())
 	switch {
 	case info.Reason == wire.PushDeadlineExpired:
@@ -369,7 +369,7 @@ func (d *burstRun) expire(now time.Time) error {
 				d.note(evHedge, b, "stalled %v, racing reconstruction", now.Sub(b.start))
 				return fmt.Errorf("%w: agent %d read %s[%d:%d]", errHedged, idx, f.name, b.lo, b.lo+b.n)
 			}
-			c.tel.count(evBudgetDenied, idx)
+			c.tel.Count(evBudgetDenied, idx)
 			b.hedgeAt = time.Time{} // budget empty: wait the burst out
 		}
 		if now.Before(b.clock.Next) {
@@ -377,15 +377,15 @@ func (d *burstRun) expire(now time.Time) error {
 		}
 		level := b.clock.Level
 		if b.clock.Expire(now) {
-			d.note(evReadGiveUp+event(d.dir), b, "retries exhausted")
+			d.note(evGiveUp[d.dir], b, "retries exhausted")
 			c.noteOverload(idx, name+" retry give-up")
 			return fmt.Errorf("%w: %s %s[%d:%d] agent %d", ErrRetriesSpent, name, f.name, b.lo, b.lo+b.n, idx)
 		}
 		if level > 0 {
 			// The wait just armed has grown beyond the base timeout.
-			c.tel.count(evBackoff, idx)
+			c.tel.Count(evBackoff, idx)
 		}
-		d.note(evReadTimeout+event(d.dir), b, "retransmitting (level %d)", level)
+		d.note(evTimeout[d.dir], b, "retransmitting (level %d)", level)
 		if err := d.transmit(b, now); err != nil {
 			return err
 		}

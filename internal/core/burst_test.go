@@ -223,7 +223,7 @@ func TestBurstLaunch(t *testing.T) {
 				}
 			}
 			m := r.c.MetricsSnapshot()
-			if got := m.ReadBursts + m.WriteBursts; got != 1 || r.c.tel.total(evReadBurst+event(dir)) != 1 {
+			if got := m.ReadBursts + m.WriteBursts; got != 1 || r.c.tel.Total(evBurst[dir]) != 1 {
 				t.Fatalf("bursts counted = %+v, want one %s burst", m, dirName[dir])
 			}
 			if got := r.d.wake().Sub(r.now); got != rigTimeout {
@@ -304,10 +304,10 @@ func TestBurstTimeoutRetransmits(t *testing.T) {
 				t.Fatalf("waits = %v, want base, ~base, ~2×base", waits)
 			}
 			m := r.c.MetricsSnapshot()
-			if m.ReadTimeouts+m.WriteTimeouts != 3 || r.c.tel.total(evReadTimeout+event(dir)) != 3 || m.Backoffs != 2 {
+			if m.ReadTimeouts+m.WriteTimeouts != 3 || r.c.tel.Total(evTimeout[dir]) != 3 || m.Backoffs != 2 {
 				t.Fatalf("counters %+v, want 3 %s timeouts and 2 backoffs", m, dirName[dir])
 			}
-			if r.c.tel.slot(evReadTimeout+event(dir), 0) != 3 || r.c.tel.slot(evBackoff, 0) != 2 {
+			if r.c.tel.Load(evTimeout[dir], 0) != 3 || r.c.tel.Load(evBackoff, 0) != 2 {
 				t.Fatal("per-agent timeout/backoff counters disagree with the global ones")
 			}
 			// Progress resets the schedule.
@@ -433,7 +433,7 @@ func TestBurstPushback(t *testing.T) {
 				t.Fatalf("second pushback = %v, want ErrAgentBusy", err)
 			}
 			m := r.c.MetricsSnapshot()
-			if m.Pushbacks != 2 || r.c.tel.slot(evReadPushback, 0) != 2 {
+			if m.Pushbacks != 2 || r.c.tel.Load(evPushback[reading], 0) != 2 {
 				t.Fatalf("pushbacks counted = %d, want 2", m.Pushbacks)
 			}
 			if r.c.BreakerStates()[0] != BreakerOpen || m.BreakerTrips != 1 {
@@ -484,7 +484,7 @@ func TestBurstResendAsk(t *testing.T) {
 		}
 	}
 	m := r.c.MetricsSnapshot()
-	if m.ResendAsks != 1 || m.DataPackets != 10+3 || r.c.tel.slot(evResend, 0) != 1 {
+	if m.ResendAsks != 1 || m.DataPackets != 10+3 || r.c.tel.Load(evResend, 0) != 1 {
 		t.Fatalf("resend asks = %d, data packets = %d; want 1 and 13", m.ResendAsks, m.DataPackets)
 	}
 	if _, err := r.deliver(time.Millisecond, &wire.Packet{Header: wire.Header{Type: wire.TWriteAck, ReqID: id}}); err != nil || len(r.d.live) != 0 {
@@ -575,7 +575,7 @@ func TestBurstHedge(t *testing.T) {
 		if !errors.Is(err, errHedged) || wait != rigTimeout || len(sent) != 0 {
 			t.Fatalf("stall: waited %v, sent %v, err %v; want errHedged at the hedge delay", wait, sent, err)
 		}
-		if m := r.c.MetricsSnapshot(); m.Hedges != 1 || m.ReadTimeouts != 0 || r.c.tel.slot(evHedge, 0) != 1 {
+		if m := r.c.MetricsSnapshot(); m.Hedges != 1 || m.ReadTimeouts != 0 || r.c.tel.Load(evHedge, 0) != 1 {
 			t.Fatalf("hedges = %d, read timeouts = %d; want 1 and 0", m.Hedges, m.ReadTimeouts)
 		}
 	})
@@ -628,7 +628,7 @@ func TestBurstCountersReconcile(t *testing.T) {
 	if m.WriteBursts != 1 || m.ResendAsks != 1 || m.WriteTimeouts != 2 || m.Backoffs != 2 || m.Pushbacks != 2 || m.BreakerTrips != 1 {
 		t.Fatalf("drill counted %+v", m)
 	}
-	if r.c.tel.slot(evBackoff, -1) != 1 || r.c.Stats().Agents[0].BreakerTransitions != 1 {
+	if r.c.tel.Load(evBackoff, -1) != 1 || r.c.Stats().Agents[0].BreakerTransitions != 1 {
 		t.Fatal("unattributed backoff or breaker transition not counted where it belongs")
 	}
 	assertReconciled(t, r.c)

@@ -62,7 +62,7 @@ func (c *Client) initCache() {
 		ReadAhead:      cfg.ReadAhead,
 		Streams:        readAheadStreams,
 		WriteBehindMax: cfg.WriteBehindMax,
-	}, c.tel.reg)
+	}, c.tel.Registry())
 	if cfg.ReadAhead > 0 {
 		workers := c.cache.Streams()
 		c.prefetchQ = make(chan prefetchReq, 4*workers)
@@ -425,7 +425,7 @@ func (f *File) invalidateCoherent(gen uint64) {
 		// The flush error re-parks for the next write or Sync; the
 		// invalidation still proceeds — remaining dirty blocks drop, and
 		// correctness defers to the agents' (newer) bytes.
-		f.c.tel.note(evFlushFail, -1, sp, "%s: %v", f.name, err)
+		f.c.tel.Note(evFlushFail, -1, sp, "%s: %v", f.name, err)
 		f.cobj.FlushFail(err)
 	}
 	f.cobj.InvalidateAll(gen)

@@ -248,9 +248,8 @@ type Client struct {
 	monStop chan struct{}
 	monDone chan struct{}
 
-	tel       *telemetry
-	tracer    *obs.Tracer // nil when tracing is disabled
-	traceStop func()      // stops the Verbose buffered sink drain
+	tel    *telemetry
+	tracer *obs.Tracer // nil when tracing is disabled
 
 	budget   *tokenBucket // shared retry/hedge budget (see overload.go)
 	breakers []breaker    // per-agent circuit breakers
@@ -301,19 +300,7 @@ func Dial(cfg Config) (*Client, error) {
 	c.tracer = cfg.Tracer
 	if c.tracer == nil {
 		c.tracer = obs.NewTracer(obs.TracerConfig{Rate: cfg.TraceRate}) // nil at rate 0
-		c.tracer.Register(c.tel.reg)
-	}
-	if cfg.Verbose {
-		logf := c.cfg.Logf
-		// Logf implementations may block (files, test loggers); the
-		// buffered hand-off keeps event emission non-blocking on the data
-		// path, dropping on overflow instead of stalling a transfer. The
-		// logged events are not lost that way: note printed them already.
-		c.traceStop = c.tel.trace.SetBufferedSink(func(e obs.Event) {
-			if !e.Logged {
-				logf("trace: %s", e.String())
-			}
-		}, 256)
+		c.tracer.Register(c.tel.Registry())
 	}
 	if cfg.Monitor.Interval > 0 {
 		c.StartMonitor(cfg.Monitor)
@@ -354,9 +341,7 @@ func (c *Client) Close() error {
 	// cache workers (the flusher drains on its way out).
 	c.CoherenceSync()
 	c.stopCacheWorkers()
-	if c.traceStop != nil {
-		c.traceStop()
-	}
+	c.tel.Close()
 	// Holding mu across Close is deliberate: it serializes teardown
 	// against any in-flight control RPC on the shared conn.
 	c.mu.Lock()
@@ -461,7 +446,7 @@ func (c *Client) Open(name string, flags OpenFlags) (*File, error) {
 			if !down[i] {
 				c.noteFailure(i, errs[i])
 			}
-			c.tel.note(evOpenFail, i, sp, "open %s: %v", name, errs[i])
+			c.tel.Note(evOpenFail, i, sp, "open %s: %v", name, errs[i])
 		}
 	}
 	closeAll := func() {
@@ -682,7 +667,7 @@ func (c *Client) exchange(conn transport.PacketConn, addr string, req *wire.Pack
 	rc := c.bo.Start(time.Now(), time.Duration(retries)*c.cfg.RetryTimeout)
 	err := wire.Exchange(conn, addr, req, &rc, take)
 	for range rc.Level - 1 { // each retransmission waited beyond the base
-		c.tel.count(evBackoff, -1)
+		c.tel.Count(evBackoff, -1)
 	}
 	if errors.Is(err, wire.ErrNoReply) {
 		return ErrAgentDown
@@ -832,7 +817,7 @@ func (c *Client) probeAgent(addr string, retries int) (wire.PingReply, time.Dura
 		return wire.PingReply{}, 0, err
 	}
 	defer conn.Close()
-	c.tel.count(evProbe, -1)
+	c.tel.Count(evProbe, -1)
 	start := time.Now()
 	reply, err := c.rpcAttempts(conn, addr, &wire.Packet{Header: wire.Header{Type: wire.TPing}}, c.nextReq(), retries)
 	if err != nil {

@@ -248,7 +248,7 @@ func TestParityFetchSecondFailure(t *testing.T) {
 	lifecycleQuiet := func(t *testing.T, c *cluster, agents ...int) {
 		t.Helper()
 		for _, a := range agents {
-			if tr := c.client.tel.slot(evHealth, a); tr != 0 {
+			if tr := c.client.tel.Load(evHealth, a); tr != 0 {
 				t.Errorf("agent %d: %d lifecycle transitions, want 0", a, tr)
 			}
 		}

@@ -256,7 +256,7 @@ func (f *File) moveRange(dir direction, buf []byte, off int64, allowFailover boo
 		}
 		corrupt := failed >= 0 && nerrs == 1 && integrity.IsCorrupt(err)
 		if corrupt {
-			f.c.tel.note(evCorrupt, failed, sp, "%s: %v", f.name, err)
+			f.c.tel.Note(evCorrupt, failed, sp, "%s: %v", f.name, err)
 			if repairs < budget {
 				repairs++
 				rs := sp.StartChild(name+"_repair", failed)
@@ -268,7 +268,7 @@ func (f *File) moveRange(dir direction, buf []byte, off int64, allowFailover boo
 				if rerr == nil {
 					continue // repaired in place; retry clean
 				}
-				f.c.tel.note(evRepairFail, failed, sp, "%s %s: %v", name, f.name, rerr)
+				f.c.tel.Note(evRepairFail, failed, sp, "%s %s: %v", name, f.name, rerr)
 			}
 		}
 		if failed < 0 || !f.c.cfg.Parity || !allowFailover {
@@ -276,7 +276,7 @@ func (f *File) moveRange(dir direction, buf []byte, off int64, allowFailover boo
 				// The agent is alive; only its media is bad. Do not
 				// feed the failure-domain lifecycle — surface the
 				// corruption to the caller instead.
-				f.c.tel.note(evUnrepairable, failed, sp, "%s: %v", f.name, err)
+				f.c.tel.Note(evUnrepairable, failed, sp, "%s: %v", f.name, err)
 				return err
 			}
 			if failed >= 0 {
@@ -297,11 +297,11 @@ func (f *File) moveRange(dir direction, buf []byte, off int64, allowFailover boo
 		// not amplified into a retry storm; the lifecycle note above is
 		// kept (the failure was real) even when the retry is denied.
 		if !f.c.budget.spend() {
-			f.c.tel.note(evBudgetDenied, failed, sp, "%s failover denied: %v", name, err)
+			f.c.tel.Note(evBudgetDenied, failed, sp, "%s failover denied: %v", name, err)
 			return fmt.Errorf("%w: %s failover around agent %d (last error: %v)",
 				ErrRetryBudget, name, failed, err)
 		}
-		f.c.tel.note(evReadFailover+event(dir), failed, sp, "%s: %v", f.name, err)
+		f.c.tel.Note(evFailover[dir], failed, sp, "%s: %v", f.name, err)
 		failovers++
 		if failovers >= f.c.parityK() {
 			allowFailover = false
@@ -473,7 +473,7 @@ func (f *File) readPass(dst []byte, off int64, exts []extent.Set, heal []rowJob,
 			// Not media damage (read-repair and scrub heal that) and not
 			// backpressure: tear the session down at once, or every
 			// later row stalls a retry budget against a dead agent.
-			f.c.tel.note(evReadLost, ft.agent, sp, "%s: reconstructing around it: %v", f.name, ft.err)
+			f.c.tel.Note(evReadLost, ft.agent, sp, "%s: reconstructing around it: %v", f.name, ft.err)
 			f.failAgent(ft.agent, ft.err)
 		}
 	}
@@ -499,7 +499,7 @@ func (f *File) readPass(dst []byte, off int64, exts []extent.Set, heal []rowJob,
 	}
 	for i, r := range role {
 		if r == aroundHedged {
-			f.c.tel.note(evHedgeWin, i, sp, "%s: reconstruction beat the straggler", f.name)
+			f.c.tel.Note(evHedgeWin, i, sp, "%s: reconstruction beat the straggler", f.name)
 		}
 	}
 	return -1, nil, nil

@@ -86,7 +86,7 @@ func (c *Client) setStateLocked(i int, s AgentState, why string) {
 	if h.state == s {
 		return
 	}
-	c.tel.note(evHealth, i, nil, "%v -> %v (%s)", h.state, s, why)
+	c.tel.Note(evHealth, i, nil, "%v -> %v (%s)", h.state, s, why)
 	c.tel.agents[i].state.Set(int64(s))
 	h.state = s
 	h.since = time.Now()
@@ -192,7 +192,7 @@ func (c *Client) StartMonitor(mc MonitorConfig) {
 				case <-t.C:
 					rep := c.ScrubOnce()
 					if !rep.Clean() {
-						c.tel.note(evScrubReport, -1, nil, "%s", rep)
+						c.tel.Note(evScrubReport, -1, nil, "%s", rep)
 					}
 				}
 			}
@@ -273,12 +273,12 @@ func (c *Client) ProbeOnce() []AgentHealth {
 func (c *Client) readmit(i int, rebuild bool) {
 	for _, f := range c.openFiles() {
 		if err := f.readmit(i, rebuild); err != nil {
-			c.tel.note(evReadmitFail, i, nil, "%s: %v", f.Name(), err)
+			c.tel.Note(evReadmitFail, i, nil, "%s: %v", f.Name(), err)
 			return
 		}
 	}
 	c.mu.Lock()
 	c.setStateLocked(i, StateHealthy, "probe answered; sessions reopened")
 	c.mu.Unlock()
-	c.tel.note(evReadmit, i, nil, "agent returned to service (rebuild=%v)", rebuild)
+	c.tel.Note(evReadmit, i, nil, "agent returned to service (rebuild=%v)", rebuild)
 }

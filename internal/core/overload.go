@@ -232,9 +232,9 @@ func (c *Client) noteOverload(i int, why string) {
 	from, to, changed := c.breakers[i].strike(time.Now(), c.cfg.BreakerThreshold, breakerCooldown)
 	if changed {
 		if to == BreakerOpen && from == BreakerClosed {
-			c.tel.count(evBreakerTrip, i)
+			c.tel.Count(evBreakerTrip, i)
 		}
-		c.tel.note(evBreaker, i, nil, "%v -> %v (%s)", from, to, why)
+		c.tel.Note(evBreaker, i, nil, "%v -> %v (%s)", from, to, why)
 	}
 }
 
@@ -244,7 +244,7 @@ func (c *Client) noteAgentOK(i int) {
 		return
 	}
 	if from, to, changed := c.breakers[i].success(); changed {
-		c.tel.note(evBreaker, i, nil, "%v -> %v (trial burst completed)", from, to)
+		c.tel.Note(evBreaker, i, nil, "%v -> %v (trial burst completed)", from, to)
 	}
 }
 

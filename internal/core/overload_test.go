@@ -158,7 +158,7 @@ func TestBreakerCountsWrites(t *testing.T) {
 	if got := b.current(); got != BreakerClosed {
 		t.Fatalf("breaker %v after a completed trial write, want closed", got)
 	}
-	if tr := c.client.tel.slot(evBreaker, 1); tr != 1 {
+	if tr := c.client.tel.Load(evBreaker, 1); tr != 1 {
 		t.Fatalf("agent 1 breaker transitions observed = %d, want the one closing", tr)
 	}
 }
@@ -256,7 +256,7 @@ func TestHedgedReadWins(t *testing.T) {
 			t.Fatalf("agent %d state = %v after hedging, want healthy (no lifecycle flap)", i, h.State)
 		}
 	}
-	if tr := c.client.tel.slot(evHealth, 0); tr != 0 {
+	if tr := c.client.tel.Load(evHealth, 0); tr != 0 {
 		t.Fatalf("agent 0 lifecycle transitions = %d after hedging, want 0", tr)
 	}
 }
@@ -293,7 +293,7 @@ func TestTwoStragglersWaitedOut(t *testing.T) {
 		t.Fatalf("hedges = %d, want both stragglers hedged", m.Hedges)
 	}
 	for i := range c.agents {
-		if tr := c.client.tel.slot(evHealth, i); tr != 0 {
+		if tr := c.client.tel.Load(evHealth, i); tr != 0 {
 			t.Fatalf("agent %d lifecycle transitions = %d after hedging, want 0", i, tr)
 		}
 	}

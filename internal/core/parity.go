@@ -365,7 +365,7 @@ func (f *File) healRow(jb rowJob, held [][]byte, what string, sp *obs.Span) (hea
 		}
 		healed++
 		if what != "" {
-			f.c.tel.note(evRepair, agent, sp, "%s row %d %s", f.name, jb.row, what)
+			f.c.tel.Note(evRepair, agent, sp, "%s row %d %s", f.name, jb.row, what)
 		}
 	}
 	return healed, nil

@@ -434,7 +434,7 @@ func TestRebuildBreakerAndStragglers(t *testing.T) {
 		b.state, b.until = BreakerOpen, time.Now().Add(time.Hour)
 		b.mu.Unlock()
 	}
-	readsOf := func(c *cluster, agent int) int64 { return c.client.tel.slot(evReadBurst, agent) }
+	readsOf := func(c *cluster, agent int) int64 { return c.client.tel.Load(evBurst[reading], agent) }
 	// rebuild scribbles over agent 0's fragment, rebuilds it, and checks
 	// that the fragment is back.
 	rebuild := func(t *testing.T, c *cluster, f *File) {
@@ -494,7 +494,7 @@ func TestRebuildBreakerAndStragglers(t *testing.T) {
 			t.Errorf("the rebuild hedged %d reads", m.Hedges)
 		}
 		for i := range c.agents {
-			if tr := c.client.tel.slot(evHealth, i); tr != 0 {
+			if tr := c.client.tel.Load(evHealth, i); tr != 0 {
 				t.Errorf("agent %d: %d lifecycle transitions, want 0", i, tr)
 			}
 		}

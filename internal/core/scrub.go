@@ -153,7 +153,7 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 		if integrity.IsCorrupt(e) {
 			corrupt = append(corrupt, i)
 			rep.Corruptions++
-			f.c.tel.note(evCorrupt, i, sp, "%s: %v", f.name, e)
+			f.c.tel.Note(evCorrupt, i, sp, "%s: %v", f.name, e)
 			continue
 		}
 		failed = append(failed, i)
@@ -175,14 +175,14 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 	}
 	rep.Rows++
 	rep.Bytes += l.Unit * int64(len(f.sessions))
-	f.c.tel.count(evScrubRow, -1)
+	f.c.tel.Count(evScrubRow, -1)
 
 	if !f.c.cfg.Parity || len(corrupt) > k {
 		// No parity, or more corrupt units in one row than the scheme has
 		// parity units: the codec cannot reconstruct them.
 		rep.Unrepairable += int64(len(corrupt))
 		for _, i := range corrupt {
-			f.c.tel.note(evUnrepairable, i, sp, "%s: %v", f.name, errs[i])
+			f.c.tel.Note(evUnrepairable, i, sp, "%s: %v", f.name, errs[i])
 		}
 		return false, nil
 	}
@@ -211,7 +211,7 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 			return false, nil
 		}
 		rep.ParityMismatches++
-		f.c.tel.note(evScrubMismatch, -1, sp, "%s row %d parity disagrees with data", f.name, r)
+		f.c.tel.Note(evScrubMismatch, -1, sp, "%s row %d parity disagrees with data", f.name, r)
 		// The data units are clean, so the parity units are the liars (a
 		// crash between data and parity writes leaves exactly this).
 		// Re-encode them from the data; held lets the heal rewrite only
@@ -256,7 +256,7 @@ func (c *Client) ScrubOnce() ScrubReport {
 		rep.add(r)
 		rep.Objects++
 		if err != nil {
-			c.tel.note(evScrubFail, -1, nil, "%s: %v", f.Name(), err)
+			c.tel.Note(evScrubFail, -1, nil, "%s: %v", f.Name(), err)
 		}
 	}
 	return rep

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"cmp"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -44,6 +45,10 @@ var registryMethods = map[string]bool{
 // layer prefix of the registering package and the suffix of its kind,
 // ship a non-empty literal help string, and be registered from exactly
 // one call site per package (labeled instances share one site).
+// Event tables name their counters in obs.EventKind rows, which
+// obs.NewEvents registers: each row's Series and AgentSeries are vetted
+// as counter registrations where the row is written, so a registration
+// reading its name off a row's field is not vetted again.
 var MetricName = &Analyzer{
 	Name: "metricname",
 	Doc:  "obs registrations need literal, well-formed, layer-prefixed metric names",
@@ -54,6 +59,10 @@ func runMetricName(pass *Pass) {
 	firstSite := make(map[string]token.Pos) // literal name -> first call site
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.CompositeLit); ok && isEventKind(pass.TypeOf(lit)) {
+				checkEventRow(pass, lit, firstSite)
+				return true
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -65,8 +74,8 @@ func runMetricName(pass *Pass) {
 			if !isObsRegistry(fn.Pkg().Path()) || recvTypeName(fn) != "Registry" {
 				return true
 			}
-			if len(call.Args) >= 2 {
-				checkRegistration(pass, call, fn.Name(), firstSite)
+			if len(call.Args) >= 2 && !isEventRowSeries(pass, call.Args[0]) {
+				checkName(pass, fn.Name(), call.Args[0], call.Args[1], firstSite)
 			}
 			return true
 		})
@@ -94,8 +103,41 @@ func recvTypeName(fn *types.Func) string {
 	return named.Obj().Name()
 }
 
-func checkRegistration(pass *Pass, call *ast.CallExpr, kind string, firstSite map[string]token.Pos) {
-	nameArg := call.Args[0]
+// isEventKind reports whether t is obs.EventKind or a pointer to one.
+func isEventKind(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "EventKind" && named.Obj().Pkg() != nil && isObsRegistry(named.Obj().Pkg().Path())
+}
+
+// isEventRowSeries reports whether e reads an obs.EventKind's Series or
+// AgentSeries, which checkEventRow vets at the row.
+func isEventRowSeries(pass *Pass, e ast.Expr) bool {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	return ok && (sel.Sel.Name == "Series" || sel.Sel.Name == "AgentSeries") && isEventKind(pass.TypeOf(sel.X))
+}
+
+// checkEventRow vets an obs.EventKind row's Series and AgentSeries, with
+// their help, as the counters obs.NewEvents registers from them.
+func checkEventRow(pass *Pass, lit *ast.CompositeLit, firstSite map[string]token.Pos) {
+	fields := make(map[string]ast.Expr) // go vet keeps other packages' literals of it keyed
+	for _, el := range lit.Elts {
+		if kv, ok := el.(*ast.KeyValueExpr); ok {
+			fields[kv.Key.(*ast.Ident).Name] = kv.Value
+		}
+	}
+	for _, f := range [][2]string{{"Series", "Help"}, {"AgentSeries", "AgentHelp"}} {
+		if name := fields[f[0]]; name != nil {
+			checkName(pass, "Counter", name, cmp.Or(fields[f[1]], name), firstSite)
+		}
+	}
+}
+
+// checkName vets one metric name and its help text; a help that is the
+// name itself stands for a missing one.
+func checkName(pass *Pass, kind string, nameArg, helpArg ast.Expr, firstSite map[string]token.Pos) {
 	lit, ok := ast.Unparen(nameArg).(*ast.BasicLit)
 	if !ok {
 		pass.Reportf(nameArg.Pos(),
@@ -121,11 +163,11 @@ func checkRegistration(pass *Pass, call *ast.CallExpr, kind string, firstSite ma
 				"metricname: %s %q must end in %q", kind, name, suffix)
 		}
 	}
-	if helpLit, ok := ast.Unparen(call.Args[1]).(*ast.BasicLit); !ok {
-		pass.Reportf(call.Args[1].Pos(),
+	if helpLit, ok := ast.Unparen(helpArg).(*ast.BasicLit); !ok || helpArg == nameArg {
+		pass.Reportf(helpArg.Pos(),
 			"metricname: help for %q must be a non-empty string literal", name)
 	} else if help, err := strconv.Unquote(helpLit.Value); err == nil && strings.TrimSpace(help) == "" {
-		pass.Reportf(call.Args[1].Pos(),
+		pass.Reportf(helpArg.Pos(),
 			"metricname: help for %q is empty", name)
 	}
 	if prev, dup := firstSite[name]; dup {

@@ -28,3 +28,14 @@ func RegisterClean(reg *obs.Registry, rows []struct{ Name, Help string }) {
 		reg.CounterFunc(row.Name, row.Help, nil, func() float64 { return 0 })
 	}
 }
+
+// events seeds event-table violations next to a clean row: each row's
+// series is vetted as the counter obs.NewEvents registers from it.
+var events = []obs.EventKind{
+	{Trace: "open", Series: "swift_agent_event_opens_total", Help: "Opens."},
+	{Series: "swift_client_event_reads_total", Help: "Wrong layer."},     // want `lacks the agent layer prefix`
+	{Series: "swift_agent_event_reads", Help: "Counter without _total."}, // want `must end in "_total"`
+	{Series: "swift_agent_event_writes_total"},                           // want `help for "swift_agent_event_writes_total" must be a non-empty string literal`
+	{AgentSeries: "swift_agent_event_peers_total", AgentHelp: ""},        // want `is empty`
+	{Series: "swift_agent_event_opens_total", Help: "Again."},            // want `duplicate registration`
+}

@@ -67,7 +67,7 @@ func (m *Mediator) cacheSyncLocked(id uint64, cached []CachedObject, written []s
 	if s == nil {
 		return nil, nil, ErrUnknownSession
 	}
-	m.tel.cacheSyncs.Inc()
+	m.tel.Count(evCacheSync, -1)
 
 	wrote := make(map[string]bool, len(written))
 	var bumps []MirrorUpdate
@@ -77,7 +77,7 @@ func (m *Mediator) cacheSyncLocked(id uint64, cached []CachedObject, written []s
 			m.objGen = make(map[string]uint64)
 		}
 		m.objGen[name]++
-		m.tel.writesDeclared.Inc()
+		m.tel.Count(evWriteDeclared, -1)
 		bumps = append(bumps, MirrorUpdate{Op: MirrorInvalidate, From: m.self,
 			Rec: SessionRecord{ID: m.objGen[name], Key: name, Home: m.selfName()}})
 	}
@@ -90,7 +90,7 @@ func (m *Mediator) cacheSyncLocked(id uint64, cached []CachedObject, written []s
 		if g := m.objGen[co.Name]; g > co.Gen {
 			out = append(out, CachedObject{Name: co.Name, Gen: g})
 			if !wrote[co.Name] {
-				m.tel.invalidations.Inc()
+				m.tel.Count(evInvalidation, -1)
 			}
 		}
 	}

@@ -203,7 +203,7 @@ func (m *Mediator) enqueue(l *peerLink, u MirrorUpdate) {
 	select {
 	case l.queue <- mirrorMsg{u: u}:
 	default:
-		m.tel.mirrorDrops.Inc()
+		m.tel.Count(evMirrorDrop, -1)
 		if u.Op == MirrorDelete {
 			l.park(u)
 		}
@@ -214,11 +214,11 @@ func (m *Mediator) enqueue(l *peerLink, u MirrorUpdate) {
 // recording whether the peer answered.
 func (m *Mediator) deliver(l *peerLink, u MirrorUpdate) bool {
 	if err := l.peer.Mirror(u); err != nil {
-		m.tel.mirrorDrops.Inc()
+		m.tel.Count(evMirrorDrop, -1)
 		l.down.Store(true)
 		return false
 	}
-	m.tel.mirrorsSent.Inc()
+	m.tel.Count(evMirrorSent, -1)
 	l.down.Store(false)
 	return true
 }
@@ -275,17 +275,17 @@ func (m *Mediator) ApplyMirror(u MirrorUpdate) error {
 		} else {
 			m.insertRecordLocked(rec)
 		}
-		m.tel.mirrorsApplied.Inc()
+		m.tel.Count(evMirrorApplied, -1)
 	case MirrorDelete:
 		if s := m.sessions[u.Rec.ID]; s != nil {
 			// Out of the map before releasing, same as CloseSession.
 			delete(m.sessions, u.Rec.ID)
 			m.releaseLocked(s.plan)
 		}
-		m.tel.mirrorsApplied.Inc()
+		m.tel.Count(evMirrorApplied, -1)
 	case MirrorInvalidate:
 		m.applyInvalidateLocked(u.Rec.Key, u.Rec.ID)
-		m.tel.mirrorsApplied.Inc()
+		m.tel.Count(evMirrorApplied, -1)
 	default:
 		return fmt.Errorf("mediator: unknown mirror op %v", u.Op)
 	}
@@ -356,22 +356,22 @@ func (m *Mediator) RenewSession(rec SessionRecord) (home string, err error) {
 		}
 		rec.Home = m.selfName()
 		s = m.insertRecordLocked(rec)
-		m.tel.failovers.Inc()
-		m.tel.renewals.Inc()
+		m.tel.Count(evFailover, -1)
 		m.mirrorLocked(MirrorUpsert, m.recordLocked(rec.ID, s))
 		return s.home, nil
 	}
+	renewed := evRenewal
 	if s.home != m.selfName() && !m.draining {
 		// The client re-targeted here while the record says another
 		// replica is home: that home is gone as far as the client is
 		// concerned. Adopt.
 		s.home = m.selfName()
-		m.tel.failovers.Inc()
+		renewed = evFailover
 	}
 	if m.cfg.LeaseTTL > 0 {
 		s.expires = m.cfg.Now().Add(m.cfg.LeaseTTL)
 	}
-	m.tel.renewals.Inc()
+	m.tel.Count(renewed, -1)
 	if s.home == m.selfName() || m.draining {
 		m.mirrorLocked(MirrorUpsert, m.recordLocked(rec.ID, s))
 	}
@@ -452,7 +452,7 @@ func (m *Mediator) Drain() (int, error) {
 			m.lastHandoff = m.cfg.Now()
 			m.mirrorLocked(MirrorUpsert, rec) // tell the other peers about the new home
 			m.mu.Unlock()
-			m.tel.handoffs.Inc()
+			m.tel.Count(evHandoff, -1)
 			handed++
 			sent = true
 			break
@@ -538,9 +538,9 @@ func (m *Mediator) Status() (ReplicaStatus, error) {
 		Role:        "active",
 		Sessions:    len(m.sessions),
 		LastHandoff: m.lastHandoff,
-		Failovers:   m.tel.failovers.Load(),
-		Handoffs:    m.tel.handoffs.Load(),
-		Expirations: m.tel.expirations.Load(),
+		Failovers:   m.tel.Load(evFailover, -1),
+		Handoffs:    m.tel.Load(evHandoff, -1),
+		Expirations: m.tel.Load(evExpiration, -1),
 	}
 	if m.draining {
 		st.Role = "draining"

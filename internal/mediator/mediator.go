@@ -156,7 +156,7 @@ type Mediator struct {
 	self   string // cfg.Self
 	idBase uint64 // session-id namespace, 0 when unfederated
 
-	tel *telemetry
+	tel *obs.Events
 
 	mu          sync.Mutex
 	agentLoad   []float64           // guarded by mu
@@ -309,7 +309,7 @@ func (m *Mediator) expireLocked() int {
 		}
 		delete(m.sessions, id)
 		m.releaseLocked(s.plan)
-		m.tel.expirations.Inc()
+		m.tel.Count(evExpiration, -1)
 		n++
 	}
 	return n
@@ -337,13 +337,12 @@ func (m *Mediator) Admit(req Requirements) (*SessionRecord, error) {
 		return nil, ErrReplicaDown
 	}
 	if m.draining {
-		m.tel.rejects.Inc()
+		m.tel.Count(evReject, -1)
 		return nil, ErrDraining
 	}
 	m.expireLocked()
 	if w := m.cfg.AdmitWatermark; w > 0 && m.maxReservedLocked() >= w {
-		m.tel.rejects.Inc()
-		m.tel.overloadRejects.Inc()
+		m.tel.Count(evOverloadReject, -1)
 		return nil, &OverloadedError{RetryAfter: m.retryAfterLocked()}
 	}
 	p, err := m.admitLocked(req)
@@ -393,7 +392,7 @@ func (m *Mediator) admitLocked(req Requirements) (*Plan, error) {
 	// and plain Redundancy means the single computed copy.
 	shards := req.ParityShards
 	if shards < 0 {
-		m.tel.rejects.Inc()
+		m.tel.Count(evReject, -1)
 		return nil, fmt.Errorf("%w: negative parity shards %d", ErrUnsatisfiable, shards)
 	}
 	if shards > 0 {
@@ -492,10 +491,10 @@ func (m *Mediator) admitLocked(req Requirements) (*Plan, error) {
 			s.expires = m.cfg.Now().Add(m.cfg.LeaseTTL)
 		}
 		m.sessions[p.SessionID] = s
-		m.tel.admits.Inc()
+		m.tel.Count(evAdmit, -1)
 		return p, nil
 	}
-	m.tel.rejects.Inc()
+	m.tel.Count(evReject, -1)
 	return nil, fmt.Errorf("%w: rate %.0f B/s (redundancy=%v parity_shards=%d)",
 		ErrUnsatisfiable, req.Rate, req.Redundancy, shards)
 }
@@ -534,7 +533,7 @@ func (m *Mediator) CloseSession(id uint64) error {
 	rec := m.recordLocked(id, s)
 	delete(m.sessions, id)
 	m.releaseLocked(s.plan)
-	m.tel.closes.Inc()
+	m.tel.Count(evClose, -1)
 	m.mirrorLocked(MirrorDelete, rec)
 	return nil
 }
@@ -586,7 +585,7 @@ func (m *Mediator) Renew(id uint64) error {
 	if m.cfg.LeaseTTL > 0 {
 		s.expires = m.cfg.Now().Add(m.cfg.LeaseTTL)
 	}
-	m.tel.renewals.Inc()
+	m.tel.Count(evRenewal, -1)
 	if s.home == m.selfName() {
 		m.mirrorLocked(MirrorUpsert, m.recordLocked(id, s))
 	}

@@ -453,7 +453,7 @@ func TestAdmissionWatermarkSheds(t *testing.T) {
 	if oe.RetryAfter < 50*time.Millisecond {
 		t.Fatalf("retry-after = %v, want >= 50ms floor", oe.RetryAfter)
 	}
-	if got := m.tel.overloadRejects.Load(); got != 1 {
+	if got := m.tel.Load(evOverloadReject, -1); got != 1 {
 		t.Fatalf("overload rejects counter = %d, want 1", got)
 	}
 	// Draining the load reopens admission.

@@ -6,88 +6,46 @@ import (
 	"swift/internal/obs"
 )
 
-// telemetry is the mediator's observability surface: admission counters,
-// federation counters, and export-time reservation-utilization gauges
-// computed straight from the load tables (never double-booked). Federated
-// replicas label every instrument with {replica="<Self>"} so a tier
-// sharing one registry exports one series per replica.
-type telemetry struct {
-	reg            *obs.Registry
-	admits         *obs.Counter // sessions admitted
-	rejects        *obs.Counter // sessions rejected (ErrUnsatisfiable or ErrDraining)
-	closes         *obs.Counter // sessions closed
-	renewals       *obs.Counter // lease heartbeats honoured
-	expirations    *obs.Counter // sessions reaped by lease expiry
-	failovers      *obs.Counter // sessions adopted from a failed peer
-	handoffs       *obs.Counter // sessions handed to peers by Drain
-	mirrorsSent    *obs.Counter // replication updates delivered to peers
-	mirrorsApplied *obs.Counter // replication updates applied from peers
-	mirrorDrops    *obs.Counter // replication updates dropped or refused
-
-	overloadRejects *obs.Counter // sessions shed by the admission watermark
-
-	// Cache coherence (see coherence.go).
-	cacheSyncs     *obs.Counter // client coherence rounds served
-	writesDeclared *obs.Counter // object write declarations (generation bumps)
-	invalidations  *obs.Counter // stale cached objects reported to clients
-}
-
-// lbl builds an instrument's label set, adding the replica label on
-// federated mediators. Returning the extra labels untouched for the
-// unfederated case keeps the pre-federation export format byte-identical.
-func (m *Mediator) lbl(extra obs.Labels) obs.Labels {
-	if m.cfg.Self == "" {
-		return extra
-	}
-	out := obs.Labels{"replica": m.cfg.Self}
-	for k, v := range extra {
-		out[k] = v
-	}
-	return out
-}
+// events is the mediator's event table: each incident is counted by one
+// Count call. An overload shed is also a rejection, and an adoption
+// (failover) also renews the lease.
+var (
+	events           obs.EventTable
+	evAdmit          = events.Kind(obs.EventKind{Series: "swift_mediator_admits_total", Help: "Sessions admitted."})
+	evReject         = events.Kind(obs.EventKind{Series: "swift_mediator_rejects_total", Help: "Sessions rejected as unsatisfiable."})
+	evOverloadReject = events.Kind(obs.EventKind{Also: evReject, Series: "swift_mediator_overload_rejects_total", Help: "New sessions shed because reserved ratios exceeded the admission watermark."})
+	evClose          = events.Kind(obs.EventKind{Series: "swift_mediator_closes_total", Help: "Sessions closed."})
+	evRenewal        = events.Kind(obs.EventKind{Series: "swift_mediator_lease_renewals_total", Help: "Session lease heartbeats honoured."})
+	evExpiration     = events.Kind(obs.EventKind{Series: "swift_mediator_lease_expirations_total", Help: "Sessions reaped because their lease lapsed."})
+	evFailover       = events.Kind(obs.EventKind{Also: evRenewal, Series: "swift_mediator_failovers_total", Help: "Sessions adopted after their home replica failed and the client re-targeted."})
+	evHandoff        = events.Kind(obs.EventKind{Series: "swift_mediator_handoffs_total", Help: "Live sessions handed to a peer replica by Drain."})
+	evMirrorSent     = events.Kind(obs.EventKind{Series: "swift_mediator_mirrors_sent_total", Help: "Session replication updates delivered to peer replicas."})
+	evMirrorApplied  = events.Kind(obs.EventKind{Series: "swift_mediator_mirrors_applied_total", Help: "Session replication updates applied from peer replicas."})
+	evMirrorDrop     = events.Kind(obs.EventKind{Series: "swift_mediator_mirrors_dropped_total", Help: "Session replication updates dropped (full peer queue) or refused by a peer."})
+	evCacheSync      = events.Kind(obs.EventKind{Series: "swift_mediator_cache_syncs_total", Help: "Client cache-coherence rounds served over the lease channel."})
+	evWriteDeclared  = events.Kind(obs.EventKind{Series: "swift_mediator_cache_writes_declared_total", Help: "Object write declarations received (each bumps the object's generation)."})
+	evInvalidation   = events.Kind(obs.EventKind{Series: "swift_mediator_cache_invalidations_total", Help: "Stale cached objects reported back to clients for invalidation."})
+)
 
 // initTelemetry registers the mediator's instruments. The reservation
 // gauges are GaugeFuncs over the live load tables, so exports always see
-// the current utilization without a second bookkeeping path.
+// the current utilization without a second bookkeeping path. A federated
+// replica labels every series with its name; an unfederated one exports
+// the pre-federation format, unlabeled.
 func (m *Mediator) initTelemetry(reg *obs.Registry) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	m.tel = &telemetry{
-		reg:     reg,
-		admits:  reg.Counter("swift_mediator_admits_total", "Sessions admitted.", m.lbl(nil)),
-		rejects: reg.Counter("swift_mediator_rejects_total", "Sessions rejected as unsatisfiable.", m.lbl(nil)),
-		closes:  reg.Counter("swift_mediator_closes_total", "Sessions closed.", m.lbl(nil)),
-		renewals: reg.Counter("swift_mediator_lease_renewals_total",
-			"Session lease heartbeats honoured.", m.lbl(nil)),
-		expirations: reg.Counter("swift_mediator_lease_expirations_total",
-			"Sessions reaped because their lease lapsed.", m.lbl(nil)),
-		failovers: reg.Counter("swift_mediator_failovers_total",
-			"Sessions adopted after their home replica failed and the client re-targeted.", m.lbl(nil)),
-		handoffs: reg.Counter("swift_mediator_handoffs_total",
-			"Live sessions handed to a peer replica by Drain.", m.lbl(nil)),
-		mirrorsSent: reg.Counter("swift_mediator_mirrors_sent_total",
-			"Session replication updates delivered to peer replicas.", m.lbl(nil)),
-		mirrorsApplied: reg.Counter("swift_mediator_mirrors_applied_total",
-			"Session replication updates applied from peer replicas.", m.lbl(nil)),
-		mirrorDrops: reg.Counter("swift_mediator_mirrors_dropped_total",
-			"Session replication updates dropped (full peer queue) or refused by a peer.", m.lbl(nil)),
-		overloadRejects: reg.Counter("swift_mediator_overload_rejects_total",
-			"New sessions shed because reserved ratios exceeded the admission watermark.", m.lbl(nil)),
-		cacheSyncs: reg.Counter("swift_mediator_cache_syncs_total",
-			"Client cache-coherence rounds served over the lease channel.", m.lbl(nil)),
-		writesDeclared: reg.Counter("swift_mediator_cache_writes_declared_total",
-			"Object write declarations received (each bumps the object's generation).", m.lbl(nil)),
-		invalidations: reg.Counter("swift_mediator_cache_invalidations_total",
-			"Stale cached objects reported back to clients for invalidation.", m.lbl(nil)),
+	var l obs.Labels
+	if m.cfg.Self != "" {
+		l = obs.Labels{"replica": m.cfg.Self}
 	}
+	m.tel = obs.NewEvents(reg, obs.EventConfig{Layer: "mediator", Table: &events, Labels: l})
 	reg.GaugeFunc("swift_mediator_sessions", "Active reserved sessions known to this replica.",
-		m.lbl(nil), func() float64 {
-			return float64(m.Sessions())
-		})
+		l, func() float64 { return float64(m.Sessions()) })
 	reg.GaugeFunc("swift_mediator_home_sessions",
 		"Active sessions this replica is the lease home for.",
-		m.lbl(nil), func() float64 {
+		l, func() float64 {
 			st, err := m.Status()
 			if err != nil {
 				return 0
@@ -95,11 +53,10 @@ func (m *Mediator) initTelemetry(reg *obs.Registry) {
 			return float64(st.HomeSessions)
 		})
 	for i := range m.cfg.Agents {
-		i := i
 		cap := m.cfg.Agents[i].Rate
 		reg.GaugeFunc("swift_mediator_agent_reserved_ratio",
 			"Fraction of the agent's deliverable rate currently reserved.",
-			m.lbl(obs.Labels{"agent": strconv.Itoa(i)}), func() float64 {
+			l.With("agent", strconv.Itoa(i)), func() float64 {
 				if cap <= 0 {
 					return 0
 				}
@@ -107,11 +64,10 @@ func (m *Mediator) initTelemetry(reg *obs.Registry) {
 			})
 	}
 	for j := range m.cfg.Nets {
-		j := j
 		cap := m.cfg.Nets[j].Capacity
 		reg.GaugeFunc("swift_mediator_net_reserved_ratio",
 			"Fraction of the interconnect's capacity currently reserved.",
-			m.lbl(obs.Labels{"net": m.cfg.Nets[j].Name}), func() float64 {
+			l.With("net", m.cfg.Nets[j].Name), func() float64 {
 				if cap <= 0 {
 					return 0
 				}
@@ -121,4 +77,4 @@ func (m *Mediator) initTelemetry(reg *obs.Registry) {
 }
 
 // Obs returns the mediator's metric registry, for export.
-func (m *Mediator) Obs() *obs.Registry { return m.tel.reg }
+func (m *Mediator) Obs() *obs.Registry { return m.tel.Registry() }

@@ -30,9 +30,9 @@ func TestMediatorTelemetry(t *testing.T) {
 	if _, err := m.OpenSession(Requirements{Rate: 1e9}); err == nil {
 		t.Fatal("expected rejection")
 	}
-	if m.tel.admits.Load() != 1 || m.tel.rejects.Load() != 1 {
+	if m.tel.Load(evAdmit, -1) != 1 || m.tel.Load(evReject, -1) != 1 {
 		t.Fatalf("admits=%d rejects=%d, want 1/1",
-			m.tel.admits.Load(), m.tel.rejects.Load())
+			m.tel.Load(evAdmit, -1), m.tel.Load(evReject, -1))
 	}
 
 	var b strings.Builder
@@ -55,8 +55,8 @@ func TestMediatorTelemetry(t *testing.T) {
 	if err := m.CloseSession(p.SessionID); err != nil {
 		t.Fatal(err)
 	}
-	if m.tel.closes.Load() != 1 {
-		t.Fatalf("closes = %d, want 1", m.tel.closes.Load())
+	if m.tel.Load(evClose, -1) != 1 {
+		t.Fatalf("closes = %d, want 1", m.tel.Load(evClose, -1))
 	}
 	// Reservations released: every agent ratio back to zero.
 	for i := range m.cfg.Agents {

@@ -483,10 +483,10 @@ func TestLateShedReleasesAdmission(t *testing.T) {
 	if err := conn.WriteTo(req, "med:7060"); err != nil {
 		t.Fatal(err)
 	}
-	for end := time.Now().Add(5 * time.Second); srv.LateSheds() == 0 && time.Now().Before(end); {
+	for end := time.Now().Add(5 * time.Second); srv.ev.Load(evLateShed, -1) == 0 && time.Now().Before(end); {
 		time.Sleep(time.Millisecond)
 	}
-	if got := srv.LateSheds(); got != 1 {
+	if got := srv.ev.Load(evLateShed, -1); got != 1 {
 		t.Fatalf("late sheds = %d, want 1", got)
 	}
 	conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))

@@ -15,16 +15,6 @@ func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // secs converts a duration to seconds for export.
 func secs(d time.Duration) float64 { return d.Seconds() }
 
-// mergeLabels renders labels plus one extra pair (for quantile series).
-func mergeLabels(l Labels, k, v string) string {
-	m := make(Labels, len(l)+1)
-	for lk, lv := range l {
-		m[lk] = lv
-	}
-	m[k] = v
-	return m.render()
-}
-
 // WritePrometheus renders every registered metric in the Prometheus text
 // exposition format. Histograms export as summaries: quantile series plus
 // _sum and _count, values in seconds.
@@ -57,7 +47,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				q string
 				v time.Duration
 			}{{"0.5", s.P50}, {"0.9", s.P90}, {"0.99", s.P99}} {
-				fmt.Fprintf(&b, "%s%s %s\n", m.name, mergeLabels(m.labels, "quantile", q.q), fnum(secs(q.v)))
+				fmt.Fprintf(&b, "%s%s %s\n", m.name, m.labels.With("quantile", q.q).render(), fnum(secs(q.v)))
 			}
 			fmt.Fprintf(&b, "%s_sum%s %s\n", m.name, ls, fnum(secs(s.Sum)))
 			fmt.Fprintf(&b, "%s_count%s %d\n", m.name, ls, s.Count)

@@ -86,7 +86,7 @@ func TestWriteJSONGolden(t *testing.T) {
 func TestHandler(t *testing.T) {
 	reg := goldenRegistry()
 	ring := NewTraceRing(16)
-	ring.Emitf("test", "evt", -1, "hello trace")
+	ring.Emit(Event{Layer: "test", Kind: "evt", Agent: -1, Msg: "hello trace"})
 	srv := httptest.NewServer(Handler(reg, ring, nil))
 	defer srv.Close()
 

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -121,7 +123,7 @@ func TestConcurrent(t *testing.T) {
 				g.Set(int64(i))
 				h.Observe(time.Duration(i) * time.Microsecond)
 				if i%100 == 0 {
-					ring.Emitf("test", "tick", w, "i=%d", i)
+					ring.Emit(Event{Layer: "test", Kind: "tick", Agent: w, Msg: fmt.Sprintf("i=%d", i)})
 				}
 			}
 		}(w)
@@ -153,19 +155,21 @@ type nullWriter struct{}
 func (nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestTraceRing: wrap-around keeps the newest window in order, Total
-// counts everything, the sink sees every event.
+// counts everything, the tee prints every event its emitter did not log.
 func TestTraceRing(t *testing.T) {
 	ring := NewTraceRing(16)
-	var sunk []Event
-	ring.SetSink(func(e Event) { sunk = append(sunk, e) })
+	var sunk []string
+	stop := ring.Tee(func(format string, args ...any) { sunk = append(sunk, fmt.Sprintf(format, args...)) })
+	ring.Emit(Event{Kind: "logged", Agent: -1, Logged: true}) // already printed by its emitter
 	for i := 0; i < 40; i++ {
-		ring.Emitf("core", "evt", i%3, "event %d", i)
+		ring.Emit(Event{Layer: "core", Kind: "evt", Agent: i % 3, Msg: fmt.Sprintf("event %d", i)})
 	}
-	if ring.Total() != 40 {
-		t.Fatalf("total = %d, want 40", ring.Total())
+	if ring.Total() != 41 {
+		t.Fatalf("total = %d, want 41", ring.Total())
 	}
-	if len(sunk) != 40 {
-		t.Fatalf("sink saw %d events, want 40", len(sunk))
+	stop() // drains the tee
+	if len(sunk) != 40 || !strings.HasPrefix(sunk[0], "trace: ") || !strings.HasSuffix(sunk[0], " core/evt agent=0 event 0") {
+		t.Fatalf("tee printed %d lines, want 40: %q", len(sunk), sunk)
 	}
 	snap := ring.Snapshot()
 	if len(snap) != 16 {

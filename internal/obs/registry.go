@@ -11,6 +11,15 @@ import (
 // (e.g. the per-agent histograms of one client).
 type Labels map[string]string
 
+// With returns a copy of l with one more label.
+func (l Labels) With(k, v string) Labels {
+	out := Labels{k: v}
+	for lk, lv := range l {
+		out[lk] = lv
+	}
+	return out
+}
+
 // render formats labels deterministically: {a="x",b="y"} with keys sorted.
 func (l Labels) render() string {
 	if len(l) == 0 {

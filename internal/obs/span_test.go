@@ -2,6 +2,7 @@ package obs
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -271,25 +272,25 @@ func TestHistogramExemplar(t *testing.T) {
 	}
 }
 
-// TestBufferedSink verifies the non-blocking hand-off: a sink that stalls
-// forever cannot stall Emit, and overflow is counted, while the ring
-// itself still records every event.
+// TestBufferedSink verifies the tee's non-blocking hand-off: a log that
+// stalls forever cannot stall Emit, and overflow is counted, while the
+// ring itself still records every event.
 func TestBufferedSink(t *testing.T) {
 	r := NewTraceRing(64)
 	block := make(chan struct{})
 	var mu sync.Mutex
-	var got []Event
-	stop := r.SetBufferedSink(func(e Event) {
+	var got []string
+	stop := r.Tee(func(format string, args ...any) {
 		<-block
 		mu.Lock()
-		got = append(got, e)
+		got = append(got, fmt.Sprintf(format, args...))
 		mu.Unlock()
-	}, 2)
+	})
 
 	done := make(chan struct{})
 	go func() {
-		for i := 0; i < 10; i++ {
-			r.Emitf("test", "evt", -1, "e%d", i)
+		for i := 0; i < 300; i++ { // past the tee's 256-event queue
+			r.Emit(Event{Layer: "test", Kind: "evt", Agent: -1, Msg: fmt.Sprintf("e%d", i)})
 		}
 		close(done)
 	}()
@@ -298,8 +299,8 @@ func TestBufferedSink(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Emit blocked on a stalled sink")
 	}
-	if r.Total() != 10 {
-		t.Fatalf("ring recorded %d events, want 10", r.Total())
+	if r.Total() != 300 {
+		t.Fatalf("ring recorded %d events, want 300", r.Total())
 	}
 	if r.SinkDrops() == 0 {
 		t.Fatal("no sink drops counted despite stalled sink")
@@ -314,7 +315,7 @@ func TestBufferedSink(t *testing.T) {
 		t.Fatal("stop did not flush queued events")
 	}
 	// Events emitted after stop are recorded but not delivered.
-	r.Emitf("test", "evt", -1, "late")
+	r.Emit(Event{Layer: "test", Kind: "evt", Agent: -1, Msg: "late"})
 	mu.Lock()
 	if len(got) != delivered {
 		t.Fatal("sink received an event after stop")

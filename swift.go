@@ -281,7 +281,7 @@ func (fs *FS) Layout() LayoutInfo {
 }
 
 // TraceEvents returns up to n recent trace events, oldest first.
-func (fs *FS) TraceEvents(n int) []TraceEvent { return fs.c.TraceEvents(n) }
+func (fs *FS) TraceEvents(n int) []TraceEvent { return fs.c.Trace().Last(n) }
 
 // OpTrace is one kept per-operation span tree (see Config.TraceRate).
 type OpTrace = obs.Trace
