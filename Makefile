@@ -27,9 +27,9 @@ vet:
 # shrinks them lowers the ceilings to its result; none raises them. It
 # also prints the repo-wide non-test Go line count (item 6's "down by
 # >= 2k lines"), ungated.
-CORE_LINES_MAX := 4814
-CORE_FILE_LINES_MAX := 954
-AGENT_LINES_MAX := 1245
+CORE_LINES_MAX := 4810
+CORE_FILE_LINES_MAX := 949
+AGENT_LINES_MAX := 1243
 size:
 	@core=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l); \
 	file=$$(cat internal/core/file.go | wc -l); \
@@ -149,7 +149,9 @@ ablations:
 # `go -C benchmark run . -compare a.json b.json`). Timing
 # is advisory on a shared machine — the machine-independent gates are the
 # count-based tests in internal/agent, internal/transport,
-# internal/integrity and internal/core, which run in tier-1. The last
+# internal/integrity and internal/core, which run in tier-1; among them,
+# agent TestServeReadAllocs and TestWriteBurstAllocs and core
+# TestOpAllocsFlat pin a read or write burst at no allocation. The last
 # line printed is how far the deployment shape (stream-udp) sits below
 # the engine (stream-mem).
 bench-ladder:

@@ -44,10 +44,11 @@ type Config struct {
 	// ReadChunk is the number of bytes fetched from the store per call
 	// while streaming a read. Zero (or less) means one default burst,
 	// wire.BurstPackets full payloads of the session: such a burst is one
-	// store read cut into full datagrams, and a longer one is read in
-	// chunks of that size, so disk service overlaps transmission from one
-	// chunk to the next. Only the modeled 1991 installation sets it, to
-	// the prototype's 8 KiB.
+	// store read into the session's buffer, cut into full datagrams on the
+	// session goroutine. A longer burst is read in chunks of that size,
+	// and a reader goroutine fetches chunk k+1 while chunk k is sent, so
+	// disk service overlaps transmission from one chunk to the next. Only
+	// the modeled 1991 installation sets it, to the prototype's 8 KiB.
 	ReadChunk int
 	// ResendCheck is how often incomplete (open) write bursts are
 	// examined for stalls (default 25ms). It is also the session's
@@ -571,12 +572,15 @@ type earlyData struct {
 	b   []byte
 }
 
-// Burst-buffer free list bounds: enough buffers for the bursts a client
-// keeps in flight (core's WriteWindow defaults to 2), and no buffer so
-// large that an idle session pins real memory.
+// Free list bounds: enough burst buffers for the bursts a client keeps in
+// flight (core's WriteWindow defaults to 2), no buffer so large that an
+// idle session pins real memory, and enough burst records for the reap
+// after every run of datagrams without a quiet session keeping its
+// DoneTTL population alive.
 const (
 	burstFreeMax      = 4
 	burstFreeMaxBytes = 1 << 20
+	writeFreeMax      = 64
 )
 
 // session is the secondary thread of control serving one open file.
@@ -606,6 +610,8 @@ type session struct {
 	lastSweep time.Time
 	// burstFree recycles burst buffers between announcements.
 	burstFree [][]byte
+	// writeFree recycles reaped burst records, at most writeFreeMax.
+	writeFree []*writeState
 	lastSeen  time.Time
 
 	// out sends the session's data path in runs: a read burst's data
@@ -616,11 +622,11 @@ type session struct {
 	// chunk is the bytes serveRead asks the store for per call:
 	// Config.ReadChunk, or one default burst of this session's payload.
 	chunk int64
-	// readFree recycles the two serve-loop chunk buffers: the reader
-	// goroutine fills one while the transmitter drains the other, so a
-	// burst of any length touches at most two buffers. Each grows on
-	// demand, never past chunk.
-	readFree chan []byte
+	// rbuf holds chunk k of a read burst in rbuf[k%2], so a one-chunk
+	// burst touches only the first; each grows to at most chunk.
+	rbuf [2][]byte
+	// ahead carries the reader goroutine's outcome (see serveRead).
+	ahead chan error
 }
 
 func newSession(a *Agent, handle uint64, obj store.Object, conn transport.PacketConn, payload int) *session {
@@ -637,6 +643,7 @@ func newSession(a *Agent, handle uint64, obj store.Object, conn transport.Packet
 		writes:  make(map[uint32]*writeState),
 		out:     wire.NewBatch(conn, wire.HeaderSize+payload+wire.TrailerSize),
 		chunk:   chunk,
+		ahead:   make(chan error, 1),
 	}
 }
 
@@ -746,13 +753,14 @@ func (s *session) reply(from string, t wire.Type, reqID uint32) {
 	s.send(from, &p)
 }
 
-// serveRead streams [Offset, Offset+Length) to the client as data packets.
-// The store is consulted in chunk pieces by a reader goroutine while the
-// session transmits, so on a burst longer than one chunk disk service
-// overlaps network transmission the way the prototype's kernel read-ahead
-// overlapped its sends. A default burst is one chunk: one store read.
-// Bytes beyond end-of-fragment are zero-filled, which is both the
-// sparse-file convention and what parity reconstruction expects.
+// serveRead streams [Offset, Offset+Length) to the client as data packets,
+// chunk by chunk. Chunk k is read into the session's rbuf on the session
+// goroutine or, past the first, by a reader goroutine started while chunk
+// k-1 was sent: a default burst is one store read and no goroutine, and
+// on a longer one disk service overlaps transmission the way the
+// prototype's kernel read-ahead overlapped its sends. Bytes beyond
+// end-of-fragment are zero-filled, which is both the sparse-file
+// convention and what parity reconstruction expects.
 //
 //swift:hotpath
 func (s *session) serveRead(pkt *wire.Packet, from string) {
@@ -760,7 +768,7 @@ func (s *session) serveRead(pkt *wire.Packet, from string) {
 	tel.Count(evReadRequest, -1)
 	sp := s.agent.joinSpan(pkt.Trace, "agent_read_serve")
 	defer sp.Finish()
-	sp.Annotate("[%d:%d)", pkt.Offset, pkt.Offset+int64(pkt.Length)) //lint:allow hotalloc one span note per burst, not per packet
+	sp.AnnotateRange("", pkt.Offset, pkt.Offset+int64(pkt.Length))
 	if !s.agent.acquireRead() {
 		s.agent.shed(s.conn, from, pkt, sp, wire.PushQueueFull)
 		return
@@ -786,100 +794,87 @@ func (s *session) serveRead(pkt *wire.Packet, from string) {
 		return
 	}
 	start := time.Now()
-	defer func() { tel.readServeLat.Observe(time.Since(start)) }() //lint:allow hotalloc one latency-observe closure per burst
-	type chunk struct {
-		off  int64
-		data []byte
-		err  error
-	}
-	if s.readFree == nil {
-		// One-time per-session pool: two chunk buffers recycled across
-		// every burst this session serves, each allocated by the first
-		// read that needs it larger.
-		//lint:allow hotalloc per-session buffer pool, built on the first read burst only
-		s.readFree = make(chan []byte, 2)
-		s.readFree <- nil
-		s.readFree <- nil
-	}
-	//lint:allow hotalloc one bounded channel per read burst, amortized over chunk-sized transfers
-	chunks := make(chan chunk, 2)
-	go func() { //lint:allow hotalloc one reader goroutine and closure per burst, amortized over chunk-sized transfers
-		defer close(chunks)
-		remaining := int64(pkt.Length)
-		off := pkt.Offset
-		for remaining > 0 {
-			n := min(s.chunk, remaining)
-			buf := <-s.readFree
-			if int64(cap(buf)) < n {
-				buf = make([]byte, n) //lint:allow hotalloc per-session buffer pool, each buffer grows to at most one chunk
-			}
-			buf = buf[:n]
-			got, err := s.obj.ReadAt(buf, off)
-			if int64(got) < n && err != nil && !isEOF(err) {
-				s.readFree <- buf[:cap(buf)]
-				chunks <- chunk{err: err}
-				return
-			}
-			// The tail past EOF must read as zeros: the buffer is
-			// recycled, so clear whatever the store did not fill.
-			clear(buf[got:])
-			chunks <- chunk{off: off, data: buf}
-			off += n
-			remaining -= n
-		}
-	}()
-
 	end := pkt.Offset + int64(pkt.Length)
 	// One packet struct serves the whole burst; only the per-datagram
 	// header fields and the payload window change between sends.
 	dp := wire.Packet{Header: wire.Header{Type: wire.TData, ReqID: pkt.ReqID, Handle: s.handle}}
+	var err error
 	expired := false
-	var fail error
-	for c := range chunks {
-		if c.err != nil {
-			fail = c.err
-			continue // drain the reader
+	for k, off := 0, pkt.Offset; off < end; k, off = k+1, off+s.chunk {
+		n := min(s.chunk, end-off)
+		if k == 0 {
+			err = s.readChunk(0, off, n)
+		} else {
+			err = <-s.ahead
 		}
-		if !expired && !expiry.IsZero() && time.Now().After(expiry) {
-			// The budget ran out mid-stream: stop transmitting — the
-			// client has moved on, and the remaining packets would only
-			// displace work that can still meet its deadline.
-			expired = true
+		if err != nil {
+			break
 		}
-		if !expired {
-			for sent := int64(0); sent < int64(len(c.data)); {
-				p := min(int64(len(c.data))-sent, int64(s.payload))
-				dp.Offset = c.off + sent
-				dp.Length = uint32(p)
-				dp.Flags = 0
-				if c.off+sent+p == end {
-					dp.Flags = wire.FLast
-				}
-				dp.Payload = c.data[sent : sent+p]
-				s.send(from, &dp)
-				tel.Add(evReadBytes, -1, p)
-				sent += p
+		// A budget that runs out mid-stream stops the store reads as
+		// well as the sends: the client has moved on, and neither should
+		// displace work that can still meet its deadline.
+		if expired = !expiry.IsZero() && time.Now().After(expiry); expired {
+			break
+		}
+		if next := off + n; next < end {
+			go func() { s.ahead <- s.readChunk((k+1)%2, next, min(s.chunk, end-next)) }() //lint:allow hotalloc one reader goroutine per chunk after the first: only a burst longer than one chunk has a next
+		}
+		for sent, data := int64(0), s.rbuf[k%2][:n]; sent < n; {
+			p := min(n-sent, int64(s.payload))
+			dp.Offset = off + sent
+			dp.Length = uint32(p)
+			dp.Flags = 0
+			if off+sent+p == end {
+				dp.Flags = wire.FLast
 			}
+			dp.Payload = data[sent : sent+p]
+			s.send(from, &dp)
+			tel.Add(evReadBytes, -1, p)
+			sent += p
 		}
-		s.readFree <- c.data[:cap(c.data)]
 	}
-	if err := s.out.Flush(); err != nil {
-		s.agent.cfg.Logf("agent %s: send data to %s: %v", s.agent.host.Name(), from, err) //lint:allow hotalloc cold send-failure log
+	if ferr := s.out.Flush(); ferr != nil {
+		s.agent.cfg.Logf("agent %s: send data to %s: %v", s.agent.host.Name(), from, ferr) //lint:allow hotalloc cold send-failure log
 	}
 	switch {
-	case fail != nil:
-		sp.SetError(fail)
-		s.agent.sendError(s.conn, from, pkt, fail)
+	case err != nil:
+		sp.SetError(err)
+		s.agent.sendError(s.conn, from, pkt, err)
 	case expired:
 		s.agent.shed(s.conn, from, pkt, sp, wire.PushDeadlineExpired)
 	}
+	tel.readServeLat.Observe(time.Since(start))
+}
+
+// readChunk fills rbuf[i] with fragment bytes [off, off+n), zeros past
+// end-of-fragment: the buffer is reused from burst to burst.
+func (s *session) readChunk(i int, off, n int64) error {
+	if int64(cap(s.rbuf[i])) < n {
+		s.rbuf[i] = make([]byte, n) //lint:allow hotalloc a session read buffer, grown to at most one chunk
+	}
+	buf := s.rbuf[i][:n]
+	got, err := s.obj.ReadAt(buf, off)
+	if int64(got) < n && err != nil && !isEOF(err) {
+		return err
+	}
+	clear(buf[got:])
+	return nil
 }
 
 func isEOF(err error) bool { return errors.Is(err, io.EOF) }
 
-// openWrite starts tracking a burst first seen at now.
+// openWrite starts tracking a burst first seen at now, recycling a record.
 func (s *session) openWrite(reqID uint32, now time.Time) *writeState {
-	w := &writeState{reqID: reqID, first: now, progress: now, openIdx: len(s.open)} //lint:allow hotalloc one state record per write burst
+	var w *writeState
+	if k := len(s.writeFree) - 1; k >= 0 {
+		w = s.writeFree[k]
+		s.writeFree[k] = nil
+		s.writeFree = s.writeFree[:k]
+	} else {
+		w = new(writeState) //lint:allow hotalloc a record is allocated only until reapDone has given one back
+	}
+	w.received.Reset()
+	*w = writeState{reqID: reqID, received: w.received, first: now, progress: now, openIdx: len(s.open)}
 	s.writes[reqID] = w
 	s.open = append(s.open, w)
 	return w
@@ -950,7 +945,7 @@ func (s *session) handleWriteAnnounce(pkt *wire.Packet, from string, now time.Ti
 	}
 	if w.sp == nil {
 		w.sp = s.agent.joinSpan(pkt.Trace, "agent_write_serve")
-		w.sp.Annotate("[%d:%d)", pkt.Offset, pkt.Offset+int64(pkt.Length)) //lint:allow hotalloc one span note per burst, not per packet
+		w.sp.AnnotateRange("", pkt.Offset, pkt.Offset+int64(pkt.Length))
 	}
 	if int64(pkt.Length) > s.agent.cfg.MaxBurstBytes {
 		err := fmt.Errorf("write burst of %d bytes exceeds limit %d", pkt.Length, s.agent.cfg.MaxBurstBytes) //lint:allow hotalloc oversize announcements are refused on the cold path
@@ -1095,9 +1090,9 @@ func (s *session) checkWrites(now time.Time) {
 	}
 }
 
-// reapDone forgets the bursts that completed more than DoneTTL ago:
-// they are the head of the done queue, so each is visited once, when it
-// expires — amortised O(1) per call.
+// reapDone forgets the bursts that completed more than DoneTTL ago, and
+// recycles their records: they are the head of the done queue, so each
+// is visited once, when it expires — amortised O(1) per call.
 //
 //swift:hotpath
 func (s *session) reapDone(now time.Time) {
@@ -1109,6 +1104,9 @@ func (s *session) reapDone(now time.Time) {
 		}
 		if s.writes[w.reqID] == w {
 			delete(s.writes, w.reqID)
+		}
+		if len(s.writeFree) < writeFreeMax {
+			s.writeFree = append(s.writeFree, w)
 		}
 		s.done[s.doneHead] = nil
 		s.doneHead++

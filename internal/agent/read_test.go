@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"time"
 
 	"swift/internal/wire"
 )
@@ -106,16 +107,68 @@ func TestReadBurstOneStoreCall(t *testing.T) {
 					t.Fatalf("datagram %d of %d carries %d bytes, want a full %d", i, len(sent), len(p.Payload), tc.payload)
 				}
 			}
-			// The pooled buffers are sized to what was read, at most one
-			// chunk each.
-			for range 2 {
-				b := <-r.s.readFree
+			// The session's read buffers are sized to what was read, at
+			// most one chunk each, and a one-chunk burst uses only the
+			// first.
+			for i, b := range r.s.rbuf {
 				if limit := min(r.s.chunk, tc.n); int64(cap(b)) > limit {
-					t.Errorf("a pooled buffer holds %d bytes, want at most %d", cap(b), limit)
+					t.Errorf("read buffer %d holds %d bytes, want at most %d", i, cap(b), limit)
 				}
-				r.s.readFree <- b
+			}
+			if tc.n <= r.s.chunk && r.s.rbuf[1] != nil {
+				t.Errorf("a one-chunk burst grew the second read buffer to %d bytes", cap(r.s.rbuf[1]))
 			}
 		})
+	}
+}
+
+// TestShedBurstStopsStoreReads pins that a read burst whose deadline
+// passes mid-stream stops reading the store, not only sending: the
+// first of three 8 KiB chunks outlasts the budget, so the agent makes
+// that one store read, sends no data and pushes back.
+func TestShedBurstStopsStoreReads(t *testing.T) {
+	const chunk = 8192
+	r := newBurstRig(t, Config{ReadChunk: chunk})
+	r.seed(fill(0xCD, 3*chunk))
+	r.obj.stall = 20 * time.Millisecond
+	sent := r.deliver(&wire.Packet{
+		Header:   wire.Header{Type: wire.TRead, ReqID: 1, Length: 3 * chunk},
+		Deadline: 2 * time.Millisecond,
+	})
+	if reads := r.obj.reads.Load(); reads != 1 {
+		t.Errorf("%d store reads, want 1", reads)
+	}
+	wantSent(t, "shed burst", sent, wire.TPushback)
+	info, err := wire.ParsePushback(sent[0].Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Reason != wire.PushDeadlineExpired {
+		t.Errorf("pushback reason %v, want %v", info.Reason, wire.PushDeadlineExpired)
+	}
+}
+
+// TestServeReadAllocs pins that serving a default read burst allocates
+// nothing once the session's read buffer has grown: no channel, no
+// goroutine, no span note for an untraced request.
+func TestServeReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	for _, payload := range []int{wire.MaxPayload, wire.JumboPayload} {
+		r := newPayloadRig(t, Config{}, payload)
+		r.conn.discard = true
+		burst := int64(wire.BurstPackets * payload)
+		r.seed(fill(0xEF, int(burst)))
+		pkt := wire.Packet{Header: wire.Header{Type: wire.TRead, ReqID: 1, Handle: r.s.handle, Length: uint32(burst)}}
+		serve := func() { r.s.dispatch(&pkt, burstClient, r.now) }
+		serve() // grow the read buffer
+		if r.conn.dropped != wire.BurstPackets {
+			t.Fatalf("%d-byte payload: %d datagrams per burst, want %d", payload, r.conn.dropped, wire.BurstPackets)
+		}
+		if allocs := testing.AllocsPerRun(100, serve); allocs != 0 {
+			t.Errorf("%d-byte payload: a default read burst allocated %v times, want 0", payload, allocs)
+		}
 	}
 }
 

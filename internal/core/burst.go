@@ -71,7 +71,7 @@ type burstRun struct {
 	f     *File
 	s     *agentSession
 	dir   direction
-	x     *xfer
+	x     xfer
 	sp    *obs.Span
 	lat   *obs.Histogram // the direction's burst latency on this agent
 	opDl  time.Time      // the operation's deadline; zero when OpTimeout is off
@@ -85,8 +85,7 @@ type burstRun struct {
 // flatBurst moves fragment bytes [lo, lo+len(buf)) of one agent to or from
 // buf as a single burst.
 func (f *File) flatBurst(s *agentSession, dir direction, lo int64, buf []byte, sp *obs.Span) error {
-	x := xfer{buf: buf, base: lo, flat: true}
-	return f.runBursts(s, dir, []extent.Extent{{Off: lo, Len: int64(len(buf))}}, &x, sp, false)
+	return f.runBursts(s, dir, []extent.Extent{{Off: lo, Len: int64(len(buf))}}, xfer{buf: buf, base: lo, flat: true}, sp, false)
 }
 
 // runBursts moves the given fragment ranges of one agent, one burst each
@@ -100,7 +99,7 @@ func (f *File) flatBurst(s *agentSession, dir direction, lo int64, buf []byte, s
 // stalled past the p99-derived delay ends the run with errHedged for the
 // caller to race reconstruction against the straggler. Reconstruction's
 // own reads pass false — a hedge inside a hedge would recurse.
-func (f *File) runBursts(s *agentSession, dir direction, ranges []extent.Extent, x *xfer, sp *obs.Span, allowHedge bool) error {
+func (f *File) runBursts(s *agentSession, dir direction, ranges []extent.Extent, x xfer, sp *obs.Span, allowHedge bool) error {
 	d := f.newBurstRun(s, dir, x, sp, allowHedge)
 	for next := 0; next < len(ranges) || len(d.live) > 0; {
 		for ; len(d.live) < d.window && next < len(ranges); next++ {
@@ -129,7 +128,7 @@ func (f *File) runBursts(s *agentSession, dir direction, ranges []extent.Extent,
 	return nil
 }
 
-func (f *File) newBurstRun(s *agentSession, dir direction, x *xfer, sp *obs.Span, allowHedge bool) burstRun {
+func (f *File) newBurstRun(s *agentSession, dir direction, x xfer, sp *obs.Span, allowHedge bool) burstRun {
 	cfg := &f.c.cfg
 	d := burstRun{f: f, s: s, dir: dir, x: x, sp: sp, lat: f.c.tel.agents[s.idx].burstLat[dir], opDl: f.opDeadline, live: s.bursts[:0], window: readWindow}
 	if dir == writing {
@@ -202,7 +201,7 @@ func (d *burstRun) transmit(b *burst, now time.Time) error {
 //
 //swift:hotpath
 func (d *burstRun) sendData(id uint32, off, n int64) error {
-	f, s, x := d.f, d.s, d.x
+	f, s, x := d.f, d.s, &d.x
 	cfg := &f.c.cfg
 	p := wire.Packet{Header: wire.Header{Type: wire.TData, ReqID: id, Handle: s.handle}}
 	for end := off + n; off < end; off += int64(len(p.Payload)) {
@@ -287,7 +286,7 @@ func (d *burstRun) receive(dgram []byte, now time.Time) error {
 //
 //swift:hotpath
 func (d *burstRun) takeData(b *burst, pkt *wire.Packet, now time.Time) (whole bool) {
-	off, n, x := pkt.Offset, int64(len(pkt.Payload)), d.x
+	off, n, x := pkt.Offset, int64(len(pkt.Payload)), &d.x
 	if n == 0 || off < b.lo || off+n > b.lo+b.n {
 		return false
 	}

@@ -102,7 +102,7 @@ func newBurstRig(t *testing.T, dir direction, allowHedge bool, mutate func(*Conf
 		buf: make([]byte, wire.MaxPacket), out: wire.NewBatch(r.conn, wire.MaxPacket),
 		payload: make([]byte, rigPayload), bursts: make([]burst, 2),
 	}
-	r.d = r.f.newBurstRun(s, dir, &xfer{buf: r.mem, flat: true}, nil, allowHedge)
+	r.d = r.f.newBurstRun(s, dir, xfer{buf: r.mem, flat: true}, nil, allowHedge)
 	return r
 }
 
@@ -658,5 +658,48 @@ func TestReadDataPacketAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("one read data packet allocated %v times, want 0", allocs)
+	}
+}
+
+// TestOpAllocsFlat pins that a client op allocates nothing per burst, on
+// either side: over three agents on a segment the model charges nothing,
+// a 1 MiB ReadAt and WriteAt allocate no more than 256 KiB ones do, and
+// then no more than one object per agent (its worker goroutine). The
+// agents' DoneTTL is short so that their write-burst records come back
+// within the warm-up, as they do in a long-running agent.
+func TestOpAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const agents = 3
+	c := newCluster(t, clusterOpts{agents: agents, unit: 64 << 10, unthrottled: true, doneTTL: time.Millisecond})
+	f, err := c.client.Open("flat", OpenFlags{Create: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1<<20)
+	allocs := func(op func([]byte, int64) (int, error), n int) float64 {
+		run := func() {
+			if _, err := op(buf[:n], 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 20 {
+			run()
+		}
+		return testing.AllocsPerRun(50, run)
+	}
+	for _, tc := range []struct {
+		name string
+		op   func([]byte, int64) (int, error)
+	}{{"WriteAt", f.WriteAt}, {"ReadAt", f.ReadAt}} {
+		small, large := allocs(tc.op, 256<<10), allocs(tc.op, 1<<20)
+		t.Logf("%s: %v allocations at 256 KiB, %v at 1 MiB", tc.name, small, large)
+		if large > small {
+			t.Errorf("%s: 1 MiB allocated %v times, 256 KiB %v: a per-burst term", tc.name, large, small)
+		}
+		if large > agents {
+			t.Errorf("%s: 1 MiB allocated %v times, want at most one per agent (%d)", tc.name, large, agents)
+		}
 	}
 }

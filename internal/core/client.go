@@ -481,6 +481,7 @@ func (c *Client) Open(name string, flags OpenFlags) (*File, error) {
 		name:     name,
 		sessions: sessions,
 		size:     c.layout.SizeFromFragments(frag),
+		errs:     make([]error, len(sessions)),
 	}
 	if flags.Truncate {
 		f.size = 0
@@ -556,9 +557,10 @@ func (c *Config) requestBytes(payload int) int64 {
 
 // cut splits fragment extents into bursts of at most reqBytes each, in
 // order. The result is valid until the next call.
-func (s *agentSession) cut(es []extent.Extent) []extent.Extent {
+func (s *agentSession) cut(es *extent.Set) []extent.Extent {
 	s.cuts = s.cuts[:0]
-	for _, e := range es {
+	for i := 0; i < es.Len(); i++ {
+		e := es.At(i)
 		for lo := e.Off; lo < e.End(); lo += s.reqBytes {
 			s.cuts = append(s.cuts, extent.Extent{Off: lo, Len: min(s.reqBytes, e.End()-lo)})
 		}

@@ -48,9 +48,13 @@ type clusterOpts struct {
 	// agentQueue is the agents' memnet PortQueue (0 = default).
 	agentQueue int
 	// maxBurst is the agents' MaxBurstBytes (0 = default), readChunk
-	// their ReadChunk (0 = default).
+	// their ReadChunk (0 = default), doneTTL their DoneTTL (0 = default).
 	maxBurst  int64
 	readChunk int
+	doneTTL   time.Duration
+	// unthrottled makes the segment one the model charges nothing, the
+	// benchmark's: a burst's datagrams cross it as one frame.
+	unthrottled bool
 	// retryTimeout overrides the client's 30 ms RetryTimeout, maxRetries
 	// its 100 retries.
 	retryTimeout time.Duration
@@ -69,14 +73,18 @@ func newCluster(t testing.TB, o clusterOpts) *cluster {
 		o.unit = 4096
 	}
 	n := memnet.New(1)
-	seg := n.NewSegment("lab", memnet.SegmentConfig{
+	sc := memnet.SegmentConfig{
 		BandwidthBps:  1e10, // effectively instant: tests exercise logic, not timing
 		FrameOverhead: 46,
 		LossRate:      o.loss,
 		ReorderRate:   o.reorder,
 		MTU:           o.mtu,
 		Seed:          7,
-	})
+	}
+	if o.unthrottled {
+		sc.BandwidthBps, sc.FrameOverhead = 1e15, 0
+	}
+	seg := n.NewSegment("lab", sc)
 	c := &cluster{net: n, seg: seg}
 	addrs := make([]string, o.agents)
 	for i := 0; i < o.agents; i++ {
@@ -95,6 +103,7 @@ func newCluster(t testing.TB, o clusterOpts) *cluster {
 			ResendAfter:   10 * time.Millisecond,
 			MaxBurstBytes: o.maxBurst,
 			ReadChunk:     o.readChunk,
+			DoneTTL:       o.doneTTL,
 		})
 		if err != nil {
 			t.Fatalf("agent %d: %v", i, err)

@@ -55,6 +55,13 @@ type File struct {
 	// reads never hedge — speculation must not race demand reads for
 	// the retry budget.
 	prefetching bool
+	// The fan-out of the attempt running under f.mu: its per-agent
+	// fragment plan, each agent worker's outcome (one slot per session),
+	// and their join. One set serves every attempt, so an operation
+	// allocates no more than its workers' goroutines.
+	exts []extent.Set
+	errs []error
+	wg   sync.WaitGroup
 }
 
 // Name returns the object name.
@@ -140,7 +147,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		f.opDeadline = start.Add(t)
 		defer func() { f.opDeadline = time.Time{} }()
 	}
-	sp.Annotate("%s [%d:%d)", f.name, off, off+n)
+	sp.AnnotateRange(f.name, off, off+n)
 	if err := f.readServe(p[:n], off, sp); err != nil {
 		sp.SetError(err)
 		return 0, err
@@ -319,11 +326,11 @@ func (f *File) readRangeOnce(dst []byte, off int64, sp *obs.Span) (failedAgent i
 	if n == 0 {
 		return -1, nil
 	}
-	exts := f.c.layout.LocalExtents(off, n)
-	if err := f.castRoles(exts, nil, sp); err != nil {
+	f.exts = f.c.layout.LocalExtentsInto(f.exts, off, n)
+	if err := f.castRoles(f.exts, nil, sp); err != nil {
 		return -1, err
 	}
-	return f.readPasses(dst, off, exts, nil, sp)
+	return f.readPasses(dst, off, f.exts, nil, sp)
 }
 
 // readPasses runs the row planner over the roles cast, for a read of dst
@@ -346,12 +353,6 @@ func (f *File) readPasses(dst []byte, off int64, exts []extent.Set, heal []rowJo
 		}
 		exts = nil // the direct reads are done
 	}
-}
-
-// result is how one agent's worker of a fan-out ended.
-type result struct {
-	agent int
-	err   error
 }
 
 // readPass is one parallel pass of a read attempt: every agent not read
@@ -382,55 +383,43 @@ func (f *File) readPass(dst []byte, off int64, exts []extent.Set, heal []rowJob,
 		}
 	}
 
-	results := make(chan result, len(f.sessions))
-	workers := 0
+	clear(f.errs)
 	f.fetches = fetches
 	for i, s := range f.sessions {
 		if s == nil {
 			continue
 		}
-		var es []extent.Extent
+		var cuts []extent.Extent
 		if exts != nil && !readAround(role[i]) {
-			es = exts[i].Extents()
+			cuts = s.cut(&exts[i])
 		}
-		if len(es) == 0 && !fetchesFrom(fetches, i) {
+		if len(cuts) == 0 && !fetchesFrom(fetches, i) {
 			continue
 		}
-		workers++
-		go func(i int, s *agentSession, es []extent.Extent) {
+		f.wg.Add(1)
+		go func() {
 			as := sp.StartChild("agent_read", i)
 			// Reads on behalf of the prefetch workers never hedge.
-			x := xfer{buf: dst, base: off}
-			werr := f.runBursts(s, reading, s.cut(es), &x, as, !f.prefetching)
+			werr := f.runBursts(s, reading, cuts, xfer{buf: dst, base: off}, as, !f.prefetching)
 			if werr == nil {
 				f.runFetches(s, f.fetches, as)
 			}
 			as.SetError(werr)
 			as.Finish()
-			results <- result{agent: i, err: werr}
-		}(i, s, es)
+			f.errs[i] = werr
+			f.wg.Done()
+		}()
 	}
-	// Overload signals (pushback, hedge, spent deadline) are collected
-	// separately from failures: they must not be attributed to the agent's
+	f.wg.Wait()
+	f.fetches = nil
+	// Overload signals (pushback, hedge, spent deadline) are told apart
+	// from failures: they must not be attributed to the agent's
 	// failure-domain lifecycle. A hedged or pushed-back agent's extents
 	// are reconstructed from the other agents' shards instead.
-	var soft []result
-	for ; workers > 0; workers-- {
-		r := <-results
-		if r.err == nil {
-			continue
+	for i, werr := range f.errs {
+		if werr != nil && !isOverloadSignal(werr) {
+			return i, nil, werr
 		}
-		if isOverloadSignal(r.err) {
-			soft = append(soft, r)
-			continue
-		}
-		if err == nil {
-			failedAgent, err = r.agent, r.err
-		}
-	}
-	f.fetches = nil
-	if err != nil {
-		return failedAgent, nil, err
 	}
 	// setAside takes an agent out of the attempt for the next pass.
 	setAside := func(agent int, as uint8, e error) error {
@@ -446,12 +435,15 @@ func (f *File) readPass(dst []byte, off int64, exts []extent.Set, heal []rowJob,
 		role[agent] = as
 		return nil
 	}
-	for _, r := range soft {
+	for i, werr := range f.errs {
+		if werr == nil {
+			continue
+		}
 		as := aroundBusy
-		if errors.Is(r.err, errHedged) {
+		if errors.Is(werr, errHedged) {
 			as = aroundHedged
 		}
-		if err := setAside(r.agent, as, r.err); err != nil {
+		if err := setAside(i, as, werr); err != nil {
 			return -1, nil, err
 		}
 	}
@@ -575,7 +567,7 @@ func (f *File) writeAtLocked(p []byte, off int64, start time.Time, sp *obs.Span)
 		f.opDeadline = start.Add(t)
 		defer func() { f.opDeadline = time.Time{} }()
 	}
-	sp.Annotate("%s [%d:%d)", f.name, off, off+int64(len(p)))
+	sp.AnnotateRange(f.name, off, off+int64(len(p)))
 	if f.cobj != nil && f.c.cache.WriteBehind() {
 		if err := f.absorbWrite(p, off, sp); err != nil {
 			sp.SetError(err)
@@ -646,12 +638,10 @@ func (f *File) absorbWrite(p []byte, off int64, sp *obs.Span) error {
 
 func (f *File) writeRangeOnce(src []byte, off int64, sp *obs.Span) (failedAgent, nerrs int, err error) {
 	n := int64(len(src))
-	exts := f.c.layout.LocalExtents(off, n)
-
+	l := f.c.layout
 	if f.c.cfg.Parity {
 		// The parity units live in pooled scratch until the workers
 		// that send them are joined below.
-		l := f.c.layout
 		pu := parityUnits{r0: l.RowOfGlobal(off), r1: l.RowOfGlobal(off + n - 1), k: f.c.parityK(), unit: l.Unit}
 		held := (pu.r1 - pu.r0 + 1) * int64(pu.k) * l.Unit
 		sc := acquireScratch(held + l.RowBytes())
@@ -661,6 +651,12 @@ func (f *File) writeRangeOnce(src []byte, off int64, sp *obs.Span) (failedAgent,
 			return -1, 0, err
 		}
 		f.parity = pu
+	}
+	// Planned only now: computeParity's merge read plans in f.exts too.
+	exts := l.LocalExtentsInto(f.exts, off, n)
+	f.exts = exts
+	if f.c.cfg.Parity {
+		pu := &f.parity
 		for row := pu.r0; row <= pu.r1; row++ {
 			for j := 0; j < pu.k; j++ {
 				exts[l.ParityAgentAt(row, j)].Add(l.ParityLocal(row), l.Unit)
@@ -668,35 +664,34 @@ func (f *File) writeRangeOnce(src []byte, off int64, sp *obs.Span) (failedAgent,
 		}
 	}
 
-	results := make(chan result, len(f.sessions))
-	workers := 0
 	for i, s := range f.sessions {
-		if exts[i].Len() == 0 {
-			continue
+		if s == nil && exts[i].Len() > 0 && !f.c.cfg.Parity {
+			return -1, 0, ErrAgentDown
 		}
-		if s == nil {
-			if !f.c.cfg.Parity {
-				return -1, 0, ErrAgentDown
-			}
-			continue // degraded: this agent's units are covered by parity
+	}
+	clear(f.errs)
+	for i, s := range f.sessions {
+		if exts[i].Len() == 0 || s == nil {
+			continue // a nil session is degraded: its units are covered by parity
 		}
-		workers++
-		go func(i int, s *agentSession, es []extent.Extent) {
+		cuts := s.cut(&exts[i])
+		f.wg.Add(1)
+		go func() {
 			as := sp.StartChild("agent_write", i)
-			x := xfer{buf: src, base: off, pu: &f.parity}
-			werr := f.runBursts(s, writing, s.cut(es), &x, as, false)
+			werr := f.runBursts(s, writing, cuts, xfer{buf: src, base: off, pu: &f.parity}, as, false)
 			as.SetError(werr)
 			as.Finish()
-			results <- result{agent: i, err: werr}
-		}(i, s, exts[i].Extents())
+			f.errs[i] = werr
+			f.wg.Done()
+		}()
 	}
-	for ; workers > 0; workers-- {
-		r := <-results
-		if r.err != nil {
+	f.wg.Wait()
+	for i, werr := range f.errs {
+		if werr != nil {
 			nerrs++
 			// Prefer attributing a real failure over an overload signal.
-			if err == nil || (isOverloadSignal(err) && !isOverloadSignal(r.err)) {
-				failedAgent, err = r.agent, r.err
+			if err == nil || (isOverloadSignal(err) && !isOverloadSignal(werr)) {
+				failedAgent, err = i, werr
 			}
 		}
 	}

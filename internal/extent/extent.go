@@ -126,6 +126,9 @@ func (s *Set) Total() int64 {
 // Len returns the number of disjoint extents in the set.
 func (s *Set) Len() int { return len(s.es) }
 
+// At returns the i'th extent in ascending order, 0 <= i < Len().
+func (s *Set) At(i int) Extent { return s.es[i] }
+
 // Extents returns a copy of the extents in ascending order.
 func (s *Set) Extents() []Extent {
 	out := make([]Extent, len(s.es))

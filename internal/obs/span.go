@@ -124,6 +124,20 @@ func (s *Span) Annotate(format string, args ...any) {
 	s.mu.Unlock()
 }
 
+// AnnotateRange notes the byte range [lo, hi) of what, as "what [lo:hi)",
+// or "[lo:hi)" when what is empty. Unlike Annotate's arguments, its own
+// box nothing at the call site, so an untraced op's note costs nothing.
+func (s *Span) AnnotateRange(what string, lo, hi int64) {
+	if s == nil {
+		return
+	}
+	sep := " "
+	if what == "" {
+		sep = ""
+	}
+	s.Annotate("%s%s[%d:%d)", what, sep, lo, hi) //lint:allow hotalloc a traced span only: the nil span returned above
+}
+
 // SetError records the op's failure on the span (nil error is ignored).
 // An errored span forces its whole trace to be kept.
 func (s *Span) SetError(err error) {

@@ -224,11 +224,27 @@ func (l Layout) AppendRuns(out []Run, off, n int64) []Run {
 
 // LocalExtents maps the logical range [off, off+n) to per-agent fragment
 // extent sets, with adjacent fragment ranges merged. The result is indexed
-// by agent.
+// by agent. It is LocalExtentsInto with fresh storage.
 func (l Layout) LocalExtents(off, n int64) []extent.Set {
-	sets := make([]extent.Set, l.Agents)
-	for _, r := range l.Runs(off, n) {
-		sets[r.Agent].Add(r.Local, r.Length)
+	return l.LocalExtentsInto(nil, off, n)
+}
+
+// LocalExtentsInto is LocalExtents planned into sets, whose extents it
+// replaces and whose storage it reuses, so a caller that keeps one
+// scratch per handle plans an operation without allocating.
+func (l Layout) LocalExtentsInto(sets []extent.Set, off, n int64) []extent.Set {
+	if cap(sets) < l.Agents {
+		sets = make([]extent.Set, l.Agents)
+	}
+	sets = sets[:l.Agents]
+	for i := range sets {
+		sets[i].Reset()
+	}
+	for g, end := off, off+n; g < end; {
+		agent, local := l.Locate(g)
+		take := min(l.Unit-g%l.Unit, end-g)
+		sets[agent].Add(local, take)
+		g += take
 	}
 	return sets
 }
