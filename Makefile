@@ -22,25 +22,29 @@ vet:
 	$(GO) run ./cmd/swiftvet -time ./...
 
 # size = the ratchet on ROADMAP item 6's targets (internal/core <= 3.8k
-# non-test Go lines, core/file.go < 600, and internal/agent's size): it
+# non-test Go lines, core/file.go < 600, and internal/agent's size) and
+# on the mediator tier (internal/mediator plus internal/medrpc): it
 # prints the counts and fails when one exceeds its ceiling. A PR that
 # shrinks them lowers the ceilings to its result; none raises them. It
 # also prints the repo-wide non-test Go line count (item 6's "down by
 # >= 2k lines"), ungated.
-CORE_LINES_MAX := 4810
-CORE_FILE_LINES_MAX := 949
+CORE_LINES_MAX := 4784
+CORE_FILE_LINES_MAX := 943
 AGENT_LINES_MAX := 1243
+MEDIATOR_LINES_MAX := 2389
 size:
 	@core=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l); \
 	file=$$(cat internal/core/file.go | wc -l); \
 	agent=$$(cat $$(ls internal/agent/*.go | grep -v _test.go) | wc -l); \
+	med=$$(cat $$(ls internal/mediator/*.go internal/medrpc/*.go | grep -v _test.go) | wc -l); \
 	repo=$$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "internal/core non-test Go lines: $$core (ceiling $(CORE_LINES_MAX))"; \
 	echo "internal/core/file.go lines: $$file (ceiling $(CORE_FILE_LINES_MAX))"; \
 	echo "internal/agent non-test Go lines: $$agent (ceiling $(AGENT_LINES_MAX))"; \
+	echo "internal/mediator+medrpc non-test Go lines: $$med (ceiling $(MEDIATOR_LINES_MAX))"; \
 	echo "repo-wide non-test Go lines: $$repo (reported, not gated)"; \
 	[ "$$core" -le $(CORE_LINES_MAX) ] && [ "$$file" -le $(CORE_FILE_LINES_MAX) ] && \
-		[ "$$agent" -le $(AGENT_LINES_MAX) ]
+		[ "$$agent" -le $(AGENT_LINES_MAX) ] && [ "$$med" -le $(MEDIATOR_LINES_MAX) ]
 
 # lint = the full static gate run by CI's lint job: swiftvet, gofmt
 # cleanliness, the size ratchet, and (when the tool is on PATH, e.g.

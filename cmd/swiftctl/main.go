@@ -44,21 +44,26 @@
 // Flags -unit, -parity, -parity-shards and -rate select the striping
 // parameters; -parity-shards k selects an m+k Reed–Solomon scheme whose
 // rows survive k simultaneous agent failures (k=1 is the classic XOR
-// computed copy). -rate asks the built-in mediator policy to pick agents
-// and unit size for a required data-rate in KB/s. With -lease-ttl the mediator reservation
-// is leased: swiftctl heartbeats it in the background for as long as the
-// command runs, and the reservation self-releases if the process dies.
+// computed copy). -rate asks a mediator to pick agents and unit size for
+// a required data-rate in KB/s. Every mediator session runs through the
+// client's failover broker, and the client's health monitor renews the
+// lease (every third of -lease-ttl, else every 2 s) for as long as the
+// command runs; a leased reservation self-releases if the process dies.
+//
+// Without -mediators, -rate uses the built-in policy: an in-process
+// mediator over -agents, each deliverable at -agent-rate KB/s, leased
+// when -lease-ttl is set — a tier of one behind the same broker.
 //
 // With -mediators NAME=HOST:PORT,... the session is opened against a
 // federated mediator tier (swiftd replicas started with -mediator)
-// instead of the built-in policy: the failover broker picks the key's
-// home replica, heartbeats the lease over the wire, and re-targets to a
-// surviving replica if the home crashes or drains mid-command. In that
-// mode -agents is optional for -rate commands — the tier's installation
-// model supplies the agent set. Combining -mediators with -agents and no
-// -rate opens a coherence-only session: the striping layout comes from
-// the flags, and the mediator lease carries just the CacheSync rounds
-// that keep this command's cache coherent with other writers.
+// instead: the broker picks the key's home replica, renews the lease
+// over the wire, and re-targets to a surviving replica if the home
+// crashes or drains mid-command. In that mode -agents is optional for
+// -rate commands — the tier's installation model supplies the agent set.
+// Combining -mediators with -agents and no -rate opens a coherence-only
+// session: the striping layout comes from the flags, and the mediator
+// lease carries just the CacheSync rounds that keep this command's cache
+// coherent with other writers.
 package main
 
 import (
@@ -91,7 +96,7 @@ func usage() {
 
 // medClients are the wire stubs for the federated mediator tier, set
 // when -mediators is given; stats and the mediators command read them.
-var medClients []*medrpc.Client
+var medClients []swift.MediatorEndpoint
 
 func main() {
 	agents := flag.String("agents", "", "comma-separated storage agent addresses")
@@ -101,7 +106,7 @@ func main() {
 	parityShards := flag.Int("parity-shards", 0, "parity units per stripe row (the k of an m+k Reed-Solomon scheme; implies -parity)")
 	rate := flag.Float64("rate", 0, "required data-rate in KB/s (mediator picks agents and unit)")
 	agentRate := flag.Float64("agent-rate", 400, "per-agent deliverable rate in KB/s, for -rate")
-	leaseTTL := flag.Duration("lease-ttl", 0, "with -rate, lease the mediator reservation and heartbeat it")
+	leaseTTL := flag.Duration("lease-ttl", 0, "with -rate, lease the built-in mediator's reservation; the lease is renewed every third of it")
 	mediators := flag.String("mediators", "", "federated mediator replicas as NAME=HOST:PORT,... (replaces the built-in policy for -rate)")
 	traceRate := flag.Float64("trace", 0, "distributed-tracing head-sample rate in [0,1]; the trace command defaults it to 1")
 	opTimeout := flag.Duration("op-timeout", 0, "per-operation deadline budget, propagated to agents and mediators on the wire (0 = none)")
@@ -180,84 +185,17 @@ func main() {
 		cfg.TraceRate = 1
 	}
 
-	// With a rate requirement and a federated tier, open the session via
-	// the failover broker: the key's home replica builds the plan, the
-	// broker heartbeats the lease and re-targets if the home dies.
-	// Without a rate but with an explicit -agents set, the session is
-	// coherence-only: a token reservation that exists purely to carry
-	// CacheSync rounds, while the striping layout stays exactly what the
-	// flags say — so cooperating commands in different processes keep an
-	// identical layout and still invalidate each other's caches.
+	// A mediator session always runs through the failover broker. With
+	// -mediators its endpoints are the tier's wire stubs; with -rate
+	// alone the built-in policy, an in-process mediator over -agents, is
+	// a tier of one.
+	var eps []swift.MediatorEndpoint
 	if len(medClients) > 0 && (*rate > 0 || *agents != "") {
-		eps := make([]swift.MediatorEndpoint, len(medClients))
-		for i, c := range medClients {
-			eps[i] = c
-		}
-		key, _ := os.Hostname()
-		if key == "" {
-			key = "swiftctl"
-		}
-		broker, err := swift.NewMediatorBroker(swift.BrokerConfig{
-			Endpoints: eps,
-			Key:       key,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "swiftctl: "+format+"\n", args...)
-			},
-		})
-		if err != nil {
-			fatal(err)
-		}
-		sessRate := *rate * 1024
-		if *rate == 0 {
-			sessRate = 1024 // coherence-only: token rate, never a plan
-		}
-		rec, err := broker.OpenSession(swift.MediatorRequirements{
-			Rate:         sessRate,
-			Redundancy:   *parity,
-			ParityShards: *parityShards,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		// The mediator session doubles as the cache-coherence channel:
-		// writes this client declares propagate as invalidations to every
-		// other session caching the same objects.
-		cfg.CacheSync = broker.CacheSync
-		if *rate > 0 {
-			cfg.ApplyPlan(&rec.Plan)
-			fmt.Fprintf(os.Stderr, "swiftctl: plan: %d agents, unit %d, parity shards %d via %s\n",
-				len(rec.Plan.Addrs), rec.Plan.Unit, rec.Plan.ParityShards, broker.Home())
-		} else {
-			fmt.Fprintf(os.Stderr, "swiftctl: coherence session via %s (layout from flags)\n",
-				broker.Home())
-		}
-		fmt.Fprintf(os.Stderr, "swiftctl: session %d leased, expires %s\n",
-			rec.ID, rec.Expires.Format(time.RFC3339))
-		// Heartbeat over the wire while the command runs; the broker
-		// rotates to a surviving replica if the home crashes or drains.
-		stopRenew := make(chan struct{})
-		defer close(stopRenew)
-		go func() {
-			iv := *leaseTTL / 3
-			if iv <= 0 {
-				iv = 2 * time.Second
-			}
-			tick := time.NewTicker(iv)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopRenew:
-					return
-				case <-tick.C:
-					broker.Heartbeat()
-				}
-			}
-		}()
-		defer broker.CloseSession()
+		eps = medClients
 	} else if *rate > 0 {
 		infos := make([]mediator.AgentInfo, len(addrs))
 		for i, a := range addrs {
-			infos[i] = mediator.AgentInfo{Addr: a, Rate: *agentRate * 1024, Net: 0}
+			infos[i] = mediator.AgentInfo{Addr: a, Rate: *agentRate * 1024}
 		}
 		med, err := mediator.New(mediator.Config{
 			Agents:   infos,
@@ -268,47 +206,14 @@ func main() {
 			fatal(err)
 		}
 		defer med.Close()
-		plan, err := med.OpenSession(mediator.Requirements{
-			Rate:         *rate * 1024,
-			Redundancy:   *parity,
-			ParityShards: *parityShards,
-		})
+		eps = []swift.MediatorEndpoint{med}
+	}
+	if eps != nil {
+		broker, err := openSession(&cfg, eps, *rate, *leaseTTL)
 		if err != nil {
 			fatal(err)
 		}
-		cfg.ApplyPlan(plan)
-		fmt.Fprintf(os.Stderr, "swiftctl: plan: %d agents, unit %d, parity shards %d\n",
-			len(plan.Addrs), plan.Unit, plan.ParityShards)
-		if *leaseTTL > 0 {
-			// Heartbeat the reservation while the command runs; stopping
-			// lets the lease lapse and the mediator reclaim the rate.
-			for _, s := range med.SessionList() {
-				fmt.Fprintf(os.Stderr, "swiftctl: session %d leased, expires %s\n",
-					s.ID, s.Expires.Format(time.RFC3339))
-			}
-			stopRenew := make(chan struct{})
-			defer close(stopRenew)
-			go func() {
-				iv := *leaseTTL / 3
-				if iv <= 0 {
-					iv = time.Millisecond
-				}
-				tick := time.NewTicker(iv)
-				defer tick.Stop()
-				for {
-					select {
-					case <-stopRenew:
-						return
-					case <-tick.C:
-						if err := med.Renew(plan.SessionID); err != nil {
-							fmt.Fprintf(os.Stderr, "swiftctl: lease renewal: %v\n", err)
-							return
-						}
-					}
-				}
-			}()
-			defer med.CloseSession(plan.SessionID)
-		}
+		defer broker.CloseSession()
 	}
 
 	fs, err := swift.Dial(cfg)
@@ -353,14 +258,69 @@ func main() {
 	}
 }
 
+// openSession opens the command's mediator session through a failover
+// broker over eps and wires it into cfg. With a rate (KB/s) the plan
+// picks the agents and unit. Without one the session is coherence-only:
+// a token reservation that exists purely to carry CacheSync rounds,
+// while the striping layout stays exactly what the flags say — so
+// cooperating commands in different processes keep an identical layout
+// and still invalidate each other's caches. The client's monitor renews
+// the lease every third of leaseTTL (2 s without one); the broker
+// rotates to a surviving replica if the home crashes or drains. The
+// caller closes the session.
+func openSession(cfg *swift.Config, eps []swift.MediatorEndpoint, rate float64, leaseTTL time.Duration) (*swift.MediatorBroker, error) {
+	key, _ := os.Hostname()
+	if key == "" {
+		key = "swiftctl"
+	}
+	broker, err := swift.NewMediatorBroker(swift.BrokerConfig{
+		Endpoints: eps,
+		Key:       key,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "swiftctl: "+format+"\n", args...)
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	req := swift.MediatorRequirements{Rate: rate * 1024, Redundancy: cfg.Parity, ParityShards: cfg.ParityShards}
+	if rate == 0 {
+		req.Rate = 1024 // coherence-only: token rate, never a plan
+	}
+	rec, err := broker.OpenSession(req)
+	if err != nil {
+		return nil, err
+	}
+	// The mediator session doubles as the cache-coherence channel:
+	// writes this client declares propagate as invalidations to every
+	// other session caching the same objects.
+	cfg.CacheSync = broker.CacheSync
+	if rate > 0 {
+		cfg.ApplyPlan(&rec.Plan)
+		fmt.Fprintf(os.Stderr, "swiftctl: plan: %d agents, unit %d, parity shards %d via %s\n",
+			len(rec.Plan.Addrs), rec.Plan.Unit, rec.Plan.ParityShards, broker.Home())
+	} else {
+		fmt.Fprintf(os.Stderr, "swiftctl: coherence session via %s (layout from flags)\n", broker.Home())
+	}
+	if !rec.Expires.IsZero() {
+		fmt.Fprintf(os.Stderr, "swiftctl: session %d leased, expires %s\n",
+			rec.ID, rec.Expires.Format(time.RFC3339))
+	}
+	cfg.Monitor = swift.MonitorConfig{Interval: leaseTTL / 3, Heartbeat: broker.Heartbeat}
+	if cfg.Monitor.Interval <= 0 {
+		cfg.Monitor.Interval = 2 * time.Second
+	}
+	return broker, nil
+}
+
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "swiftctl: %v\n", err)
 	os.Exit(1)
 }
 
 // parseMediators parses NAME=HOST:PORT replica entries into wire stubs.
-func parseMediators(host *udpnet.Host, s string) ([]*medrpc.Client, error) {
-	var clients []*medrpc.Client
+func parseMediators(host *udpnet.Host, s string) ([]swift.MediatorEndpoint, error) {
+	var clients []swift.MediatorEndpoint
 	for _, ent := range strings.Split(s, ",") {
 		ent = strings.TrimSpace(ent)
 		if ent == "" {
@@ -385,7 +345,7 @@ func parseMediators(host *udpnet.Host, s string) ([]*medrpc.Client, error) {
 // cmdMediators probes each replica of the federated tier and prints its
 // operator-facing state: role, session counts, reservation headroom and
 // the failover/handoff history.
-func cmdMediators(clients []*medrpc.Client) error {
+func cmdMediators(clients []swift.MediatorEndpoint) error {
 	fmt.Printf("%-12s %-9s %8s %6s %8s %7s %10s %9s %8s  %s\n",
 		"replica", "role", "sessions", "home", "agents%", "net%",
 		"failovers", "handoffs", "expired", "last-handoff")
@@ -424,7 +384,7 @@ func maxFrac(fs []float64) float64 {
 
 // printFederation appends the mediator tier's view to a stats snapshot:
 // one line per replica, DOWN for unreachable ones.
-func printFederation(clients []*medrpc.Client) {
+func printFederation(clients []swift.MediatorEndpoint) {
 	for _, c := range clients {
 		st, err := c.Status()
 		if err != nil {

@@ -21,6 +21,7 @@ import (
 	"swift/internal/bench"
 	"swift/internal/core"
 	"swift/internal/mediator"
+	"swift/internal/obs"
 )
 
 const (
@@ -46,18 +47,19 @@ func main() {
 	}
 
 	// A 3 MB/s request must be rejected: the installation cannot do it.
-	if _, err := med.OpenSession(mediator.Requirements{Rate: 3e6}); err == nil {
+	if _, err := med.Admit(mediator.Requirements{Rate: 3e6}, obs.SpanContext{}); err == nil {
 		log.Fatal("mediator admitted an impossible session")
 	} else {
 		fmt.Printf("mediator rejected 3.0 MB/s (correctly): %v\n", err)
 	}
 
 	// The video session is admitted with a plan spanning both segments.
-	plan, err := med.OpenSession(mediator.Requirements{Rate: videoRate})
+	rec, err := med.Admit(mediator.Requirements{Rate: videoRate}, obs.SpanContext{})
 	if err != nil {
 		log.Fatalf("mediator rejected the video session: %v", err)
 	}
-	defer med.CloseSession(plan.SessionID)
+	defer med.CloseSession(rec.ID)
+	plan := rec.Plan
 	fmt.Printf("mediator admitted 1.0 MB/s: %d agents, striping unit %d KB\n",
 		len(plan.Agents), plan.Unit/1024)
 

@@ -237,8 +237,9 @@ func (o *Object) Contains(off, n int64) bool {
 // file lock). A demand insert counts one miss per block it fills, and
 // filling a block that is already resident is a reference (hot blocks
 // are promoted while they fill); prefetched marks new blocks for
-// read-ahead accounting.
-func (o *Object) Insert(off int64, p []byte, prefetched bool) {
+// read-ahead accounting. Insert reports false when a block could not be
+// placed because the capacity is full of pinned dirty blocks.
+func (o *Object) Insert(off int64, p []byte, prefetched bool) bool {
 	c := o.c
 	bs := c.cfg.BlockSize
 	if off%AtomSize != 0 {
@@ -264,7 +265,7 @@ func (o *Object) Insert(off int64, p []byte, prefetched bool) {
 		if b == nil {
 			c.ensureRoomLocked(bs)
 			if c.probBytes+c.protBytes+c.dirty+bs > c.cfg.Capacity {
-				return // wedged: capacity full of pinned dirty blocks
+				return false // wedged: capacity full of pinned dirty blocks
 			}
 			b = &block{obj: o, idx: pos / bs, buf: c.acquireBuf(), prefetched: prefetched}
 			o.blocks[b.idx] = b
@@ -294,6 +295,7 @@ func (o *Object) Insert(off int64, p []byte, prefetched bool) {
 		b.valid |= fill
 		c.fillBytes.Add(int64(filled))
 	}
+	return true
 }
 
 // MissingBacking returns the first atom-aligned range that must be

@@ -16,8 +16,11 @@ import (
 // so the failover logic is transport-agnostic.
 type MediatorEndpoint interface {
 	Name() string
-	Admit(req mediator.Requirements) (*mediator.SessionRecord, error)
-	RenewSession(rec mediator.SessionRecord) (string, error)
+	// Admit and RenewSession take the caller's span context: a wire
+	// stub carries it to the replica; an in-process replica is covered
+	// by the caller's span already.
+	Admit(req mediator.Requirements, ctx obs.SpanContext) (*mediator.SessionRecord, error)
+	RenewSession(rec mediator.SessionRecord, ctx obs.SpanContext) (string, error)
 	CloseSession(id uint64) error
 	// CacheSync runs one cache-coherence round for session id.
 	CacheSync(id uint64, cached []mediator.CachedObject, written []string) ([]mediator.CachedObject, error)
@@ -44,11 +47,9 @@ type BrokerConfig struct {
 	Key string
 	// RetryTimeout is the pause before re-walking the whole replica set
 	// after every endpoint failed once (default 50ms); it doubles per
-	// walk, capped at MaxRetryTimeout (default 1s), with Attempts
-	// (default 3) full walks before giving up.
-	RetryTimeout    time.Duration
-	MaxRetryTimeout time.Duration
-	Attempts        int
+	// walk, capped at maxWalkPause, with walkAttempts full walks before
+	// giving up.
+	RetryTimeout time.Duration
 	// Sleep implements the backoff pause (default time.Sleep); tests
 	// inject a fake.
 	Sleep func(time.Duration)
@@ -61,18 +62,12 @@ type BrokerConfig struct {
 	Tracer *obs.Tracer
 }
 
-// tracedAdmitter and tracedRenewer are optional upgrades of
-// MediatorEndpoint: wire transports implement them to carry the trace
-// context on TMedOpen/TMedRenew packets, so the serving replica's span
-// joins the client's trace. In-process endpoints need not bother — with a
-// shared tracer their spans land in the same collector regardless.
-type tracedAdmitter interface {
-	AdmitTraced(req mediator.Requirements, ctx obs.SpanContext) (*mediator.SessionRecord, error)
-}
-
-type tracedRenewer interface {
-	RenewSessionTraced(rec mediator.SessionRecord, ctx obs.SpanContext) (string, error)
-}
+// A broker operation walks the replica set at most walkAttempts times,
+// the pause between walks doubling from RetryTimeout up to maxWalkPause.
+const (
+	walkAttempts = 3
+	maxWalkPause = time.Second
+)
 
 // MediatorBroker is the client-side mediator failover layer: it opens a
 // session against the key's home replica, heartbeats it, and — when the
@@ -85,9 +80,8 @@ type MediatorBroker struct {
 	bo    *backoff.Policy    // walk-retry backoff schedule
 	order []MediatorEndpoint // placement order for cfg.Key
 
-	mu   sync.Mutex
-	rec  *mediator.SessionRecord // guarded by mu
-	home string                  // guarded by mu
+	mu  sync.Mutex
+	rec *mediator.SessionRecord // guarded by mu; rec.Home holds the lease
 
 	ev *obs.Events // from brokerEvents; no trace ring, no agent slots
 }
@@ -119,12 +113,6 @@ func NewMediatorBroker(cfg BrokerConfig) (*MediatorBroker, error) {
 	if cfg.RetryTimeout <= 0 {
 		cfg.RetryTimeout = 50 * time.Millisecond
 	}
-	if cfg.MaxRetryTimeout <= 0 {
-		cfg.MaxRetryTimeout = time.Second
-	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 3
-	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
@@ -137,7 +125,7 @@ func NewMediatorBroker(cfg BrokerConfig) (*MediatorBroker, error) {
 		byName[ep.Name()] = ep
 		names = append(names, ep.Name())
 	}
-	b := &MediatorBroker{cfg: cfg, bo: backoff.New(cfg.RetryTimeout, cfg.MaxRetryTimeout)}
+	b := &MediatorBroker{cfg: cfg, bo: backoff.New(cfg.RetryTimeout, maxWalkPause)}
 	for _, name := range mediator.PlaceOrder(cfg.Key, names) {
 		b.order = append(b.order, byName[name])
 	}
@@ -147,37 +135,6 @@ func NewMediatorBroker(cfg BrokerConfig) (*MediatorBroker, error) {
 	}
 	b.ev = obs.NewEvents(reg, obs.EventConfig{Layer: "swift", Table: &brokerEvents, Logf: cfg.Logf})
 	return b, nil
-}
-
-// span roots a broker span, joining parent when it names a trace; nil
-// tracer yields a nil (no-op) span.
-func (b *MediatorBroker) span(parent obs.SpanContext, name string) *obs.Span {
-	if parent.Valid() {
-		return b.cfg.Tracer.StartRemote(parent, "core", name, -1)
-	}
-	return b.cfg.Tracer.StartOp("core", name)
-}
-
-// admitVia runs one admit attempt against ep, propagating the span
-// context when the endpoint's transport supports it.
-func admitVia(ep MediatorEndpoint, req mediator.Requirements, sp *obs.Span) (*mediator.SessionRecord, error) {
-	if ta, ok := ep.(tracedAdmitter); ok {
-		if ctx := sp.Context(); ctx.Valid() {
-			return ta.AdmitTraced(req, ctx)
-		}
-	}
-	return ep.Admit(req)
-}
-
-// renewVia runs one renew attempt against ep, propagating the span
-// context when the endpoint's transport supports it.
-func renewVia(ep MediatorEndpoint, rec mediator.SessionRecord, sp *obs.Span) (string, error) {
-	if tr, ok := ep.(tracedRenewer); ok {
-		if ctx := sp.Context(); ctx.Valid() {
-			return tr.RenewSessionTraced(rec, ctx)
-		}
-	}
-	return ep.RenewSession(rec)
 }
 
 // candidates returns the endpoints to try, the current home first and
@@ -202,7 +159,7 @@ func (b *MediatorBroker) candidates(home string) []MediatorEndpoint {
 
 // walk runs one broker operation over the replica set: home first (the
 // key's placement home before there is a session), then the others in
-// placement order, up to Attempts full walks, each repeat counted and
+// placement order, up to walkAttempts full walks, each repeat counted and
 // preceded by a backed-off pause. try is the operation on one endpoint;
 // nil ends the walk. What a failed try means is decided here, once for
 // every operation:
@@ -222,7 +179,7 @@ func (b *MediatorBroker) candidates(home string) []MediatorEndpoint {
 // failure; sp carries the error a walk ends with.
 func (b *MediatorBroker) walk(home, op string, sp *obs.Span, try func(MediatorEndpoint) error) error {
 	var err error
-	for pass := 1; pass <= b.cfg.Attempts; pass++ {
+	for pass := 1; pass <= walkAttempts; pass++ {
 		if pass > 1 {
 			b.ev.Count(evMedRetry, -1)
 			b.cfg.Sleep(b.bo.Delay(pass - 1))
@@ -263,39 +220,34 @@ func (b *MediatorBroker) walk(home, op string, sp *obs.Span, try func(MediatorEn
 func (b *MediatorBroker) setHome(sp *obs.Span, home string, viaFailure bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.home != "" && home != b.home {
+	if b.rec == nil {
+		return // closed while the renewal ran
+	}
+	if home != b.rec.Home {
 		k := evMedHandoff
 		if viaFailure {
 			k = evMedFailover
 		}
-		b.ev.Note(k, -1, sp, "%s -> %s", b.home, home)
+		b.ev.Note(k, -1, sp, "%s -> %s", b.rec.Home, home)
 	}
-	b.home = home
-	if b.rec != nil {
-		b.rec.Home = home
-	}
+	b.rec.Home = home
 }
 
 // OpenSession admits a session on the key's home replica, failing over
 // through the placement order. A genuine admission rejection
 // (ErrUnsatisfiable) is returned immediately — every replica runs the
-// same admission arithmetic, so rotating cannot help.
+// same admission arithmetic, so rotating cannot help. The walk's span
+// context rides each admission, so a wire replica's admission span
+// joins the walk's trace.
 func (b *MediatorBroker) OpenSession(req mediator.Requirements) (*mediator.SessionRecord, error) {
-	return b.OpenSessionTraced(req, obs.SpanContext{})
-}
-
-// OpenSessionTraced is OpenSession with the admission walk parented under
-// the caller's span (the facade's mount span), so the admit — and any
-// replica failover inside it — appears in the op's trace.
-func (b *MediatorBroker) OpenSessionTraced(req mediator.Requirements, parent obs.SpanContext) (*mediator.SessionRecord, error) {
-	sp := b.span(parent, "med_admit")
+	sp := b.cfg.Tracer.StartOp("core", "med_admit")
 	defer sp.Finish()
 	if req.Key == "" {
 		req.Key = b.cfg.Key
 	}
 	var out mediator.SessionRecord
 	err := b.walk("", "open", sp, func(ep MediatorEndpoint) error {
-		rec, err := admitVia(ep, req, sp)
+		rec, err := ep.Admit(req, sp.Context())
 		if err != nil {
 			return err
 		}
@@ -312,7 +264,6 @@ func (b *MediatorBroker) OpenSessionTraced(req mediator.Requirements, parent obs
 	b.mu.Lock()
 	cp := out
 	b.rec = &cp
-	b.home = out.Home
 	b.mu.Unlock()
 	return &out, nil
 }
@@ -324,14 +275,15 @@ func (b *MediatorBroker) OpenSessionTraced(req mediator.Requirements, parent obs
 // different replica name (because it is draining and handed the session
 // off) re-targets the broker without counting a failover.
 func (b *MediatorBroker) Renew() error {
-	rec, home := b.session()
+	rec := b.Record()
 	if rec == nil {
 		return ErrNoMediatorSession
 	}
-	sp := b.span(obs.SpanContext{}, "med_renew")
+	home := rec.Home
+	sp := b.cfg.Tracer.StartOp("core", "med_renew")
 	defer sp.Finish()
 	err := b.walk(home, fmt.Sprintf("renew session %d", rec.ID), sp, func(ep MediatorEndpoint) error {
-		newHome, err := renewVia(ep, *rec, sp)
+		newHome, err := ep.RenewSession(*rec, sp.Context())
 		if err != nil {
 			return err
 		}
@@ -347,18 +299,6 @@ func (b *MediatorBroker) Renew() error {
 	return err
 }
 
-// session returns a copy of the session record and its home, or nil
-// before OpenSession.
-func (b *MediatorBroker) session() (*mediator.SessionRecord, string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.rec == nil {
-		return nil, ""
-	}
-	cp := *b.rec
-	return &cp, b.home
-}
-
 // Heartbeat is Renew shaped for MonitorConfig.Heartbeat: failures are
 // logged and counted (RenewFailures) by Renew rather than returned.
 func (b *MediatorBroker) Heartbeat() { _ = b.Renew() }
@@ -369,13 +309,14 @@ func (b *MediatorBroker) Heartbeat() { _ = b.Renew() }
 // to the lease janitor, which reaps the reservations within one TTL.
 func (b *MediatorBroker) CloseSession() error {
 	b.mu.Lock()
-	rec, home := b.rec, b.home
-	b.rec, b.home = nil, ""
+	rec := b.rec
+	b.rec = nil
 	b.mu.Unlock()
 	if rec == nil {
 		return nil
 	}
-	sp := b.span(obs.SpanContext{}, "med_close")
+	home := rec.Home
+	sp := b.cfg.Tracer.StartOp("core", "med_close")
 	defer sp.Finish()
 	return b.walk(home, fmt.Sprintf("close session %d", rec.ID), sp, func(ep MediatorEndpoint) error {
 		err := ep.CloseSession(rec.ID)
@@ -393,12 +334,12 @@ func (b *MediatorBroker) CloseSession() error {
 // nobody knows surfaces ErrUnknownSession so the client drops its lease
 // (and its cached bytes with it).
 func (b *MediatorBroker) CacheSync(cached []mediator.CachedObject, written []string) ([]mediator.CachedObject, error) {
-	rec, home := b.session()
+	rec := b.Record()
 	if rec == nil {
 		return nil, ErrNoMediatorSession
 	}
 	var stale []mediator.CachedObject
-	err := b.walk(home, fmt.Sprintf("cache sync session %d", rec.ID), nil, func(ep MediatorEndpoint) (err error) {
+	err := b.walk(rec.Home, fmt.Sprintf("cache sync session %d", rec.ID), nil, func(ep MediatorEndpoint) (err error) {
 		stale, err = ep.CacheSync(rec.ID, cached, written)
 		return err
 	})
@@ -408,15 +349,21 @@ func (b *MediatorBroker) CacheSync(cached []mediator.CachedObject, written []str
 // Record returns a copy of the session record the broker holds, or nil
 // before OpenSession.
 func (b *MediatorBroker) Record() *mediator.SessionRecord {
-	rec, _ := b.session()
-	return rec
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.rec == nil {
+		return nil
+	}
+	cp := *b.rec
+	return &cp
 }
 
 // Home returns the replica currently holding the session's lease.
 func (b *MediatorBroker) Home() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.home
+	if rec := b.Record(); rec != nil {
+		return rec.Home
+	}
+	return ""
 }
 
 // Failovers returns how many times the session re-targeted to a
@@ -425,8 +372,3 @@ func (b *MediatorBroker) Failovers() int64 { return b.ev.Load(evMedFailover, -1)
 
 // RenewFailures returns how many renew rounds exhausted every replica.
 func (b *MediatorBroker) RenewFailures() int64 { return b.ev.Load(evMedRenewFail, -1) }
-
-// Endpoints returns the replicas in placement order for the broker's key.
-func (b *MediatorBroker) Endpoints() []MediatorEndpoint {
-	return append([]MediatorEndpoint(nil), b.order...)
-}

@@ -329,7 +329,7 @@ type fakeEndpoint struct {
 
 func (e *fakeEndpoint) Name() string { return e.name }
 
-func (e *fakeEndpoint) Admit(req mediator.Requirements) (*mediator.SessionRecord, error) {
+func (e *fakeEndpoint) Admit(req mediator.Requirements, _ obs.SpanContext) (*mediator.SessionRecord, error) {
 	e.admits++
 	if len(e.refuse) > 0 {
 		err := e.refuse[0]
@@ -339,9 +339,11 @@ func (e *fakeEndpoint) Admit(req mediator.Requirements) (*mediator.SessionRecord
 	return &mediator.SessionRecord{ID: 1, Key: req.Key, Home: e.name}, nil
 }
 
-func (e *fakeEndpoint) RenewSession(mediator.SessionRecord) (string, error) { return e.name, nil }
-func (e *fakeEndpoint) CloseSession(uint64) error                           { return nil }
-func (e *fakeEndpoint) Status() (mediator.ReplicaStatus, error)             { return mediator.ReplicaStatus{}, nil }
+func (e *fakeEndpoint) RenewSession(mediator.SessionRecord, obs.SpanContext) (string, error) {
+	return e.name, nil
+}
+func (e *fakeEndpoint) CloseSession(uint64) error               { return nil }
+func (e *fakeEndpoint) Status() (mediator.ReplicaStatus, error) { return mediator.ReplicaStatus{}, nil }
 func (e *fakeEndpoint) CacheSync(uint64, []mediator.CachedObject, []string) ([]mediator.CachedObject, error) {
 	return nil, nil
 }

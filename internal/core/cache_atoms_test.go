@@ -205,6 +205,122 @@ func TestWriteBehindBackingSurvivesFullCache(t *testing.T) {
 	}
 }
 
+// TestWriteBehindWriteLargerThanCache: one write-behind write larger than
+// the whole cache must return and land byte-exact. Absorbing every block
+// dirty before checking the budget used to pin the cache full, so the
+// last block's partial atom found no room for its backing fetch and the
+// write asked for the same atom forever.
+func TestWriteBehindWriteLargerThanCache(t *testing.T) {
+	c := newCluster(t, clusterOpts{})
+	want := randBytes(16*cacheBlock, 53)
+	w, err := c.client.Open("big", OpenFlags{Create: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	cl := dialCacheClient(t, c, "wbbig", func(cfg *Config) {
+		cfg.WriteBehindMax = cacheBlock
+		cfg.CacheSize = 4 * cacheBlock
+	})
+	f, err := cl.Open("big", OpenFlags{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch := randBytes(8*cacheBlock+100, 54)
+	copy(want, patch)
+	// A hung write holds the file lock, so the test's own cleanup would
+	// deadlock behind it: fail from a timer instead.
+	hung := time.AfterFunc(20*time.Second, func() {
+		panic("write-behind write larger than the cache never returned")
+	})
+	_, err = f.WriteAt(patch, 0)
+	hung.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	g, err := c.client.Open("big", OpenFlags{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	out := make([]byte, len(want))
+	if _, err := g.ReadAt(out, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, want) {
+		t.Fatal("agents do not hold the written image after Sync")
+	}
+}
+
+// TestWriteBehindWritesThroughPinnedCache: when another file's dirty
+// blocks pin the whole cache, a write-behind write whose partial atom
+// needs backing finds no room to place it and goes to the agents
+// directly instead of waiting for room that never comes.
+func TestWriteBehindWritesThroughPinnedCache(t *testing.T) {
+	c := newCluster(t, clusterOpts{})
+	want := randBytes(2*cacheBlock, 55)
+	w, err := c.client.Open("target", OpenFlags{Create: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	cl := dialCacheClient(t, c, "wbpinned", func(cfg *Config) {
+		cfg.WriteBehindMax = cacheBlock
+		cfg.CacheSize = 4 * cacheBlock
+		cfg.MaxRetries = 5 // the writer's budget wait for the pinned cache times out in 150 ms
+	})
+	pin, err := cl.Open("pin", OpenFlags{Create: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pin.Close()
+	f, err := cl.Open("target", OpenFlags{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// Holding pin's lock keeps the background flusher off its blocks.
+	pin.mu.Lock()
+	pin.cobj.Write(0, randBytes(4*cacheBlock, 56))
+	patch := randBytes(100, 57)
+	copy(want[cacheBlock:], patch)
+	hung := time.AfterFunc(20*time.Second, func() {
+		panic("write-behind write into a pinned cache never returned")
+	})
+	_, err = f.WriteAt(patch, cacheBlock)
+	hung.Stop()
+	dirty := f.cobj.DirtyBytes()
+	pin.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dirty != 0 {
+		t.Fatalf("%d dirty bytes: the write was absorbed, not written through", dirty)
+	}
+	g, err := c.client.Open("target", OpenFlags{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	out := make([]byte, len(want))
+	if _, err := g.ReadAt(out, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, want) {
+		t.Fatal("the agents do not hold the write")
+	}
+}
+
 // randomReadCluster writes a 4 MiB object and opens it on a second
 // client with a 1 MiB cache (or none).
 func randomReadCluster(t testing.TB, cacheSize int64) (*cluster, *Client, *File, []byte) {

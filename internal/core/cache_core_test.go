@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"swift/internal/mediator"
+	"swift/internal/obs"
 	"swift/internal/transport/memnet"
 )
 
@@ -55,11 +56,11 @@ func testMediator(t *testing.T, c *cluster, sessions int) (*mediator.Mediator, [
 	t.Cleanup(func() { med.Close() })
 	ids := make([]uint64, sessions)
 	for i := range ids {
-		plan, err := med.OpenSession(mediator.Requirements{Rate: 1e3})
+		plan, err := med.Admit(mediator.Requirements{Rate: 1e3}, obs.SpanContext{})
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
-		ids[i] = plan.SessionID
+		ids[i] = plan.ID
 	}
 	return med, ids
 }

@@ -248,6 +248,44 @@ func (f *File) flushOneLocked(sp *obs.Span) bool {
 	return true
 }
 
+// absorbBlock lands the part p of a write-behind write at off that falls
+// in one cache block; f.mu held. An atom the write covers only partially
+// must first be backed by its on-disk bytes so the dirty span never
+// holds unfetched bytes. The block is backed, then pinned dirty, before
+// the next one is touched: backing both edge blocks of a write first
+// lets the second fetch evict the first, and the loop never converges.
+// When no block can be placed for the backing (the capacity is full of
+// pinned dirty blocks), the block is written through instead.
+func (f *File) absorbBlock(p []byte, off int64, sp *obs.Span) error {
+	for {
+		bo, blen, ok := f.cobj.MissingBacking(off, int64(len(p)), f.size)
+		if !ok {
+			break
+		}
+		buf := f.growFetch(blen)
+		if err := f.readRange(buf, bo, true, sp); err != nil {
+			return err
+		}
+		if !f.cobj.Insert(bo, buf, false) {
+			return f.writeThrough(p, off, sp)
+		}
+	}
+	f.cobj.Write(off, p)
+	return nil
+}
+
+// flushOverBudget writes this file's dirty extents back inline, lowest
+// first, while the cache is over its dirty budget; f.mu held. A failed
+// write-back ends the loop with its error.
+func (f *File) flushOverBudget(sp *obs.Span) error {
+	for f.c.cache.OverBudget() && f.cobj.DirtyBytes() > 0 {
+		if !f.flushOneLocked(sp) {
+			return f.cobj.TakeFlushErr()
+		}
+	}
+	return nil
+}
+
 // flushAllLocked drains every dirty extent of this file and returns any
 // parked write-back error; f.mu held. The write-behind Sync barrier.
 func (f *File) flushAllLocked(sp *obs.Span) error {

@@ -573,19 +573,9 @@ func (f *File) writeAtLocked(p []byte, off int64, start time.Time, sp *obs.Span)
 			sp.SetError(err)
 			return 0, err
 		}
-	} else {
-		if err := f.writeRange(p, off, true, sp); err != nil {
-			if f.cobj != nil {
-				// Some agents may have applied their bursts.
-				f.cobj.Invalidate(off, int64(len(p)))
-			}
-			sp.SetError(err)
-			return 0, err
-		}
-		if f.cobj != nil {
-			f.cobj.Refresh(off, p)
-		}
-		f.c.noteWritten(f.name)
+	} else if err := f.writeThrough(p, off, sp); err != nil {
+		sp.SetError(err)
+		return 0, err
 	}
 	observeSpan(f.c.tel.writeLat, start, sp)
 	if end := off + int64(len(p)); end > f.size {
@@ -594,43 +584,47 @@ func (f *File) writeAtLocked(p []byte, off int64, start time.Time, sp *obs.Span)
 	return len(p), nil
 }
 
-// absorbWrite lands a write in dirty cache blocks (write-behind). An
-// atom the write covers only partially must first be backed by its
-// on-disk bytes so the dirty span never holds unfetched bytes. The write
-// absorbs one cache block at a time — back, then pin dirty — because
-// backing both edge blocks first lets the second fetch evict the first
-// (one clean slot left, or a probation list holding nothing else) and
-// the loop never converges. Then the flusher is kicked, and — while the
-// cache is over its dirty budget — the writer flushes its own file inline
-// so a saturated cache degrades to write-through instead of wedging.
+// writeThrough writes p at off to the agents and folds it into the
+// blocks the cache already holds.
+func (f *File) writeThrough(p []byte, off int64, sp *obs.Span) error {
+	if err := f.writeRange(p, off, true, sp); err != nil {
+		if f.cobj != nil {
+			// Some agents may have applied their bursts.
+			f.cobj.Invalidate(off, int64(len(p)))
+		}
+		return err
+	}
+	if f.cobj != nil {
+		f.cobj.Refresh(off, p)
+	}
+	f.c.noteWritten(f.name)
+	return nil
+}
+
+// absorbWrite lands a write in dirty cache blocks (write-behind), one
+// cache block at a time (absorbBlock). Before each block, and once after
+// the last, the writer flushes its own file inline while the cache is
+// over its dirty budget, so a write larger than the cache keeps its
+// dirty bytes within a block of the budget and a saturated cache
+// degrades to write-through instead of wedging. Then the flusher is
+// kicked.
 func (f *File) absorbWrite(p []byte, off int64, sp *obs.Span) error {
 	bs := f.c.cache.BlockSize()
 	for len(p) > 0 {
 		n := min(int64(len(p)), bs-off%bs)
-		for {
-			bo, blen, ok := f.cobj.MissingBacking(off, n, f.size)
-			if !ok {
-				break
-			}
-			buf := f.growFetch(blen)
-			if err := f.readRange(buf, bo, true, sp); err != nil {
-				return err
-			}
-			f.cobj.Insert(bo, buf, false)
+		if err := f.flushOverBudget(sp); err != nil {
+			return err
 		}
-		f.cobj.Write(off, p[:n])
+		if err := f.absorbBlock(p[:n], off, sp); err != nil {
+			return err
+		}
 		// A later block's backing fetch may still fail the write; the
 		// blocks absorbed so far flush regardless, so the size covers them.
 		f.size = max(f.size, off+n)
 		off, p = off+n, p[n:]
 	}
-	for f.c.cache.OverBudget() && f.cobj.DirtyBytes() > 0 {
-		if !f.flushOneLocked(sp) {
-			if err := f.cobj.TakeFlushErr(); err != nil {
-				return err
-			}
-			break
-		}
+	if err := f.flushOverBudget(sp); err != nil {
+		return err
 	}
 	f.c.kickFlush()
 	return nil

@@ -35,7 +35,7 @@ func TestRPCCarriesDeadlineBudget(t *testing.T) {
 			return err
 		}},
 		{"medrpc", func(t *testing.T, host *memnet.Host, addr string) error {
-			c, err := medrpc.NewClient(medrpc.ClientConfig{Host: host, Addr: addr, RetryTimeout: 20 * time.Millisecond})
+			c, err := medrpc.NewClient(medrpc.ClientConfig{Host: host, Addr: addr})
 			if err != nil {
 				t.Fatal(err)
 			}

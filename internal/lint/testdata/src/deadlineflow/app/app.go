@@ -47,10 +47,10 @@ type medrpcStub struct {
 	conn *transport.Conn
 }
 
-// AdmitTraced threads the span into the packet before the blocking
+// Admit threads the span into the packet before the blocking
 // write: clean — and, because it accepts a SpanContext and blocks,
 // it is a propagation target for its callers.
-func (m *medrpcStub) AdmitTraced(ctx obs.SpanContext) error {
+func (m *medrpcStub) Admit(ctx obs.SpanContext) error {
 	pkt := &wire.Packet{Type: 2}
 	pkt.Trace = ctx
 	return m.conn.WriteTo(wire.Marshal(pkt), "mediator")
@@ -58,8 +58,8 @@ func (m *medrpcStub) AdmitTraced(ctx obs.SpanContext) error {
 
 // hedge forwards the span into the second attempt: clean.
 func (m *medrpcStub) hedge(ctx obs.SpanContext) error {
-	if err := m.AdmitTraced(ctx); err != nil {
-		return m.AdmitTraced(ctx)
+	if err := m.Admit(ctx); err != nil {
+		return m.Admit(ctx)
 	}
 	return nil
 }
@@ -67,7 +67,7 @@ func (m *medrpcStub) hedge(ctx obs.SpanContext) error {
 // hedgeDropped launches the hedge with a fresh zero span, losing the
 // caller's trace and budget.
 func (m *medrpcStub) hedgeDropped(ctx obs.SpanContext) error {
-	return m.AdmitTraced(obs.SpanContext{}) // want `does not carry it`
+	return m.Admit(obs.SpanContext{}) // want `does not carry it`
 }
 
 // admitIn enforces the budget locally before blocking: clean.

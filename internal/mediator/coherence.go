@@ -63,8 +63,7 @@ func (m *Mediator) cacheSyncLocked(id uint64, cached []CachedObject, written []s
 		return nil, nil, ErrReplicaDown
 	}
 	m.expireLocked()
-	s := m.sessions[id]
-	if s == nil {
+	if m.sessions[id] == nil {
 		return nil, nil, ErrUnknownSession
 	}
 	m.tel.Count(evCacheSync, -1)
@@ -81,9 +80,6 @@ func (m *Mediator) cacheSyncLocked(id uint64, cached []CachedObject, written []s
 		bumps = append(bumps, MirrorUpdate{Op: MirrorInvalidate, From: m.self,
 			Rec: SessionRecord{ID: m.objGen[name], Key: name, Home: m.selfName()}})
 	}
-
-	// Refresh the session's interest set (what it caches), for operators.
-	s.cached = len(cached)
 
 	var out []CachedObject
 	for _, co := range cached {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"swift/internal/obs"
 )
 
 // newCoherenceMediator builds a single replica over the standard test
@@ -24,11 +26,11 @@ func newCoherenceMediator(t *testing.T) *Mediator {
 // the object cached — never as a bare invalidation of its own cache.
 func TestCacheSyncAdoptsOwnWrites(t *testing.T) {
 	m := newCoherenceMediator(t)
-	p, err := m.OpenSession(Requirements{Rate: 100e3})
+	p, err := m.Admit(Requirements{Rate: 100e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	out, err := m.CacheSync(p.SessionID,
+	out, err := m.CacheSync(p.ID,
 		[]CachedObject{{Name: "v", Gen: 0}}, []string{"v"})
 	if err != nil {
 		t.Fatalf("sync: %v", err)
@@ -41,7 +43,7 @@ func TestCacheSyncAdoptsOwnWrites(t *testing.T) {
 	}
 	// Re-declaring the same round (a lost-reply retransmit) just bumps
 	// again — harmless over-invalidation, never a stuck generation.
-	out, err = m.CacheSync(p.SessionID, nil, []string{"v"})
+	out, err = m.CacheSync(p.ID, nil, []string{"v"})
 	if err != nil {
 		t.Fatalf("retransmit: %v", err)
 	}
@@ -55,18 +57,18 @@ func TestCacheSyncAdoptsOwnWrites(t *testing.T) {
 // the generation to converge to.
 func TestCacheSyncInvalidatesStaleReaders(t *testing.T) {
 	m := newCoherenceMediator(t)
-	w, err := m.OpenSession(Requirements{Rate: 100e3})
+	w, err := m.Admit(Requirements{Rate: 100e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open writer: %v", err)
 	}
-	r, err := m.OpenSession(Requirements{Rate: 100e3})
+	r, err := m.Admit(Requirements{Rate: 100e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open reader: %v", err)
 	}
-	if _, err := m.CacheSync(w.SessionID, nil, []string{"a", "b"}); err != nil {
+	if _, err := m.CacheSync(w.ID, nil, []string{"a", "b"}); err != nil {
 		t.Fatalf("writer sync: %v", err)
 	}
-	out, err := m.CacheSync(r.SessionID, []CachedObject{
+	out, err := m.CacheSync(r.ID, []CachedObject{
 		{Name: "a", Gen: 0}, // stale
 		{Name: "b", Gen: 1}, // current
 		{Name: "c", Gen: 0}, // never written: current by definition
@@ -92,15 +94,15 @@ func TestCacheSyncUnknownSession(t *testing.T) {
 	if _, err := m.CacheSync(42, nil, nil); !errors.Is(err, ErrUnknownSession) {
 		t.Fatalf("unknown id err = %v, want ErrUnknownSession", err)
 	}
-	p, err := m.OpenSession(Requirements{Rate: 100e3})
+	p, err := m.Admit(Requirements{Rate: 100e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if _, err := m.CacheSync(p.SessionID, nil, nil); err != nil {
+	if _, err := m.CacheSync(p.ID, nil, nil); err != nil {
 		t.Fatalf("live sync: %v", err)
 	}
 	clk.Advance(2 * time.Second) // lease lapses
-	if _, err := m.CacheSync(p.SessionID, nil, nil); !errors.Is(err, ErrUnknownSession) {
+	if _, err := m.CacheSync(p.ID, nil, nil); !errors.Is(err, ErrUnknownSession) {
 		t.Fatalf("expired lease err = %v, want ErrUnknownSession", err)
 	}
 }
@@ -111,11 +113,11 @@ func TestCacheSyncUnknownSession(t *testing.T) {
 // about it on its next round.
 func TestGenerationBumpCrossesFederation(t *testing.T) {
 	f := fedInstall(t, 0, nil)
-	w, err := f.Mediator(0).OpenSession(Requirements{Rate: 100e3})
+	w, err := f.Mediator(0).Admit(Requirements{Rate: 100e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if _, err := f.Mediator(0).CacheSync(w.SessionID, nil, []string{"shared"}); err != nil {
+	if _, err := f.Mediator(0).CacheSync(w.ID, nil, []string{"shared"}); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
 	for i := 0; i < 3; i++ {
@@ -131,11 +133,11 @@ func TestGenerationBumpCrossesFederation(t *testing.T) {
 // object the federation knows was overwritten.
 func TestRestartReconcilesGenerations(t *testing.T) {
 	f := fedInstall(t, 0, nil)
-	w, err := f.Mediator(1).OpenSession(Requirements{Rate: 100e3})
+	w, err := f.Mediator(1).Admit(Requirements{Rate: 100e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if _, err := f.Mediator(1).CacheSync(w.SessionID, nil, []string{"x"}); err != nil {
+	if _, err := f.Mediator(1).CacheSync(w.ID, nil, []string{"x"}); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
 	f.WaitMirrors()
@@ -189,14 +191,14 @@ func TestWriterRoundPublishesBeforeReturning(t *testing.T) {
 	defer m.Close()
 	peer := &failingPeer{name: "med-b"}
 	m.SetPeers([]Peer{peer})
-	p, err := m.OpenSession(Requirements{Rate: 100e3})
+	p, err := m.Admit(Requirements{Rate: 100e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	m.WaitMirrors()
 	round := func(gen uint64) {
 		t.Helper()
-		if out, err := m.CacheSync(p.SessionID, nil, []string{"v"}); err != nil || len(out) != 1 || out[0].Gen != gen {
+		if out, err := m.CacheSync(p.ID, nil, []string{"v"}); err != nil || len(out) != 1 || out[0].Gen != gen {
 			t.Fatalf("round = %+v, %v; want v@%d", out, err, gen)
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"swift/internal/obs"
 )
 
 // Federation: a tier of mediator replicas with replicated session state.
@@ -338,8 +340,10 @@ func (m *Mediator) reserveLocked(p *Plan) {
 // carries is adopted wholesale, reservations and all. The returned home
 // name tells the client which replica to heartbeat next (a draining home
 // answers with the peer it handed the session to, re-targeting the client
-// transparently).
-func (m *Mediator) RenewSession(rec SessionRecord) (home string, err error) {
+// transparently). A renewal after the lease lapsed re-adopts the session
+// the same way. Like Admit, it leaves the caller's span context to the
+// caller's own span.
+func (m *Mediator) RenewSession(rec SessionRecord, _ obs.SpanContext) (home string, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.killed {

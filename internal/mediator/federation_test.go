@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"swift/internal/obs"
 )
 
 // fedInstall builds a 3-replica federation over the standard test
@@ -28,7 +30,7 @@ func fedInstall(t *testing.T, ttl time.Duration, clk *fakeClock) *Federation {
 
 func TestFederationMirrorsSessions(t *testing.T) {
 	f := fedInstall(t, 0, nil)
-	rec, err := f.Mediator(0).Admit(Requirements{Rate: 400e3, Key: "tenant-a"})
+	rec, err := f.Mediator(0).Admit(Requirements{Rate: 400e3, Key: "tenant-a"}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
@@ -64,7 +66,7 @@ func TestFederationMirrorsSessions(t *testing.T) {
 
 func TestFederationCloseReleasesEverywhere(t *testing.T) {
 	f := fedInstall(t, 0, nil)
-	rec, err := f.Mediator(1).Admit(Requirements{Rate: 400e3})
+	rec, err := f.Mediator(1).Admit(Requirements{Rate: 400e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
@@ -143,14 +145,14 @@ func TestApplyMirrorLastWriterWins(t *testing.T) {
 func TestRenewAdoptsMirroredSessionAfterCrash(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	f := fedInstall(t, time.Minute, clk)
-	rec, err := f.Mediator(0).Admit(Requirements{Rate: 400e3, Key: "tenant-a"})
+	rec, err := f.Mediator(0).Admit(Requirements{Rate: 400e3, Key: "tenant-a"}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
 	f.WaitMirrors()
 	f.Kill(0)
 	// The client re-targets its heartbeat to a survivor, which adopts.
-	home, err := f.Mediator(1).RenewSession(*rec)
+	home, err := f.Mediator(1).RenewSession(*rec, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("renew on survivor: %v", err)
 	}
@@ -184,7 +186,7 @@ func TestRenewAdoptsUnknownSessionWholesale(t *testing.T) {
 		Expires: clk.Now().Add(time.Second), // nearly lapsed
 		Plan:    Plan{Agents: []int{0, 1}, Addrs: []string{"agent0:7070", "agent1:7070"}, Unit: 65536, Rate: 400e3},
 	}
-	home, err := m.RenewSession(rec)
+	home, err := m.RenewSession(rec, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("renew unknown: %v", err)
 	}
@@ -207,7 +209,7 @@ func TestRenewAdoptsUnknownSessionWholesale(t *testing.T) {
 func TestDrainHandsSessionsToPeers(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	f := fedInstall(t, time.Minute, clk)
-	rec, err := f.Mediator(0).Admit(Requirements{Rate: 400e3, Key: "tenant-a"})
+	rec, err := f.Mediator(0).Admit(Requirements{Rate: 400e3, Key: "tenant-a"}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
@@ -233,7 +235,7 @@ func TestDrainHandsSessionsToPeers(t *testing.T) {
 	}
 	// A heartbeat that lands on the draining replica is honoured and
 	// answers with the new home, re-targeting the client.
-	home, err := f.Mediator(0).RenewSession(*rec)
+	home, err := f.Mediator(0).RenewSession(*rec, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("renew mid-drain: %v", err)
 	}
@@ -241,7 +243,7 @@ func TestDrainHandsSessionsToPeers(t *testing.T) {
 		t.Fatalf("renew answered home %q, want %q", home, wantHome)
 	}
 	// New admissions are refused while draining.
-	if _, err := f.Mediator(0).Admit(Requirements{Rate: 100e3}); !errors.Is(err, ErrDraining) {
+	if _, err := f.Mediator(0).Admit(Requirements{Rate: 100e3}, obs.SpanContext{}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("admit on draining: err = %v, want ErrDraining", err)
 	}
 	// The new home is home for the session.
@@ -261,17 +263,17 @@ func TestDrainHandsSessionsToPeers(t *testing.T) {
 
 func TestKilledReplicaRefusesEverything(t *testing.T) {
 	f := fedInstall(t, 0, nil)
-	rec, err := f.Mediator(0).Admit(Requirements{Rate: 100e3})
+	rec, err := f.Mediator(0).Admit(Requirements{Rate: 100e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
 	f.WaitMirrors()
 	f.Kill(0)
 	m := f.Mediator(0)
-	if _, err := m.Admit(Requirements{Rate: 100e3}); !errors.Is(err, ErrReplicaDown) {
+	if _, err := m.Admit(Requirements{Rate: 100e3}, obs.SpanContext{}); !errors.Is(err, ErrReplicaDown) {
 		t.Fatalf("admit: %v", err)
 	}
-	if _, err := m.RenewSession(*rec); !errors.Is(err, ErrReplicaDown) {
+	if _, err := m.RenewSession(*rec, obs.SpanContext{}); !errors.Is(err, ErrReplicaDown) {
 		t.Fatalf("renew: %v", err)
 	}
 	if err := m.CloseSession(rec.ID); !errors.Is(err, ErrReplicaDown) {
@@ -297,7 +299,7 @@ func TestRestartReconcilesFromPeers(t *testing.T) {
 	f := fedInstall(t, 0, nil)
 	var ids []uint64
 	for i := 0; i < 3; i++ {
-		rec, err := f.Mediator(i).Admit(Requirements{Rate: 200e3, Key: fmt.Sprintf("t%d", i)})
+		rec, err := f.Mediator(i).Admit(Requirements{Rate: 200e3, Key: fmt.Sprintf("t%d", i)}, obs.SpanContext{})
 		if err != nil {
 			t.Fatalf("admit %d: %v", i, err)
 		}
@@ -319,7 +321,7 @@ func TestRestartReconcilesFromPeers(t *testing.T) {
 	}
 	// The restarted replica must not re-issue a live id from its former
 	// namespace: its next admission gets a strictly larger sequence.
-	rec, err := m.Admit(Requirements{Rate: 100e3})
+	rec, err := m.Admit(Requirements{Rate: 100e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("post-restart admit: %v", err)
 	}
@@ -431,7 +433,7 @@ func TestForeignAgentIndicesDoNotPanicRelease(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	// Lease-expiry path (adoption installs the record wholesale).
-	if _, err := m.RenewSession(foreign(3)); err != nil {
+	if _, err := m.RenewSession(foreign(3), obs.SpanContext{}); err != nil {
 		t.Fatalf("adopt: %v", err)
 	}
 	clk.Advance(2 * time.Minute)
@@ -499,7 +501,7 @@ func TestFailedMirrorDeleteIsRetried(t *testing.T) {
 	defer m.Close()
 	peer := &failingPeer{name: "med-b", failing: true}
 	m.SetPeers([]Peer{peer})
-	rec, err := m.Admit(Requirements{Rate: 100e3})
+	rec, err := m.Admit(Requirements{Rate: 100e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
@@ -535,7 +537,7 @@ func TestDrainHandoffCarriesFreshLease(t *testing.T) {
 		t.Fatalf("new: %v", err)
 	}
 	defer m.Close()
-	rec, err := m.Admit(Requirements{Rate: 100e3, Key: "tenant-a"})
+	rec, err := m.Admit(Requirements{Rate: 100e3, Key: "tenant-a"}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
@@ -584,7 +586,7 @@ func (p *renewingPeer) Mirror(u MirrorUpdate) error {
 	if !p.done {
 		p.done = true
 		p.clk.Advance(30 * time.Second)
-		if _, err := p.m.RenewSession(p.rec); err != nil {
+		if _, err := p.m.RenewSession(p.rec, obs.SpanContext{}); err != nil {
 			return fmt.Errorf("mid-drain renew: %w", err)
 		}
 		return errors.New("peer unreachable")
@@ -602,7 +604,7 @@ func TestRenewAtExactDeadline(t *testing.T) {
 		t.Fatalf("new: %v", err)
 	}
 	defer m.Close()
-	p, err := m.OpenSession(Requirements{Rate: 100e3})
+	p, err := m.Admit(Requirements{Rate: 100e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -610,7 +612,7 @@ func TestRenewAtExactDeadline(t *testing.T) {
 	if n := m.ExpireNow(); n != 0 {
 		t.Fatalf("sweep at the deadline instant reaped %d", n)
 	}
-	if err := m.Renew(p.SessionID); err != nil {
+	if _, err := m.RenewSession(*p, obs.SpanContext{}); err != nil {
 		t.Fatalf("renew at the deadline instant: %v", err)
 	}
 	clk.Advance(time.Minute + time.Nanosecond) // one past the new deadline
@@ -649,12 +651,12 @@ func TestRenewVsExpiryHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				p, err := m.OpenSession(Requirements{Rate: 50e3})
+				p, err := m.Admit(Requirements{Rate: 50e3}, obs.SpanContext{})
 				if err != nil {
 					continue // admission full under churn; fine
 				}
-				m.Renew(p.SessionID)
-				m.CloseSession(p.SessionID)
+				m.RenewSession(*p, obs.SpanContext{})
+				m.CloseSession(p.ID)
 			}
 		}()
 	}

@@ -81,7 +81,7 @@ type Config struct {
 	// 256 KiB). Units are powers of two.
 	MinUnit, MaxUnit int64
 	// LeaseTTL bounds how long an admitted session may hold its
-	// reservations without a Renew heartbeat from the distribution
+	// reservations without a RenewSession heartbeat from the distribution
 	// agent. An expired lease releases the session's agent and network
 	// reservations automatically — a crashed client cannot pin capacity
 	// forever. Zero disables leases (sessions live until closed).
@@ -140,7 +140,6 @@ type session struct {
 	expires time.Time // zero when leases are disabled
 	key     string    // placement key (federation)
 	home    string    // replica responsible for the lease
-	cached  int       // objects the client declared cached in its last CacheSync
 }
 
 // Session-id namespacing for federated replicas: the top 16 bits hash the
@@ -315,22 +314,14 @@ func (m *Mediator) expireLocked() int {
 	return n
 }
 
-// OpenSession admits or rejects a request, reserving agent and network
-// capacity and returning the transfer plan.
-func (m *Mediator) OpenSession(req Requirements) (*Plan, error) {
-	rec, err := m.Admit(req)
-	if err != nil {
-		return nil, err
-	}
-	p := rec.Plan
-	return &p, nil
-}
-
-// Admit is OpenSession in its federated form: it returns the full session
-// record — plan, home replica, placement key, lease deadline — that a
-// client needs in order to fail over to a peer replica later, and queues
-// the new session for mirroring to the peers.
-func (m *Mediator) Admit(req Requirements) (*SessionRecord, error) {
+// Admit admits or rejects a request, reserving agent and network
+// capacity. It returns the full session record — transfer plan, home
+// replica, placement key, lease deadline — that a client needs in order
+// to fail over to a peer replica later, and queues the new session for
+// mirroring to the peers. The span context is the caller's; an
+// in-process call is already covered by the caller's span, so it is
+// unused here (the medrpc stub carries it on the wire).
+func (m *Mediator) Admit(req Requirements, _ obs.SpanContext) (*SessionRecord, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.killed {
@@ -564,70 +555,6 @@ func (m *Mediator) releaseLocked(p *Plan) {
 			m.netLoad[j] = 0
 		}
 	}
-}
-
-// Renew extends a session's lease by the configured TTL — the
-// distribution agent's heartbeat. With leases disabled it only verifies
-// that the session exists. Renewing an unknown (or already expired)
-// session returns ErrUnknownSession: the client's reservations are gone
-// and it must re-open a session.
-func (m *Mediator) Renew(id uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.killed {
-		return ErrReplicaDown
-	}
-	m.expireLocked()
-	s := m.sessions[id]
-	if s == nil {
-		return ErrUnknownSession
-	}
-	if m.cfg.LeaseTTL > 0 {
-		s.expires = m.cfg.Now().Add(m.cfg.LeaseTTL)
-	}
-	m.tel.Count(evRenewal, -1)
-	if s.home == m.selfName() {
-		m.mirrorLocked(MirrorUpsert, m.recordLocked(id, s))
-	}
-	return nil
-}
-
-// SessionStatus is one live session's plan and lease, for operators.
-type SessionStatus struct {
-	ID           uint64
-	Agents       []int
-	Unit         int64
-	Parity       bool
-	ParityShards int
-	Rate         float64
-	Expires      time.Time // zero when leases are disabled
-	Home         string    // replica responsible for the lease
-	Key          string    // placement key
-	Cached       int       // objects declared cached in the last CacheSync
-}
-
-// SessionList snapshots the live sessions, sorted by ID.
-func (m *Mediator) SessionList() []SessionStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.expireLocked()
-	out := make([]SessionStatus, 0, len(m.sessions))
-	for id, s := range m.sessions {
-		out = append(out, SessionStatus{
-			ID:           id,
-			Agents:       append([]int(nil), s.plan.Agents...),
-			Unit:         s.plan.Unit,
-			Parity:       s.plan.Parity,
-			ParityShards: s.plan.ParityShards,
-			Rate:         s.plan.Rate,
-			Expires:      s.expires,
-			Home:         s.home,
-			Key:          s.key,
-			Cached:       s.cached,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // Sessions reports the number of active (unexpired) sessions.

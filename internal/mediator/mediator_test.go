@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"swift/internal/obs"
 )
 
 // testInstall: 6 agents at 400 KB/s each, two 1.12 MB/s Ethernets,
@@ -37,34 +39,34 @@ func TestValidation(t *testing.T) {
 
 func TestLowRateUsesFewAgentsLargeUnit(t *testing.T) {
 	m, _ := New(testInstall())
-	p, err := m.OpenSession(Requirements{Rate: 100e3})
+	p, err := m.Admit(Requirements{Rate: 100e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if len(p.Agents) != 1 {
-		t.Fatalf("agents = %d, want 1", len(p.Agents))
+	if len(p.Plan.Agents) != 1 {
+		t.Fatalf("agents = %d, want 1", len(p.Plan.Agents))
 	}
-	if p.Unit != 256*1024 {
-		t.Fatalf("unit = %d, want 256K for a one-agent session", p.Unit)
+	if p.Plan.Unit != 256*1024 {
+		t.Fatalf("unit = %d, want 256K for a one-agent session", p.Plan.Unit)
 	}
 }
 
 func TestHighRateUsesManyAgentsSmallUnit(t *testing.T) {
 	m, _ := New(testInstall())
-	p, err := m.OpenSession(Requirements{Rate: 2e6})
+	p, err := m.Admit(Requirements{Rate: 2e6}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if len(p.Agents) < 5 {
-		t.Fatalf("agents = %d, want >= 5 for 2 MB/s over 400 KB/s agents", len(p.Agents))
+	if len(p.Plan.Agents) < 5 {
+		t.Fatalf("agents = %d, want >= 5 for 2 MB/s over 400 KB/s agents", len(p.Plan.Agents))
 	}
-	if p.Unit >= 256*1024 {
-		t.Fatalf("unit = %d, want smaller for high-parallelism session", p.Unit)
+	if p.Plan.Unit >= 256*1024 {
+		t.Fatalf("unit = %d, want smaller for high-parallelism session", p.Plan.Unit)
 	}
 	// The plan must span both networks: one Ethernet cannot carry 2 MB/s.
 	nets := map[int]bool{}
 	cfg := testInstall()
-	for _, a := range p.Agents {
+	for _, a := range p.Plan.Agents {
 		nets[cfg.Agents[a].Net] = true
 	}
 	if len(nets) != 2 {
@@ -74,7 +76,7 @@ func TestHighRateUsesManyAgentsSmallUnit(t *testing.T) {
 
 func TestRejectsImpossibleRate(t *testing.T) {
 	m, _ := New(testInstall())
-	if _, err := m.OpenSession(Requirements{Rate: 10e6}); !errors.Is(err, ErrUnsatisfiable) {
+	if _, err := m.Admit(Requirements{Rate: 10e6}, obs.SpanContext{}); !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("err = %v, want ErrUnsatisfiable", err)
 	}
 }
@@ -85,20 +87,20 @@ func TestReservationsAccumulateAndRelease(t *testing.T) {
 	// Six 350 KB/s sessions fit (2.1 MB/s total against 2.24 MB/s of
 	// network and 2.4 MB/s of agents) and leave only 50 KB/s per agent.
 	for i := 0; i < 6; i++ {
-		p, err := m.OpenSession(Requirements{Rate: 350e3})
+		p, err := m.Admit(Requirements{Rate: 350e3}, obs.SpanContext{})
 		if err != nil {
 			t.Fatalf("session %d rejected: %v", i, err)
 		}
-		ids = append(ids, p.SessionID)
+		ids = append(ids, p.ID)
 	}
-	if _, err := m.OpenSession(Requirements{Rate: 350e3}); !errors.Is(err, ErrUnsatisfiable) {
+	if _, err := m.Admit(Requirements{Rate: 350e3}, obs.SpanContext{}); !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("7th session: err = %v, want ErrUnsatisfiable", err)
 	}
 	// Release one; admission works again.
 	if err := m.CloseSession(ids[0]); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if _, err := m.OpenSession(Requirements{Rate: 350e3}); err != nil {
+	if _, err := m.Admit(Requirements{Rate: 350e3}, obs.SpanContext{}); err != nil {
 		t.Fatalf("after release: %v", err)
 	}
 	if m.Sessions() != 6 {
@@ -118,35 +120,35 @@ func TestNetworkCapacityLimits(t *testing.T) {
 		Nets: []NetInfo{{"ether", 1.12e6}},
 	}
 	m, _ := New(cfg)
-	if _, err := m.OpenSession(Requirements{Rate: 2e6}); !errors.Is(err, ErrUnsatisfiable) {
+	if _, err := m.Admit(Requirements{Rate: 2e6}, obs.SpanContext{}); !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("err = %v, want ErrUnsatisfiable (network bound)", err)
 	}
-	if _, err := m.OpenSession(Requirements{Rate: 1e6}); err != nil {
+	if _, err := m.Admit(Requirements{Rate: 1e6}, obs.SpanContext{}); err != nil {
 		t.Fatalf("1 MB/s should fit: %v", err)
 	}
 }
 
 func TestRedundancyAddsAgent(t *testing.T) {
 	m, _ := New(testInstall())
-	p, err := m.OpenSession(Requirements{Rate: 300e3, Redundancy: true})
+	p, err := m.Admit(Requirements{Rate: 300e3, Redundancy: true}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if !p.Parity {
+	if !p.Plan.Parity {
 		t.Fatal("plan not marked parity")
 	}
-	if len(p.Agents) < 3 {
-		t.Fatalf("agents = %d, want >= 3 with redundancy", len(p.Agents))
+	if len(p.Plan.Agents) < 3 {
+		t.Fatalf("agents = %d, want >= 3 with redundancy", len(p.Plan.Agents))
 	}
 }
 
 func TestBestEffortSession(t *testing.T) {
 	m, _ := New(testInstall())
-	p, err := m.OpenSession(Requirements{})
+	p, err := m.Admit(Requirements{}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if len(p.Agents) != 1 || p.Rate != 0 {
+	if len(p.Plan.Agents) != 1 || p.Plan.Rate != 0 {
 		t.Fatalf("best effort plan = %+v", p)
 	}
 }
@@ -162,15 +164,15 @@ func TestCloseUnknownSession(t *testing.T) {
 
 func TestCloseSessionIdempotent(t *testing.T) {
 	m, _ := New(testInstall())
-	p, err := m.OpenSession(Requirements{Rate: 350e3})
+	p, err := m.Admit(Requirements{Rate: 350e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := m.CloseSession(p.SessionID); err != nil {
+	if err := m.CloseSession(p.ID); err != nil {
 		t.Fatalf("first close: %v", err)
 	}
 	// Second close must not error and must not double-release capacity.
-	if err := m.CloseSession(p.SessionID); err != nil {
+	if err := m.CloseSession(p.ID); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
 	for i := 0; i < 6; i++ {
@@ -218,13 +220,13 @@ func TestLeaseExpiryReleasesReservations(t *testing.T) {
 	// Saturate the installation, then let every lease lapse.
 	var ids []uint64
 	for i := 0; i < 6; i++ {
-		p, err := m.OpenSession(Requirements{Rate: 350e3})
+		p, err := m.Admit(Requirements{Rate: 350e3}, obs.SpanContext{})
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
-		ids = append(ids, p.SessionID)
+		ids = append(ids, p.ID)
 	}
-	if _, err := m.OpenSession(Requirements{Rate: 350e3}); !errors.Is(err, ErrUnsatisfiable) {
+	if _, err := m.Admit(Requirements{Rate: 350e3}, obs.SpanContext{}); !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("7th session: err = %v, want ErrUnsatisfiable", err)
 	}
 	clk.Advance(2 * time.Minute)
@@ -244,7 +246,7 @@ func TestLeaseExpiryReleasesReservations(t *testing.T) {
 		t.Fatal("net load not released by expiry")
 	}
 	// Capacity is admittable again; the dead clients' closes are no-ops.
-	if _, err := m.OpenSession(Requirements{Rate: 350e3}); err != nil {
+	if _, err := m.Admit(Requirements{Rate: 350e3}, obs.SpanContext{}); err != nil {
 		t.Fatalf("post-expiry admission: %v", err)
 	}
 	for _, id := range ids {
@@ -261,27 +263,42 @@ func TestRenewKeepsLeaseAlive(t *testing.T) {
 		t.Fatalf("new: %v", err)
 	}
 	defer m.Close()
-	p, err := m.OpenSession(Requirements{Rate: 100e3})
+	p, err := m.Admit(Requirements{Rate: 100e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	// Heartbeat every 30s for five minutes: the session must survive.
 	for i := 0; i < 10; i++ {
 		clk.Advance(30 * time.Second)
-		if err := m.Renew(p.SessionID); err != nil {
+		if _, err := m.RenewSession(*p, obs.SpanContext{}); err != nil {
 			t.Fatalf("renew %d: %v", i, err)
 		}
 	}
 	if m.Sessions() != 1 {
 		t.Fatalf("sessions = %d, want 1", m.Sessions())
 	}
-	// Stop the heartbeat; the lease lapses and renewal is refused.
+	// Stop the heartbeat; the lease lapses and its reservations go back.
 	clk.Advance(2 * time.Minute)
-	if err := m.Renew(p.SessionID); !errors.Is(err, ErrUnknownSession) {
-		t.Fatalf("renew after expiry: err = %v, want ErrUnknownSession", err)
-	}
 	if m.Sessions() != 0 {
 		t.Fatalf("sessions = %d after lapse", m.Sessions())
+	}
+	for i := range testInstall().Agents {
+		if l := m.AgentLoad(i); l != 0 {
+			t.Fatalf("agent %d load %g after lapse, want 0", i, l)
+		}
+	}
+	// A late renewal re-adopts the session from the record the client
+	// carries, with a fresh lease.
+	if _, err := m.RenewSession(*p, obs.SpanContext{}); err != nil {
+		t.Fatalf("renew after lapse: %v", err)
+	}
+	recs, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := clk.Now().Add(time.Minute)
+	if len(recs) != 1 || recs[0].ID != p.ID || !recs[0].Expires.Equal(want) {
+		t.Fatalf("after a late renewal: %+v, want session %d expiring %v", recs, p.ID, want)
 	}
 }
 
@@ -295,12 +312,12 @@ func TestLazyExpiryOnOpen(t *testing.T) {
 	// Saturate, lapse, then admit without an explicit sweep: OpenSession
 	// must reap lazily.
 	for i := 0; i < 6; i++ {
-		if _, err := m.OpenSession(Requirements{Rate: 350e3}); err != nil {
+		if _, err := m.Admit(Requirements{Rate: 350e3}, obs.SpanContext{}); err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
 	}
 	clk.Advance(2 * time.Minute)
-	if _, err := m.OpenSession(Requirements{Rate: 350e3}); err != nil {
+	if _, err := m.Admit(Requirements{Rate: 350e3}, obs.SpanContext{}); err != nil {
 		t.Fatalf("admission after lapse: %v", err)
 	}
 }
@@ -312,33 +329,32 @@ func TestSessionListShowsLease(t *testing.T) {
 		t.Fatalf("new: %v", err)
 	}
 	defer m.Close()
-	p, _ := m.OpenSession(Requirements{Rate: 100e3})
-	ss := m.SessionList()
-	if len(ss) != 1 || ss[0].ID != p.SessionID {
-		t.Fatalf("session list = %+v", ss)
+	rec, err := m.Admit(Requirements{Rate: 100e3}, obs.SpanContext{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	want := clk.Now().Add(time.Minute)
-	if !ss[0].Expires.Equal(want) {
-		t.Fatalf("expires = %v, want %v", ss[0].Expires, want)
+	if !rec.Expires.Equal(want) {
+		t.Fatalf("expires = %v, want %v", rec.Expires, want)
 	}
 }
 
 func TestPlanDeterministicOrder(t *testing.T) {
 	m, _ := New(testInstall())
-	p, _ := m.OpenSession(Requirements{Rate: 1.1e6})
-	for i := 1; i < len(p.Agents); i++ {
-		if p.Agents[i-1] >= p.Agents[i] {
+	p, _ := m.Admit(Requirements{Rate: 1.1e6}, obs.SpanContext{})
+	for i := 1; i < len(p.Plan.Agents); i++ {
+		if p.Plan.Agents[i-1] >= p.Plan.Agents[i] {
 			t.Fatal("agent order not ascending")
 		}
 	}
-	if len(p.Addrs) != len(p.Agents) {
+	if len(p.Plan.Addrs) != len(p.Plan.Agents) {
 		t.Fatal("addrs/agents length mismatch")
 	}
 }
 
 func TestLoadAccounting(t *testing.T) {
 	m, _ := New(testInstall())
-	p, _ := m.OpenSession(Requirements{Rate: 400e3})
+	p, _ := m.Admit(Requirements{Rate: 400e3}, obs.SpanContext{})
 	var total float64
 	for i := 0; i < 6; i++ {
 		total += m.AgentLoad(i)
@@ -346,7 +362,7 @@ func TestLoadAccounting(t *testing.T) {
 	if total < 399e3 || total > 401e3 {
 		t.Fatalf("total agent load = %.0f, want 400e3", total)
 	}
-	m.CloseSession(p.SessionID)
+	m.CloseSession(p.ID)
 	for i := 0; i < 6; i++ {
 		if m.AgentLoad(i) != 0 {
 			t.Fatalf("agent %d load %f after release", i, m.AgentLoad(i))
@@ -361,30 +377,30 @@ func TestParityShardsReserveExtraAgents(t *testing.T) {
 	m, _ := New(testInstall())
 	// 600 KB/s over 400 KB/s agents needs 2 data agents; k=2 adds two
 	// parity agents, so the plan must hold at least 4.
-	p, err := m.OpenSession(Requirements{Rate: 600e3, ParityShards: 2})
+	p, err := m.Admit(Requirements{Rate: 600e3, ParityShards: 2}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if !p.Parity || p.ParityShards != 2 {
-		t.Fatalf("plan parity=%v shards=%d, want true/2", p.Parity, p.ParityShards)
+	if !p.Plan.Parity || p.Plan.ParityShards != 2 {
+		t.Fatalf("plan parity=%v shards=%d, want true/2", p.Plan.Parity, p.Plan.ParityShards)
 	}
-	if len(p.Agents) < 4 {
-		t.Fatalf("plan has %d agents, want >= 4 (2 data + 2 parity)", len(p.Agents))
+	if len(p.Plan.Agents) < 4 {
+		t.Fatalf("plan has %d agents, want >= 4 (2 data + 2 parity)", len(p.Plan.Agents))
 	}
 	// Every selected agent carries rate/(n-k): the reservation must
 	// account for parity traffic on all n agents.
-	data := len(p.Agents) - p.ParityShards
-	perAgent := p.Rate / float64(data)
-	for _, i := range p.Agents {
+	data := len(p.Plan.Agents) - p.Plan.ParityShards
+	perAgent := p.Plan.Rate / float64(data)
+	for _, i := range p.Plan.Agents {
 		if got := m.AgentLoad(i); got < perAgent*0.99 {
 			t.Fatalf("agent %d load %.0f, want ~%.0f", i, got, perAgent)
 		}
 	}
 	// Closing releases the m+k reservation exactly.
-	if err := m.CloseSession(p.SessionID); err != nil {
+	if err := m.CloseSession(p.ID); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	for _, i := range p.Agents {
+	for _, i := range p.Plan.Agents {
 		if got := m.AgentLoad(i); got != 0 {
 			t.Fatalf("agent %d load %.0f after close, want 0", i, got)
 		}
@@ -394,35 +410,35 @@ func TestParityShardsReserveExtraAgents(t *testing.T) {
 func TestRejectsUnsatisfiableRedundancy(t *testing.T) {
 	m, _ := New(testInstall())
 	// 6 agents cannot host a k=5 scheme (needs >= 7).
-	if _, err := m.OpenSession(Requirements{ParityShards: 5}); !errors.Is(err, ErrUnsatisfiable) {
+	if _, err := m.Admit(Requirements{ParityShards: 5}, obs.SpanContext{}); !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("k=5 over 6 agents = %v, want ErrUnsatisfiable", err)
 	}
 	// Negative shard counts are nonsense, not best effort.
-	if _, err := m.OpenSession(Requirements{ParityShards: -1}); !errors.Is(err, ErrUnsatisfiable) {
+	if _, err := m.Admit(Requirements{ParityShards: -1}, obs.SpanContext{}); !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("k=-1 = %v, want ErrUnsatisfiable", err)
 	}
 	// A rate needing all 6 agents for data leaves no room for parity.
-	if _, err := m.OpenSession(Requirements{Rate: 2e6, ParityShards: 2}); !errors.Is(err, ErrUnsatisfiable) {
+	if _, err := m.Admit(Requirements{Rate: 2e6, ParityShards: 2}, obs.SpanContext{}); !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("rate+k over capacity = %v, want ErrUnsatisfiable", err)
 	}
 }
 
 func TestParityShardsImplyRedundancy(t *testing.T) {
 	m, _ := New(testInstall())
-	p, err := m.OpenSession(Requirements{ParityShards: 1})
+	p, err := m.Admit(Requirements{ParityShards: 1}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if !p.Parity || p.ParityShards != 1 {
-		t.Fatalf("plan parity=%v shards=%d, want true/1", p.Parity, p.ParityShards)
+	if !p.Plan.Parity || p.Plan.ParityShards != 1 {
+		t.Fatalf("plan parity=%v shards=%d, want true/1", p.Plan.Parity, p.Plan.ParityShards)
 	}
 	// Legacy Redundancy without an explicit count is one parity shard.
-	q, err := m.OpenSession(Requirements{Redundancy: true})
+	q, err := m.Admit(Requirements{Redundancy: true}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("open legacy: %v", err)
 	}
-	if q.ParityShards != 1 {
-		t.Fatalf("legacy redundancy shards = %d, want 1", q.ParityShards)
+	if q.Plan.ParityShards != 1 {
+		t.Fatalf("legacy redundancy shards = %d, want 1", q.Plan.ParityShards)
 	}
 }
 
@@ -438,11 +454,11 @@ func TestAdmissionWatermarkSheds(t *testing.T) {
 	}
 	// 300 KB/s lands on one 400 KB/s agent: its reserved ratio (0.75) now
 	// exceeds the watermark, but the admission itself sees an empty table.
-	rec, err := m.Admit(Requirements{Rate: 300e3})
+	rec, err := m.Admit(Requirements{Rate: 300e3}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("admit under watermark: %v", err)
 	}
-	_, err = m.Admit(Requirements{Rate: 100e3})
+	_, err = m.Admit(Requirements{Rate: 100e3}, obs.SpanContext{})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("admit over watermark = %v, want ErrOverloaded", err)
 	}
@@ -460,7 +476,7 @@ func TestAdmissionWatermarkSheds(t *testing.T) {
 	if err := m.CloseSession(rec.ID); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if _, err := m.Admit(Requirements{Rate: 100e3}); err != nil {
+	if _, err := m.Admit(Requirements{Rate: 100e3}, obs.SpanContext{}); err != nil {
 		t.Fatalf("admit after drain: %v", err)
 	}
 }
@@ -471,7 +487,7 @@ func TestAdmissionWatermarkSheds(t *testing.T) {
 func TestAdmissionWatermarkDisabled(t *testing.T) {
 	m, _ := New(testInstall())
 	for i := 0; i < 5; i++ {
-		if _, err := m.Admit(Requirements{Rate: 400e3}); err != nil {
+		if _, err := m.Admit(Requirements{Rate: 400e3}, obs.SpanContext{}); err != nil {
 			t.Fatalf("admit %d with no watermark: %v", i, err)
 		}
 	}

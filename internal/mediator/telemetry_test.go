@@ -23,11 +23,11 @@ func TestMediatorTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := m.OpenSession(Requirements{Rate: 1000})
+	p, err := m.Admit(Requirements{Rate: 1000}, obs.SpanContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.OpenSession(Requirements{Rate: 1e9}); err == nil {
+	if _, err := m.Admit(Requirements{Rate: 1e9}, obs.SpanContext{}); err == nil {
 		t.Fatal("expected rejection")
 	}
 	if m.tel.Load(evAdmit, -1) != 1 || m.tel.Load(evReject, -1) != 1 {
@@ -52,7 +52,7 @@ func TestMediatorTelemetry(t *testing.T) {
 		}
 	}
 
-	if err := m.CloseSession(p.SessionID); err != nil {
+	if err := m.CloseSession(p.ID); err != nil {
 		t.Fatal(err)
 	}
 	if m.tel.Load(evClose, -1) != 1 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"swift/internal/mediator"
+	"swift/internal/obs"
 )
 
 // TestCacheSyncRoundTrips drives the TMedInvalidate exchange over the
@@ -15,11 +16,11 @@ func TestCacheSyncRoundTrips(t *testing.T) {
 	tier := newTestTier(t, 1, 0)
 	c := tier.clients[0]
 
-	wrec, err := c.Admit(mediator.Requirements{Rate: 100e3, Key: "writer"})
+	wrec, err := c.Admit(mediator.Requirements{Rate: 100e3, Key: "writer"}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("admit writer: %v", err)
 	}
-	rrec, err := c.Admit(mediator.Requirements{Rate: 100e3, Key: "reader"})
+	rrec, err := c.Admit(mediator.Requirements{Rate: 100e3, Key: "reader"}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("admit reader: %v", err)
 	}
@@ -71,11 +72,11 @@ func TestCacheSyncGenerationCrossesMirrors(t *testing.T) {
 	tier := newTestTier(t, 2, 0)
 	wc, rc := tier.clients[0], tier.clients[1]
 
-	wrec, err := wc.Admit(mediator.Requirements{Rate: 100e3, Key: "w"})
+	wrec, err := wc.Admit(mediator.Requirements{Rate: 100e3, Key: "w"}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("admit writer: %v", err)
 	}
-	rrec, err := rc.Admit(mediator.Requirements{Rate: 100e3, Key: "r"})
+	rrec, err := rc.Admit(mediator.Requirements{Rate: 100e3, Key: "r"}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("admit reader: %v", err)
 	}

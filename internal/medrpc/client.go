@@ -19,21 +19,23 @@ import (
 // client's retry budget.
 var ErrMediatorDown = errors.New("medrpc: mediator not responding")
 
+// An RPC's first retransmission timeout, doubling per retransmission up
+// to the cap. Mediator RPCs fail fast by design: a dead replica must be
+// detected well inside a lease TTL so the broker can rotate to a peer.
+const (
+	retryTimeout    = 50 * time.Millisecond
+	maxRetryTimeout = 400 * time.Millisecond
+)
+
 // ClientConfig configures one replica's client stub.
 type ClientConfig struct {
 	Host transport.Host // local machine to open the endpoint on
 	Name string         // replica name (placement identity)
 	Addr string         // replica control address
 
-	// RetryTimeout is the initial retransmission timeout (default 50ms);
-	// it backs off exponentially, capped at MaxRetryTimeout (default
-	// 400ms). An RPC gives up once the sum of the first Retries+1
-	// (default 5) unjittered waits has passed. Mediator RPCs fail fast by
-	// design: a dead replica must be detected well inside a lease TTL so
-	// the broker can rotate to a peer.
-	RetryTimeout    time.Duration
-	MaxRetryTimeout time.Duration
-	Retries         int
+	// Retries bounds an RPC: it gives up once the sum of the first
+	// Retries+1 (default 5) unjittered waits has passed.
+	Retries int
 }
 
 // Client is the wire stub for one mediator replica. It satisfies the
@@ -57,22 +59,16 @@ type Client struct {
 // ephemeral endpoint, so concurrent RPCs (a heartbeat racing a status
 // query) never serialize or interleave replies.
 func NewClient(cfg ClientConfig) (*Client, error) {
-	if cfg.RetryTimeout <= 0 {
-		cfg.RetryTimeout = 50 * time.Millisecond
-	}
-	if cfg.MaxRetryTimeout <= 0 {
-		cfg.MaxRetryTimeout = 400 * time.Millisecond
-	}
 	if cfg.Retries <= 0 {
 		cfg.Retries = 4
 	}
 	if cfg.Name == "" {
 		cfg.Name = cfg.Addr
 	}
-	c := &Client{cfg: cfg, bo: backoff.New(cfg.RetryTimeout, cfg.MaxRetryTimeout)}
-	d := cfg.RetryTimeout
+	c := &Client{cfg: cfg, bo: backoff.New(retryTimeout, maxRetryTimeout)}
+	d := retryTimeout
 	for range cfg.Retries + 1 {
-		d = min(d, cfg.MaxRetryTimeout)
+		d = min(d, maxRetryTimeout)
 		c.rpcBudget += d
 		d *= 2
 	}
@@ -82,16 +78,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // Name returns the replica's placement name.
 func (c *Client) Name() string { return c.cfg.Name }
 
-// Addr returns the replica's control address.
-func (c *Client) Addr() string { return c.cfg.Addr }
-
-// Close releases the stub. RPC endpoints are per-call, so there is
-// nothing persistent to tear down; Close exists for lifecycle symmetry.
-func (c *Client) Close() error { return nil }
-
 // rpc sends one request under a fresh id on a fresh endpoint and waits
 // for its reply, retransmitting on wire.Exchange's control schedule —
-// the base wait, then doubling up to MaxRetryTimeout — until rpcBudget
+// the base wait, then doubling up to maxRetryTimeout — until rpcBudget
 // has passed.
 func (c *Client) rpc(req *wire.Packet) (*wire.Packet, error) {
 	conn, err := c.cfg.Host.Listen("0")
@@ -162,15 +151,9 @@ func parseRetryAfter(msg string) time.Duration {
 	return d
 }
 
-// Admit opens a session on the replica.
-func (c *Client) Admit(req mediator.Requirements) (*mediator.SessionRecord, error) {
-	return c.AdmitTraced(req, obs.SpanContext{})
-}
-
-// AdmitTraced is Admit with the caller's trace context carried on the
-// TMedOpen packet, so the serving replica's admission span joins the
-// client op's trace. The broker upgrades to it via type assertion.
-func (c *Client) AdmitTraced(req mediator.Requirements, ctx obs.SpanContext) (*mediator.SessionRecord, error) {
+// Admit opens a session on the replica. ctx rides the TMedOpen packet,
+// so the serving replica's admission span joins the caller's trace.
+func (c *Client) Admit(req mediator.Requirements, ctx obs.SpanContext) (*mediator.SessionRecord, error) {
 	shards := req.ParityShards
 	if shards < 0 || shards > 0xFFFF {
 		return nil, fmt.Errorf("%w: parity shards %d not encodable", mediator.ErrUnsatisfiable, shards)
@@ -197,14 +180,9 @@ func (c *Client) AdmitTraced(req mediator.Requirements, ctx obs.SpanContext) (*m
 }
 
 // RenewSession renews-or-adopts the session on the replica, returning
-// the replica name now responsible for the lease.
-func (c *Client) RenewSession(rec mediator.SessionRecord) (string, error) {
-	return c.RenewSessionTraced(rec, obs.SpanContext{})
-}
-
-// RenewSessionTraced is RenewSession with the caller's trace context
-// carried on the TMedRenew packet.
-func (c *Client) RenewSessionTraced(rec mediator.SessionRecord, ctx obs.SpanContext) (string, error) {
+// the replica name now responsible for the lease. ctx rides the
+// TMedRenew packet, as with Admit.
+func (c *Client) RenewSession(rec mediator.SessionRecord, ctx obs.SpanContext) (string, error) {
 	w, err := toWireRecord(&rec)
 	if err != nil {
 		return "", err

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"swift/internal/mediator"
+	"swift/internal/obs"
 	"swift/internal/transport"
 	"swift/internal/transport/memnet"
 	"swift/internal/wire"
@@ -99,7 +100,7 @@ func TestRPCRoundTrips(t *testing.T) {
 	tier := newTestTier(t, 1, 0)
 	c := tier.clients[0]
 
-	rec, err := c.Admit(mediator.Requirements{Rate: 800e3, Redundancy: true, ParityShards: 2, Key: "tenant-a"})
+	rec, err := c.Admit(mediator.Requirements{Rate: 800e3, Redundancy: true, ParityShards: 2, Key: "tenant-a"}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
@@ -113,7 +114,7 @@ func TestRPCRoundTrips(t *testing.T) {
 		t.Fatalf("addrs/agents mismatch: %d vs %d", len(rec.Plan.Addrs), len(rec.Plan.Agents))
 	}
 
-	home, err := c.RenewSession(*rec)
+	home, err := c.RenewSession(*rec, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("renew: %v", err)
 	}
@@ -143,7 +144,7 @@ func TestRPCRoundTrips(t *testing.T) {
 func TestRPCErrorSentinelsSurviveTheWire(t *testing.T) {
 	tier := newTestTier(t, 1, 0)
 	c := tier.clients[0]
-	if _, err := c.Admit(mediator.Requirements{Rate: 1e12}); !errors.Is(err, mediator.ErrUnsatisfiable) {
+	if _, err := c.Admit(mediator.Requirements{Rate: 1e12}, obs.SpanContext{}); !errors.Is(err, mediator.ErrUnsatisfiable) {
 		t.Fatalf("unsatisfiable came back as: %v", err)
 	}
 	if err := c.CloseSession(999); err != nil {
@@ -153,14 +154,14 @@ func TestRPCErrorSentinelsSurviveTheWire(t *testing.T) {
 		// One replica, no peers, no sessions: drain succeeds trivially.
 	}
 	tier.meds[0].Kill()
-	if _, err := c.Admit(mediator.Requirements{Rate: 1e3}); !errors.Is(err, mediator.ErrReplicaDown) {
+	if _, err := c.Admit(mediator.Requirements{Rate: 1e3}, obs.SpanContext{}); !errors.Is(err, mediator.ErrReplicaDown) {
 		t.Fatalf("replica-down came back as: %v", err)
 	}
 }
 
 func TestWireFederationMirrorsAndFailsOver(t *testing.T) {
 	tier := newTestTier(t, 3, time.Minute)
-	rec, err := tier.clients[0].Admit(mediator.Requirements{Rate: 400e3, Key: "tenant-a"})
+	rec, err := tier.clients[0].Admit(mediator.Requirements{Rate: 400e3, Key: "tenant-a"}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
@@ -174,10 +175,10 @@ func TestWireFederationMirrorsAndFailsOver(t *testing.T) {
 	// out, and a renewal against a survivor adopts the session.
 	tier.servers[0].Close()
 	tier.meds[0].Kill()
-	if _, err := tier.clients[0].RenewSession(*rec); !errors.Is(err, ErrMediatorDown) {
+	if _, err := tier.clients[0].RenewSession(*rec, obs.SpanContext{}); !errors.Is(err, ErrMediatorDown) {
 		t.Fatalf("renew against crashed replica: %v", err)
 	}
-	home, err := tier.clients[1].RenewSession(*rec)
+	home, err := tier.clients[1].RenewSession(*rec, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("renew on survivor: %v", err)
 	}
@@ -195,7 +196,7 @@ func TestWireFederationMirrorsAndFailsOver(t *testing.T) {
 
 func TestWireDrainHandsOff(t *testing.T) {
 	tier := newTestTier(t, 3, time.Minute)
-	rec, err := tier.clients[0].Admit(mediator.Requirements{Rate: 400e3, Key: "tenant-a"})
+	rec, err := tier.clients[0].Admit(mediator.Requirements{Rate: 400e3, Key: "tenant-a"}, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
@@ -207,7 +208,7 @@ func TestWireDrainHandsOff(t *testing.T) {
 	if handed != 1 {
 		t.Fatalf("handed = %d, want 1", handed)
 	}
-	home, err := tier.clients[0].RenewSession(*rec)
+	home, err := tier.clients[0].RenewSession(*rec, obs.SpanContext{})
 	if err != nil {
 		t.Fatalf("renew on draining replica: %v", err)
 	}
@@ -221,7 +222,7 @@ func TestWireDrainHandsOff(t *testing.T) {
 	if st.Role != "draining" || st.Handoffs != 1 {
 		t.Fatalf("status after drain = %+v", st)
 	}
-	if _, err := tier.clients[0].Admit(mediator.Requirements{Rate: 1e3}); !errors.Is(err, mediator.ErrDraining) {
+	if _, err := tier.clients[0].Admit(mediator.Requirements{Rate: 1e3}, obs.SpanContext{}); !errors.Is(err, mediator.ErrDraining) {
 		t.Fatalf("admit on draining came back as: %v", err)
 	}
 }
@@ -295,7 +296,7 @@ func TestWireRecordRangeValidation(t *testing.T) {
 			t.Errorf("%s: encoded without error", name)
 		}
 	}
-	if _, err := (&Client{}).RenewSession(mediator.SessionRecord{Plan: mediator.Plan{Agents: []int{70000}}}); err == nil {
+	if _, err := (&Client{}).RenewSession(mediator.SessionRecord{Plan: mediator.Plan{Agents: []int{70000}}}, obs.SpanContext{}); err == nil {
 		t.Error("client renew encoded an unencodable record")
 	}
 }
@@ -329,7 +330,7 @@ func TestClientRetransmitsThroughLoss(t *testing.T) {
 	}
 	seg.SetLossRate(0.3)
 	for i := 0; i < 5; i++ {
-		rec, err := c.Admit(mediator.Requirements{Rate: 1e3})
+		rec, err := c.Admit(mediator.Requirements{Rate: 1e3}, obs.SpanContext{})
 		if err != nil {
 			t.Fatalf("admit %d through loss: %v", i, err)
 		}
@@ -373,10 +374,10 @@ func TestOverloadRejectionSurvivesTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}
-	if _, err := c.Admit(mediator.Requirements{Rate: 300e3}); err != nil {
+	if _, err := c.Admit(mediator.Requirements{Rate: 300e3}, obs.SpanContext{}); err != nil {
 		t.Fatalf("admit under watermark: %v", err)
 	}
-	_, err = c.Admit(mediator.Requirements{Rate: 100e3})
+	_, err = c.Admit(mediator.Requirements{Rate: 100e3}, obs.SpanContext{})
 	if !errors.Is(err, mediator.ErrOverloaded) {
 		t.Fatalf("overload came back as: %v", err)
 	}
@@ -415,7 +416,7 @@ func TestWireWriterRoundsCrossHomes(t *testing.T) {
 	tier := newTestTier(t, 2, time.Minute)
 	var ids [2]uint64
 	for i := range ids {
-		rec, err := tier.clients[i].Admit(mediator.Requirements{Rate: 100e3})
+		rec, err := tier.clients[i].Admit(mediator.Requirements{Rate: 100e3}, obs.SpanContext{})
 		if err != nil {
 			t.Fatalf("admit on %s: %v", tier.meds[i].Name(), err)
 		}

@@ -214,7 +214,7 @@ func (s *Server) handle(from string, pkt *wire.Packet) {
 			Redundancy:   req.Redundancy,
 			ParityShards: int(req.ParityShards),
 			Key:          req.Key,
-		})
+		}, pkt.Trace)
 		if err != nil {
 			s.sendError(from, pkt, sp, err)
 			return
@@ -252,7 +252,7 @@ func (s *Server) handle(from string, pkt *wire.Packet) {
 			return
 		}
 		rec := fromWireRecord(&w)
-		home, err := med.RenewSession(rec)
+		home, err := med.RenewSession(rec, pkt.Trace)
 		if err != nil {
 			s.sendError(from, pkt, sp, err)
 			return
