@@ -3,8 +3,7 @@
 GO ?= go
 
 .PHONY: all build vet lint size test race fuzz bench tables figures ablations \
-	bench-ladder examples obs-test obs-smoke \
-	scrub-smoke failover-smoke trace-smoke overload-smoke cache-smoke clean
+	bench-ladder examples obs-test smoke clean
 
 all: build vet test obs-test
 
@@ -27,7 +26,7 @@ vet:
 # prints the counts and fails when one exceeds its ceiling. A PR that
 # shrinks them lowers the ceilings to its result; none raises them. It
 # also prints the repo-wide non-test Go line count (item 6's "down by
-# >= 2k lines"), ungated.
+# >= 1k lines"), ungated.
 CORE_LINES_MAX := 4784
 CORE_FILE_LINES_MAX := 943
 AGENT_LINES_MAX := 1243
@@ -74,41 +73,12 @@ obs-test:
 	$(GO) test -race ./internal/core/ -run 'Stats|Telemetry|HealthTransitionsObserved|SharedRegistry|EventTable|LoggedEvent'
 	$(GO) test -race ./internal/agent/ -run 'Telemetry|RejectCounted|EventTable|LoggedEvent'
 
-# End-to-end observability smoke: live /metrics, /trace and pprof on
-# swift-load and swiftd while traffic flows.
-obs-smoke:
-	sh scripts/obs-smoke.sh
-
-# End-to-end data-integrity smoke: rot a fragment on disk beneath the
-# checksum envelope, then detect, repair, and verify through swiftctl.
-scrub-smoke:
-	sh scripts/scrub-smoke.sh
-
-# End-to-end mediator-federation smoke: SIGKILL and SIGTERM (drain)
-# mediator replicas under live leased sessions; clients must fail over
-# with zero lapsed leases.
-failover-smoke:
-	sh scripts/failover-smoke.sh
-
-# End-to-end distributed-tracing smoke: swiftd + a leased client over
-# real UDP with injected agent latency; the injected delay must surface
-# in the agent's wire-joined service spans via `swiftctl trace -slow`.
-trace-smoke:
-	sh scripts/trace-smoke.sh
-
-# End-to-end overload-control smoke: 3x overdemand against swiftd agents
-# with bounded service queues over real UDP; the excess must shed via
-# explicit pushback (counters nonzero), with zero lifecycle flaps and a
-# byte-identical read-back after the surge.
-overload-smoke:
-	sh scripts/overload-smoke.sh
-
-# End-to-end cache-coherence smoke: a cached reader in one process,
-# a writer in another, coherence-only mediator sessions over real UDP;
-# the reader must converge on the new bytes (invalidation observed)
-# while still serving its final pass from cache.
-cache-smoke:
-	sh scripts/cache-smoke.sh
+# The end-to-end smokes over real swiftd, swiftctl and swift-load
+# processes (internal/testutil/proc, build tag smoke): scrub, failover,
+# trace, overload, cache and obs. One case alone:
+# go test -tags smoke -count=1 -v -run 'TestSmoke/<case>' ./internal/testutil/proc/
+smoke:
+	$(GO) test -tags smoke -count=1 -v ./internal/testutil/proc/
 
 # Short fuzz pass over the wire codecs, udpnet's walk over the control
 # messages a coalesced receive carries, the at-rest integrity

@@ -686,7 +686,6 @@ func (s *session) run() {
 					continue
 				}
 				if s.dispatch(&pkt, from, now) {
-					s.agent.dropSession(s)
 					return
 				}
 			}
@@ -707,7 +706,7 @@ func (s *session) run() {
 }
 
 // dispatch handles one packet that arrived at now; it returns true when
-// the session should end.
+// the session has ended, having left the table before its close reply.
 //
 //swift:hotpath
 func (s *session) dispatch(pkt *wire.Packet, from string, now time.Time) (closed bool) {
@@ -739,6 +738,7 @@ func (s *session) dispatch(pkt *wire.Packet, from string, now time.Time) (closed
 		}
 		s.reply(from, wire.TTruncReply, pkt.ReqID)
 	case wire.TClose:
+		s.agent.dropSession(s)
 		s.reply(from, wire.TCloseReply, pkt.ReqID)
 		return true
 	default:

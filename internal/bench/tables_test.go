@@ -46,8 +46,8 @@ func TestTable2MatchesPaperBands(t *testing.T) {
 // neighbouring packages' tests do (half a minute under `go test ./...`
 // on two cores), so a failed attempt waits before the next one instead
 // of re-measuring inside the same spell. No band is widened. This is a
-// stop-gap: the real fix is ROADMAP item 4's virtual time for this
-// package.
+// stop-gap: the real fix is virtual time for this package (DESIGN.md
+// "Measurement methodology caveat").
 func measuredRelation(t *testing.T, check func() error) {
 	t.Helper()
 	const attempts = 3

@@ -25,9 +25,9 @@ import (
 // constructs the walker cannot pair precisely (loops, switches) degrade
 // to not-tracked rather than to false positives.
 //
-// The contract is specified now, against the fixture pool in
-// internal/lint/testdata, so the ROADMAP item 1 buffer pool lands with
-// its checker already in CI.
+// The contract is specified against the fixture pool in
+// internal/lint/testdata; the real pools (DESIGN.md "Frame ownership in
+// the transports" and "bufsafe") carry the same directives.
 var BufSafe = &Analyzer{
 	Name: "bufsafe",
 	Doc:  "pooled buffers must be released exactly once on every path and never used after release",

@@ -1,6 +1,6 @@
 // Package pool is the fixture buffer pool the bufsafe contract is
-// specified against. The real pooled-buffer hot path (ROADMAP item 1)
-// lands against the same directives, so its checker is already in CI.
+// specified against. The real pooled buffers (DESIGN.md "bufsafe") carry
+// the same directives, so one checker covers both.
 package pool
 
 // Buf is a pooled buffer.
