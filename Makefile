@@ -27,9 +27,9 @@ vet:
 # shrinks them lowers the ceilings to its result; none raises them. It
 # also prints the repo-wide non-test Go line count (item 6's "down by
 # >= 1k lines"), ungated.
-CORE_LINES_MAX := 4784
-CORE_FILE_LINES_MAX := 943
-AGENT_LINES_MAX := 1243
+CORE_LINES_MAX := 4781
+CORE_FILE_LINES_MAX := 927
+AGENT_LINES_MAX := 1233
 MEDIATOR_LINES_MAX := 2389
 size:
 	@core=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l); \

@@ -519,14 +519,14 @@ func (a *Agent) dropSession(s *session) {
 	a.tel.sessions.Set(int64(live))
 }
 
-// writeState tracks one write burst from first sight (announcement or
-// overtaking data) to DoneTTL after its acknowledgement. Arriving data
-// packets are buffered in data (taken from the session's free list at
-// announce time) and applied to the store in one WriteAt once every
-// expected byte is present, so the store never sees a torn burst — which
-// also lets a checksumming store treat unit-aligned bursts as
-// whole-block overwrites. Until it completes a burst is in the session's
-// open set; afterwards it waits on the done queue to re-acknowledge
+// writeState tracks one open write burst from first sight (announcement
+// or overtaking data) to its acknowledgement. Arriving data packets are
+// buffered in data (the record's buffer, sized at announce time) and
+// applied to the store in one WriteAt once every expected byte is
+// present, so the store never sees a torn burst — which also lets a
+// checksumming store treat unit-aligned bursts as whole-block
+// overwrites. A completed burst gives its record back at once and is
+// remembered until DoneTTL only by a doneBurst, to re-acknowledge
 // duplicate announcements.
 type writeState struct {
 	reqID     uint32
@@ -534,10 +534,10 @@ type writeState struct {
 	off       int64
 	length    int64
 	flags     uint16
-	// data is the burst buffer, owned by this burst from announce until
-	// apply or abandon and then handed back to session.burstFree. It is
-	// recycled without clearing: all-or-nothing apply means only bytes
-	// this burst's own packets wrote ever reach the store.
+	// data is the burst buffer, sized at announce time. The record keeps
+	// it from burst to burst, up to burstKeepBytes, without clearing:
+	// all-or-nothing apply means only bytes this burst's own packets
+	// wrote ever reach the store.
 	data []byte
 	// early holds data packets that overtook the announcement
 	// (datagrams reorder); they are replayed into data once the
@@ -548,9 +548,7 @@ type writeState struct {
 	first      time.Time // when the burst was first seen (announce or data)
 	progress   time.Time // last time new data arrived
 	prompted   time.Time // last time a resend was requested
-	done       bool
-	doneAt     time.Time
-	openIdx    int // position in session.open while the burst is open
+	openIdx    int       // position in session.open
 	from       string
 	// sp is the agent-side service span joined from the announcement's
 	// trace context (data packets travel untraced). It spans announce →
@@ -572,15 +570,20 @@ type earlyData struct {
 	b   []byte
 }
 
-// Free list bounds: enough burst buffers for the bursts a client keeps in
-// flight (core's WriteWindow defaults to 2), no buffer so large that an
-// idle session pins real memory, and enough burst records for the reap
-// after every run of datagrams without a quiet session keeping its
-// DoneTTL population alive.
+// doneBurst is a completed burst remembered until DoneTTL.
+type doneBurst struct {
+	reqID uint32
+	at    time.Time
+}
+
+// writeFreeMax is how many bursts a session holds open at once: its
+// records are made with the session, and an announcement beyond them is
+// refused. A free record keeps a burst buffer of up to burstKeepBytes;
+// records are taken last-in first-out, so only as many hold one as
+// bursts were ever open at once.
 const (
-	burstFreeMax      = 4
-	burstFreeMaxBytes = 1 << 20
-	writeFreeMax      = 64
+	writeFreeMax   = 64
+	burstKeepBytes = 1 << 20
 )
 
 // session is the secondary thread of control serving one open file.
@@ -594,23 +597,22 @@ type session struct {
 	// wire.JumboPayload); it sizes the receive buffer and read replies.
 	payload int
 
-	// writes indexes every burst the session remembers by ReqID: the
-	// open ones and those completed within DoneTTL. The per-packet path
-	// only looks bursts up in it; the periodic work walks open and done.
+	// writes indexes every burst the session remembers by ReqID: an
+	// open one maps to its record, one completed within DoneTTL to nil.
+	// The per-packet path only looks bursts up in it; the periodic work
+	// walks open and done.
 	writes map[uint32]*writeState
 	// open holds the bursts not yet completed — normally no more than
 	// the client's write window — and is all the stall sweep walks.
 	open []*writeState
-	// done queues completed bursts in completion order, which is doneAt
+	// done queues completed bursts in completion order, which is time
 	// order because one goroutine serves the session; done[:doneHead]
 	// has been reaped.
-	done     []*writeState
+	done     []doneBurst
 	doneHead int
 	// lastSweep is when the open set was last examined.
 	lastSweep time.Time
-	// burstFree recycles burst buffers between announcements.
-	burstFree [][]byte
-	// writeFree recycles reaped burst records, at most writeFreeMax.
+	// writeFree holds the burst records not open, writeFreeMax in all.
 	writeFree []*writeState
 	lastSeen  time.Time
 
@@ -622,10 +624,13 @@ type session struct {
 	// chunk is the bytes serveRead asks the store for per call:
 	// Config.ReadChunk, or one default burst of this session's payload.
 	chunk int64
-	// rbuf holds chunk k of a read burst in rbuf[k%2], so a one-chunk
-	// burst touches only the first; each grows to at most chunk.
+	// rbuf[0] holds the chunk of a read burst being sent and rbuf[1] the
+	// one read ahead of it; each grows to at most chunk.
 	rbuf [2][]byte
-	// ahead carries the reader goroutine's outcome (see serveRead).
+	// next orders a chunk into rbuf[1] from the session's reader
+	// goroutine, and ahead carries back how its read went (see
+	// serveRead). run closes next.
+	next  chan extent.Extent
 	ahead chan error
 }
 
@@ -634,7 +639,7 @@ func newSession(a *Agent, handle uint64, obj store.Object, conn transport.Packet
 	if chunk <= 0 {
 		chunk = wire.BurstPackets * int64(payload)
 	}
-	return &session{
+	s := &session{
 		agent:   a,
 		handle:  handle,
 		obj:     obj,
@@ -643,8 +648,15 @@ func newSession(a *Agent, handle uint64, obj store.Object, conn transport.Packet
 		writes:  make(map[uint32]*writeState),
 		out:     wire.NewBatch(conn, wire.HeaderSize+payload+wire.TrailerSize),
 		chunk:   chunk,
+		next:    make(chan extent.Extent),
 		ahead:   make(chan error, 1),
 	}
+	for range writeFreeMax {
+		s.writeFree = append(s.writeFree, new(writeState))
+	}
+	a.wg.Add(1)
+	go s.reader()
+	return s
 }
 
 // send hands one packet to the session's batch: a data packet may wait
@@ -660,6 +672,7 @@ func (s *session) run() {
 	defer s.obj.Close()
 	defer s.conn.Close()
 	defer s.abandonWrites()
+	defer close(s.next)
 
 	cfg := &s.agent.cfg
 	buf := make([]byte, transport.RunBuffer(s.conn, wire.HeaderSize+s.payload+wire.TrailerSize))
@@ -754,10 +767,11 @@ func (s *session) reply(from string, t wire.Type, reqID uint32) {
 }
 
 // serveRead streams [Offset, Offset+Length) to the client as data packets,
-// chunk by chunk. Chunk k is read into the session's rbuf on the session
-// goroutine or, past the first, by a reader goroutine started while chunk
-// k-1 was sent: a default burst is one store read and no goroutine, and
-// on a longer one disk service overlaps transmission the way the
+// chunk by chunk, each sent from rbuf[0]. The first chunk is read there on
+// the session goroutine; each later one into rbuf[1] by the session's
+// reader goroutine, told to while the chunk before was sent, and the two
+// buffers swap when it arrives. A default burst is one store read, and on
+// a longer one disk service overlaps transmission the way the
 // prototype's kernel read-ahead overlapped its sends. Bytes beyond
 // end-of-fragment are zero-filled, which is both the sparse-file
 // convention and what parity reconstruction expects.
@@ -806,6 +820,7 @@ func (s *session) serveRead(pkt *wire.Packet, from string) {
 			err = s.readChunk(0, off, n)
 		} else {
 			err = <-s.ahead
+			s.rbuf[0], s.rbuf[1] = s.rbuf[1], s.rbuf[0]
 		}
 		if err != nil {
 			break
@@ -817,9 +832,9 @@ func (s *session) serveRead(pkt *wire.Packet, from string) {
 			break
 		}
 		if next := off + n; next < end {
-			go func() { s.ahead <- s.readChunk((k+1)%2, next, min(s.chunk, end-next)) }() //lint:allow hotalloc one reader goroutine per chunk after the first: only a burst longer than one chunk has a next
+			s.next <- extent.Extent{Off: next, Len: min(s.chunk, end-next)}
 		}
-		for sent, data := int64(0), s.rbuf[k%2][:n]; sent < n; {
+		for sent, data := int64(0), s.rbuf[0][:n]; sent < n; {
 			p := min(n-sent, int64(s.payload))
 			dp.Offset = off + sent
 			dp.Length = uint32(p)
@@ -863,26 +878,34 @@ func (s *session) readChunk(i int, off, n int64) error {
 
 func isEOF(err error) bool { return errors.Is(err, io.EOF) }
 
-// openWrite starts tracking a burst first seen at now, recycling a record.
-func (s *session) openWrite(reqID uint32, now time.Time) *writeState {
-	var w *writeState
-	if k := len(s.writeFree) - 1; k >= 0 {
-		w = s.writeFree[k]
-		s.writeFree[k] = nil
-		s.writeFree = s.writeFree[:k]
-	} else {
-		w = new(writeState) //lint:allow hotalloc a record is allocated only until reapDone has given one back
+// reader reads the chunks serveRead orders ahead of its sends, one at a
+// time, until run ends and closes next.
+func (s *session) reader() {
+	defer s.agent.wg.Done()
+	for e := range s.next {
+		s.ahead <- s.readChunk(1, e.Off, e.Len)
 	}
+}
+
+// openWrite starts tracking a burst first seen at now in a free record;
+// nil when all writeFreeMax are open.
+func (s *session) openWrite(reqID uint32, now time.Time) *writeState {
+	k := len(s.writeFree) - 1
+	if k < 0 {
+		return nil
+	}
+	w := s.writeFree[k]
+	s.writeFree = s.writeFree[:k]
 	w.received.Reset()
-	*w = writeState{reqID: reqID, received: w.received, first: now, progress: now, openIdx: len(s.open)}
+	*w = writeState{reqID: reqID, data: w.data[:0], received: w.received, first: now, progress: now, openIdx: len(s.open)}
 	s.writes[reqID] = w
 	s.open = append(s.open, w)
 	return w
 }
 
-// closeWrite takes w out of the open set and hands its buffer back to
-// the free list. The caller decides what becomes of the writes entry:
-// completed bursts keep theirs until reaped, dropped ones lose it.
+// closeWrite takes w out of the open set and hands its record back to the
+// free list. The caller has settled the writes entry: completed bursts
+// keep theirs until reaped, dropped ones lose it.
 func (s *session) closeWrite(w *writeState) {
 	last := len(s.open) - 1
 	moved := s.open[last]
@@ -890,8 +913,11 @@ func (s *session) closeWrite(w *writeState) {
 	moved.openIdx = w.openIdx
 	s.open[last] = nil
 	s.open = s.open[:last]
-	s.releaseBurst(w.data)
-	w.data = nil
+	if cap(w.data) > burstKeepBytes {
+		w.data = nil
+	}
+	w.early = nil
+	s.writeFree = append(s.writeFree, w)
 }
 
 // dropWrite forgets an open burst that will never complete (refused,
@@ -899,49 +925,23 @@ func (s *session) closeWrite(w *writeState) {
 // retry under the same ReqID starts clean.
 func (s *session) dropWrite(w *writeState, err error) {
 	w.finishSpan(err)
-	s.closeWrite(w)
 	delete(s.writes, w.reqID)
-}
-
-// acquireBurst returns an n-byte burst buffer, recycled when the free
-// list has one large enough. The contents are whatever the previous
-// burst left there.
-//
-//swift:pool acquire
-func (s *session) acquireBurst(n int64) []byte {
-	if k := len(s.burstFree) - 1; k >= 0 {
-		b := s.burstFree[k]
-		s.burstFree[k] = nil
-		s.burstFree = s.burstFree[:k]
-		if int64(cap(b)) >= n {
-			return b[:n]
-		}
-		// Too small: let it go, so the list converges on buffers that
-		// fit the bursts this client actually sends.
-	}
-	return make([]byte, n) //lint:allow hotalloc a burst buffer is allocated only until the free list holds one that fits
-}
-
-// releaseBurst hands a burst buffer back for the next announcement.
-//
-//swift:pool release
-func (s *session) releaseBurst(b []byte) {
-	if cap(b) == 0 || cap(b) > burstFreeMaxBytes || len(s.burstFree) >= burstFreeMax {
-		return
-	}
-	s.burstFree = append(s.burstFree, b)
+	s.closeWrite(w)
 }
 
 // handleWriteAnnounce records the expected range of a write burst.
 func (s *session) handleWriteAnnounce(pkt *wire.Packet, from string, now time.Time) {
-	w := s.writes[pkt.ReqID]
-	if w == nil {
-		w = s.openWrite(pkt.ReqID, now)
-	}
-	if w.done {
+	w, seen := s.writes[pkt.ReqID]
+	if seen && w == nil {
 		// Duplicate announcement after completion: re-acknowledge.
-		s.ackWrite(w, from)
+		s.ackWrite(from, pkt.ReqID, pkt.Offset, int64(pkt.Length))
 		return
+	}
+	if w == nil {
+		if w = s.openWrite(pkt.ReqID, now); w == nil {
+			s.agent.sendError(s.conn, from, pkt, errors.New("too many write bursts open"))
+			return
+		}
 	}
 	if w.sp == nil {
 		w.sp = s.agent.joinSpan(pkt.Trace, "agent_write_serve")
@@ -959,8 +959,10 @@ func (s *session) handleWriteAnnounce(pkt *wire.Packet, from string, now time.Ti
 	w.flags = pkt.Flags
 	w.from = from
 	if int64(len(w.data)) != w.length {
-		s.releaseBurst(w.data)
-		w.data = s.acquireBurst(w.length)
+		if int64(cap(w.data)) < w.length {
+			w.data = make([]byte, w.length) //lint:allow hotalloc a record's buffer grows only until it fits its client's bursts
+		}
+		w.data = w.data[:w.length]
 		w.received.Reset()
 	}
 	// Replay data packets that overtook this announcement.
@@ -1000,12 +1002,14 @@ func (s *session) handleData(pkt *wire.Packet, from string, now time.Time) {
 	if len(pkt.Payload) == 0 {
 		return
 	}
-	w := s.writes[pkt.ReqID]
-	if w == nil {
-		w = s.openWrite(pkt.ReqID, now)
+	w, seen := s.writes[pkt.ReqID]
+	if !seen {
+		if w = s.openWrite(pkt.ReqID, now); w == nil {
+			s.agent.tel.Count(evEarlyData, -1)
+		}
 	}
-	if w.done {
-		return
+	if w == nil {
+		return // completed, or no record free
 	}
 	if !w.announced {
 		if w.earlyBytes+int64(len(pkt.Payload)) > s.agent.cfg.MaxBurstBytes {
@@ -1031,7 +1035,7 @@ func (s *session) handleData(pkt *wire.Packet, from string, now time.Time) {
 // neighbouring block the merge would have to trust) are reported to
 // the client and the burst state discarded so a retry starts clean.
 func (s *session) completeIfReady(w *writeState, from string, now time.Time) {
-	if !w.announced || w.done || !w.received.Contains(w.off, w.length) {
+	if !w.announced || !w.received.Contains(w.off, w.length) {
 		return
 	}
 	// now is when the completing packet arrived; the store's share of
@@ -1046,25 +1050,24 @@ func (s *session) completeIfReady(w *writeState, from string, now time.Time) {
 			return
 		}
 	}
-	s.closeWrite(w)
 	if s.agent.cfg.SyncWrites || w.flags&wire.FSyncWrite != 0 {
 		if err := s.agent.syncTimed(s.obj.Sync); err != nil {
 			s.agent.cfg.Logf("agent %s: sync: %v", s.agent.host.Name(), err) //lint:allow hotalloc cold sync-failure log
 		}
 	}
-	w.done = true
-	w.doneAt = now
-	s.done = append(s.done, w)
 	w.finishSpan(nil)
 	s.agent.tel.Count(evWriteBurst, -1)
 	s.agent.tel.writeLat.Observe(now.Sub(w.first) + time.Since(applyStart))
-	s.ackWrite(w, from)
+	s.ackWrite(from, w.reqID, w.off, w.length)
+	s.writes[w.reqID] = nil
+	s.done = append(s.done, doneBurst{w.reqID, now})
+	s.closeWrite(w)
 }
 
-func (s *session) ackWrite(w *writeState, from string) {
+func (s *session) ackWrite(from string, reqID uint32, off, n int64) {
 	p := wire.Packet{Header: wire.Header{
-		Type: wire.TWriteAck, ReqID: w.reqID, Handle: s.handle,
-		Offset: w.off, Length: uint32(w.length),
+		Type: wire.TWriteAck, ReqID: reqID, Handle: s.handle,
+		Offset: off, Length: uint32(n),
 	}}
 	s.send(from, &p)
 }
@@ -1090,33 +1093,20 @@ func (s *session) checkWrites(now time.Time) {
 	}
 }
 
-// reapDone forgets the bursts that completed more than DoneTTL ago, and
-// recycles their records: they are the head of the done queue, so each
-// is visited once, when it expires — amortised O(1) per call.
+// reapDone forgets the bursts that completed more than DoneTTL ago: they
+// are the head of the done queue, so each is visited once, when it
+// expires — amortised O(1) per call.
 //
 //swift:hotpath
 func (s *session) reapDone(now time.Time) {
 	ttl := s.agent.cfg.DoneTTL
-	for s.doneHead < len(s.done) {
-		w := s.done[s.doneHead]
-		if now.Sub(w.doneAt) <= ttl {
-			break
-		}
-		if s.writes[w.reqID] == w {
-			delete(s.writes, w.reqID)
-		}
-		if len(s.writeFree) < writeFreeMax {
-			s.writeFree = append(s.writeFree, w)
-		}
-		s.done[s.doneHead] = nil
-		s.doneHead++
+	for ; s.doneHead < len(s.done) && now.Sub(s.done[s.doneHead].at) > ttl; s.doneHead++ {
+		delete(s.writes, s.done[s.doneHead].reqID)
 	}
 	if s.doneHead > len(s.done)/2 {
 		// Slide the live tail down so the queue's memory stays
 		// proportional to the bursts inside DoneTTL.
-		n := copy(s.done, s.done[s.doneHead:])
-		clear(s.done[n:])
-		s.done = s.done[:n]
+		s.done = s.done[:copy(s.done, s.done[s.doneHead:])]
 		s.doneHead = 0
 	}
 }

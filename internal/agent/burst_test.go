@@ -79,8 +79,8 @@ func (o *rigObject) ReadAt(p []byte, off int64) (int, error) {
 
 const burstClient = "client:9"
 
-// burstRig is one session with no goroutine behind it, a recording conn
-// and a hand-stepped clock.
+// burstRig is one session with no goroutine behind it but its chunk
+// reader, a recording conn and a hand-stepped clock.
 type burstRig struct {
 	t    testing.TB
 	s    *session
@@ -105,6 +105,7 @@ func newPayloadRig(t testing.TB, cfg Config, payload int) *burstRig {
 	a := &Agent{host: offlineHost{}, cfg: cfg, sessions: make(map[uint64]*session), tel: newAgentTelemetry(&cfg)}
 	r := &burstRig{t: t, conn: &sinkConn{}, obj: &rigObject{Object: obj}, now: time.Unix(1_000_000, 0)}
 	r.s = newSession(a, 7, r.obj, r.conn, payload)
+	t.Cleanup(func() { close(r.s.next) })
 	return r
 }
 
@@ -176,6 +177,17 @@ func wantSent(t *testing.T, step string, got []wire.Packet, want ...wire.Type) {
 	}
 }
 
+// buffered counts the free burst records that keep a burst buffer.
+func buffered(s *session) int {
+	n := 0
+	for _, w := range s.writeFree {
+		if cap(w.data) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func fill(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
 
 // burstTimes is the configuration every lifecycle case runs under.
@@ -207,7 +219,7 @@ func TestWriteBurstLifecycle(t *testing.T) {
 				t.Fatalf("%d bursts remembered past DoneTTL", len(r.s.writes))
 			}
 			wantSent(t, "announce after reap", r.announce(1, 0, 100))
-			if len(r.s.open) != 1 || r.s.writes[1].done {
+			if len(r.s.open) != 1 || r.s.writes[1] == nil {
 				t.Fatal("announce after reap did not start a fresh burst")
 			}
 		}},
@@ -309,8 +321,10 @@ func TestWriteBurstLifecycle(t *testing.T) {
 			if want := append(fill('1', 50), fill('2', 50)...); !bytes.Equal(r.content(), want) {
 				t.Fatalf("store = %q", r.content())
 			}
-			if w := r.s.writes[1]; w.early != nil || w.earlyBytes != 0 {
-				t.Fatal("early stash kept after replay")
+			for _, w := range r.s.writeFree {
+				if w.early != nil || w.earlyBytes != 0 {
+					t.Fatal("early stash kept after replay")
+				}
 			}
 		}},
 		{"a ReqID is reusable once its burst was reaped", func(t *testing.T, r *burstRig) {
@@ -357,8 +371,8 @@ func TestWriteBurstLifecycle(t *testing.T) {
 			r.announce(1, 0, 1000)
 			first := &r.s.writes[1].data[0]
 			wantSent(t, "first burst", r.data(1, 0, fill(0xAA, 1000)), wire.TWriteAck)
-			if len(r.s.burstFree) != 1 {
-				t.Fatalf("free list holds %d buffers after apply, want 1", len(r.s.burstFree))
+			if n := buffered(r.s); n != 1 {
+				t.Fatalf("free records hold %d buffers after apply, want 1", n)
 			}
 			r.announce(2, 5000, 800)
 			if &r.s.writes[2].data[0] != first {
@@ -382,8 +396,8 @@ func TestWriteBurstLifecycle(t *testing.T) {
 			if reply[0].ReqID != 1 {
 				t.Fatalf("error reply for req %d", reply[0].ReqID)
 			}
-			if len(r.s.writes) != 0 || len(r.s.open) != 0 || len(r.s.burstFree) != 1 {
-				t.Fatalf("after failed apply: %d remembered, %d open, %d free", len(r.s.writes), len(r.s.open), len(r.s.burstFree))
+			if len(r.s.writes) != 0 || len(r.s.open) != 0 || buffered(r.s) != 1 {
+				t.Fatalf("after failed apply: %d remembered, %d open, %d free buffers", len(r.s.writes), len(r.s.open), buffered(r.s))
 			}
 			// The retry starts clean and succeeds.
 			r.obj.fail = false
@@ -399,8 +413,20 @@ func TestWriteBurstLifecycle(t *testing.T) {
 			r.data(3, 0, fill('o', 10)) // an orphan has no buffer
 			r.data(1, 0, fill('a', 50))
 			r.s.abandonWrites()
-			if len(r.s.open) != 0 || len(r.s.writes) != 0 || len(r.s.burstFree) != 2 {
-				t.Fatalf("after session end: %d open, %d remembered, %d free", len(r.s.open), len(r.s.writes), len(r.s.burstFree))
+			if len(r.s.open) != 0 || len(r.s.writes) != 0 || buffered(r.s) != 2 {
+				t.Fatalf("after session end: %d open, %d remembered, %d free buffers", len(r.s.open), len(r.s.writes), buffered(r.s))
+			}
+		}},
+		{"an announcement past writeFreeMax open bursts is refused until one completes", func(t *testing.T, r *burstRig) {
+			for id := uint32(1); id <= writeFreeMax; id++ {
+				wantSent(t, "announce", r.announce(id, 0, 10))
+			}
+			wantSent(t, "one too many", r.announce(writeFreeMax+1, 0, 10), wire.TError)
+			wantSent(t, "its data", r.data(writeFreeMax+1, 0, fill('x', 10)))
+			wantSent(t, "complete one", r.data(1, 0, fill('a', 10)), wire.TWriteAck)
+			wantSent(t, "retry", r.announce(writeFreeMax+1, 0, 10))
+			if len(r.s.open) != writeFreeMax {
+				t.Fatalf("%d bursts open, want %d", len(r.s.open), writeFreeMax)
 			}
 		}},
 		{"an oversize announcement is refused and leaves nothing behind", func(t *testing.T, r *burstRig) {
@@ -517,9 +543,8 @@ func TestWriteDatagramCostFlat(t *testing.T) {
 }
 
 // TestWriteBurstAllocs pins the steady-state allocation budget of a
-// write burst, with 100 completed bursts inside DoneTTL so that every
-// announcement finds a reaped record: an announce → data → ack cycle
-// allocates nothing.
+// write burst, with 100 completed bursts inside DoneTTL: an announce →
+// data → ack cycle allocates nothing.
 func TestWriteBurstAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -536,12 +561,33 @@ func TestWriteBurstAllocs(t *testing.T) {
 	if perBurst != 0 {
 		t.Errorf("%v allocations per burst of %d packets, want 0", perBurst, loadPackets)
 	}
-	// Once the traffic stops, every remembered burst is reaped, but the
-	// free list keeps only a few of their records.
+	// Once the traffic stops, every remembered burst is reaped, and the
+	// session still holds its records and no more.
 	l.r.advance(2 * l.r.s.agent.cfg.DoneTTL)
 	if len(l.r.s.writes) != 0 || len(l.r.s.writeFree) > writeFreeMax {
 		t.Errorf("after a quiet DoneTTL: %d bursts remembered, %d records kept, want 0 and at most %d",
 			len(l.r.s.writes), len(l.r.s.writeFree), writeFreeMax)
+	}
+}
+
+// TestWriteStreamAllocs pins that write streams lasting longer than
+// DoneTTL, with quiet spells longer than DoneTTL between them (a read
+// phase), allocate nothing once the first has run: a burst's record comes
+// back when it completes, and a completed burst is remembered without one.
+func TestWriteStreamAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	l := newWriteLoad(t, 100)
+	ttl := l.r.s.agent.cfg.DoneTTL
+	stream := func() {
+		for end := l.r.now.Add(2 * ttl); l.r.now.Before(end) || l.next != 0; {
+			l.feed()
+		}
+		l.r.advance(2 * ttl)
+	}
+	if n := testing.AllocsPerRun(3, stream); n != 0 {
+		t.Errorf("a write stream of two DoneTTLs allocated %v times, want 0", n)
 	}
 }
 

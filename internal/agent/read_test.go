@@ -172,6 +172,24 @@ func TestServeReadAllocs(t *testing.T) {
 	}
 }
 
+// TestServeTwoChunkReadAllocs pins that a read burst of two chunks, the
+// second read by the session's reader goroutine, allocates nothing.
+func TestServeTwoChunkReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const burst = wire.BurstPackets * wire.MaxPayload
+	r := newBurstRig(t, Config{ReadChunk: burst / 2})
+	r.conn.discard = true
+	r.seed(fill(0xEF, burst))
+	pkt := wire.Packet{Header: wire.Header{Type: wire.TRead, ReqID: 1, Handle: r.s.handle, Length: burst}}
+	serve := func() { r.s.dispatch(&pkt, burstClient, r.now) }
+	serve() // grow both chunk buffers
+	if allocs := testing.AllocsPerRun(100, serve); allocs != 0 {
+		t.Errorf("a two-chunk read burst allocated %v times, want 0", allocs)
+	}
+}
+
 // TestRecycledChunkBufferZeroFills pins the serve-loop recycling
 // invariant: the chunk buffers live for the whole session, so a burst
 // that reads past EOF must see zeros even when an earlier burst filled

@@ -95,10 +95,10 @@ type Cache struct {
 	dirty     int64              // guarded by mu
 	waiters   []chan struct{}    // guarded by mu
 
-	// pool recycles block buffers so a steady-state cache allocates
-	// nothing: every buffer a block ever holds comes from acquireBuf and
-	// goes back through releaseBuf.
-	pool sync.Pool
+	// free chains dropped block records through their next field, each
+	// still holding its buffer, so a steady-state cache allocates
+	// nothing. It holds no more blocks than were ever resident at once.
+	free *block // guarded by mu
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -162,9 +162,6 @@ func New(cfg Config, reg *obs.Registry) *Cache {
 	c := &Cache{cfg: cfg, objs: make(map[string]*Object)}
 	c.probation.init()
 	c.protected.init()
-	c.pool.New = func() any {
-		return make([]byte, cfg.BlockSize)
-	}
 	if reg != nil {
 		c.register(reg)
 	}
@@ -250,18 +247,17 @@ func (c *Cache) register(reg *obs.Registry) {
 	}
 }
 
-// acquireBuf hands out a block-size buffer from the pool.
-//
-//swift:pool acquire
-func (c *Cache) acquireBuf() []byte {
-	return c.pool.Get().([]byte)
-}
-
-// releaseBuf returns a block buffer to the pool.
-//
-//swift:pool release
-func (c *Cache) releaseBuf(b []byte) {
-	c.pool.Put(b[:cap(b)])
+// newBlockLocked returns a zeroed block record of o at idx, recycled
+// with its buffer from the free list when one is there; c.mu held. The
+// buffer holds whatever its last block left: only valid atoms are read.
+func (c *Cache) newBlockLocked(o *Object, idx int64) *block {
+	b := c.free
+	if b == nil {
+		return &block{obj: o, idx: idx, buf: make([]byte, c.cfg.BlockSize)}
+	}
+	c.free = b.next
+	*b = block{obj: o, idx: idx, buf: b.buf}
+	return b
 }
 
 // Open returns the (refcounted) cache view of one object. Every Open
@@ -349,7 +345,7 @@ func (c *Cache) ensureRoomLocked(n int64) {
 }
 
 // dropLocked removes one clean block from its object and list and
-// recycles its buffer; c.mu held.
+// chains its record, buffer and all, onto the free list; c.mu held.
 func (c *Cache) dropLocked(b *block, evicted bool) {
 	if b.list != nil {
 		b.list.remove(b)
@@ -368,8 +364,8 @@ func (c *Cache) dropLocked(b *block, evicted bool) {
 	if b.prefetched {
 		c.raWasted.Add(1)
 	}
-	c.releaseBuf(b.buf)
-	b.buf = nil
+	b.obj, b.prev, b.next = nil, nil, c.free
+	c.free = b
 }
 
 // touchLocked is the segmented-LRU reference rule; c.mu held. The first

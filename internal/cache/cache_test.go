@@ -82,6 +82,35 @@ func TestEvictionBoundsResidency(t *testing.T) {
 	}
 }
 
+// TestEvictionReusesBlocks pins that a full cache recycles what it
+// evicts: an insert that displaces a block, and a partial-block write,
+// allocate nothing once the cache has filled.
+func TestEvictionReusesBlocks(t *testing.T) {
+	c := testCache(t, 4, Config{WriteBehindMax: bs})
+	o := c.Open("obj")
+	defer o.Close()
+	p := fill(0, bs)
+	next := int64(0)
+	churn := func() {
+		o.Insert(next*bs, p, false)
+		next++
+	}
+	for range 16 {
+		churn()
+	}
+	if n := testing.AllocsPerRun(200, churn); n != 0 {
+		t.Errorf("an evicting insert allocated %v times, want 0", n)
+	}
+	write := func() {
+		o.Write(next*bs+10, p[:100])
+		o.FlushDone(next * bs)
+		next++
+	}
+	if n := testing.AllocsPerRun(200, write); n != 0 {
+		t.Errorf("a write into a new block allocated %v times, want 0", n)
+	}
+}
+
 // TestScanResistance pins the 2Q property: a working set that has been
 // re-referenced survives a one-pass scan that is larger than the whole
 // cache.

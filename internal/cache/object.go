@@ -44,7 +44,7 @@ type Object struct {
 // block is one resident cache block: a BlockSize buffer over the object
 // at [idx*BlockSize, (idx+1)*BlockSize) plus a mask of which AtomSize
 // atoms of it hold the object's image. Only valid atoms are ever served
-// or flushed; the rest of buf is whatever the pool handed out. A valid
+// or flushed; the rest of buf is whatever its last block left. A valid
 // atom that straddles or lies past end-of-object is zero-filled there
 // (absent bytes read as zeros through the stripe layer, so the images
 // agree). Invariant: every byte of a dirty span [dLo,dHi) lies in a
@@ -267,7 +267,8 @@ func (o *Object) Insert(off int64, p []byte, prefetched bool) bool {
 			if c.probBytes+c.protBytes+c.dirty+bs > c.cfg.Capacity {
 				return false // wedged: capacity full of pinned dirty blocks
 			}
-			b = &block{obj: o, idx: pos / bs, buf: c.acquireBuf(), prefetched: prefetched}
+			b = c.newBlockLocked(o, pos/bs)
+			b.prefetched = prefetched
 			o.blocks[b.idx] = b
 			o.bytes += bs
 			c.probation.pushFront(b)
@@ -347,7 +348,7 @@ func (o *Object) Write(off int64, p []byte) {
 		b := o.blocks[idx]
 		if b == nil {
 			c.ensureRoomLocked(bs)
-			b = &block{obj: o, idx: idx, buf: c.acquireBuf()}
+			b = c.newBlockLocked(o, idx)
 			o.blocks[idx] = b
 			o.bytes += bs
 		}

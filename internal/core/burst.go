@@ -64,6 +64,59 @@ type burst struct {
 	pushbacks int
 }
 
+// share is how each session given cuts or planner reads (f.fetches) in
+// one attempt moves them.
+type share struct {
+	dir   direction
+	sp    *obs.Span
+	hedge bool
+}
+
+var shareSpan = [...]string{reading: "agent_read", writing: "agent_write"}
+
+// fanOut runs op on every session with ranges cut or planner reads, and
+// joins them: each on its session's worker but the last, which the
+// caller runs itself, so an attempt on one agent hands nothing over.
+// Whoever runs a session's share owns its buf and out until the join.
+func (f *File) fanOut(op share) {
+	f.op = op
+	clear(f.errs)
+	if s := f.handOff(); s != nil {
+		f.runShare(s)
+		f.wg.Wait()
+	}
+}
+
+// handOff starts the workers of the sessions with work but the last.
+//
+//swift:hotpath
+func (f *File) handOff() (last *agentSession) {
+	for i, s := range f.sessions {
+		if s != nil && (len(s.cuts) > 0 || fetchesFrom(f.fetches, i)) {
+			if last != nil {
+				f.wg.Add(1)
+				last.start <- f
+			}
+			last = s
+		}
+	}
+	return last
+}
+
+// runShare runs s's share of f.op and leaves its outcome in f.errs.
+func (f *File) runShare(s *agentSession) {
+	op := &f.op
+	as := op.sp.StartChild(shareSpan[op.dir], s.idx)
+	err := f.runBursts(s, op.dir, s.cuts, s.x, as, op.hedge)
+	if err == nil && op.dir == reading {
+		f.runFetches(s, f.fetches, as)
+	}
+	as.SetError(err)
+	as.Finish()
+	f.errs[s.idx] = err
+	s.cuts, s.x = s.cuts[:0], xfer{} // hold no caller buffer past the attempt
+}
+
 // burstRun is one run of the driver on one agent session. runBursts owns
 // the session conn's only receive loop; launch, wake, receive and expire
 // are the state machine it steps, each told the time by the caller.

@@ -661,45 +661,61 @@ func TestReadDataPacketAllocs(t *testing.T) {
 	}
 }
 
-// TestOpAllocsFlat pins that a client op allocates nothing per burst, on
-// either side: over three agents on a segment the model charges nothing,
-// a 1 MiB ReadAt and WriteAt allocate no more than 256 KiB ones do, and
-// then no more than one object per agent (its worker goroutine). The
-// agents' DoneTTL is short so that their write-burst records come back
-// within the warm-up, as they do in a long-running agent.
+// TestOpAllocsFlat pins that a warmed client op allocates nothing, on
+// either side, over agents on a segment the model charges nothing: not
+// per burst (a 1 MiB ReadAt or WriteAt against a 256 KiB one), not per
+// agent (each session's worker is resident), and not when the file is
+// opened with two agents of a 3+2 layout marked down, so that reads
+// rebuild their share and writes skip it. The agents' DoneTTL is short
+// so that the bursts they remember stop growing their tables within the
+// warm-up, as they do in a long-running agent.
 func TestOpAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	const agents = 3
-	c := newCluster(t, clusterOpts{agents: agents, unit: 64 << 10, unthrottled: true, doneTTL: time.Millisecond})
-	f, err := c.client.Open("flat", OpenFlags{Create: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1<<20)
-	allocs := func(op func([]byte, int64) (int, error), n int) float64 {
-		run := func() {
-			if _, err := op(buf[:n], 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for range 20 {
-			run()
-		}
-		return testing.AllocsPerRun(50, run)
-	}
 	for _, tc := range []struct {
 		name string
-		op   func([]byte, int64) (int, error)
-	}{{"WriteAt", f.WriteAt}, {"ReadAt", f.ReadAt}} {
-		small, large := allocs(tc.op, 256<<10), allocs(tc.op, 1<<20)
-		t.Logf("%s: %v allocations at 256 KiB, %v at 1 MiB", tc.name, small, large)
-		if large > small {
-			t.Errorf("%s: 1 MiB allocated %v times, 256 KiB %v: a per-burst term", tc.name, large, small)
-		}
-		if large > agents {
-			t.Errorf("%s: 1 MiB allocated %v times, want at most one per agent (%d)", tc.name, large, agents)
-		}
+		o    clusterOpts
+		down []int
+	}{
+		{"3 agents", clusterOpts{agents: 3}, nil},
+		{"3+2, two down", clusterOpts{agents: 5, parityShards: 2}, []int{1, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.o.unit, tc.o.unthrottled, tc.o.doneTTL = 64<<10, true, time.Millisecond
+			c := newCluster(t, tc.o)
+			for _, i := range tc.down {
+				c.client.MarkDown(i, true)
+			}
+			f, err := c.client.Open("flat", OpenFlags{Create: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if n := f.liveCount(); n != tc.o.agents-len(tc.down) {
+				t.Fatalf("%d sessions open, want %d", n, tc.o.agents-len(tc.down))
+			}
+			buf := make([]byte, 1<<20)
+			allocs := func(op func([]byte, int64) (int, error), n int) float64 {
+				run := func() {
+					if _, err := op(buf[:n], 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for range 20 {
+					run()
+				}
+				return testing.AllocsPerRun(50, run)
+			}
+			for _, op := range []struct {
+				name string
+				do   func([]byte, int64) (int, error)
+			}{{"WriteAt", f.WriteAt}, {"ReadAt", f.ReadAt}} {
+				small, large := allocs(op.do, 256<<10), allocs(op.do, 1<<20)
+				if small != 0 || large != 0 {
+					t.Errorf("%s allocated %v times at 256 KiB and %v at 1 MiB, want 0", op.name, small, large)
+				}
+			}
+		})
 	}
 }

@@ -395,6 +395,7 @@ func TestCacheLessWriterDeclaresWrites(t *testing.T) {
 	if err != nil {
 		t.Fatalf("writer open: %v", err)
 	}
+	defer wf.Close()
 	if _, err := wf.WriteAt(v1, 0); err != nil {
 		t.Fatalf("write v1: %v", err)
 	}
@@ -404,6 +405,7 @@ func TestCacheLessWriterDeclaresWrites(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reader open: %v", err)
 	}
+	defer rf.Close()
 	got := make([]byte, len(v1))
 	if _, err := rf.ReadAt(got, 0); err != nil {
 		t.Fatalf("read v1: %v", err)

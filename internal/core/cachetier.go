@@ -262,7 +262,7 @@ func (f *File) absorbBlock(p []byte, off int64, sp *obs.Span) error {
 		if !ok {
 			break
 		}
-		buf := f.growFetch(blen)
+		buf := grow(&f.fetchBuf, blen)
 		if err := f.readRange(buf, bo, true, sp); err != nil {
 			return err
 		}

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -353,7 +354,8 @@ func (c *Client) Close() error {
 // With parity enabled, reads and writes continue in degraded mode around
 // a single failed agent. Normally the failure-domain lifecycle manages
 // states automatically; MarkDown remains for drills and administrative
-// fencing.
+// fencing: unlike the lifecycle's own Down verdict, it leaves the
+// sessions of files already open alone.
 func (c *Client) MarkDown(i int, down bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -372,17 +374,6 @@ func (c *Client) Down(i int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.health[i].state == StateDown
-}
-
-// downSnapshot returns per-agent Down flags.
-func (c *Client) downSnapshot() []bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]bool, len(c.health))
-	for i := range c.health {
-		out[i] = c.health[i].state == StateDown
-	}
-	return out
 }
 
 // retryBudget is the no-progress interval after which an operation gives
@@ -419,12 +410,12 @@ func (c *Client) Open(name string, flags OpenFlags) (*File, error) {
 	sp := c.startSpan(flags.Trace, "open")
 	defer sp.Finish()
 	sp.Annotate("open %s", name)
-	down := c.downSnapshot()
+	health := c.Health()
 	sessions := make([]*agentSession, len(c.cfg.Agents))
 	errs := make([]error, len(c.cfg.Agents))
 	var wg sync.WaitGroup
 	for i, addr := range c.cfg.Agents {
-		if down[i] {
+		if health[i].State == StateDown {
 			errs[i] = ErrAgentDown
 			continue
 		}
@@ -443,38 +434,30 @@ func (c *Client) Open(name string, flags OpenFlags) (*File, error) {
 	for i := range errs {
 		if errs[i] != nil {
 			failed++
-			if !down[i] {
+			if health[i].State != StateDown {
 				c.noteFailure(i, errs[i])
 			}
 			c.tel.Note(evOpenFail, i, sp, "open %s: %v", name, errs[i])
 		}
 	}
-	closeAll := func() {
+	if failed > 0 && (!c.cfg.Parity || failed > c.parityK()) {
 		for _, s := range sessions {
 			if s != nil {
 				s.close()
 			}
 		}
-	}
-	if failed > 0 && (!c.cfg.Parity || failed > c.parityK()) {
-		closeAll()
-		for i, err := range errs {
-			if err != nil {
-				werr := fmt.Errorf("core: open %s on agent %d (%s): %w",
-					name, i, c.cfg.Agents[i], err)
-				sp.SetError(werr)
-				return nil, werr
-			}
-		}
+		i := slices.IndexFunc(errs, func(err error) bool { return err != nil })
+		err := fmt.Errorf("core: open %s on agent %d (%s): %w", name, i, c.cfg.Agents[i], errs[i])
+		sp.SetError(err)
+		return nil, err
 	}
 
 	frag := make([]int64, len(sessions))
 	for i, s := range sessions {
-		if s == nil {
-			frag[i] = -1
-			continue
+		frag[i] = -1
+		if s != nil {
+			frag[i] = s.fragSize
 		}
-		frag[i] = s.fragSize
 	}
 	f := &File{
 		c:        c,
@@ -521,29 +504,35 @@ func (c *Client) openFiles() []*File {
 }
 
 // agentSession is the client side of one open file on one agent: a
-// dedicated local port paired with the agent's private port.
+// dedicated local port paired with the agent's private port, and the
+// resident worker that moves the agent's share of each attempt.
 type agentSession struct {
 	idx      int
 	conn     transport.PacketConn
-	ctlAddr  string // agent well-known address
 	dataAddr string // agent private address for this file
 	handle   uint64
 	fragSize int64
 	// reqBytes is the burst size for this session: Config.RequestBytes,
 	// or 42 packets of the agreed payload.
 	reqBytes int64
-	// buf receives runs of datagrams and out sends them; both are owned
-	// by the session's worker.
+	// buf receives runs of datagrams and out sends them; both belong to
+	// whichever goroutine runs the session's share (see File.fanOut).
 	buf []byte
 	out *wire.Batch
+	// start hands the worker the file whose share it runs next, or nil
+	// from close to end it.
+	start chan *File
+	// down marks a session whose conn a Down verdict closed (dropDown).
+	down atomic.Bool
 	// payload is the gather scratch for one outgoing data packet; its
 	// length is the data payload the session agreed at open.
 	payload []byte
-	// bursts are the burst driver's records, one per window slot, and
-	// cuts the scratch its callers cut extents into bursts in; both are
-	// recycled from run to run.
+	// bursts are the burst driver's records, one per window slot; cuts
+	// and x are what the session is given to move in an attempt (empty
+	// between attempts).
 	bursts []burst
 	cuts   []extent.Extent
+	x      xfer
 }
 
 // requestBytes is the burst size of a session whose data packets carry
@@ -555,22 +544,29 @@ func (c *Config) requestBytes(payload int) int64 {
 	return wire.BurstPackets * int64(payload)
 }
 
-// cut splits fragment extents into bursts of at most reqBytes each, in
-// order. The result is valid until the next call.
-func (s *agentSession) cut(es *extent.Set) []extent.Extent {
-	s.cuts = s.cuts[:0]
+// cut gives the session fragment extents to move between the agent and
+// x, split into bursts of at most reqBytes each, in order.
+func (s *agentSession) cut(es *extent.Set, x xfer) {
+	s.cuts, s.x = s.cuts[:0], x
 	for i := 0; i < es.Len(); i++ {
 		e := es.At(i)
 		for lo := e.Off; lo < e.End(); lo += s.reqBytes {
 			s.cuts = append(s.cuts, extent.Extent{Off: lo, Len: min(s.reqBytes, e.End()-lo)})
 		}
 	}
-	return s.cuts
 }
 
+// close ends the session and its worker.
 func (s *agentSession) close() {
-	if s.conn != nil {
-		s.conn.Close()
+	s.conn.Close()
+	s.start <- nil
+}
+
+// work runs each share handed to the session until close.
+func (s *agentSession) work() {
+	for f := <-s.start; f != nil; f = <-s.start {
+		f.runShare(s)
+		f.wg.Done()
 	}
 }
 
@@ -626,10 +622,9 @@ func (c *Client) openSession(idx int, addr, name string, flags OpenFlags, tctx o
 	payload := wire.DataPayload(packet)
 	c.tel.agents[idx].packetBytes.Set(int64(packet))
 	ahost, _, _ := transport.SplitAddr(addr)
-	return &agentSession{
+	s := &agentSession{
 		idx:      idx,
 		conn:     conn,
-		ctlAddr:  addr,
 		dataAddr: transport.JoinAddr(ahost, rep.Port),
 		handle:   reply.Handle,
 		fragSize: rep.Size,
@@ -638,7 +633,10 @@ func (c *Client) openSession(idx int, addr, name string, flags OpenFlags, tctx o
 		out:      wire.NewBatch(conn, packet),
 		payload:  make([]byte, payload),
 		bursts:   make([]burst, max(readWindow, c.cfg.WriteWindow)),
-	}, nil
+		start:    make(chan *File),
+	}
+	go s.work()
+	return s, nil
 }
 
 // rpc sends req to addr on conn under a fresh request id and waits for the

@@ -22,8 +22,10 @@ type File struct {
 	c    *Client
 	name string
 
-	mu       sync.Mutex
-	sessions []*agentSession // nil entries are failed agents
+	mu sync.Mutex
+	// sessions holds one session per agent, nil where the agent failed.
+	// setSession writes it under c.mu too, for a Down verdict to reach.
+	sessions []*agentSession
 	size     int64
 	pos      int64
 	closed   bool
@@ -40,26 +42,33 @@ type File struct {
 	// residence without earning references and dies in probation.
 	cobj     *cache.Object
 	fetchBuf []byte
+	// Scratch for the redundancy math, grown to the largest operation the
+	// file has run: the planner's fetched shards (pass), a write's parity
+	// units or a scrubbed row (rows), and a healed unit (unit). A write's
+	// merge read may heal, so all three can be in use at once.
+	pass, rows, unit []byte
 	// Redundancy state of the attempt running under f.mu (see parity.go):
-	// each agent's part in a read, the planner reads of the pass in flight,
-	// the parity units of the write in flight. File-owned so that workers
+	// each agent's part in a read, the planner's jobs and its reads
+	// (empty but in a read pass's fan-out), the codec's shards and the
+	// parity units of the write in flight. File-owned so that workers
 	// reach it through f (by pointer: a parityUnits value down the write
-	// workers' frames cost small-rand +6 µs of write p50) and a healthy or
-	// parity-less operation allocates nothing for it. Workers only read it.
+	// workers' frames cost small-rand +6 µs of write p50) and an
+	// operation allocates nothing for it. Workers only read it.
 	role    []uint8
+	jobs    []rowJob
+	shards  [][]byte
 	fetches []fetch
 	parity  parityUnits
 	// prefetching marks operations running on behalf of a background
-	// read-ahead worker; written under f.mu before readRange fans its
-	// goroutines out (which are joined before it returns). Prefetch
-	// reads never hedge — speculation must not race demand reads for
-	// the retry budget.
+	// read-ahead worker. Prefetch reads never hedge — speculation must
+	// not race demand reads for the retry budget.
 	prefetching bool
 	// The fan-out of the attempt running under f.mu: its per-agent
-	// fragment plan, each agent worker's outcome (one slot per session),
-	// and their join. One set serves every attempt, so an operation
-	// allocates no more than its workers' goroutines.
+	// fragment plan, what every agent moves, each agent's outcome (one
+	// slot per session), and their join. One set serves every attempt,
+	// so an operation allocates nothing for them.
 	exts []extent.Set
+	op   share
 	errs []error
 	wg   sync.WaitGroup
 }
@@ -98,23 +107,17 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 }
 
 // Read implements io.Reader at the current position.
-func (f *File) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	pos := f.pos
-	f.mu.Unlock()
-	n, err := f.ReadAt(p, pos)
-	f.mu.Lock()
-	f.pos = pos + int64(n)
-	f.mu.Unlock()
-	return n, err
-}
+func (f *File) Read(p []byte) (int, error) { return f.atPos(f.ReadAt, p) }
 
 // Write implements io.Writer at the current position.
-func (f *File) Write(p []byte) (int, error) {
+func (f *File) Write(p []byte) (int, error) { return f.atPos(f.WriteAt, p) }
+
+// atPos runs op at the current position and moves it past what op moved.
+func (f *File) atPos(op func([]byte, int64) (int, error), p []byte) (int, error) {
 	f.mu.Lock()
 	pos := f.pos
 	f.mu.Unlock()
-	n, err := f.WriteAt(p, pos)
+	n, err := op(p, pos)
 	f.mu.Lock()
 	f.pos = pos + int64(n)
 	f.mu.Unlock()
@@ -178,7 +181,7 @@ func (f *File) readServe(dst []byte, off int64, sp *obs.Span) error {
 			continue
 		}
 		fo, flen, serve := f.fetchWindow(pos, n-filled)
-		buf := f.growFetch(flen)
+		buf := grow(&f.fetchBuf, flen)
 		if err := f.readRange(buf, fo, true, sp); err != nil {
 			return err
 		}
@@ -210,12 +213,11 @@ func (f *File) fetchWindow(pos, need int64) (off, n, serve int64) {
 	return off, end - off, serve
 }
 
-// growFetch sizes the demand-fetch scratch buffer.
-func (f *File) growFetch(n int64) []byte {
-	if int64(cap(f.fetchBuf)) < n {
-		f.fetchBuf = make([]byte, n)
-	}
-	return f.fetchBuf[:n]
+// grow sizes one of the file's scratch buffers to n bytes, holding
+// whatever they held.
+func grow(b *[]byte, n int64) []byte {
+	*b = slices.Grow((*b)[:0], int(n))[:n]
+	return *b
 }
 
 // readRange reads [off, off+len(dst)) into dst, unclamped by the logical
@@ -250,6 +252,9 @@ func (f *File) moveRange(dir direction, buf []byte, off int64, allowFailover boo
 	repairs, failovers := 0, 0
 	budget := f.repairBudget(off, int64(len(buf)))
 	for {
+		if f.dropDown(); f.quorumLost() {
+			return ErrNoQuorum
+		}
 		var failed int
 		var err error
 		nerrs := 1
@@ -365,53 +370,31 @@ func (f *File) readPasses(dst []byte, off int64, exts []extent.Set, heal []rowJo
 func (f *File) readPass(dst []byte, off int64, exts []extent.Set, heal []rowJob, sp *obs.Span) (failedAgent int, lost, err error) {
 	role := f.role
 	around := slices.IndexFunc(role, readAround)
-	jobs := heal
-	var fetches []fetch
+	jobs, fetches := heal, f.fetches[:0]
 	if around >= 0 {
 		if heal == nil {
 			jobs = f.readJobs(dst, off, role)
 		}
 		var total int64
-		if fetches, total, err = f.planFetches(jobs, dst, off, role); err != nil {
+		if fetches, total, err = f.planFetches(fetches, jobs, dst, off, role); err != nil {
 			return -1, nil, err
 		}
-		sc := acquireScratch(total)
-		defer releaseScratch(sc)
+		sc := grow(&f.pass, total)
 		for i, at := 0, int64(0); i < len(fetches); i++ {
-			*fetches[i].into = sc.b[at : at+fetches[i].n]
+			*fetches[i].into = sc[at : at+fetches[i].n]
 			at += fetches[i].n
 		}
 	}
 
-	clear(f.errs)
 	f.fetches = fetches
 	for i, s := range f.sessions {
-		if s == nil {
-			continue
+		if s != nil && exts != nil && exts[i].Len() > 0 && !readAround(role[i]) {
+			s.cut(&exts[i], xfer{buf: dst, base: off})
 		}
-		var cuts []extent.Extent
-		if exts != nil && !readAround(role[i]) {
-			cuts = s.cut(&exts[i])
-		}
-		if len(cuts) == 0 && !fetchesFrom(fetches, i) {
-			continue
-		}
-		f.wg.Add(1)
-		go func() {
-			as := sp.StartChild("agent_read", i)
-			// Reads on behalf of the prefetch workers never hedge.
-			werr := f.runBursts(s, reading, cuts, xfer{buf: dst, base: off}, as, !f.prefetching)
-			if werr == nil {
-				f.runFetches(s, f.fetches, as)
-			}
-			as.SetError(werr)
-			as.Finish()
-			f.errs[i] = werr
-			f.wg.Done()
-		}()
 	}
-	f.wg.Wait()
-	f.fetches = nil
+	// Reads on behalf of the prefetch workers never hedge.
+	f.fanOut(share{reading, sp, !f.prefetching})
+	f.fetches = fetches[:0]
 	// Overload signals (pushback, hedge, spent deadline) are told apart
 	// from failures: they must not be attributed to the agent's
 	// failure-domain lifecycle. A hedged or pushed-back agent's extents
@@ -634,14 +617,11 @@ func (f *File) writeRangeOnce(src []byte, off int64, sp *obs.Span) (failedAgent,
 	n := int64(len(src))
 	l := f.c.layout
 	if f.c.cfg.Parity {
-		// The parity units live in pooled scratch until the workers
-		// that send them are joined below.
 		pu := parityUnits{r0: l.RowOfGlobal(off), r1: l.RowOfGlobal(off + n - 1), k: f.c.parityK(), unit: l.Unit}
 		held := (pu.r1 - pu.r0 + 1) * int64(pu.k) * l.Unit
-		sc := acquireScratch(held + l.RowBytes())
-		defer releaseScratch(sc)
-		pu.buf = sc.b[:held]
-		if err = f.computeParity(src, off, pu, sc.b[held:], sp); err != nil {
+		sc := grow(&f.rows, held+l.RowBytes())
+		pu.buf = sc[:held]
+		if err = f.computeParity(src, off, pu, sc[held:], sp); err != nil {
 			return -1, 0, err
 		}
 		f.parity = pu
@@ -663,23 +643,12 @@ func (f *File) writeRangeOnce(src []byte, off int64, sp *obs.Span) (failedAgent,
 			return -1, 0, ErrAgentDown
 		}
 	}
-	clear(f.errs)
 	for i, s := range f.sessions {
-		if exts[i].Len() == 0 || s == nil {
-			continue // a nil session is degraded: its units are covered by parity
+		if s != nil && exts[i].Len() > 0 { // a nil session is degraded: parity covers its units
+			s.cut(&exts[i], xfer{buf: src, base: off, pu: &f.parity})
 		}
-		cuts := s.cut(&exts[i])
-		f.wg.Add(1)
-		go func() {
-			as := sp.StartChild("agent_write", i)
-			werr := f.runBursts(s, writing, cuts, xfer{buf: src, base: off, pu: &f.parity}, as, false)
-			as.SetError(werr)
-			as.Finish()
-			f.errs[i] = werr
-			f.wg.Done()
-		}()
 	}
-	f.wg.Wait()
+	f.fanOut(share{writing, sp, false})
 	for i, werr := range f.errs {
 		if werr != nil {
 			nerrs++
@@ -757,6 +726,7 @@ func (f *File) Sync() error {
 	if f.closed {
 		return ErrClosed
 	}
+	f.dropDown()
 	sp.Annotate("%s", f.name)
 	// Write-behind barrier: every dirty extent reaches the agents before
 	// the commit requests go out, and a parked write-back error surfaces
@@ -807,6 +777,7 @@ func (f *File) Truncate(size int64) error {
 	if size < 0 {
 		return errors.New("core: negative size")
 	}
+	f.dropDown()
 	// Flush dirty extents first: a dirty block below the new size must
 	// survive the truncation, and flushing the lot is simpler than
 	// splitting blocks at the cut.
@@ -846,6 +817,7 @@ func (f *File) Close() error {
 	firstErr := f.flushAllLocked(nil)
 	f.closed = true
 	f.c.dropFile(f)
+	f.dropDown()
 	for _, s := range f.sessions {
 		if s == nil {
 			continue
@@ -873,14 +845,29 @@ func (f *File) Close() error {
 // → down; see health.go). The health monitor re-opens the session when the
 // agent answers probes again.
 func (f *File) failAgent(i int, err error) {
-	if i < 0 || i >= len(f.sessions) {
-		return
-	}
 	if s := f.sessions[i]; s != nil {
 		s.close()
-		f.sessions[i] = nil
+		f.setSession(i, nil)
 	}
 	f.c.noteFailure(i, err)
+}
+
+// setSession replaces agent i's session; f.mu held.
+func (f *File) setSession(i int, s *agentSession) {
+	f.c.mu.Lock()
+	f.sessions[i] = s
+	f.c.mu.Unlock()
+}
+
+// dropDown closes and forgets the sessions on agents judged Down since
+// the file's last attempt.
+func (f *File) dropDown() {
+	for i, s := range f.sessions {
+		if s != nil && s.down.Load() {
+			s.close()
+			f.setSession(i, nil)
+		}
+	}
 }
 
 // readmit re-opens this file's session on a recovered agent and, when
@@ -895,25 +882,22 @@ func (f *File) readmit(idx int, rebuild bool) error {
 	if f.closed {
 		return nil
 	}
-	if idx < 0 || idx >= len(f.sessions) {
-		return nil
-	}
 	if old := f.sessions[idx]; old != nil {
 		// The agent may have died and restarted between probe rounds
 		// without this file ever touching it, leaving a session whose
 		// handle died with the old process. Handles are only valid for
 		// the process that issued them, so always negotiate afresh.
 		old.close()
-		f.sessions[idx] = nil
+		f.setSession(idx, nil)
 	}
 	s, err := f.c.openSession(idx, f.c.cfg.Agents[idx], f.name, OpenFlags{Create: true}, obs.SpanContext{})
 	if err != nil {
 		return err
 	}
-	f.sessions[idx] = s
+	f.setSession(idx, s)
 	if rebuild && f.c.cfg.Parity {
 		if err := f.rebuildLocked(idx); err != nil {
-			f.sessions[idx] = nil
+			f.setSession(idx, nil)
 			s.close()
 			return err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"time"
 )
@@ -99,21 +100,28 @@ func (c *Client) setStateLocked(i int, s AgentState, why string) {
 // noteFailure records an attributable error against agent i: a healthy
 // agent becomes suspect; a suspect agent's second strike takes it down.
 func (c *Client) noteFailure(i int, err error) {
+	var stalled []*agentSession
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i < 0 || i >= len(c.health) {
-		return
-	}
 	h := &c.health[i]
 	h.failures++
-	if err != nil {
-		h.lastErr = err.Error()
-	}
+	h.lastErr = err.Error()
 	switch h.state {
 	case StateHealthy:
 		c.setStateLocked(i, StateSuspect, "attributable error")
 	case StateSuspect:
 		c.setStateLocked(i, StateDown, "repeated attributable errors")
+		for f := range c.files {
+			if s := f.sessions[i]; s != nil {
+				s.down.Store(true)
+				stalled = append(stalled, s)
+			}
+		}
+	}
+	c.mu.Unlock()
+	// The Down verdict wakes an op stalled on the agent, and the next op
+	// plans around it.
+	for _, s := range stalled {
+		s.conn.Close()
 	}
 }
 
@@ -136,6 +144,8 @@ type MonitorConfig struct {
 
 // probeRetries gives each health probe about 2×RetryTimeout.
 const probeRetries = 2
+
+var errProbeUnanswered = errors.New("health probe unanswered")
 
 // StartMonitor launches the background health monitor: every Interval it
 // probes every agent, demotes silent ones (healthy→suspect→down) even
@@ -227,38 +237,12 @@ func (c *Client) ProbeOnce() []AgentHealth {
 	rebuild := c.monCfg.Rebuild
 	c.mu.Unlock()
 
-	type verdict struct{ ok bool }
-	verdicts := make([]verdict, len(c.cfg.Agents))
-	var wgDone = make(chan int, len(c.cfg.Agents))
-	for i, addr := range c.cfg.Agents {
-		go func(i int, addr string) {
-			_, _, err := c.probeAgent(addr, probeRetries)
-			verdicts[i] = verdict{ok: err == nil}
-			wgDone <- i
-		}(i, addr)
-	}
-	for range c.cfg.Agents {
-		<-wgDone
-	}
-
-	for i := range verdicts {
-		c.mu.Lock()
-		state := c.health[i].state
-		c.mu.Unlock()
+	for i, st := range c.Ping() {
 		switch {
-		case verdicts[i].ok && state != StateHealthy:
+		case !st.Alive:
+			c.noteFailure(i, errProbeUnanswered)
+		case c.agentState(i) != StateHealthy:
 			c.readmit(i, rebuild)
-		case !verdicts[i].ok:
-			c.mu.Lock()
-			switch state {
-			case StateHealthy:
-				c.health[i].failures++
-				c.health[i].lastErr = "health probe unanswered"
-				c.setStateLocked(i, StateSuspect, "health probe unanswered")
-			case StateSuspect:
-				c.setStateLocked(i, StateDown, "health probe unanswered")
-			}
-			c.mu.Unlock()
 		}
 	}
 	return c.Health()

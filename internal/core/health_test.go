@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"swift/internal/agent"
+	"swift/internal/transport"
 )
 
 // restartAgent brings agent i back on its original host and store, as the
@@ -182,5 +185,93 @@ func TestMonitorStartStopIdempotent(t *testing.T) {
 	}
 	if c.client.MetricsSnapshot().Probes == 0 {
 		t.Fatal("monitor sent no probes")
+	}
+}
+
+// watchHost counts the datagrams a client sends to one agent's host
+// since watch was called, and signals the first.
+type watchHost struct {
+	transport.Host
+	agent string
+	mu    sync.Mutex
+	sent  int
+	first chan struct{}
+}
+
+func (h *watchHost) watch() <-chan struct{} {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.sent, h.first = 0, make(chan struct{})
+	return h.first
+}
+
+func (h *watchHost) count() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sent
+}
+
+func (h *watchHost) Listen(port string) (transport.PacketConn, error) {
+	pc, err := h.Host.Listen(port)
+	return &watchConn{PacketConn: pc, h: h}, err
+}
+
+type watchConn struct {
+	transport.PacketConn
+	h *watchHost
+}
+
+func (c *watchConn) WriteTo(p []byte, addr string) error {
+	if host, _, _ := transport.SplitAddr(addr); host == c.h.agent {
+		c.h.mu.Lock()
+		if c.h.sent++; c.h.sent == 1 && c.h.first != nil {
+			close(c.h.first)
+		}
+		c.h.mu.Unlock()
+	}
+	return c.PacketConn.WriteTo(p, addr)
+}
+
+// TestDownVerdictReachesOpenFiles: an agent that crashes under an open
+// file stalls a read for the whole retry budget — here a minute a
+// request — until the lifecycle judges it Down. The verdict wakes that
+// read at once to finish around the agent, and the next read sends the
+// agent nothing.
+func TestDownVerdictReachesOpenFiles(t *testing.T) {
+	const dead = 2
+	watch := &watchHost{agent: agentName(dead)}
+	c := newCluster(t, clusterOpts{
+		agents: 4, parity: true, retryTimeout: time.Minute,
+		clientHost: func(h transport.Host) transport.Host { watch.Host = h; return watch },
+	})
+	f, data := writeObj(t, c, "obj", 128<<10, 17)
+	defer f.Close()
+	c.agents[dead].Close()
+	read := func() error {
+		out := make([]byte, len(data))
+		if _, err := f.ReadAt(out, 0); err != nil {
+			return err
+		}
+		if !bytes.Equal(out, data) {
+			return errors.New("read returned wrong bytes")
+		}
+		return nil
+	}
+	asked := watch.watch()
+	stalled := make(chan error, 1)
+	go func() { stalled <- read() }()
+	<-asked
+	for range 2 { // the lifecycle's strikes: suspect, then down
+		c.client.noteFailure(dead, ErrRetriesSpent)
+	}
+	if err := <-stalled; err != nil {
+		t.Fatalf("read stalled on the agent when it was judged down: %v", err)
+	}
+	watch.watch()
+	if err := read(); err != nil {
+		t.Fatalf("read after the verdict: %v", err)
+	}
+	if n := watch.count(); n != 0 {
+		t.Errorf("the read after the verdict sent %d datagrams to the down agent, want 0", n)
 	}
 }

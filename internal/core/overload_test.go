@@ -413,7 +413,8 @@ func TestRowReadHonoursOpDeadline(t *testing.T) {
 	before := c.client.MetricsSnapshot()
 	f.mu.Lock()
 	f.opDeadline = time.Now().Add(30 * time.Millisecond)
-	jb := f.newJob(0, 0, 4096)
+	var jb rowJob
+	f.newJob(&jb, 0, 0, 4096)
 	jb.out[f.shardOfAgent(0, 0)] = make([]byte, 4096)
 	_, err = f.healRow(jb, nil, "rewritten from parity", nil)
 	f.opDeadline = time.Time{}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sync"
 
 	"swift/internal/ec"
 	"swift/internal/extent"
@@ -20,28 +19,6 @@ import (
 // is the legacy XOR computed copy — byte-identical placement and parity
 // bytes — and at k>=2 it is a Reed–Solomon code tolerating up to k
 // simultaneous failures per row.
-
-// scratch is pooled working memory for one operation's redundancy math:
-// the parity units a write encodes, the shard ranges a degraded read
-// fetches. The pool holds *scratch rather than []byte so that returning
-// one does not itself allocate.
-type scratch struct{ b []byte }
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// acquireScratch returns n bytes holding whatever their last user left.
-//
-//swift:pool acquire
-func acquireScratch(n int64) *scratch {
-	s := scratchPool.Get().(*scratch)
-	s.b = slices.Grow(s.b[:0], int(n))[:n]
-	return s
-}
-
-// releaseScratch hands the memory back once nothing refers to its bytes.
-//
-//swift:pool release
-func releaseScratch(s *scratch) { scratchPool.Put(s) }
 
 // parityUnits holds the parity units one write encoded: k whole units,
 // in parity position order, for each of the rows r0..r1.
@@ -74,7 +51,8 @@ func (f *File) computeParity(src []byte, off int64, pu parityUnits, rowData []by
 	m := l.DataPerRow()
 	rb := l.RowBytes()
 	end := off + int64(len(src))
-	shards := make([][]byte, m+pu.k)
+	f.shards = slices.Grow(f.shards[:0], m+pu.k)[:m+pu.k]
+	shards := f.shards
 	for r := pu.r0; r <= pu.r1; r++ {
 		rowOff := r * rb
 		covLo, covHi := max(rowOff, off), min(rowOff+rb, end)
@@ -188,12 +166,13 @@ type rowJob struct {
 	in, out [][]byte
 }
 
-// newJob returns the job for bytes [a, b) of row's units, with nothing
-// wanted and nothing in hand yet.
-func (f *File) newJob(row, a, b int64) rowJob {
+// newJob makes *jb the job for bytes [a, b) of row's units, with nothing
+// wanted and nothing in hand yet, in the shard slots jb had.
+func (f *File) newJob(jb *rowJob, row, a, b int64) {
 	n := f.c.layout.DataPerRow() + f.c.parityK()
-	shards := make([][]byte, 2*n)
-	return rowJob{row: row, a: a, b: b, in: shards[:n], out: shards[n:]}
+	shards := slices.Grow(jb.in[:0], 2*n)[:2*n]
+	clear(shards)
+	*jb = rowJob{row: row, a: a, b: b, in: shards[:n], out: shards[n:]}
 }
 
 // fetch is one planner read: fragment bytes [lo, lo+n) of one agent,
@@ -244,7 +223,8 @@ func (f *File) castRoles(exts []extent.Set, heal *rowJob, sp *obs.Span) error {
 // agent being read around. Each touched row gets one job per distinct
 // in-unit byte range of its missing data units (a row-aligned read: one
 // job, the whole unit).
-func (f *File) readJobs(dst []byte, off int64, role []uint8) (jobs []rowJob) {
+func (f *File) readJobs(dst []byte, off int64, role []uint8) []rowJob {
+	jobs := f.jobs[:0]
 	l := f.c.layout
 	m := l.DataPerRow()
 	rb, end := l.RowBytes(), off+int64(len(dst))
@@ -261,11 +241,13 @@ func (f *File) readJobs(dst []byte, off int64, role []uint8) (jobs []rowJob) {
 				i++
 			}
 			if i == len(jobs) {
-				jobs = append(jobs, f.newJob(r, lo-g, hi-g))
+				jobs = slices.Grow(jobs, 1)[:i+1]
+				f.newJob(&jobs[i], r, lo-g, hi-g)
 			}
 			jobs[i].out[j] = dst[lo-off : hi-off]
 		}
 	}
+	f.jobs = jobs
 	return jobs
 }
 
@@ -278,9 +260,9 @@ func (f *File) readJobs(dst []byte, off int64, role []uint8) (jobs []rowJob) {
 // as zeros — and the rest is fetched, data units before parity units, as
 // many as are missing and no more, from the agents askTier allows. (A
 // wanted unit fetched from its own straggling agent is both input and
-// output: the codec copies it.) It returns the fetches and the scratch
-// they need.
-func (f *File) planFetches(jobs []rowJob, dst []byte, off int64, role []uint8) (fetches []fetch, total int64, err error) {
+// output: the codec copies it.) It returns the fetches, appended to
+// fetches, and the scratch they need.
+func (f *File) planFetches(fetches []fetch, jobs []rowJob, dst []byte, off int64, role []uint8) (_ []fetch, total int64, err error) {
 	l := f.c.layout
 	m, k := l.DataPerRow(), f.c.parityK()
 	rb, end := l.RowBytes(), off+int64(len(dst))
@@ -384,11 +366,11 @@ func (f *File) healUnits(i int, r0, r1 int64, what string, sp *obs.Span) error {
 	if i < 0 || i >= len(f.sessions) || f.sessions[i] == nil {
 		return fmt.Errorf("no session to the agent")
 	}
-	unit := acquireScratch(f.c.layout.Unit)
-	defer releaseScratch(unit)
+	unit := grow(&f.unit, f.c.layout.Unit)
+	var jb rowJob
 	for r := r0; r < r1; r++ {
-		jb := f.newJob(r, 0, f.c.layout.Unit)
-		jb.out[f.shardOfAgent(r, i)] = unit.b
+		f.newJob(&jb, r, 0, f.c.layout.Unit)
+		jb.out[f.shardOfAgent(r, i)] = unit
 		if _, err := f.healRow(jb, nil, what, sp); err != nil {
 			return err
 		}

@@ -393,14 +393,14 @@ func TestRebuildFetchesOnlyMShards(t *testing.T) {
 }
 
 // TestRebuildUsesPooledScratch: a rebuild's shards and the unit it writes
-// back live in pooled scratch, so its garbage does not grow with the
-// bytes it moves.
+// back live in the file's reused scratch, so its garbage does not grow
+// with the bytes it moves.
 func TestRebuildUsesPooledScratch(t *testing.T) {
 	const unit, rows = 64 << 10, 64
 	c := newCluster(t, clusterOpts{agents: 5, parityShards: 2, unit: unit})
 	f, _ := writeObj(t, c, "obj", rows*3*unit, 29)
 	defer f.Close()
-	if err := f.Rebuild(1); err != nil { // warm the pools and the sessions' burst records
+	if err := f.Rebuild(1); err != nil { // warm the scratch and the sessions' burst records
 		t.Fatalf("rebuild: %v", err)
 	}
 	var ms runtime.MemStats

@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
+	"swift/internal/extent"
 	"swift/internal/integrity"
 	"swift/internal/obs"
 )
@@ -131,19 +131,14 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 	// units land in code order, with k spare units behind them for a
 	// re-encoded parity.
 	m, k := l.DataPerRow(), f.c.parityK()
-	sc := acquireScratch(int64(len(f.sessions)+k) * l.Unit)
-	defer releaseScratch(sc)
-	unitAt := func(pos int) []byte { return sc.b[int64(pos)*l.Unit : int64(pos+1)*l.Unit] }
-	errs := make([]error, len(f.sessions))
-	var wg sync.WaitGroup
+	sc := grow(&f.rows, int64(len(f.sessions)+k)*l.Unit)
+	unitAt := func(pos int) []byte { return sc[int64(pos)*l.Unit : int64(pos+1)*l.Unit] }
 	for i, s := range f.sessions {
-		wg.Add(1)
-		go func(i int, s *agentSession, unit []byte) {
-			defer wg.Done()
-			errs[i] = f.flatBurst(s, reading, r*l.Unit, unit, nil)
-		}(i, s, unitAt(f.shardOfAgent(r, i)))
+		s.cuts = append(s.cuts, extent.Extent{Off: r * l.Unit, Len: l.Unit})
+		s.x = xfer{buf: unitAt(f.shardOfAgent(r, i)), base: r * l.Unit, flat: true}
 	}
-	wg.Wait()
+	f.fanOut(share{reading, nil, false})
+	errs := f.errs // read before healRow fans out again
 
 	var corrupt, failed []int
 	for i, e := range errs {
@@ -188,7 +183,8 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 	}
 	// What is wrong with the row becomes one heal job over the units in
 	// hand: in, the units to trust; out, where to rebuild the others.
-	heal := f.newJob(r, 0, l.Unit)
+	var heal rowJob
+	f.newJob(&heal, r, 0, l.Unit)
 	for pos := range heal.in {
 		heal.in[pos] = unitAt(pos)
 	}

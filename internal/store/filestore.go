@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -97,10 +98,9 @@ func (o *fileObject) Truncate(size int64) error                { return o.f.Trun
 func (o *fileObject) Sync() error                              { return o.f.Sync() }
 func (o *fileObject) Close() error                             { return o.f.Close() }
 
-func (o *fileObject) Size() (int64, error) {
-	fi, err := o.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
-}
+// Size is the file's length, found by seeking to its end rather than by
+// Stat, which allocates a FileInfo on every call: the integrity envelope
+// asks for the size on every ReadAt and WriteAt. ReadAt and WriteAt are
+// pread and pwrite, so moving the file offset affects none of them, and
+// SEEK_END reads the length the inode holds now, whoever wrote it.
+func (o *fileObject) Size() (int64, error) { return o.f.Seek(0, io.SeekEnd) }

@@ -218,3 +218,41 @@ func TestMemQuickAgainstBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFileObjectSizeShared pins that a file object reports its length
+// without allocating, and exactly while another open object on the same
+// file grows and shrinks it.
+func TestFileObjectSizeShared(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := fs.Open("obj", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := fs.Open("obj", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	grow := func(o Object, size int64) error { _, err := o.WriteAt([]byte{1}, size-1); return err }
+	for _, step := range []struct {
+		op   func(Object, int64) error
+		by   Object
+		size int64
+	}{{grow, a, 100}, {grow, b, 4096}, {Object.Truncate, a, 7}, {Object.Truncate, b, 0}, {grow, a, 12345}} {
+		if err := step.op(step.by, step.size); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range []Object{a, b} {
+			if got, err := o.Size(); err != nil || got != step.size {
+				t.Fatalf("size = %d, %v; want %d", got, err, step.size)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { a.Size() }); n != 0 {
+		t.Errorf("Size allocated %v times, want 0", n)
+	}
+}
