@@ -138,7 +138,7 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 		s.x = xfer{buf: unitAt(f.shardOfAgent(r, i)), base: r * l.Unit, flat: true}
 	}
 	f.fanOut(share{reading, nil, false})
-	errs := f.errs // read before healRow fans out again
+	errs := f.errs // healRow fans out again and reuses it: judge it first
 
 	var corrupt, failed []int
 	for i, e := range errs {
